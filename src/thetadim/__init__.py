@@ -10,7 +10,13 @@ and explicit orbit enumeration) so that every number can be cross-checked.
 from .burnside import BurnsideResult, burnside_dims, orbit_count_dims
 from .characters import CharacterTable, d2_char_formula, table_for
 from .closed_forms import SphericalSpec, closed_dims, spec_from_expr
-from .conjugacy import ClassData, compute_classes, d1_class_formula, z2_orbit_count
+from .conjugacy import (
+    ClassData,
+    class_data_for,
+    compute_classes,
+    d1_class_formula,
+    z2_orbit_count,
+)
 from .cyclo import CycloNumber, zeta
 from .diagrams import dim_A2, normalize
 from .expr import GroupExpr, parse_group_expr
@@ -35,6 +41,7 @@ __all__ = [
     "ResourceLimitError",
     "SphericalSpec",
     "burnside_dims",
+    "class_data_for",
     "closed_dims",
     "compute_classes",
     "construct_family",

@@ -9,9 +9,10 @@ contributes exactly 1 to each.
 
 Two evaluation modes: "naive" iterates all |G|^2 pairs reading fixed-point
 counts from two literally-counted tables, and is the trusted reference;
-"class" reduces the plain sum to class pairs and the twisted sum to a single
-sum over classes weighted by square-root counts.  Orbit enumeration on sorted
-monomial triples provides a third, lemma-free count of the same dimension.
+"class" reduces both sums to O(k) sums over the k conjugacy classes and
+needs only class data, so it builds no multiplication table for an
+expression.  Orbit enumeration on sorted monomial triples provides a third,
+lemma-free count of the same dimension.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .conjugacy import compute_classes
-from .expr import GroupExpr
-from .group_core import FiniteGroup, ResourceLimitError, group_from_expr
+from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
+from .expr import GroupExpr, expr_to_string, parse_group_expr
+from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 
 __all__ = [
     "ActionElement",
@@ -98,6 +99,7 @@ class BurnsideResult:
     ker_d1: Fraction
     ker_d2: Fraction
     mode: str
+    num_classes: int
 
 
 def _ker_terms(t1: int, t2: int, t3: int) -> int:
@@ -152,48 +154,53 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int]:
     return plain_sum, plain_ker, twist_sum, twist_ker
 
 
-def _class_sums(group: FiniteGroup) -> tuple[int, int, int, int]:
-    """Same four sums as _naive_sums, reduced to conjugacy class data.
+def _class_sums(cd: ClassData) -> tuple[int, int, int, int]:
+    """Same four sums as _naive_sums, from conjugacy class data alone, in O(k).
 
-    Plain traces are class functions of the pair, so the pair sum collapses to
-    class pairs weighted by size products.  Twisted traces are not: they are
-    functions of the product h*g alone, and summing over pairs with a fixed
-    product gives |G| times a single sum over classes, with t1 the number of
-    square roots of the representative, t2 its centralizer size, and t3 the
-    square-root count of its cube.
+    Plain traces are class functions of the pair: for g in class i and h in
+    class j, t1 = |C_G(g)| if i == j, t2 = |C_G(g^2)| if g^2 ~ h^2 and
+    t3 = |C_G(g^3)| if g^3 ~ h^3, each 0 otherwise.  Summing |i||j| times a
+    trace polynomial over class pairs, the t1 terms live on the diagonal and
+    the lone t2 and t3 terms on pairs with a common square or cube class C,
+    whose total weight is the power-class weight W2[C] or W3[C].  The kernel
+    polynomial expands to t1^3 - 3 t1^2 + 3 t1 t2 - 3 t2 + 2 t3.
+
+    Twisted traces are functions of the product h*g alone, and summing over
+    pairs with a fixed product gives |G| times a single sum over classes, with
+    t1 the number of square roots of the class, t2 its centralizer size, and
+    t3 the square-root count of its cube class.  Roots of class C number
+    W2[C] / |C|.
     """
-    n = group.order
-    mul = group._mul
-    cd = compute_classes(group)
-    k = cd.num_classes
+    n = cd.order
     sizes = cd.sizes
     cent = [n // s for s in sizes]
     sq_cls = cd.square_class
     cu_cls = cd.cube_class
+    w2 = power_class_weights(sq_cls, sizes)
+    w3 = power_class_weights(cu_cls, sizes)
+    roots = []
+    for c, size in enumerate(sizes):
+        r, rem = divmod(w2[c], size)
+        if rem:
+            raise AssertionError(f"square roots of class {c} are not evenly spread")
+        roots.append(r)
 
     plain_sum = plain_ker = 0
-    for i in range(k):
-        cent_sq = cent[sq_cls[i]]
-        cent_cu = cent[cu_cls[i]]
-        for j in range(k):
-            t1 = cent[i] if j == i else 0
-            t2 = cent_sq if sq_cls[j] == sq_cls[i] else 0
-            t3 = cent_cu if cu_cls[j] == cu_cls[i] else 0
-            w = sizes[i] * sizes[j]
-            plain_sum += w * (t1**3 + 3 * t1 * t2 + 2 * t3)
-            plain_ker += w * _ker_terms(t1, t2, t3)
-
-    root_count = [0] * n
-    for y in range(n):
-        root_count[mul[y * n + y]] += 1
-
     twist_sum = twist_ker = 0
-    for c in range(k):
-        rep = cd.representatives[c]
-        r1 = root_count[rep]
-        r3 = root_count[group.power(rep, 3)]
-        twist_sum += sizes[c] * (r1**3 + 3 * r1 * cent[c] + 2 * r3)
-        twist_ker += sizes[c] * _ker_terms(r1, cent[c], r3)
+    for i, size in enumerate(sizes):
+        c1, c2, c3 = cent[i], cent[sq_cls[i]], cent[cu_cls[i]]
+        diagonal = size * size * c1
+        same_cube = 2 * size * c3 * w3[cu_cls[i]]
+        plain_sum += diagonal * (c1 * c1 + 3 * c2) + same_cube
+        plain_ker += (
+            diagonal * (c1 * c1 - 3 * c1 + 3 * c2)
+            - 3 * size * c2 * w2[sq_cls[i]]
+            + same_cube
+        )
+
+        r1, r3 = roots[i], roots[cu_cls[i]]
+        twist_sum += size * (r1**3 + 3 * r1 * c1 + 2 * r3)
+        twist_ker += size * _ker_terms(r1, c1, r3)
     # pair sums carry one more factor of |G| than the class-collapsed twisted sum
     return plain_sum, plain_ker, n * twist_sum, n * twist_ker
 
@@ -212,22 +219,33 @@ def burnside_dims(
     """Both dimensions by pair-averaged symmetric-cube traces.
 
     mode "naive" sums all |G|^2 pairs, "class" uses the conjugacy reduction,
-    "auto" picks naive for small orders and class otherwise.
+    "auto" picks naive for small orders and class otherwise.  The budget is
+    checked before anything is built, and class mode on an expression builds
+    no multiplication table.
     """
-    group = _as_group(group)
-    n = group.order
+    if isinstance(group, str):
+        group = parse_group_expr(group)
+    n = group_order(group)
     budget = DEFAULT_PAIR_MAX_ORDER if max_order is None else max_order
     if n > budget:
         raise ResourceLimitError(
             f"order {n} exceeds the pair-counting budget {budget}; "
             "use the character or closed-form route instead"
         )
+    name = group.family_tag if isinstance(group, FiniteGroup) else expr_to_string(group)
     if mode == "auto":
         mode = "naive" if n <= _AUTO_NAIVE_MAX_ORDER else "class"
     if mode == "naive":
-        plain_sum, plain_ker, twist_sum, twist_ker = _naive_sums(group)
+        table = _as_group(group)
+        plain_sum, plain_ker, twist_sum, twist_ker = _naive_sums(table)
+        num_classes = compute_classes(table).num_classes
     elif mode == "class":
-        plain_sum, plain_ker, twist_sum, twist_ker = _class_sums(group)
+        if isinstance(group, FiniteGroup):
+            cd = compute_classes(group)
+        else:
+            cd = class_data_for(group)
+        plain_sum, plain_ker, twist_sum, twist_ker = _class_sums(cd)
+        num_classes = cd.num_classes
     else:
         raise ValueError(f"mode must be auto, naive or class, got {mode!r}.")
 
@@ -246,10 +264,10 @@ def burnside_dims(
     ):
         if value.denominator != 1 or value < 0:
             raise AssertionError(
-                f"{label} for {group.family_tag} is not a nonnegative integer: {value}"
+                f"{label} for {name} is not a nonnegative integer: {value}"
             )
     return BurnsideResult(
-        group_name=group.family_tag,
+        group_name=name,
         order=n,
         d1=d1,
         d2=d2,
@@ -258,6 +276,7 @@ def burnside_dims(
         ker_d1=ker_d1,
         ker_d2=ker_d2,
         mode=mode,
+        num_classes=num_classes,
     )
 
 
@@ -271,13 +290,13 @@ def orbit_count_dims(
     Burnside's lemma.  Breadth-first closure over sorted triples, keyed by the
     combinatorial rank of the strictly increasing lift (a, b+1, c+2).
     """
-    group = _as_group(group)
-    n = group.order
+    n = group_order(group)
     budget = DEFAULT_ORBIT_MAX_ORDER if max_order is None else max_order
     if n > budget:
         raise ResourceLimitError(
             f"order {n} exceeds the orbit-enumeration budget {budget}"
         )
+    group = _as_group(group)
 
     perms: list[list[int]] = []
     for s in group.generators:

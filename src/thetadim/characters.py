@@ -2,9 +2,11 @@
 
 Tables are parametric: each family lays out its characters from closed
 expressions in roots of unity, then aligns the columns with the conjugacy
-classes computed from the concrete group by locating explicit representative
-words.  Any failure of that alignment (sizes, power maps, inversion pairing)
-raises instead of guessing.  Product tables are outer products of the factor
+classes computed from the family's normal-form rule (or, for the binary
+polyhedral groups, their coset-enumerated table) by locating explicit
+representative words, so no other atom builds a multiplication table.  Any
+failure of that alignment (sizes, power maps, inversion pairing) raises
+instead of guessing.  Product tables are outer products of the factor
 tables, in the same factor order as group construction, so indices agree with
 the composed class data by construction.
 """
@@ -27,12 +29,12 @@ from .cyclo import (
 )
 from .expr import Atom, GroupExpr, parse_group_expr
 from .group_core import (
-    binary_dihedral_group,
-    cyclic_group,
-    dprime_group,
+    binary_dihedral_rule,
+    cyclic_rule,
+    dprime_rule,
     istar_group,
     ostar_group,
-    tprime_group,
+    tprime_rule,
     tstar_group,
 )
 
@@ -61,7 +63,6 @@ class CharacterTable:
 def _finish(
     name: str,
     cd: ClassData,
-    class_labels: list[str],
     row_names: list[str],
     values: list[list[CycloNumber]],
 ) -> CharacterTable:
@@ -83,7 +84,7 @@ def _finish(
     return CharacterTable(
         group_name=name,
         class_data=cd,
-        class_labels=class_labels,
+        class_labels=cd.labels,
         row_names=row_names,
         values=values,
         degrees=degrees,
@@ -167,18 +168,15 @@ def _zeta_cache(n: int) -> list[CycloNumber]:
 
 
 def _cyclic_table(n: int) -> CharacterTable:
-    group = cyclic_group(n)
-    cd = compute_classes(group)
+    cd = compute_classes(cyclic_rule(n))
     zs = _zeta_cache(n)
     values = [[zs[(lam * cd.representatives[c]) % n] for c in range(n)] for lam in range(n)]
-    labels = [group.labels[r] for r in cd.representatives]
     names = [f"V_{lam}" for lam in range(n)]
-    return _finish(f"Z({n})", cd, labels, names, values)
+    return _finish(f"Z({n})", cd, names, values)
 
 
 def _binary_dihedral_table(p: int) -> CharacterTable:
-    group = binary_dihedral_group(p)
-    cd = compute_classes(group)
+    cd = compute_classes(binary_dihedral_rule(p))
     two_p = 2 * p
     k_classes = cd.num_classes
     if k_classes != p + 3:
@@ -230,13 +228,11 @@ def _binary_dihedral_table(p: int) -> CharacterTable:
             )
         )
     names = ["V1_1", "V1_2", "V1_3", "V1_4"] + [f"V2_{lam}" for lam in range(1, p)]
-    labels = [group.labels[r] for r in cd.representatives]
-    return _finish(f"Dstar({p})", cd, labels, names, values)
+    return _finish(f"Dstar({p})", cd, names, values)
 
 
 def _dprime_table(k: int, p: int) -> CharacterTable:
-    group = dprime_group(k, p)
-    cd = compute_classes(group)
+    cd = compute_classes(dprime_rule(k, p))
     big_n = 2 ** (k + 2)
     half = big_n // 2
     k_classes = cd.num_classes
@@ -294,13 +290,11 @@ def _dprime_table(k: int, p: int) -> CharacterTable:
                 row[c] = zn[(n_exp * t) % big_n] * cosp[(s * l) % p]
             values.append(row)
             names.append(f"V2_{s}_{t}")
-    labels = [group.labels[r] for r in cd.representatives]
-    return _finish(f"Dprime({k},{p})", cd, labels, names, values)
+    return _finish(f"Dprime({k},{p})", cd, names, values)
 
 
 def _tprime_table(k: int) -> CharacterTable:
-    group = tprime_group(k)
-    cd = compute_classes(group)
+    cd = compute_classes(tprime_rule(k))
     three_k = 3**k
     third = 3 ** (k - 1)
     k_classes = cd.num_classes
@@ -356,8 +350,7 @@ def _tprime_table(k: int) -> CharacterTable:
             row[c] = coeff * zs[(j * lam) % three_k] if coeff else zero
         values.append(row)
         names.append(f"V3_{lam}")
-    labels = [group.labels[r] for r in cd.representatives]
-    return _finish(f"Tprime({k})", cd, labels, names, values)
+    return _finish(f"Tprime({k})", cd, names, values)
 
 
 def _polyhedral_data(kind: str):
@@ -472,8 +465,7 @@ def _polyhedral_table(kind: str) -> CharacterTable:
             row[cols[i]] = v
         values.append(row)
         names.append(name)
-    labels = [group.labels[r] for r in cd.representatives]
-    return _finish(kind, cd, labels, names, values)
+    return _finish(kind, cd, names, values)
 
 
 def _atom_table(atom: Atom) -> CharacterTable:
@@ -494,15 +486,12 @@ def _atom_table(atom: Atom) -> CharacterTable:
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     cd = product_class_data(t1.class_data, t2.class_data)
     k2 = t2.class_data.num_classes
-    labels = [
-        f"({l1},{l2})" for l1 in t1.class_labels for l2 in t2.class_labels
-    ]
     names = [f"{n1}(x){n2}" for n1 in t1.row_names for n2 in t2.row_names]
     values = []
     for row1 in t1.values:
         for row2 in t2.values:
             values.append([row1[c1] * row2[c2] for c1 in range(len(row1)) for c2 in range(k2)])
-    return _finish(f"{t1.group_name}x{t2.group_name}", cd, labels, names, values)
+    return _finish(f"{t1.group_name}x{t2.group_name}", cd, names, values)
 
 
 def table_for(expr: GroupExpr | str) -> CharacterTable:

@@ -30,10 +30,10 @@ from .closed_forms import (
     closed_z2_orbit,
     spec_from_expr,
 )
-from .conjugacy import compute_classes, d1_class_formula, z2_orbit_count
+from .conjugacy import class_data_for, compute_classes, d1_class_formula, z2_orbit_count
 from .diagrams import DEFAULT_DIAGRAM_MAX_ORDER, dim_A2
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .group_core import ResourceLimitError, group_from_expr
+from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 __all__ = [
@@ -131,13 +131,11 @@ def _route_chars(expr: GroupExpr, budgets) -> DimensionReport:
 
 def _route_burnside(expr: GroupExpr, budgets) -> DimensionReport:
     t0 = time.perf_counter()
-    group = group_from_expr(expr)
-    result = burnside_dims(group, mode="auto", max_order=budgets["pair"])
-    cd = compute_classes(group)
+    result = burnside_dims(expr, mode="auto", max_order=budgets["pair"])
     return DimensionReport(
         group=expr_to_string(expr),
-        order=group.order,
-        num_classes=cd.num_classes,
+        order=result.order,
+        num_classes=result.num_classes,
         d1=result.d1,
         d2=result.d2,
         dim_cpi=int(result.dim_full),
@@ -148,9 +146,18 @@ def _route_burnside(expr: GroupExpr, budgets) -> DimensionReport:
     )
 
 
+def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
+    """The table group of `expr`, or `expr` itself when its order exceeds `budget`.
+
+    An enumeration route then refuses the bare expression from its order
+    alone, so an over-budget call builds nothing.
+    """
+    return group_from_expr(expr) if group_order(expr) <= budget else expr
+
+
 def _route_orbits(expr: GroupExpr, budgets) -> DimensionReport:
     t0 = time.perf_counter()
-    group = group_from_expr(expr)
+    group = _table_within(expr, budgets["orbit"])
     dim = orbit_count_dims(group, max_order=budgets["orbit"])
     cd = compute_classes(group)
     z2 = z2_orbit_count(cd)
@@ -170,7 +177,7 @@ def _route_orbits(expr: GroupExpr, budgets) -> DimensionReport:
 
 def _route_diagrams(expr: GroupExpr, budgets) -> DimensionReport:
     t0 = time.perf_counter()
-    group = group_from_expr(expr)
+    group = _table_within(expr, budgets["diagram"])
     dim = dim_A2(group, max_order=budgets["diagram"])
     cd = compute_classes(group)
     z2 = z2_orbit_count(cd)
@@ -298,13 +305,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_classes(args) -> int:
     expr = parse_group_expr(args.expr)
-    group = group_from_expr(expr)
-    cd = compute_classes(group)
+    cd = class_data_for(expr)
     print(
-        f"group {expr_to_string(expr)}  order {group.order}"
+        f"group {expr_to_string(expr)}  order {cd.order}"
         f"  classes {cd.num_classes}"
     )
-    labels = [group.labels[r] for r in cd.representatives]
+    labels = cd.labels
     width = max(len(l) for l in labels)
     width = max(width, len("representative"))
     print(f"{'idx':>4} {'size':>5}  {'representative':<{width}}  square  cube  inverse")

@@ -1,17 +1,26 @@
-"""Conjugacy classes, power maps on classes, and class-level counting sums."""
+"""Conjugacy classes, power maps on classes, and class-level counting sums.
+
+Class data comes from orbits of conjugation by the generators, on either a
+multiplication table or a normal-form product rule, so a group expression's
+classes are found without building any O(|G|^2) table (`class_data_for`).
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from .group_core import FiniteGroup
+from .expr import GroupExpr, parse_group_expr
+from .group_core import FiniteGroup, NormalForm, atom_group
 
 __all__ = [
     "ClassData",
+    "class_data_for",
     "compute_classes",
     "d1_class_formula",
     "delta3_weighted_sum",
+    "power_class_weights",
     "product_class_data",
     "z2_orbit_count",
 ]
@@ -25,6 +34,7 @@ class ClassData:
     order, so class 0 is always the identity class.  `square_class[c]` is the
     class of g^2 for g in class c, and similarly for cubes and inverses; these
     maps are well defined because power maps commute with conjugation.
+    `labels[c]` is the printed name of `representatives[c]`.
     """
 
     order: int
@@ -34,6 +44,7 @@ class ClassData:
     square_class: list[int]
     cube_class: list[int]
     inverse_class: list[int]
+    labels: list[str]
 
     @property
     def num_classes(self) -> int:
@@ -43,10 +54,17 @@ class ClassData:
         return self.order // self.sizes[c]
 
 
-def compute_classes(group: FiniteGroup) -> ClassData:
+def compute_classes(group: FiniteGroup | NormalForm) -> ClassData:
+    """Classes as orbits of conjugation by the generators.
+
+    Each element is conjugated once by each generator, so the cost is
+    O(|G| * |S|) products, and `group` may be a table or a normal-form rule.
+    Orbits under the generators are whole classes because the generators'
+    inner automorphisms generate all of them.
+    """
     n = group.order
-    mul = group._mul
-    inv = group.inverses
+    mul = group.mul
+    gens = [(s, group.inv(s)) for s in group.generators]
     class_of = [-1] * n
     representatives: list[int] = []
     sizes: list[int] = []
@@ -54,21 +72,27 @@ def compute_classes(group: FiniteGroup) -> ClassData:
         if class_of[g] >= 0:
             continue
         c = len(representatives)
-        members = set()
-        for x in range(n):
-            members.add(mul[mul[x * n + g] * n + inv[x]])
-        for m in members:
-            class_of[m] = c
+        class_of[g] = c
+        stack = [g]
+        size = 0
+        while stack:
+            y = stack.pop()
+            size += 1
+            for s, si in gens:
+                z = mul(mul(s, y), si)
+                if class_of[z] < 0:
+                    class_of[z] = c
+                    stack.append(z)
         representatives.append(g)
-        sizes.append(len(members))
+        sizes.append(size)
     square_class = []
     cube_class = []
     inverse_class = []
     for r in representatives:
-        r2 = mul[r * n + r]
+        r2 = mul(r, r)
         square_class.append(class_of[r2])
-        cube_class.append(class_of[mul[r2 * n + r]])
-        inverse_class.append(class_of[inv[r]])
+        cube_class.append(class_of[mul(r2, r)])
+        inverse_class.append(class_of[group.inv(r)])
     return ClassData(
         order=n,
         class_of=class_of,
@@ -77,7 +101,21 @@ def compute_classes(group: FiniteGroup) -> ClassData:
         square_class=square_class,
         cube_class=cube_class,
         inverse_class=inverse_class,
+        labels=[group.label(r) for r in representatives],
     )
+
+
+def class_data_for(expr: GroupExpr | str) -> ClassData:
+    """Class data of a group expression, built from its atoms without a table.
+
+    Normal-form atoms are conjugated through their product rule, the binary
+    polyhedral atoms through their coset-enumerated tables, and products are
+    composed with `product_class_data`.  The numbering equals that of
+    `compute_classes` on the full `group_from_expr` table.
+    """
+    if isinstance(expr, str):
+        expr = parse_group_expr(expr)
+    return reduce(product_class_data, (compute_classes(atom_group(a)) for a in expr.atoms))
 
 
 def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
@@ -120,6 +158,7 @@ def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
         square_class=square_class,
         cube_class=cube_class,
         inverse_class=inverse_class,
+        labels=[f"({l1},{l2})" for l1 in cd1.labels for l2 in cd2.labels],
     )
 
 
@@ -132,25 +171,27 @@ def z2_orbit_count(cd: ClassData) -> int:
     return fixed + moved // 2
 
 
+def power_class_weights(power_class: list[int], sizes: list[int]) -> list[int]:
+    """W[C] = sum of |c| over the classes c whose power map sends them to C.
+
+    W[C] counts the elements whose square (or cube, for the cube map) lies in
+    C, so W[C] / |C| is the number of square (cube) roots of each g in C.
+    """
+    weights = [0] * len(sizes)
+    for c, target in enumerate(power_class):
+        weights[target] += sizes[c]
+    return weights
+
+
 def delta3_weighted_sum(cd: ClassData) -> Fraction:
     """Sum of |C(g)| |C(h)| / |C(g^3)| over class pairs with g^3 conjugate to h^3.
 
-    The sum deliberately iterates over ordered class pairs; the cube-matching
-    condition is symmetric, and the denominator only depends on the first
-    class of the pair.
+    Grouping the pairs by their common cube class C gives W3[C]^2 / |C| per
+    cube class, with W3 the cube-class weights, so the sum runs in O(k).
     """
-    total = Fraction(0)
     sizes = cd.sizes
-    cubes = cd.cube_class
-    k = cd.num_classes
-    for i in range(k):
-        cube_i = cubes[i]
-        weight = 0
-        for j in range(k):
-            if cubes[j] == cube_i:
-                weight += sizes[j]
-        total += Fraction(sizes[i] * weight, sizes[cube_i])
-    return total
+    weights = power_class_weights(cd.cube_class, sizes)
+    return sum((Fraction(w * w, sizes[c]) for c, w in enumerate(weights) if w), Fraction(0))
 
 
 def d1_class_formula(cd: ClassData) -> Fraction:

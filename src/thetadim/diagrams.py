@@ -12,7 +12,8 @@ exactly the original orbits.
 
 from __future__ import annotations
 
-from .group_core import FiniteGroup, ResourceLimitError
+from .expr import GroupExpr
+from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 
 __all__ = ["DEFAULT_DIAGRAM_MAX_ORDER", "ThetaDecoration", "dim_A2", "normalize"]
 
@@ -68,14 +69,19 @@ def normalize(d: ThetaDecoration, group: FiniteGroup) -> ThetaDecoration:
     return (0, best[0], best[1])
 
 
-def dim_A2(group: FiniteGroup, max_order: int | None = None) -> int:
-    """Number of decoration orbits; equals the full invariant dimension."""
-    n = group.order
+def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -> int:
+    """Number of decoration orbits; equals the full invariant dimension.
+
+    The budget is checked before an expression's group is built.
+    """
+    n = group_order(group)
     budget = DEFAULT_DIAGRAM_MAX_ORDER if max_order is None else max_order
     if n > budget:
         raise ResourceLimitError(
             f"order {n} exceeds the diagram-enumeration budget {budget}"
         )
+    if not isinstance(group, FiniteGroup):
+        group = group_from_expr(group)
     neighbors = _pair_moves(group)
     visited = bytearray(n * n)
     count = 0

@@ -1,31 +1,42 @@
-"""Finite groups as dense multiplication tables, with family constructors.
+"""Finite groups: normal-form product rules, dense multiplication tables, products.
 
-Elements are integers 0..order-1 and 0 is always the identity.  The table
-constructors for the cyclic, binary dihedral, split metacyclic, and twisted
-quaternion-tower families build the table directly from a normal form for the
-elements; the three exceptional binary polyhedral groups are built solely by
-coset enumeration from their two-generator presentations.
+Elements are integers 0..order-1 and 0 is always the identity.  The cyclic,
+binary dihedral, split metacyclic, and twisted quaternion-tower families are
+each written once as a `NormalForm` product rule on their element indices;
+class-level computations run on the rule directly, and the table
+constructors fill their tables from it.  The three exceptional binary
+polyhedral groups (order at most 120) are built solely by coset enumeration
+from their two-generator presentations.
 """
 
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
+from typing import Callable
 
 from .expr import Atom, GroupExpr, parse_group_expr
 
 __all__ = [
     "DEFAULT_PRODUCT_MAX_ENTRIES",
     "FiniteGroup",
+    "NormalForm",
     "ResourceLimitError",
+    "atom_group",
     "binary_dihedral_group",
+    "binary_dihedral_rule",
     "construct_family",
     "cyclic_group",
+    "cyclic_rule",
     "direct_product",
     "dprime_group",
+    "dprime_rule",
     "group_from_expr",
+    "group_order",
     "istar_group",
     "ostar_group",
     "tprime_group",
+    "tprime_rule",
     "tstar_group",
     "validate_spherical",
 ]
@@ -96,6 +107,9 @@ class FiniteGroup:
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
+    def label(self, i: int) -> str:
+        return self.labels[i]
+
     def power(self, i: int, e: int) -> int:
         if e < 0:
             i = self.inverses[i]
@@ -159,92 +173,98 @@ class FiniteGroup:
         return gens
 
 
-def cyclic_group(n: int) -> FiniteGroup:
+@dataclass(frozen=True)
+class NormalForm:
+    """A group given by a product rule on normal-form element indices.
+
+    Elements are 0..order-1 with 0 the identity, numbered exactly as in the
+    multiplication table the rule fills (`_tabulate`).  `mul`, `inv` and
+    `label` are plain functions of element indices, so class-level work costs
+    O(order) products instead of the order^2 entries of a table.
+    """
+
+    order: int
+    mul: Callable[[int, int], int]
+    inv: Callable[[int], int]
+    label: Callable[[int], str]
+    generators: list[int]
+    family_tag: str
+
+
+def cyclic_rule(n: int) -> NormalForm:
+    """Z(n): g^k has index k."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
-    table = array("i", ((i + j) % n for i in range(n) for j in range(n)))
-    labels = ["e"] + [f"g^{k}" if k > 1 else "g" for k in range(1, n)]
-    return FiniteGroup(
-        n, table, labels=labels, family_tag=f"Z({n})",
+    return NormalForm(
+        order=n,
+        mul=lambda i, j: (i + j) % n,
+        inv=lambda i: -i % n,
+        label=lambda k: "e" if k == 0 else ("g" if k == 1 else f"g^{k}"),
         generators=[1] if n > 1 else [],
+        family_tag=f"Z({n})",
     )
 
 
-def binary_dihedral_group(p: int) -> FiniteGroup:
-    """Order 4p group with a of order 2p, x^2 = a^p, and x a x^-1 = a^-1."""
+def binary_dihedral_rule(p: int) -> NormalForm:
+    """Order 4p group with a of order 2p, x^2 = a^p, and x a x^-1 = a^-1.
+
+    a^k x^l has index k + 2p*l.
+    """
     if p < 1:
         raise ValueError(f"p must be positive, got {p}.")
-    n = 4 * p
     two_p = 2 * p
 
-    def idx(k: int, l: int) -> int:
-        return k + two_p * l
+    def mul(i: int, j: int) -> int:
+        l1, k1 = divmod(i, two_p)
+        l2, k2 = divmod(j, two_p)
+        if not l1:
+            return (k1 + k2) % two_p + two_p * l2
+        if not l2:
+            return (k1 - k2) % two_p + two_p
+        return (k1 - k2 + p) % two_p
 
-    flat = [0] * (n * n)
-    for k1 in range(two_p):
-        for l1 in range(2):
-            i = idx(k1, l1)
-            base = i * n
-            for k2 in range(two_p):
-                for l2 in range(2):
-                    if l1 == 0:
-                        k = (k1 + k2) % two_p
-                        l = l2
-                    elif l2 == 0:
-                        k = (k1 - k2) % two_p
-                        l = 1
-                    else:
-                        k = (k1 - k2 + p) % two_p
-                        l = 0
-                    flat[base + idx(k2, l2)] = idx(k, l)
-    labels = [""] * n
-    for l in range(2):
-        for k in range(two_p):
-            if l == 0:
-                word = "e" if k == 0 else ("a" if k == 1 else f"a^{k}")
-            else:
-                word = "x" if k == 0 else ("a*x" if k == 1 else f"a^{k}*x")
-            labels[idx(k, l)] = word
-    return FiniteGroup(
-        n, flat, labels=labels, family_tag=f"Dstar({p})",
-        generators=[idx(1, 0), idx(0, 1)],
-    )
+    def inv(i: int) -> int:
+        l, k = divmod(i, two_p)
+        return (k + p) % two_p + two_p if l else -k % two_p
+
+    def label(i: int) -> str:
+        l, k = divmod(i, two_p)
+        if l == 0:
+            return "e" if k == 0 else ("a" if k == 1 else f"a^{k}")
+        return "x" if k == 0 else ("a*x" if k == 1 else f"a^{k}*x")
+
+    return NormalForm(4 * p, mul, inv, label, [1, two_p], f"Dstar({p})")
 
 
-def dprime_group(k: int, p: int) -> FiniteGroup:
-    """Order 2^(k+2) * p group with x of 2-power order inverting y of order p."""
+def dprime_rule(k: int, p: int) -> NormalForm:
+    """Order 2^(k+2) * p group with x of 2-power order inverting y of order p.
+
+    x^a y^b has index a*p + b.
+    """
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}.")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be odd and at least 3, got {p}.")
     big_n = 2 ** (k + 2)
-    n = big_n * p
 
-    def idx(nx: int, l: int) -> int:
-        return nx * p + l
+    def mul(i: int, j: int) -> int:
+        n1, l1 = divmod(i, p)
+        n2, l2 = divmod(j, p)
+        if n2 % 2:
+            l1 = -l1
+        return (n1 + n2) % big_n * p + (l1 + l2) % p
 
-    flat = [0] * (n * n)
-    for n1 in range(big_n):
-        for l1 in range(p):
-            base = idx(n1, l1) * n
-            for n2 in range(big_n):
-                sign = -1 if n2 % 2 else 1
-                nn = (n1 + n2) % big_n
-                for l2 in range(p):
-                    flat[base + idx(n2, l2)] = idx(nn, (sign * l1 + l2) % p)
-    labels = []
-    for nx in range(big_n):
-        for l in range(p):
-            xs = "" if nx == 0 else ("x" if nx == 1 else f"x^{nx}")
-            ys = "" if l == 0 else ("y" if l == 1 else f"y^{l}")
-            if xs and ys:
-                labels.append(f"{xs}*{ys}")
-            else:
-                labels.append(xs or ys or "e")
-    return FiniteGroup(
-        n, flat, labels=labels, family_tag=f"Dprime({k},{p})",
-        generators=[idx(1, 0), idx(0, 1)],
-    )
+    def inv(i: int) -> int:
+        nx, l = divmod(i, p)
+        return -nx % big_n * p + (l if nx % 2 else -l) % p
+
+    def label(i: int) -> str:
+        nx, l = divmod(i, p)
+        xs = "" if nx == 0 else ("x" if nx == 1 else f"x^{nx}")
+        ys = "" if l == 0 else ("y" if l == 1 else f"y^{l}")
+        return f"{xs}*{ys}" if xs and ys else (xs or ys or "e")
+
+    return NormalForm(big_n * p, mul, inv, label, [p, 1], f"Dprime({k},{p})")
 
 
 # Unit group of the quaternions, indexed 0..7 in the order
@@ -273,44 +293,68 @@ def _qmul(u: int, v: int) -> int:
 
 _QMUL = [[_qmul(u, v) for v in range(8)] for u in range(8)]
 
+_QINV = [row.index(0) for row in _QMUL]
+
 # the order-3 automorphism x -> y -> x*y -> x induced by conjugation by z
 _QSIGMA = [0, 2, 4, 3, 1, 6, 7, 5]
+_QSIGMA_POWERS = [list(range(8)), _QSIGMA, [_QSIGMA[w] for w in _QSIGMA]]
 
 
-def tprime_group(k: int) -> FiniteGroup:
-    """Order 8*3^k group: quaternion units extended by z of order 3^k acting by _QSIGMA."""
+def tprime_rule(k: int) -> NormalForm:
+    """Order 8*3^k group: quaternion units extended by z of order 3^k acting by _QSIGMA.
+
+    (unit w)*z^l has index w + 8*l.
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}.")
     three_k = 3**k
-    n = 8 * three_k
-    sigma_pows = [list(range(8))]
-    for _ in range(2):
-        sigma_pows.append([_QSIGMA[w] for w in sigma_pows[-1]])
 
-    flat = [0] * (n * n)
-    for w1 in range(8):
-        for l1 in range(three_k):
-            base = (w1 + 8 * l1) * n
-            sig = sigma_pows[l1 % 3]
-            row_w1 = _QMUL[w1]
-            for w2 in range(8):
-                w = row_w1[sig[w2]]
-                for l2 in range(three_k):
-                    flat[base + w2 + 8 * l2] = w + 8 * ((l1 + l2) % three_k)
-    labels = [""] * n
-    for l in range(three_k):
+    def mul(i: int, j: int) -> int:
+        l1, w1 = divmod(i, 8)
+        l2, w2 = divmod(j, 8)
+        return _QMUL[w1][_QSIGMA_POWERS[l1 % 3][w2]] + 8 * ((l1 + l2) % three_k)
+
+    def inv(i: int) -> int:
+        l, w = divmod(i, 8)
+        return _QSIGMA_POWERS[-l % 3][_QINV[w]] + 8 * (-l % three_k)
+
+    def label(i: int) -> str:
+        l, w = divmod(i, 8)
+        if l == 0:
+            return _QLABELS[w]
         zs = "z" if l == 1 else f"z^{l}"
-        for w in range(8):
-            if l == 0:
-                labels[w] = _QLABELS[w]
-            elif w == 0:
-                labels[8 * l] = zs
-            else:
-                labels[w + 8 * l] = f"{_QLABELS[w]}*{zs}"
+        return zs if w == 0 else f"{_QLABELS[w]}*{zs}"
+
+    return NormalForm(8 * three_k, mul, inv, label, [1, 8], f"Tprime({k})")
+
+
+def _tabulate(rule: NormalForm) -> FiniteGroup:
+    """The multiplication table a normal-form rule defines."""
+    n, mul = rule.order, rule.mul
+    table = array("i", [mul(i, j) for i in range(n) for j in range(n)])
     return FiniteGroup(
-        n, flat, labels=labels, family_tag=f"Tprime({k})",
-        generators=[1, 8],
+        n,
+        table,
+        labels=[rule.label(i) for i in range(n)],
+        family_tag=rule.family_tag,
+        generators=rule.generators,
     )
+
+
+def cyclic_group(n: int) -> FiniteGroup:
+    return _tabulate(cyclic_rule(n))
+
+
+def binary_dihedral_group(p: int) -> FiniteGroup:
+    return _tabulate(binary_dihedral_rule(p))
+
+
+def dprime_group(k: int, p: int) -> FiniteGroup:
+    return _tabulate(dprime_rule(k, p))
+
+
+def tprime_group(k: int) -> FiniteGroup:
+    return _tabulate(tprime_rule(k))
 
 
 def _polyhedral(b_order: int, expected: int, tag: str) -> FiniteGroup:
@@ -330,6 +374,45 @@ def ostar_group() -> FiniteGroup:
 
 def istar_group() -> FiniteGroup:
     return _polyhedral(5, 120, "Istar")
+
+
+_RULES = {
+    "Z": cyclic_rule,
+    "Dstar": binary_dihedral_rule,
+    "Dprime": dprime_rule,
+    "Tprime": tprime_rule,
+}
+_POLYHEDRAL_ORDERS = {"Tstar": 24, "Ostar": 48, "Istar": 120}
+
+
+def atom_group(atom: Atom) -> NormalForm | FiniteGroup:
+    """The cheapest exact model of one atom, for class-level work.
+
+    Normal-form families give their product rule and build no table; the
+    binary polyhedral atoms give their coset-enumerated table.
+    """
+    rule = _RULES.get(atom.kind)
+    return construct_family(atom) if rule is None else rule(*atom.params)
+
+
+def group_order(group: FiniteGroup | GroupExpr | str) -> int:
+    """Order of a group, or of the group an expression names, without building it.
+
+    Invalid family parameters raise the same ValueError as construction.
+    """
+    if isinstance(group, FiniteGroup):
+        return group.order
+    if isinstance(group, str):
+        group = parse_group_expr(group)
+    order = 1
+    for atom in group.atoms:
+        if atom.kind in _POLYHEDRAL_ORDERS:
+            order *= _POLYHEDRAL_ORDERS[atom.kind]
+        elif atom.kind in _RULES:
+            order *= _RULES[atom.kind](*atom.params).order
+        else:
+            raise ValueError(f"unknown family {atom.kind!r}")
+    return order
 
 
 def construct_family(atom: Atom) -> FiniteGroup:

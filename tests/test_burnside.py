@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from catalogs import ROUTE_120
+from thetadim.characters import table_for
+from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.burnside import (
     DEFAULT_ORBIT_MAX_ORDER,
     DEFAULT_PAIR_MAX_ORDER,
@@ -17,8 +19,9 @@ from thetadim.burnside import (
     sym3_trace,
     twisted_action,
 )
-from thetadim.conjugacy import compute_classes, z2_orbit_count
-from thetadim.group_core import cyclic_group, group_from_expr
+from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
+from thetadim.diagrams import dim_A2
+from thetadim.group_core import FiniteGroup, cyclic_group, group_from_expr
 
 
 def test_action_permutations_are_literal():
@@ -183,3 +186,43 @@ def test_budget_error_suggests_cheaper_route():
         burnside_dims("Z(5000)")
     message = str(err.value).lower()
     assert "character" in message or "closed" in message
+
+
+def _refuse_tables_above(monkeypatch, max_order):
+    real_init = FiniteGroup.__init__
+
+    def guarded(self, order, *args, **kwargs):
+        if order > max_order:
+            raise AssertionError(f"built a multiplication table of order {order}")
+        real_init(self, order, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", guarded)
+
+
+@pytest.mark.parametrize(
+    "expr",
+    ["Z(2000)", "Dstar(250)", "Dprime(2,27)", "Tprime(4)", "Z(7) x Istar", "Z(13) x Istar"],
+)
+def test_class_level_routes_build_no_big_tables(monkeypatch, expr):
+    # only the binary polyhedral atoms (order <= 120) may build a table
+    _refuse_tables_above(monkeypatch, 120)
+    result = burnside_dims(expr, mode="class")
+    assert (result.dim_full, result.dim_ker) == closed_dims(spec_from_expr(expr))
+    assert result.num_classes == class_data_for(expr).num_classes
+    assert table_for(expr).class_data == class_data_for(expr)
+
+
+def test_budgets_are_checked_before_anything_is_built(monkeypatch):
+    _refuse_tables_above(monkeypatch, 0)
+    for refused in (
+        lambda: burnside_dims("Z(100000)"),
+        lambda: burnside_dims("Z(7) x Istar", max_order=100),
+        lambda: orbit_count_dims("Z(2) x Istar"),
+        lambda: dim_A2("Z(3) x Ostar"),
+        lambda: dim_A2("Z(100000)"),
+    ):
+        with pytest.raises(ResourceLimitError):
+            refused()
+    # invalid parameters are still reported as such, whatever the order
+    with pytest.raises(ValueError):
+        burnside_dims("Dprime(30,4)")

@@ -4,15 +4,19 @@ from fractions import Fraction
 
 import pytest
 
-from catalogs import ROUTE_120
+from catalogs import ROUTE_120, ROUTE_500
+from class_oracles import literal_classes, pair_class_sums, pair_delta3_sum
+from thetadim.burnside import _class_sums
 from thetadim.conjugacy import (
+    class_data_for,
     compute_classes,
     d1_class_formula,
     delta3_weighted_sum,
     product_class_data,
     z2_orbit_count,
 )
-from thetadim.group_core import cyclic_group, direct_product, group_from_expr
+from thetadim.expr import parse_group_expr
+from thetadim.group_core import atom_group, cyclic_group, direct_product, group_from_expr
 
 ORACLE_CATALOG = [
     "Z(1)",
@@ -170,3 +174,29 @@ def test_route_catalog_class_counts_divide_order():
     for expr in ROUTE_120:
         cd = compute_classes(group_from_expr(expr))
         assert all(cd.order % s == 0 for s in cd.sizes), expr
+
+
+# every ROUTE_500 member plus larger single families and a product
+EQUALITY_CATALOG = list(
+    dict.fromkeys(
+        ROUTE_500
+        + ["Z(1999)", "Dstar(248)", "Tprime(4)", "Dprime(3,13)", "Z(11) x Dstar(9)"]
+    )
+)
+
+
+@pytest.mark.parametrize("expr", EQUALITY_CATALOG)
+def test_table_free_class_layer_matches_literal_oracles(expr):
+    G = group_from_expr(expr)
+    literal = literal_classes(G)
+    cd = class_data_for(expr)
+    # field for field: numbering, sizes, power maps and representative labels
+    assert cd == literal
+    assert _class_sums(cd) == pair_class_sums(G, literal)
+    assert delta3_weighted_sum(cd) == pair_delta3_sum(literal)
+
+
+@pytest.mark.parametrize("expr", ["Z(12)", "Dstar(5)", "Dprime(1,5)", "Tprime(2)", "Ostar"])
+def test_generator_orbits_on_rule_and_table_agree(expr):
+    (atom,) = parse_group_expr(expr).atoms
+    assert compute_classes(atom_group(atom)) == compute_classes(group_from_expr(expr))

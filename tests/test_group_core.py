@@ -5,15 +5,18 @@ import itertools
 import pytest
 
 from catalogs import NON_SPHERICAL, ROUTE_120, SPHERICAL
+from thetadim.expr import parse_group_expr
 from thetadim.group_core import (
     FiniteGroup,
     ResourceLimitError,
+    atom_group,
     binary_dihedral_group,
     construct_family,
     cyclic_group,
     direct_product,
     dprime_group,
     group_from_expr,
+    group_order,
     istar_group,
     ostar_group,
     tprime_group,
@@ -251,3 +254,30 @@ def test_non_spherical_catalog_rejected_with_reason(expr):
 def test_route_catalog_orders_fit_budget():
     for expr in ROUTE_120:
         assert group_from_expr(expr).order <= 120, expr
+
+
+@pytest.mark.parametrize(
+    "expr", ["Z(1)", "Z(9)", "Dstar(1)", "Dstar(6)", "Dprime(0,3)", "Dprime(2,5)", "Tprime(1)", "Tprime(2)"]
+)
+def test_normal_form_rules_match_their_tables(expr):
+    (atom,) = parse_group_expr(expr).atoms
+    rule = atom_group(atom)
+    G = group_from_expr(expr)
+    n = G.order
+    assert rule.order == n and rule.family_tag == G.family_tag
+    assert rule.generators == G.generators
+    # inverses and labels are written separately from the product rule
+    assert [rule.inv(i) for i in range(n)] == G.inverses
+    assert [rule.label(i) for i in range(n)] == G.labels
+    assert all(rule.mul(i, j) == G.mul(i, j) for i in range(n) for j in range(n))
+
+
+def test_group_order_needs_no_construction():
+    for expr in ROUTE_120:
+        assert group_order(expr) == group_from_expr(expr).order, expr
+    assert group_order("Z(100000) x Istar") == 12_000_000
+    assert group_order(parse_group_expr("Dprime(3,13)")) == 416
+    with pytest.raises(ValueError):
+        group_order("Dprime(1,4)")
+    with pytest.raises(ValueError):
+        group_order("Tprime(0)")
