@@ -20,6 +20,7 @@ from .conjugacy import ClassData, compute_classes, product_class_data
 from .cyclo import (
     CycloNumber,
     conjugate_dot,
+    exact_sum,
     from_rational,
     golden_ratio,
     golden_ratio_conjugate,
@@ -80,7 +81,20 @@ def _finish(
             raise AssertionError(f"{name}: non-positive character degree")
     if sum(d * d for d in degrees) != cd.order:
         raise AssertionError(f"{name}: degrees are inconsistent with the group order")
-    real_rows = [all(v.is_real() for v in row) for row in values]
+    # chi(g^-1) = conj(chi(g)), so a row is real iff it is constant on inverse
+    # pairs of classes; no conjugate is computed
+    inverse = cd.inverse_class
+    real_rows = [
+        all(row[c] is row[inverse[c]] or row[c] == row[inverse[c]] for c in range(k))
+        for row in values
+    ]
+    # Brauer's permutation lemma: as many real rows as self-inverse classes
+    num_real = sum(real_rows)
+    self_inverse = sum(1 for c in range(k) if inverse[c] == c)
+    if num_real != self_inverse:
+        raise AssertionError(
+            f"{name}: {num_real} real characters for {self_inverse} self-inverse classes"
+        )
     return CharacterTable(
         group_name=name,
         class_data=cd,
@@ -92,13 +106,13 @@ def _finish(
     )
 
 
+def _real_rows(table: CharacterTable) -> list[list[CycloNumber]]:
+    return [row for row, is_real in zip(table.values, table.real_rows) if is_real]
+
+
 def real_char_sum(table: CharacterTable, class_index: int) -> int:
     """Sum of the real-valued irreducible characters at one class, as an exact int."""
-    acc = from_rational(0)
-    for row, is_real in zip(table.values, table.real_rows):
-        if is_real:
-            acc = acc + row[class_index]
-    return acc.as_int()
+    return exact_sum(row[class_index] for row in _real_rows(table)).as_int()
 
 
 def d2_char_formula(table: CharacterTable) -> Fraction:
@@ -109,7 +123,8 @@ def d2_char_formula(table: CharacterTable) -> Fraction:
     """
     cd = table.class_data
     n = cd.order
-    s_vals = [real_char_sum(table, c) for c in range(cd.num_classes)]
+    real = _real_rows(table)
+    s_vals = [exact_sum(row[c] for row in real).as_int() for c in range(cd.num_classes)]
     total = 0
     for c in range(cd.num_classes):
         size = cd.sizes[c]
@@ -198,6 +213,7 @@ def _binary_dihedral_table(p: int) -> CharacterTable:
     minus_one = from_rational(-1)
     zero = from_rational(0)
     zs = _zeta_cache(two_p)
+    cos2 = [zs[t] + zs[-t % two_p] for t in range(two_p)]
 
     def row_from(a_vals, x_even, x_odd):
         row = [zero] * k_classes
@@ -222,7 +238,7 @@ def _binary_dihedral_table(p: int) -> CharacterTable:
     for lam in range(1, p):
         values.append(
             row_from(
-                lambda k, lam=lam: zs[(k * lam) % two_p] + zs[(-k * lam) % two_p],
+                lambda k, lam=lam: cos2[(k * lam) % two_p],
                 zero,
                 zero,
             )
@@ -267,7 +283,9 @@ def _dprime_table(k: int, p: int) -> CharacterTable:
     zn = _zeta_cache(big_n)
     cosp = [zeta(p, t) + zeta(p, -t) for t in range(p)]
     zero = from_rational(0)
-    two = from_rational(2)
+    # every degree-2 entry is one of these |G| + big_n products, built once
+    two_zn = [2 * z for z in zn]
+    zn_cosp = [[z * c for c in cosp] for z in zn]
 
     values = []
     names = []
@@ -285,9 +303,9 @@ def _dprime_table(k: int, p: int) -> CharacterTable:
         for t in range(half):
             row = [zero] * k_classes
             for c, n_exp in cols_even_pure:
-                row[c] = two * zn[(n_exp * t) % big_n]
+                row[c] = two_zn[(n_exp * t) % big_n]
             for c, n_exp, l in cols_even_mixed:
-                row[c] = zn[(n_exp * t) % big_n] * cosp[(s * l) % p]
+                row[c] = zn_cosp[(n_exp * t) % big_n][(s * l) % p]
             values.append(row)
             names.append(f"V2_{s}_{t}")
     return _finish(f"Dprime({k},{p})", cd, names, values)
@@ -327,6 +345,7 @@ def _tprime_table(k: int) -> CharacterTable:
     zero = from_rational(0)
     v2_coeff = [2, -2, 0, -1, 1, -1, 1]
     v3_coeff = [3, 3, -1, 0, 0, 0, 0]
+    scaled = {coeff: [coeff * z for z in zs] for coeff in (-2, -1, 1, 2, 3)}
 
     values = []
     names = []
@@ -340,14 +359,14 @@ def _tprime_table(k: int) -> CharacterTable:
         row = [zero] * k_classes
         for c, j, fam in cols:
             coeff = v2_coeff[fam]
-            row[c] = coeff * zs[(j * lam) % three_k] if coeff else zero
+            row[c] = scaled[coeff][(j * lam) % three_k] if coeff else zero
         values.append(row)
         names.append(f"V2_{lam}")
     for lam in range(third):
         row = [zero] * k_classes
         for c, j, fam in cols:
             coeff = v3_coeff[fam]
-            row[c] = coeff * zs[(j * lam) % three_k] if coeff else zero
+            row[c] = scaled[coeff][(j * lam) % three_k] if coeff else zero
         values.append(row)
         names.append(f"V3_{lam}")
     return _finish(f"Tprime({k})", cd, names, values)

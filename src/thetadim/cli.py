@@ -2,8 +2,11 @@
 
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
-3 resource budget exceeded.  THETA_DIM_MAX_ORDER overrides the brute-force
-order budgets; an explicit --max-order flag wins over the environment.
+3 resource budget exceeded, 4 internal check failed (an integrality,
+alignment or character-table invariant did not hold; this is a bug, reported
+as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
+brute-force order budgets; an explicit --max-order flag wins over the
+environment.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 __all__ = [
+    "EXIT_INTERNAL",
     "EXIT_MISMATCH",
     "EXIT_OK",
     "EXIT_RESOURCE",
@@ -50,6 +54,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 METHODS = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
 
@@ -421,6 +426,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -2,9 +2,11 @@
 
 A value is a rational linear combination of powers of a primitive N-th root of
 unity, reduced to the canonical power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial.  All coefficients are `fractions.Fraction`, so
-every comparison in the package is exact; floating point appears only in the
-optional `to_complex` embedding.
+N-th cyclotomic polynomial.  That basis is integral and every character value
+in the package is an algebraic integer, so integral coefficients are stored as
+`int`; `fractions.Fraction` appears only for a coefficient that is not an
+integer, never for an integral one.  Every comparison is exact; floating point
+appears only in the optional `to_complex` embedding.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ __all__ = [
     "CycloNumber",
     "conjugate_dot",
     "cyclotomic_polynomial",
-    "dirichlet_sum",
     "euler_phi",
+    "exact_sum",
     "from_rational",
     "golden_ratio",
     "golden_ratio_conjugate",
@@ -26,8 +28,6 @@ __all__ = [
     "sqrt_minus_one",
     "zeta",
 ]
-
-_ZERO = Fraction(0)
 
 
 def euler_phi(n: int) -> int:
@@ -104,26 +104,38 @@ def _reduction_rows(n: int) -> list[dict[int, int]]:
     return rows
 
 
-def _canonical(n: int, items) -> dict[int, Fraction]:
+def _integral(q):
+    """q as an int when it is an integral Fraction, else q unchanged."""
+    if type(q) is Fraction and q.denominator == 1:
+        return q.numerator
+    return q
+
+
+def _canonical(n: int, items) -> dict[int, int | Fraction]:
     rows = _reduction_rows(n)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
+    fractional = False
     for e, q in items:
         if not q:
             continue
+        if type(q) is not int:
+            fractional = True
         for b, ic in rows[e % n].items():
-            nv = acc.get(b, _ZERO) + q * ic
+            nv = acc.get(b, 0) + q * ic
             if nv:
                 acc[b] = nv
             else:
                 acc.pop(b, None)
+    if fractional:
+        acc = {b: _integral(q) for b, q in acc.items()}
     return acc
 
 
-def _as_fraction(q) -> Fraction:
+def _coefficient(q) -> int | Fraction:
     if isinstance(q, Fraction):
-        return q
+        return _integral(q)
     if isinstance(q, int):
-        return Fraction(q)
+        return int(q)
     raise TypeError(f"coefficient must be an int or Fraction, got {type(q).__name__}")
 
 
@@ -136,10 +148,10 @@ class CycloNumber:
         if conductor < 1:
             raise ValueError(f"conductor must be positive, got {conductor}.")
         self.conductor = conductor
-        self.coeffs = _canonical(conductor, ((e, _as_fraction(q)) for e, q in terms))
+        self.coeffs = _canonical(conductor, ((e, _coefficient(q)) for e, q in terms))
 
     @classmethod
-    def _raw(cls, conductor: int, coeffs: dict[int, Fraction]) -> "CycloNumber":
+    def _raw(cls, conductor: int, coeffs: dict[int, int | Fraction]) -> "CycloNumber":
         obj = cls.__new__(cls)
         obj.conductor = conductor
         obj.coeffs = coeffs
@@ -164,9 +176,9 @@ class CycloNumber:
         b = other._embed(m)
         coeffs = dict(a.coeffs)
         for e, q in b.coeffs.items():
-            nv = coeffs.get(e, _ZERO) + q
+            nv = coeffs.get(e, 0) + q
             if nv:
-                coeffs[e] = nv
+                coeffs[e] = _integral(nv)
             else:
                 coeffs.pop(e, None)
         return CycloNumber._raw(m, coeffs)
@@ -197,11 +209,11 @@ class CycloNumber:
         m = math.lcm(self.conductor, other.conductor)
         a = self._embed(m)
         b = other._embed(m)
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for e1, q1 in a.coeffs.items():
             for e2, q2 in b.coeffs.items():
                 e = e1 + e2
-                acc[e] = acc.get(e, _ZERO) + q1 * q2
+                acc[e] = acc.get(e, 0) + q1 * q2
         return CycloNumber._raw(m, _canonical(m, acc.items()))
 
     __rmul__ = __mul__
@@ -215,7 +227,7 @@ class CycloNumber:
             raise ZeroDivisionError("division by zero")
         inv = 1 / q
         return CycloNumber._raw(
-            self.conductor, {e: c * inv for e, c in self.coeffs.items()}
+            self.conductor, {e: _integral(c * inv) for e, c in self.coeffs.items()}
         )
 
     def __pow__(self, exponent: int):
@@ -262,7 +274,7 @@ class CycloNumber:
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"not a rational number: {self}")
-        return self.coeffs.get(0, _ZERO)
+        return Fraction(self.coeffs.get(0, 0))
 
     def as_int(self) -> int:
         q = self.as_rational()
@@ -295,15 +307,13 @@ class CycloNumber:
 def _coerce(value):
     if isinstance(value, CycloNumber):
         return value
-    if isinstance(value, int):
-        return CycloNumber._raw(1, {0: Fraction(value)} if value else {})
-    if isinstance(value, Fraction):
-        return CycloNumber._raw(1, {0: value} if value else {})
+    if isinstance(value, (int, Fraction)):
+        return from_rational(value)
     return None
 
 
 def from_rational(q) -> CycloNumber:
-    q = Fraction(q)
+    q = _integral(Fraction(q))
     return CycloNumber._raw(1, {0: q} if q else {})
 
 
@@ -345,7 +355,7 @@ def conjugate_dot(terms) -> CycloNumber:
     m = 1
     for _, x, y in triples:
         m = math.lcm(m, x.conductor, y.conductor)
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, int | Fraction] = {}
     for w, x, y in triples:
         if not w or not x.coeffs or not y.coeffs:
             continue
@@ -356,30 +366,26 @@ def conjugate_dot(terms) -> CycloNumber:
             base = e1 * fx
             for e2, q2 in y.coeffs.items():
                 e = (base - e2 * fy) % m
-                acc[e] = acc.get(e, _ZERO) + wq1 * q2
-    return CycloNumber(m, acc.items())
+                acc[e] = acc.get(e, 0) + wq1 * q2
+    return CycloNumber._raw(m, _canonical(m, acc.items()))
 
 
-def dirichlet_sum(n: int, k: int) -> int:
-    """Sum of zeta_{2n}^{k*j} + zeta_{2n}^{-k*j} over j = 1..n-1, as an exact integer.
+def exact_sum(values) -> CycloNumber:
+    """Exact sum of CycloNumbers, reduced once.
 
-    The value is computed by explicit summation in the cyclotomic field and
-    checked against the closed evaluation before being returned.
+    The additive twin of `conjugate_dot`: every value is embedded in one common
+    conductor as raw powers of its root of unity, the coefficients are added by
+    exponent, and the result is reduced modulo the cyclotomic polynomial at the
+    end, so a long sum costs one reduction instead of one dict copy per term.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}.")
-    acc = from_rational(0)
-    for j in range(1, n):
-        acc = acc + zeta(2 * n, k * j) + zeta(2 * n, -k * j)
-    value = acc.as_int()
-    if k % (2 * n) == 0:
-        expected = 2 * n - 2
-    elif k % 2 == 0:
-        expected = -2
-    else:
-        expected = 0
-    if value != expected:
-        raise AssertionError(
-            f"root-of-unity sum mismatch for n={n}, k={k}: {value} != {expected}"
-        )
-    return value
+    values = list(values)
+    m = 1
+    for x in values:
+        m = math.lcm(m, x.conductor)
+    acc: dict[int, int | Fraction] = {}
+    for x in values:
+        f = m // x.conductor
+        for e, q in x.coeffs.items():
+            e *= f
+            acc[e] = acc.get(e, 0) + q
+    return CycloNumber._raw(m, _canonical(m, acc.items()))

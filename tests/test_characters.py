@@ -11,6 +11,7 @@ import pytest
 
 from thetadim.characters import (
     CharacterTable,
+    _finish,
     check_column_orthogonality,
     check_degree_sum,
     check_row_orthogonality,
@@ -18,6 +19,8 @@ from thetadim.characters import (
     real_char_sum,
     table_for,
 )
+from thetadim.closed_forms import closed_dims, spec_from_expr
+from thetadim.conjugacy import d1_class_formula, z2_orbit_count
 from thetadim.cyclo import from_rational
 from thetadim.expr import parse_group_expr
 
@@ -193,3 +196,27 @@ def test_real_summand_dimension_known_values(expr, value):
     got = d2_char_formula(table_for(expr))
     assert isinstance(got, Fraction)
     assert got == value
+
+
+def test_brauer_check_rejects_a_non_real_row_made_real():
+    # Z(5) has one self-inverse class and so one real character; copying the
+    # trivial row over a faithful one keeps every degree but adds a real row
+    t = table_for("Z(5)")
+    values = [list(row) for row in t.values]
+    values[1] = list(values[0])
+    with pytest.raises(AssertionError, match="self-inverse"):
+        _finish(t.group_name, t.class_data, list(t.row_names), values)
+
+
+# conductors with several odd prime factors, once far slower on the chars route
+SLOW_CONDUCTORS = ["Z(1995)", "Dstar(245)", "Dstar(247)", "Dprime(1,55)"]
+
+
+@pytest.mark.parametrize("expr", SLOW_CONDUCTORS)
+def test_chars_route_matches_closed_form_on_slow_conductors(expr):
+    table = table_for(expr)
+    cd = table.class_data
+    dim = (d1_class_formula(cd) + d2_char_formula(table)) / 2
+    assert dim.denominator == 1
+    want_dim, want_ker = closed_dims(spec_from_expr(expr))
+    assert (dim, dim - z2_orbit_count(cd)) == (want_dim, want_ker)

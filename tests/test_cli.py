@@ -4,9 +4,11 @@ import json
 
 import pytest
 
+import thetadim.characters as characters
 import thetadim.cli as cli
 from catalogs import RANDOM_PRODUCTS_500
 from thetadim.cli import main
+from thetadim.cyclo import from_rational
 from thetadim.report import CSV_HEADER
 
 
@@ -264,3 +266,23 @@ def test_verify_sweep_agrees(capsys, expr):
     # route must participate in the agreement
     assert "closed" in out
     assert "agree: dim" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "Dstar(3)", "--method", "chars"],
+        ["verify", "Dstar(3)"],
+        ["chartab", "Dstar(3)"],
+    ],
+)
+def test_internal_check_failure_exit_code(capsys, monkeypatch, argv):
+    # zeroing i makes two non-real rows of Dstar(3) look real, so the
+    # library's Brauer count check fails inside the character layer
+    monkeypatch.setattr(characters, "sqrt_minus_one", lambda: from_rational(0))
+    rc, _, err = run(capsys, *argv)
+    assert rc == cli.EXIT_INTERNAL == 4
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("internal check failed: Dstar(3):")
+    assert "Traceback" not in err

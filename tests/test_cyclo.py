@@ -7,16 +7,21 @@ behind a matching bug in the test.
 
 import cmath
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadim.cyclo import (
     CycloNumber,
+    conjugate_dot,
     cyclotomic_polynomial,
-    dirichlet_sum,
     euler_phi,
+    exact_sum,
     from_rational,
     golden_ratio,
     golden_ratio_conjugate,
@@ -217,6 +222,31 @@ def test_str_roundtrip_content():
     assert str(from_rational(0)) == "0"
 
 
+def dirichlet_sum(n: int, k: int) -> int:
+    """Sum of zeta_{2n}^{k*j} + zeta_{2n}^{-k*j} over j = 1..n-1, as an exact integer.
+
+    The value is computed by explicit summation in the cyclotomic field and
+    checked against the closed evaluation before being returned.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}.")
+    acc = from_rational(0)
+    for j in range(1, n):
+        acc = acc + zeta(2 * n, k * j) + zeta(2 * n, -k * j)
+    value = acc.as_int()
+    if k % (2 * n) == 0:
+        expected = 2 * n - 2
+    elif k % 2 == 0:
+        expected = -2
+    else:
+        expected = 0
+    if value != expected:
+        raise AssertionError(
+            f"root-of-unity sum mismatch for n={n}, k={k}: {value} != {expected}"
+        )
+    return value
+
+
 def dirichlet_oracle(n: int, k: int) -> complex:
     # literal cosine sum: 2 cos(pi k j / n) over j = 1..n-1
     return sum(2 * math.cos(math.pi * k * j / n) for j in range(1, n))
@@ -250,3 +280,63 @@ def test_dirichlet_sum_branch_examples():
     assert dirichlet_sum(4, 0) == 6
     assert dirichlet_sum(4, 2) == -2
     assert dirichlet_sum(4, 3) == 0
+
+
+# -- integer kernel: property tests -------------------------------------------
+
+CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20, 21, 30]
+
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def cyclo_numbers(draw):
+    n = draw(st.sampled_from(CONDUCTORS))
+    terms = draw(st.lists(st.tuples(st.integers(0, n - 1), coefficients), max_size=5))
+    return CycloNumber(n, terms)
+
+
+def stores_no_integral_fraction(x: CycloNumber) -> bool:
+    return all(
+        type(q) is int or (type(q) is Fraction and q.denominator != 1)
+        for q in x.coeffs.values()
+    )
+
+
+@settings(deadline=None)
+@given(cyclo_numbers(), cyclo_numbers(), coefficients.filter(bool), coefficients)
+def test_integral_coefficients_are_stored_as_int(a, b, q, w):
+    assert stores_no_integral_fraction(a)
+    for x in (
+        a + b,
+        a - b,
+        a * b,
+        a.conjugate(),
+        a / q,
+        conjugate_dot([(w, a, b), (1, b, a)]),
+        exact_sum([a, b]),
+    ):
+        assert stores_no_integral_fraction(x)
+
+
+@settings(deadline=None)
+@given(st.lists(cyclo_numbers(), max_size=8))
+def test_exact_sum_equals_left_fold(values):
+    got = exact_sum(values)
+    want = reduce(operator.add, values, from_rational(0))
+    assert got == want
+    assert stores_no_integral_fraction(got)
+    assert abs(got.to_complex() - sum(v.to_complex() for v in values)) < EPS
+
+
+def test_integral_fraction_input_is_stored_as_int():
+    x = CycloNumber(5, [(1, Fraction(4, 2)), (2, Fraction(1, 2))])
+    assert x.coeffs == {1: 2, 2: Fraction(1, 2)}
+    assert type(x.coeffs[1]) is int
+    half = from_rational(Fraction(1, 2))
+    assert type((half + half).coeffs[0]) is int
+    assert (half + half).as_rational() == Fraction(1)
+    assert type((half + half).as_rational()) is Fraction
