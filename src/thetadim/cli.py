@@ -26,7 +26,6 @@ from .burnside import (
 from .characters import d2_char_formula, table_for
 from .closed_forms import (
     SphericalMatchError,
-    SphericalSpec,
     closed_class_count,
     closed_dims,
     closed_order,
@@ -72,6 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budgets(args) -> dict[str, int]:
+    """Order budget of each enumeration route, keyed by route name."""
     override = getattr(args, "max_order", None)
     if override is None:
         env = os.environ.get("THETA_DIM_MAX_ORDER")
@@ -81,37 +81,28 @@ def _budgets(args) -> dict[str, int]:
             except ValueError:
                 log.warning("ignoring non-integer THETA_DIM_MAX_ORDER=%r", env)
     if override is not None:
-        return {"pair": override, "orbit": override, "diagram": override}
+        return dict.fromkeys(("burnside", "orbits", "diagrams"), override)
     return {
-        "pair": DEFAULT_PAIR_MAX_ORDER,
-        "orbit": DEFAULT_ORBIT_MAX_ORDER,
-        "diagram": DEFAULT_DIAGRAM_MAX_ORDER,
+        "burnside": DEFAULT_PAIR_MAX_ORDER,
+        "orbits": DEFAULT_ORBIT_MAX_ORDER,
+        "diagrams": DEFAULT_DIAGRAM_MAX_ORDER,
     }
 
 
 # -- computation routes -------------------------------------------------------
+#
+# Each route returns (order, classes, d1, d2, dim, z2); _run times it and
+# builds the report.  Routes call library functions through this module's
+# globals, so a tracer that rebinds those names sees every call.
 
 
-def _route_closed(expr: GroupExpr, budgets) -> DimensionReport:
-    t0 = time.perf_counter()
+def _closed(expr: GroupExpr, budgets):
     spec = spec_from_expr(expr)
-    dim, ker = closed_dims(spec)
-    return DimensionReport(
-        group=expr_to_string(expr),
-        order=closed_order(spec),
-        num_classes=closed_class_count(spec),
-        d1=None,
-        d2=None,
-        dim_cpi=dim,
-        dim_ker_eps=ker,
-        dim_classhat_z2=closed_z2_orbit(spec),
-        method="closed",
-        millis=(time.perf_counter() - t0) * 1000,
-    )
+    dim, _ = closed_dims(spec)
+    return closed_order(spec), closed_class_count(spec), None, None, dim, closed_z2_orbit(spec)
 
 
-def _route_chars(expr: GroupExpr, budgets) -> DimensionReport:
-    t0 = time.perf_counter()
+def _chars(expr: GroupExpr, budgets):
     table = table_for(expr)
     cd = table.class_data
     d1 = d1_class_formula(cd)
@@ -119,94 +110,68 @@ def _route_chars(expr: GroupExpr, budgets) -> DimensionReport:
     dim = (d1 + d2) / 2
     if dim.denominator != 1:
         raise AssertionError(f"(d1+d2)/2 is not an integer for {table.group_name}")
-    z2 = z2_orbit_count(cd)
-    return DimensionReport(
-        group=expr_to_string(expr),
-        order=cd.order,
-        num_classes=cd.num_classes,
-        d1=d1,
-        d2=d2,
-        dim_cpi=int(dim),
-        dim_ker_eps=int(dim) - z2,
-        dim_classhat_z2=z2,
-        method="chars",
-        millis=(time.perf_counter() - t0) * 1000,
-    )
+    return cd.order, cd.num_classes, d1, d2, int(dim), z2_orbit_count(cd)
 
 
-def _route_burnside(expr: GroupExpr, budgets) -> DimensionReport:
-    t0 = time.perf_counter()
-    result = burnside_dims(expr, mode="auto", max_order=budgets["pair"])
-    return DimensionReport(
-        group=expr_to_string(expr),
-        order=result.order,
-        num_classes=result.num_classes,
-        d1=result.d1,
-        d2=result.d2,
-        dim_cpi=int(result.dim_full),
-        dim_ker_eps=int(result.dim_ker),
-        dim_classhat_z2=int(result.dim_full - result.dim_ker),
-        method="burnside",
-        millis=(time.perf_counter() - t0) * 1000,
-    )
+def _burnside(group: FiniteGroup | GroupExpr, budgets):
+    r = burnside_dims(group, mode="auto", max_order=budgets["burnside"])
+    return r.order, r.num_classes, r.d1, r.d2, int(r.dim_full), int(r.dim_full - r.dim_ker)
+
+
+def _enumerated(group: FiniteGroup, dim: int):
+    cd = compute_classes(group)
+    return group.order, cd.num_classes, None, None, dim, z2_orbit_count(cd)
+
+
+def _orbits(group: FiniteGroup | GroupExpr, budgets):
+    return _enumerated(group, orbit_count_dims(group, max_order=budgets["orbits"]))
+
+
+def _diagrams(group: FiniteGroup | GroupExpr, budgets):
+    return _enumerated(group, dim_A2(group, max_order=budgets["diagrams"]))
+
+
+_ROUTES = {
+    "closed": _closed,
+    "chars": _chars,
+    "burnside": _burnside,
+    "orbits": _orbits,
+    "diagrams": _diagrams,
+}
 
 
 def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
     """The table group of `expr`, or `expr` itself when its order exceeds `budget`.
 
-    An enumeration route then refuses the bare expression from its order
-    alone, so an over-budget call builds nothing.
+    orbits and diagrams refuse the bare expression from its order alone, so an
+    over-budget call builds nothing; burnside builds its own table if it needs one.
     """
     return group_from_expr(expr) if group_order(expr) <= budget else expr
 
 
-def _route_orbits(expr: GroupExpr, budgets) -> DimensionReport:
+def _run(name: str, expr: GroupExpr, budgets, group=None) -> DimensionReport:
+    """Route `name` as a timed report.  closed and chars see only `expr`; the
+    others work on `group`, the `_table_within` result that verify shares, and
+    without one orbits and diagrams build their own.
+    """
     t0 = time.perf_counter()
-    group = _table_within(expr, budgets["orbit"])
-    dim = orbit_count_dims(group, max_order=budgets["orbit"])
-    cd = compute_classes(group)
-    z2 = z2_orbit_count(cd)
+    if name in ("closed", "chars") or (group is None and name == "burnside"):
+        group = expr
+    elif group is None:
+        group = _table_within(expr, budgets[name])
+    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, budgets)
     return DimensionReport(
         group=expr_to_string(expr),
-        order=group.order,
-        num_classes=cd.num_classes,
-        d1=None,
-        d2=None,
+        order=order,
+        num_classes=classes,
+        d1=d1,
+        d2=d2,
         dim_cpi=dim,
         dim_ker_eps=dim - z2,
         dim_classhat_z2=z2,
-        method="orbits",
+        method=name,
         millis=(time.perf_counter() - t0) * 1000,
     )
-
-
-def _route_diagrams(expr: GroupExpr, budgets) -> DimensionReport:
-    t0 = time.perf_counter()
-    group = _table_within(expr, budgets["diagram"])
-    dim = dim_A2(group, max_order=budgets["diagram"])
-    cd = compute_classes(group)
-    z2 = z2_orbit_count(cd)
-    return DimensionReport(
-        group=expr_to_string(expr),
-        order=group.order,
-        num_classes=cd.num_classes,
-        d1=None,
-        d2=None,
-        dim_cpi=dim,
-        dim_ker_eps=dim - z2,
-        dim_classhat_z2=z2,
-        method="diagrams",
-        millis=(time.perf_counter() - t0) * 1000,
-    )
-
-
-_ROUTES = {
-    "closed": _route_closed,
-    "chars": _route_chars,
-    "burnside": _route_burnside,
-    "orbits": _route_orbits,
-    "diagrams": _route_diagrams,
-}
 
 
 # -- subcommands --------------------------------------------------------------
@@ -230,12 +195,12 @@ def _cmd_compute(args) -> int:
     log.info("computing %s (method %s)", expr_to_string(expr), args.method)
     if args.method == "auto":
         try:
-            report = _route_closed(expr, budgets)
+            report = _run("closed", expr, budgets)
         except SphericalMatchError as exc:
             log.info("closed form not applicable (%s); falling back to burnside", exc)
-            report = _route_burnside(expr, budgets)
+            report = _run("burnside", expr, budgets)
     else:
-        report = _ROUTES[args.method](expr, budgets)
+        report = _run(args.method, expr, budgets)
     _emit(report, args)
     return EXIT_OK
 
@@ -243,67 +208,61 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     expr = parse_group_expr(args.expr)
     budgets = _budgets(args)
-    results: list[tuple[str, DimensionReport | None, str]] = []
-    for name in ("closed", "chars", "burnside", "orbits", "diagrams"):
+    group = _table_within(expr, max(budgets["orbits"], budgets["diagrams"]))
+    lines = [f"group {expr_to_string(expr)}"]
+    computed: list[DimensionReport] = []
+    for name in _ROUTES:
         log.info("running %s on %s", name, expr_to_string(expr))
         try:
-            results.append((name, _ROUTES[name](expr, budgets), ""))
+            rep = _run(name, expr, budgets, group)
         except (SphericalMatchError, ResourceLimitError) as exc:
-            results.append((name, None, str(exc)))
-
-    print(f"group {expr_to_string(expr)}")
-    for name, rep, note in results:
-        if rep is None:
-            print(f"  {name:<9} skipped: {note}")
-        else:
-            print(
-                f"  {name:<9} dim {rep.dim_cpi:>8}  ker {rep.dim_ker_eps:>8}"
-                f"  {rep.millis:9.1f} ms"
-            )
-    computed = [(name, rep) for name, rep, _ in results if rep is not None]
+            lines.append(f"  {name:<9} skipped: {exc}")
+            continue
+        computed.append(rep)
+        lines.append(
+            f"  {name:<9} dim {rep.dim_cpi:>8}  ker {rep.dim_ker_eps:>8}  {rep.millis:9.1f} ms"
+        )
+    print("\n".join(lines))
     if not computed:
         print("no method ran within the configured budgets", file=sys.stderr)
         return EXIT_RESOURCE
-    values = {(rep.dim_cpi, rep.dim_ker_eps) for _, rep in computed}
+    values = {(rep.dim_cpi, rep.dim_ker_eps) for rep in computed}
     if len(values) == 1:
         dim, ker = values.pop()
         print(f"agree: dim {dim}, kernel {ker} ({len(computed)} methods)")
         return EXIT_OK
     print("MISMATCH:")
-    for name, rep in computed:
-        print(f"  {name}: dim {rep.dim_cpi}, kernel {rep.dim_ker_eps}")
+    for rep in computed:
+        print(f"  {rep.method}: dim {rep.dim_cpi}, kernel {rep.dim_ker_eps}")
     return EXIT_MISMATCH
 
 
-def _table_rows(args, budgets):
+def _table_rows(args):
     if args.family == "d4p":
-        for p in range(1, args.max_p + 1):
-            yield p, SphericalSpec(case="b", m=1, p=p), f"Dstar({p})"
-    elif args.family == "t8_3k":
-        for k in range(1, args.max_k + 1):
-            yield k, spec_from_expr(f"Tprime({k})"), f"Tprime({k})"
-    else:
-        for n in range(1, args.max_n + 1):
-            yield n, SphericalSpec(case="a", n=n), f"Z({n})"
+        return [(p, f"Dstar({p})") for p in range(1, args.max_p + 1)]
+    if args.family == "t8_3k":
+        return [(k, f"Tprime({k})") for k in range(1, args.max_k + 1)]
+    return [(n, f"Z({n})") for n in range(1, args.max_n + 1)]
 
 
 def _cmd_table(args) -> int:
     budgets = _budgets(args)
     lines = [CSV_HEADER]
-    for param, spec, expr_text in _table_rows(args, budgets):
-        dim, ker = closed_dims(spec)
-        method = "closed"
-        if closed_order(spec) <= budgets["pair"]:
-            result = burnside_dims(expr_text, mode="auto", max_order=budgets["pair"])
-            if (result.dim_full, result.dim_ker) != (dim, ker):
-                print(
-                    f"mismatch at {expr_text}: closed ({dim}, {ker}) vs burnside "
-                    f"({result.dim_full}, {result.dim_ker})",
-                    file=sys.stderr,
-                )
+    for param, expr_text in _table_rows(args):
+        expr = parse_group_expr(expr_text)
+        closed = _run("closed", expr, budgets)
+        dims = (closed.dim_cpi, closed.dim_ker_eps)
+        try:
+            check = _run("burnside", expr, budgets)
+        except ResourceLimitError:
+            method = "closed"
+        else:
+            got = (check.dim_cpi, check.dim_ker_eps)
+            if got != dims:
+                print(f"mismatch at {expr_text}: closed {dims} vs burnside {got}", file=sys.stderr)
                 return EXIT_MISMATCH
             method = "closed+burnside"
-        lines.append(f"{param},{dim},{ker},{method}")
+        lines.append(f"{param},{dims[0]},{dims[1]},{method}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -9,6 +9,7 @@ import thetadim.cli as cli
 from catalogs import RANDOM_PRODUCTS_500
 from thetadim.cli import main
 from thetadim.cyclo import from_rational
+from thetadim.group_core import FiniteGroup
 from thetadim.report import CSV_HEADER
 
 
@@ -179,15 +180,30 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     # corrupt one route to prove disagreement is detected and coded 2
     real = cli._ROUTES["orbits"]
 
-    def lying_route(expr, budgets):
-        report = real(expr, budgets)
-        report.dim_cpi += 1
-        return report
+    def lying_route(group, budgets):
+        order, classes, d1, d2, dim, z2 = real(group, budgets)
+        return order, classes, d1, d2, dim + 1, z2
 
     monkeypatch.setitem(cli._ROUTES, "orbits", lying_route)
     rc, out, _ = run(capsys, "verify", "Dstar(2)")
     assert rc == 2
     assert "MISMATCH" in out
+
+
+def test_verify_builds_one_table(capsys, monkeypatch):
+    # burnside, orbits and diagrams share one table; closed and chars build none
+    built = []
+    real_init = FiniteGroup.__init__
+
+    def counting(self, order, *args, **kwargs):
+        built.append(order)
+        real_init(self, order, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    rc, out, _ = run(capsys, "verify", "Dstar(6)")
+    assert rc == 0
+    assert "agree: dim 30, kernel 21 (5 methods)" in out
+    assert built == [24]
 
 
 def test_table_binary_dihedral_prefix(capsys):
