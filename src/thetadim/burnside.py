@@ -26,15 +26,11 @@ from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 
 __all__ = [
-    "ActionElement",
     "BurnsideResult",
     "DEFAULT_PAIR_MAX_ORDER",
     "DEFAULT_ORBIT_MAX_ORDER",
     "burnside_dims",
     "orbit_count_dims",
-    "plain_action",
-    "sym3_trace",
-    "twisted_action",
 ]
 
 DEFAULT_PAIR_MAX_ORDER = 2000
@@ -42,50 +38,6 @@ DEFAULT_ORBIT_MAX_ORDER = 150
 
 # naive mode switches to class reduction above this order when mode="auto"
 _AUTO_NAIVE_MAX_ORDER = 300
-
-
-@dataclass(frozen=True)
-class ActionElement:
-    """One permutation of the element set, tagged by how it was built."""
-
-    kind: str
-    g: int
-    h: int
-    perm: tuple[int, ...]
-
-
-def plain_action(group: FiniteGroup, g: int, h: int) -> ActionElement:
-    """Permutation x -> g*x*h^-1."""
-    hi = group.inv(h)
-    perm = tuple(group.mul(group.mul(g, x), hi) for x in range(group.order))
-    return ActionElement(kind="plain", g=g, h=h, perm=perm)
-
-
-def twisted_action(group: FiniteGroup, g: int, h: int) -> ActionElement:
-    """Permutation x -> h*x^-1*g^-1, the plain pair action followed by inversion."""
-    gi = group.inv(g)
-    perm = tuple(
-        group.mul(group.mul(h, group.inv(x)), gi) for x in range(group.order)
-    )
-    return ActionElement(kind="twisted", g=g, h=h, perm=perm)
-
-
-def sym3_trace(action: ActionElement) -> Fraction:
-    """Trace on the symmetric cube: (t1^3 + 3*t1*t2 + 2*t3) / 6.
-
-    t_k counts fixed points of the k-th compositional power of the permutation.
-    """
-    perm = action.perm
-    t1 = t2 = t3 = 0
-    for x, y in enumerate(perm):
-        if y == x:
-            t1 += 1
-        z = perm[y]
-        if z == x:
-            t2 += 1
-        if perm[z] == x:
-            t3 += 1
-    return Fraction(t1**3 + 3 * t1 * t2 + 2 * t3, 6)
 
 
 @dataclass

@@ -20,10 +20,7 @@ __all__ = [
     "SphericalMatchError",
     "SphericalSpec",
     "closed_class_count",
-    "closed_delta3",
     "closed_dims",
-    "closed_family_d1",
-    "closed_family_d2",
     "closed_order",
     "closed_z2_orbit",
     "p2",
@@ -329,83 +326,3 @@ def closed_class_count(spec: SphericalSpec) -> int:
     if case == "f":
         return 8 * spec.m
     return 9 * spec.m
-
-
-# -- single-family closed forms, used as cross-check oracles ------------------
-
-
-def closed_delta3(atom: Atom) -> int:
-    """Closed form of the cube-class-matched weighted sum for one family."""
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        n = params[0]
-        return 3 * n if n % 3 == 0 else n
-    if kind == "Dstar":
-        p = params[0]
-        return 8 * p if p % 3 == 0 else 4 * p
-    if kind == "Dprime":
-        k, p = params
-        return 2 ** (k + 3) * p if p % 3 == 0 else 2 ** (k + 2) * p
-    if kind == "Tprime":
-        k = params[0]
-        if k < 2:
-            raise ValueError(f"closed cube-sum needs k >= 2, got {k}.")
-        return 8 * 3 ** (k + 2)
-    raise ValueError(f"no closed cube-sum form for family {kind!r}.")
-
-
-def closed_family_d1(atom: Atom) -> Fraction:
-    """Closed form of the plain trace average d1 for one family."""
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        n = params[0]
-        c = Fraction(1) if n % 3 == 0 else Fraction(1, 3)
-        return Fraction(n * n, 6) + Fraction(n, 2) + c
-    if kind == "Dstar":
-        p = params[0]
-        if p % 2 == 0:
-            c = Fraction(3) if p % 3 == 0 else Fraction(8, 3)
-        else:
-            c = Fraction(5, 2) if p % 3 == 0 else Fraction(13, 6)
-        return Fraction(p * p, 3) + Fraction(5 * p, 2) + c
-    if kind == "Dprime":
-        k, p = params
-        q = 2**k
-        tail = 4 if p % 3 == 0 else 2
-        return (
-            Fraction(q * q * p * p, 3)
-            + Fraction(q * (2 * q + 3) * p, 2)
-            + Fraction(8 * q * q + 3 * q + tail, 6)
-        )
-    if kind == "Tprime":
-        k = params[0]
-        if k < 2:
-            raise ValueError(f"closed d1 form needs k >= 2, got {k}.")
-        return Fraction(38 * 3 ** (2 * k - 3) + 2 * 3**k + 3)
-    raise ValueError(f"no closed d1 form for family {kind!r}.")
-
-
-def closed_family_d2(atom: Atom) -> Fraction:
-    """Closed form of the twisted trace average d2 for one family."""
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        n = params[0]
-        return Fraction(n, 2) + (Fraction(1) if n % 2 == 0 else Fraction(1, 2))
-    if kind == "Dstar":
-        p = params[0]
-        if p % 2 == 0:
-            c = Fraction(3) if p % 3 == 0 else Fraction(8, 3)
-            return Fraction(p * p, 3) + Fraction(5 * p, 2) + c
-        c = Fraction(3, 2) if p % 3 == 0 else Fraction(7, 6)
-        return Fraction(p * p, 3) + Fraction(3 * p, 2) + c
-    if kind == "Dprime":
-        k, p = params
-        q = 2**k
-        c = Fraction(1) if p % 3 == 0 else Fraction(2, 3)
-        return Fraction(p * p, 3) + Fraction(3 * q * p, 2) + Fraction(q, 2) + c
-    if kind == "Tprime":
-        k = params[0]
-        if k < 2:
-            raise ValueError(f"closed d2 form needs k >= 2, got {k}.")
-        return Fraction(2 * 3**k + 3)
-    raise ValueError(f"no closed d2 form for family {kind!r}.")

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Atom
 from .group_core import FiniteGroup, ResourceLimitError
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "enumerate_cosets",
     "group_from_presentation",
     "parse_presentation",
-    "presentation_for_family",
 ]
 
 DEFAULT_MAX_COSETS = 10**5
@@ -385,27 +383,3 @@ def group_from_presentation(
         max_cosets = max(20 * expected_order, 1000)
     ct = enumerate_cosets(text, max_cosets=max_cosets)
     return group_from_coset_table(ct, family_tag=family_tag, expected_order=expected_order)
-
-
-def presentation_for_family(atom: Atom) -> str:
-    """A finite presentation for one family atom, in the text format above."""
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        n = params[0]
-        return f"<a | a^{n}>"
-    if kind == "Dstar":
-        p = params[0]
-        return f"<a,x | a^{2 * p}, x^2=a^{p}, x^-1*a*x=a^-1>"
-    if kind == "Dprime":
-        k, p = params
-        return f"<x,y | x^{2 ** (k + 2)}, y^{p}, x*y^-1=y*x>"
-    if kind == "Tstar":
-        return "<a,b | (a*b)^2 = a^3 = b^3>"
-    if kind == "Tprime":
-        k = params[0]
-        return f"<x,y,z | x^2=(x*y)^2=y^2, z*x*z^-1=y, z*y*z^-1=x*y, z^{3 ** k}>"
-    if kind == "Ostar":
-        return "<a,b | (a*b)^2 = a^3 = b^4>"
-    if kind == "Istar":
-        return "<a,b | (a*b)^2 = a^3 = b^5>"
-    raise ValueError(f"unknown family {kind!r}")

@@ -122,22 +122,6 @@ class FiniteGroup:
             e >>= 1
         return result
 
-    def element_order(self, i: int) -> int:
-        e = 1
-        x = i
-        while x != 0:
-            x = self.mul(x, i)
-            e += 1
-        return e
-
-    def conjugate(self, x: int, g: int) -> int:
-        """x g x^-1."""
-        return self.mul(self.mul(x, g), self.inverses[x])
-
-    def row(self, i: int):
-        """The slice mul(i, -) as a flat array, for hot loops."""
-        return self._mul[i * self.order : (i + 1) * self.order]
-
     def check_associativity(self) -> None:
         """Full O(order^3) associativity check; intended for tests."""
         n = self.order

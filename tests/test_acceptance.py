@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from catalogs import ROUTE_120, ROUTE_500
+from oracles import presentation_for_family
 from thetadim.burnside import burnside_dims, orbit_count_dims
 from thetadim.characters import (
     CharacterTable,
@@ -34,7 +35,7 @@ from thetadim.conjugacy import (
     product_class_data,
     z2_orbit_count,
 )
-from thetadim.coset_enum import enumerate_cosets, presentation_for_family
+from thetadim.coset_enum import enumerate_cosets
 from thetadim.cyclo import from_rational, zeta
 from thetadim.diagrams import dim_A2
 from thetadim.expr import Atom, parse_group_expr

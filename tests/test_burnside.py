@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from catalogs import ROUTE_120
+from oracles import plain_action, sym3_trace, twisted_action
 from thetadim.characters import table_for
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.burnside import (
@@ -15,9 +16,6 @@ from thetadim.burnside import (
     ResourceLimitError,
     burnside_dims,
     orbit_count_dims,
-    plain_action,
-    sym3_trace,
-    twisted_action,
 )
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2

@@ -6,16 +6,14 @@ from math import gcd
 import pytest
 
 from catalogs import NON_SPHERICAL, SPHERICAL
+from oracles import closed_delta3, closed_family_d1, closed_family_d2
 from thetadim.burnside import burnside_dims
 from thetadim.characters import d2_char_formula, table_for
 from thetadim.closed_forms import (
     SphericalMatchError,
     SphericalSpec,
     closed_class_count,
-    closed_delta3,
     closed_dims,
-    closed_family_d1,
-    closed_family_d2,
     closed_order,
     closed_z2_orbit,
     p2,

@@ -6,6 +6,7 @@ import pytest
 
 from catalogs import ROUTE_120, ROUTE_500
 from class_oracles import literal_classes, pair_class_sums, pair_delta3_sum
+from oracles import conjugate
 from thetadim.burnside import _class_sums
 from thetadim.conjugacy import (
     class_data_for,
@@ -43,7 +44,7 @@ def brute_classes(G):
     for g in range(n):
         if seen[g]:
             continue
-        orbit = {G.conjugate(x, g) for x in range(n)}
+        orbit = {conjugate(G, x, g) for x in range(n)}
         for y in orbit:
             seen[y] = True
         classes.append(frozenset(orbit))
