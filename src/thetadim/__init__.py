@@ -2,9 +2,9 @@
 
 The package computes, in exact rational arithmetic, the dimension of the space
 of closed trivalent theta diagrams labeled by a finite group algebra, together
-with the corresponding dimension for the augmentation ideal.  Four independent
-routes are provided (closed formulas, character sums, fixed-point counting,
-and explicit orbit enumeration) so that every number can be cross-checked.
+with the corresponding dimension for the augmentation ideal.  Five routes are
+provided (closed formulas, character sums, fixed-point counting, monomial-triple
+orbits and diagram enumeration) so that every number can be cross-checked.
 """
 
 from .burnside import BurnsideResult, burnside_dims, orbit_count_dims

@@ -155,10 +155,10 @@ def _run(name: str, expr: GroupExpr, budgets, group=None) -> DimensionReport:
     without one orbits and diagrams build their own.
     """
     t0 = time.perf_counter()
-    if name in ("closed", "chars") or (group is None and name == "burnside"):
+    if name in ("closed", "chars"):
         group = expr
     elif group is None:
-        group = _table_within(expr, budgets[name])
+        group = expr if name == "burnside" else _table_within(expr, budgets[name])
     order, classes, d1, d2, dim, z2 = _ROUTES[name](group, budgets)
     return DimensionReport(
         group=expr_to_string(expr),

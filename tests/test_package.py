@@ -22,7 +22,3 @@ def test_every_exported_name_is_documented_in_readme_library():
     ]
     assert undocumented == []
 
-
-def test_exported_names_resolve():
-    for name in thetadim.__all__:
-        assert getattr(thetadim, name) is not None
