@@ -141,19 +141,19 @@ _ROUTES = {
 
 
 def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
-    """The table group of `expr`, or `expr` itself when its order exceeds `budget`.
-
-    orbits and diagrams refuse the bare expression from its order alone, so an
-    over-budget call builds nothing; burnside builds its own table if it needs one.
+    """The table group of `expr`, or `expr` itself when its order exceeds `budget`
+    or its product table the table budget.  The routes refuse the bare expression
+    themselves, and burnside reduces it by classes or builds its own table.
     """
-    return group_from_expr(expr) if group_order(expr) <= budget else expr
+    try:
+        return group_from_expr(expr) if group_order(expr) <= budget else expr
+    except ResourceLimitError:
+        return expr
 
 
 def _run(name: str, expr: GroupExpr, budgets, group=None) -> DimensionReport:
-    """Route `name` as a timed report.  closed and chars see only `expr`; the
-    others work on `group`, the `_table_within` result that verify shares, and
-    without one orbits and diagrams build their own.
-    """
+    """Route `name` as a timed report; closed and chars see only `expr`, the others
+    `group`, the `_table_within` result verify shares, or else their own."""
     t0 = time.perf_counter()
     if name in ("closed", "chars"):
         group = expr
