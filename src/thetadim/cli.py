@@ -142,8 +142,8 @@ _ROUTES = {
 
 def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
     """The table group of `expr`, or `expr` itself when its order exceeds `budget`
-    or its product table the table budget.  The routes refuse the bare expression
-    themselves, and burnside reduces it by classes or builds its own table.
+    or its product table would exceed the entries budget.  The routes refuse the
+    bare expression themselves; burnside reduces it by classes or builds its own table.
     """
     try:
         return group_from_expr(expr) if group_order(expr) <= budget else expr
