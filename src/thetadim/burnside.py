@@ -12,12 +12,16 @@ counts from two literally-counted tables, and is the trusted reference;
 "class" reduces both sums to O(k) sums over the k conjugacy classes and
 needs only class data, so it builds no multiplication table for an
 expression.  Orbit enumeration on sorted monomial triples provides a third,
-lemma-free count of the same dimension.
+lemma-free count of the same dimension.  It walks only the left translations
+by the generators and the inversion i: conjugating a left translation x -> g*x
+by i gives the right translation x -> x*g^-1, so these moves reach every pair
+action.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -239,8 +243,14 @@ def orbit_count_dims(
     """Number of monomial-triple orbits under both pair actions and inversion.
 
     Equals the full invariant dimension, and cross-checks burnside_dims by
-    Burnside's lemma.  Breadth-first closure over sorted triples, keyed by the
-    combinatorial rank of the strictly increasing lift (a, b+1, c+2).
+    Burnside's lemma.  Literal closure over sorted triples, keyed by the
+    combinatorial rank of the strictly increasing lift (a, b+1, c+2).  The
+    moves are the left translations L_s: x -> s*x by the generators s and the
+    inversion i.  Since i L_g i is the right translation x -> x*g^-1, these
+    moves generate the same group as both pair actions and inversion, so the
+    orbits are the same.  Each new orbit starts at the first unvisited rank,
+    found by `bytearray.find` and unranked by bisection, so the walk takes one
+    Python step per orbit start instead of one per triple.
     """
     n = group_order(group)
     budget = DEFAULT_ORBIT_MAX_ORDER if max_order is None else max_order
@@ -250,42 +260,37 @@ def orbit_count_dims(
         )
     group = _as_group(group)
 
-    perms: list[list[int]] = []
-    for s in group.generators:
-        perms.append([group.mul(s, x) for x in range(n)])
-        si = group.inv(s)
-        perms.append([group.mul(x, si) for x in range(n)])
-    perms.append(list(group.inverses))
+    moves = [[group.mul(s, x) for x in range(n)] for s in group.generators]
+    moves.append(list(group.inverses))
 
-    c2 = [i * (i - 1) // 2 for i in range(n + 3)]
-    c3 = [i * (i - 1) * (i - 2) // 6 for i in range(n + 3)]
+    # shifted so that the sorted triple a <= b <= c has rank c3[c] + c2[b] + a
+    c2 = [(i + 1) * i // 2 for i in range(n)]
+    c3 = [(i + 2) * (i + 1) * i // 6 for i in range(n)]
 
-    def rank(a: int, b: int, c: int) -> int:
-        return c3[c + 2] + c2[b + 1] + a
-
-    total = c3[n + 2]
-    visited = bytearray(total)
+    visited = bytearray((n + 2) * (n + 1) * n // 6)
     orbits = 0
-    for a0 in range(n):
-        for b0 in range(a0, n):
-            for c0 in range(b0, n):
-                if visited[rank(a0, b0, c0)]:
-                    continue
-                orbits += 1
-                visited[rank(a0, b0, c0)] = 1
-                stack = [(a0, b0, c0)]
-                while stack:
-                    a, b, c = stack.pop()
-                    for perm in perms:
-                        x, y, z = perm[a], perm[b], perm[c]
-                        if x > y:
-                            x, y = y, x
-                        if y > z:
-                            y, z = z, y
-                            if x > y:
-                                x, y = y, x
-                        r = rank(x, y, z)
-                        if not visited[r]:
-                            visited[r] = 1
-                            stack.append((x, y, z))
+    start = visited.find(0)
+    while start >= 0:
+        orbits += 1
+        visited[start] = 1
+        c = bisect_right(c3, start) - 1
+        rest = start - c3[c]
+        b = bisect_right(c2, rest) - 1
+        stack = [(rest - c2[b], b, c)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            a, b, c = pop()
+            for move in moves:
+                x, y, z = move[a], move[b], move[c]
+                if x > y:
+                    x, y = y, x
+                if y > z:
+                    y, z = z, y
+                    if x > y:
+                        x, y = y, x
+                r = c3[z] + c2[y] + x
+                if not visited[r]:
+                    visited[r] = 1
+                    push((x, y, z))
+        start = visited.find(0, start + 1)
     return orbits

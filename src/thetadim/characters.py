@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .conjugacy import ClassData, compute_classes, product_class_data
 from .cyclo import (
@@ -28,11 +29,13 @@ from .cyclo import (
     sqrt_minus_one,
     zeta,
 )
-from .expr import Atom, GroupExpr, parse_group_expr
+from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
 from .group_core import (
+    ResourceLimitError,
     binary_dihedral_rule,
     cyclic_rule,
     dprime_rule,
+    group_order,
     istar_group,
     ostar_group,
     tprime_rule,
@@ -40,6 +43,7 @@ from .group_core import (
 )
 
 __all__ = [
+    "CHAR_TABLE_MAX_CELLS",
     "CharacterTable",
     "check_column_orthogonality",
     "check_degree_sum",
@@ -48,6 +52,10 @@ __all__ = [
     "real_char_sum",
     "table_for",
 ]
+
+# a k x k table above this many cells is refused before any row is built;
+# Z(2000) needs 4 * 10^6
+CHAR_TABLE_MAX_CELLS = 10**7
 
 
 @dataclass
@@ -513,11 +521,40 @@ def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     return _finish(f"{t1.group_name}x{t2.group_name}", cd, names, values)
 
 
+def _atom_class_count(atom: Atom) -> int:
+    """Number of conjugacy classes of one atom, in closed form."""
+    kind, params = atom.kind, atom.params
+    if kind == "Z":
+        return params[0]
+    if kind == "Dstar":
+        return params[0] + 3
+    if kind == "Dprime":
+        return 2 ** params[0] * (params[1] + 3)
+    if kind == "Tprime":
+        return 7 * 3 ** (params[0] - 1)
+    return {"Tstar": 7, "Ostar": 8, "Istar": 9}[kind]
+
+
 def table_for(expr: GroupExpr | str) -> CharacterTable:
-    """Character table for a group expression, aligned with its class data."""
+    """Character table for a group expression, aligned with its class data.
+
+    The k x k cell count is checked against CHAR_TABLE_MAX_CELLS from the
+    closed-form class count, before any class or row is computed.
+    """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
+    group_order(expr)  # invalid parameters raise ValueError before the budget check
+    k = prod(_atom_class_count(atom) for atom in expr.atoms)
+    if k * k > CHAR_TABLE_MAX_CELLS:
+        raise ResourceLimitError(
+            f"character table of {expr_to_string(expr)} needs {k * k} cells, "
+            f"budget is {CHAR_TABLE_MAX_CELLS}"
+        )
     table = _atom_table(expr.atoms[0])
     for atom in expr.atoms[1:]:
         table = _product_table(table, _atom_table(atom))
+    if table.class_data.num_classes != k:
+        raise AssertionError(
+            f"{table.group_name}: {table.class_data.num_classes} classes, expected {k}"
+        )
     return table

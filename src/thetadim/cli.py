@@ -6,7 +6,8 @@ codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
 alignment or character-table invariant did not hold; this is a bug, reported
 as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
 brute-force order budgets; an explicit --max-order flag wins over the
-environment.
+environment.  The chars route and chartab refuse a character table of more
+than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
 """
 
 from __future__ import annotations

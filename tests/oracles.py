@@ -80,6 +80,54 @@ def sym3_trace(action: ActionElement) -> Fraction:
     return Fraction(t1**3 + 3 * t1 * t2 + 2 * t3, 6)
 
 
+def orbit_count_literal(group: FiniteGroup) -> int:
+    """Monomial-triple orbits under both pair actions and inversion, literally.
+
+    Walks 2|S|+1 moves (left and right translation by each generator, and
+    inversion) and tests every sorted triple in turn for a new orbit.
+    """
+    n = group.order
+    perms: list[list[int]] = []
+    for s in group.generators:
+        perms.append([group.mul(s, x) for x in range(n)])
+        si = group.inv(s)
+        perms.append([group.mul(x, si) for x in range(n)])
+    perms.append(list(group.inverses))
+
+    c2 = [i * (i - 1) // 2 for i in range(n + 3)]
+    c3 = [i * (i - 1) * (i - 2) // 6 for i in range(n + 3)]
+
+    def rank(a: int, b: int, c: int) -> int:
+        return c3[c + 2] + c2[b + 1] + a
+
+    total = c3[n + 2]
+    visited = bytearray(total)
+    orbits = 0
+    for a0 in range(n):
+        for b0 in range(a0, n):
+            for c0 in range(b0, n):
+                if visited[rank(a0, b0, c0)]:
+                    continue
+                orbits += 1
+                visited[rank(a0, b0, c0)] = 1
+                stack = [(a0, b0, c0)]
+                while stack:
+                    a, b, c = stack.pop()
+                    for perm in perms:
+                        x, y, z = perm[a], perm[b], perm[c]
+                        if x > y:
+                            x, y = y, x
+                        if y > z:
+                            y, z = z, y
+                            if x > y:
+                                x, y = y, x
+                        r = rank(x, y, z)
+                        if not visited[r]:
+                            visited[r] = 1
+                            stack.append((x, y, z))
+    return orbits
+
+
 # -- single-family closed forms ----------------------------------------------
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from catalogs import ROUTE_120
-from oracles import plain_action, sym3_trace, twisted_action
+from oracles import orbit_count_literal, plain_action, sym3_trace, twisted_action
 from thetadim.characters import table_for
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.burnside import (
@@ -19,7 +19,7 @@ from thetadim.burnside import (
 )
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2
-from thetadim.group_core import FiniteGroup, cyclic_group, group_from_expr
+from thetadim.group_core import FiniteGroup, cyclic_group, group_from_expr, group_order
 
 
 def test_action_permutations_are_literal():
@@ -177,6 +177,41 @@ def test_orbit_budget():
         orbit_count_dims("Z(151)")
     assert DEFAULT_ORBIT_MAX_ORDER == 150
     assert orbit_count_dims("Z(151)", max_order=151) == burnside_dims("Z(151)").dim_full
+
+
+# one to three generators; the literal closure takes about 0.5 s at order 120
+ORBIT_ORACLE_CATALOG = [
+    e for e in ROUTE_120 if group_order(e) <= 60 or e in ("Istar", "Z(5) x Tstar")
+]
+
+
+@pytest.mark.parametrize("expr", ORBIT_ORACLE_CATALOG)
+def test_orbit_walk_matches_literal_closure(expr):
+    # the literal closure walks both translations by every generator and
+    # starts a search at every sorted triple in turn
+    G = group_from_expr(expr)
+    assert orbit_count_dims(G) == orbit_count_literal(G)
+
+
+def test_orbit_catalog_covers_one_to_three_generators():
+    counts = {len(group_from_expr(e).generators) for e in ORBIT_ORACLE_CATALOG}
+    assert {1, 2, 3} <= counts
+
+
+@pytest.mark.parametrize("expr", [e for e in ROUTE_120 if group_order(e) <= 24])
+def test_orbit_count_depends_only_on_the_generated_group(expr):
+    G = group_from_expr(expr)
+    expected = orbit_count_dims(G)
+    G.generators = list(range(1, G.order))
+    assert orbit_count_dims(G) == expected
+
+
+def test_orbit_count_grows_when_generators_miss_the_group():
+    # a move left out of the walk would go unnoticed without this check
+    G = group_from_expr("Z(2) x Z(2)")
+    full = orbit_count_dims(G)
+    G.generators = G.generators[:1]
+    assert orbit_count_dims(G) > full
 
 
 def test_budget_error_suggests_cheaper_route():

@@ -9,7 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import thetadim.characters as characters
 from thetadim.characters import (
+    CHAR_TABLE_MAX_CELLS,
     CharacterTable,
     _finish,
     check_column_orthogonality,
@@ -23,6 +25,7 @@ from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.conjugacy import d1_class_formula, z2_orbit_count
 from thetadim.cyclo import from_rational
 from thetadim.expr import parse_group_expr
+from thetadim.group_core import ResourceLimitError
 
 TABLE_CATALOG = [
     "Z(1)",
@@ -220,3 +223,21 @@ def test_chars_route_matches_closed_form_on_slow_conductors(expr):
     assert dim.denominator == 1
     want_dim, want_ker = closed_dims(spec_from_expr(expr))
     assert (dim, dim - z2_orbit_count(cd)) == (want_dim, want_ker)
+
+
+@pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
+def test_cell_budget_is_checked_before_classes_are_computed(monkeypatch, expr):
+    def refuse(*args):
+        raise AssertionError("computed classes for a table over the cell budget")
+
+    monkeypatch.setattr(characters, "compute_classes", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        table_for(expr)
+    assert str(CHAR_TABLE_MAX_CELLS) in str(err.value)
+
+
+def test_cell_budget_admits_z2000_and_still_reports_bad_parameters():
+    assert CHAR_TABLE_MAX_CELLS >= 2000 * 2000
+    # invalid parameters are still reported as such, however large the table
+    with pytest.raises(ValueError):
+        table_for("Dprime(30,4)")

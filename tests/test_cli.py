@@ -121,6 +121,16 @@ def test_resource_exit_code(capsys):
     assert "resource limit" in err
 
 
+def test_chars_cell_budget_exit_code_and_verify_skip(capsys):
+    for argv in (("compute", "Z(100000)", "--method", "chars"), ("chartab", "Z(400) x Z(400)")):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, "")
+        assert "cells" in err
+    rc, out, _ = run(capsys, "verify", "Z(100000)")
+    assert rc == 0
+    assert "chars     skipped:" in out and "cells" in out
+
+
 def test_max_order_flag_lifts_budget(capsys):
     rc, out, _ = run(capsys, "compute", "Z(151)", "--method", "orbits", "--json", "--max-order", "151")
     assert rc == 0

@@ -12,7 +12,6 @@ from thetadim.group_core import (
     ResourceLimitError,
     atom_group,
     binary_dihedral_group,
-    construct_family,
     cyclic_group,
     direct_product,
     dprime_group,
