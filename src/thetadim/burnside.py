@@ -27,7 +27,13 @@ from fractions import Fraction
 
 from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
+from .group_core import (
+    TABLE_MAX_ENTRIES,
+    FiniteGroup,
+    ResourceLimitError,
+    group_from_expr,
+    group_order,
+)
 
 __all__ = [
     "BurnsideResult",
@@ -251,12 +257,25 @@ def orbit_count_dims(
     orbits are the same.  Each new orbit starts at the first unvisited rank,
     found by `bytearray.find` and unranked by bisection, so the walk takes one
     Python step per orbit start instead of one per triple.
+
+    The visited set has C(n+2, 3) entries and is held to TABLE_MAX_ENTRIES,
+    which no order budget lifts (order 181 is the first refused), before
+    anything is built.  An expression too large to tabulate is refused by its
+    table budget instead.
     """
     n = group_order(group)
     budget = DEFAULT_ORBIT_MAX_ORDER if max_order is None else max_order
     if n > budget:
         raise ResourceLimitError(
             f"order {n} exceeds the orbit-enumeration budget {budget}"
+        )
+    triples = (n + 2) * (n + 1) * n // 6
+    # group_from_expr refuses an expression over the table budget itself
+    if triples > TABLE_MAX_ENTRIES and (
+        isinstance(group, FiniteGroup) or n * n <= TABLE_MAX_ENTRIES
+    ):
+        raise ResourceLimitError(
+            f"order {n} needs {triples} visited triples, budget is {TABLE_MAX_ENTRIES}."
         )
     group = _as_group(group)
 
@@ -267,7 +286,7 @@ def orbit_count_dims(
     c2 = [(i + 1) * i // 2 for i in range(n)]
     c3 = [(i + 2) * (i + 1) * i // 6 for i in range(n)]
 
-    visited = bytearray((n + 2) * (n + 1) * n // 6)
+    visited = bytearray(triples)
     orbits = 0
     start = visited.find(0)
     while start >= 0:

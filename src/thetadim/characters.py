@@ -20,7 +20,6 @@ from math import prod
 from .conjugacy import ClassData, compute_classes, product_class_data
 from .cyclo import (
     CycloNumber,
-    conjugate_dot,
     exact_sum,
     from_rational,
     golden_ratio,
@@ -45,11 +44,7 @@ from .group_core import (
 __all__ = [
     "CHAR_TABLE_MAX_CELLS",
     "CharacterTable",
-    "check_column_orthogonality",
-    "check_degree_sum",
-    "check_row_orthogonality",
     "d2_char_formula",
-    "real_char_sum",
     "table_for",
 ]
 
@@ -114,15 +109,6 @@ def _finish(
     )
 
 
-def _real_rows(table: CharacterTable) -> list[list[CycloNumber]]:
-    return [row for row, is_real in zip(table.values, table.real_rows) if is_real]
-
-
-def real_char_sum(table: CharacterTable, class_index: int) -> int:
-    """Sum of the real-valued irreducible characters at one class, as an exact int."""
-    return exact_sum(row[class_index] for row in _real_rows(table)).as_int()
-
-
 def d2_char_formula(table: CharacterTable) -> Fraction:
     """Invariant dimension of the twisted cube action, from real character sums.
 
@@ -131,7 +117,7 @@ def d2_char_formula(table: CharacterTable) -> Fraction:
     """
     cd = table.class_data
     n = cd.order
-    real = _real_rows(table)
+    real = [row for row, is_real in zip(table.values, table.real_rows) if is_real]
     s_vals = [exact_sum(row[c] for row in real).as_int() for c in range(cd.num_classes)]
     total = 0
     for c in range(cd.num_classes):
@@ -139,48 +125,6 @@ def d2_char_formula(table: CharacterTable) -> Fraction:
         s = s_vals[c]
         total += size * (s**3 + 3 * (n // size) * s + 2 * s_vals[cd.cube_class[c]])
     return Fraction(total, 6 * n)
-
-
-# -- consistency checks -------------------------------------------------------
-
-
-def check_degree_sum(table: CharacterTable) -> None:
-    if sum(d * d for d in table.degrees) != table.class_data.order:
-        raise AssertionError(f"{table.group_name}: degree square sum mismatch")
-
-
-def check_row_orthogonality(table: CharacterTable) -> None:
-    """First orthogonality: size-weighted row inner products equal |G| * delta."""
-    cd = table.class_data
-    n = cd.order
-    k = cd.num_classes
-    rows = table.values
-    sizes = cd.sizes
-    for r in range(k):
-        for s in range(r, k):
-            acc = conjugate_dot(
-                (sizes[c], rows[r][c], rows[s][c]) for c in range(k)
-            )
-            expected = n if r == s else 0
-            if acc != expected:
-                raise AssertionError(
-                    f"{table.group_name}: row orthogonality fails at ({r}, {s})"
-                )
-
-
-def check_column_orthogonality(table: CharacterTable) -> None:
-    """Second orthogonality: column inner products equal centralizer sizes."""
-    cd = table.class_data
-    k = cd.num_classes
-    rows = table.values
-    for c in range(k):
-        for d in range(c, k):
-            acc = conjugate_dot((1, rows[r][c], rows[r][d]) for r in range(k))
-            expected = cd.centralizer_size(c) if c == d else 0
-            if acc != expected:
-                raise AssertionError(
-                    f"{table.group_name}: column orthogonality fails at ({c}, {d})"
-                )
 
 
 # -- family tables ------------------------------------------------------------

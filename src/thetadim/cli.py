@@ -6,8 +6,11 @@ codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
 alignment or character-table invariant did not hold; this is a bug, reported
 as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
 brute-force order budgets; an explicit --max-order flag wins over the
-environment.  The chars route and chartab refuse a character table of more
-than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
+environment.  Neither lifts group_core.TABLE_MAX_ENTRIES (10^6): a
+multiplication table, a single atom's included, or an orbit walk's visited
+set beyond it exits with code 3.  The chars route and chartab refuse a
+character table of more than characters.CHAR_TABLE_MAX_CELLS (10^7) cells
+with exit code 3.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ _ROUTES = {
 
 def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
     """The table group of `expr`, or `expr` itself when its order exceeds `budget`
-    or its product table would exceed the entries budget.  The routes refuse the
-    bare expression themselves; burnside reduces it by classes or builds its own table.
+    or its table would exceed the entries budget.  The routes refuse the bare
+    expression themselves; burnside reduces it by classes or builds its own table.
     """
     try:
         return group_from_expr(expr) if group_order(expr) <= budget else expr

@@ -5,21 +5,19 @@ unity, reduced to the canonical power basis 1, z, ..., z^(phi(N)-1) modulo the
 N-th cyclotomic polynomial.  That basis is integral and every character value
 in the package is an algebraic integer, so integral coefficients are stored as
 `int`; `fractions.Fraction` appears only for a coefficient that is not an
-integer, never for an integral one.  Every comparison is exact; floating point
-appears only in the optional `to_complex` embedding.
+integer, never for an integral one.  Every comparison is exact and no value
+passes through floating point; the complex embedding the tests compare
+against lives in the tests.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from fractions import Fraction
 
 __all__ = [
     "CycloNumber",
-    "conjugate_dot",
     "cyclotomic_polynomial",
-    "euler_phi",
     "exact_sum",
     "from_rational",
     "golden_ratio",
@@ -28,24 +26,6 @@ __all__ = [
     "sqrt_minus_one",
     "zeta",
 ]
-
-
-def euler_phi(n: int) -> int:
-    """Euler's totient of a positive integer."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}.")
-    result = n
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            while m % d == 0:
-                m //= d
-            result -= result // d
-        d += 1
-    if m > 1:
-        result -= result // m
-    return result
 
 
 _POLY_CACHE: dict[int, list[int]] = {}
@@ -282,13 +262,6 @@ class CycloNumber:
             raise ValueError(f"not an integer: {self}")
         return q.numerator
 
-    def to_complex(self) -> complex:
-        step = 2j * cmath.pi / self.conductor
-        return sum(
-            (complex(q) * cmath.exp(step * e) for e, q in self.coeffs.items()),
-            complex(0),
-        )
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -343,40 +316,13 @@ def golden_ratio_conjugate() -> CycloNumber:
     return -(zeta(5, 1) + zeta(5, 4))
 
 
-def conjugate_dot(terms) -> CycloNumber:
-    """Exact sum of w * x * conj(y) over (w, x, y) triples.
-
-    w is an integer or Fraction weight; x and y are CycloNumbers.  All
-    products are accumulated as raw powers of one common root of unity and
-    reduced modulo the cyclotomic polynomial once at the end, so long inner
-    products avoid the per-term reduction cost of repeated multiplication.
-    """
-    triples = [(w, x, y) for w, x, y in terms]
-    m = 1
-    for _, x, y in triples:
-        m = math.lcm(m, x.conductor, y.conductor)
-    acc: dict[int, int | Fraction] = {}
-    for w, x, y in triples:
-        if not w or not x.coeffs or not y.coeffs:
-            continue
-        fx = m // x.conductor
-        fy = m // y.conductor
-        for e1, q1 in x.coeffs.items():
-            wq1 = w * q1
-            base = e1 * fx
-            for e2, q2 in y.coeffs.items():
-                e = (base - e2 * fy) % m
-                acc[e] = acc.get(e, 0) + wq1 * q2
-    return CycloNumber._raw(m, _canonical(m, acc.items()))
-
-
 def exact_sum(values) -> CycloNumber:
     """Exact sum of CycloNumbers, reduced once.
 
-    The additive twin of `conjugate_dot`: every value is embedded in one common
-    conductor as raw powers of its root of unity, the coefficients are added by
-    exponent, and the result is reduced modulo the cyclotomic polynomial at the
-    end, so a long sum costs one reduction instead of one dict copy per term.
+    Every value is embedded in one common conductor as raw powers of its root
+    of unity, the coefficients are added by exponent, and the result is
+    reduced modulo the cyclotomic polynomial at the end, so a long sum costs
+    one reduction instead of one dict copy per term.
     """
     values = list(values)
     m = 1

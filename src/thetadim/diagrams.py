@@ -15,11 +15,9 @@ from __future__ import annotations
 from .expr import GroupExpr
 from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 
-__all__ = ["DEFAULT_DIAGRAM_MAX_ORDER", "ThetaDecoration", "dim_A2", "normalize"]
+__all__ = ["DEFAULT_DIAGRAM_MAX_ORDER", "dim_A2"]
 
 DEFAULT_DIAGRAM_MAX_ORDER = 120
-
-ThetaDecoration = tuple[int, int, int]
 
 
 def _pair_moves(group: FiniteGroup):
@@ -43,30 +41,6 @@ def _pair_moves(group: FiniteGroup):
         return out
 
     return neighbors
-
-
-def _reduce(d: ThetaDecoration, group: FiniteGroup) -> tuple[int, int]:
-    a, b, c = d
-    ai = group.inv(a)
-    return group.mul(ai, b), group.mul(ai, c)
-
-
-def normalize(d: ThetaDecoration, group: FiniteGroup) -> ThetaDecoration:
-    """Lexicographically smallest decoration equivalent to d."""
-    neighbors = _pair_moves(group)
-    start = _reduce(d, group)
-    seen = {start}
-    stack = [start]
-    best = start
-    while stack:
-        state = stack.pop()
-        if state < best:
-            best = state
-        for nxt in neighbors(*state):
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return (0, best[0], best[1])
 
 
 def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -> int:

@@ -3,25 +3,29 @@
 Elements are integers 0..order-1 and 0 is always the identity.  The cyclic,
 binary dihedral, split metacyclic, and twisted quaternion-tower families are
 each written once as a `NormalForm` product rule on their element indices;
-class-level computations run on the rule directly, and the table
-constructors fill their tables from it.  The three exceptional binary
-polyhedral groups (order at most 120) are built solely by coset enumeration
-from their two-generator presentations.
+class-level computations run on the rule directly.  The three exceptional
+binary polyhedral groups (order at most 120) are built solely by coset
+enumeration from their two-generator presentations.  `product_rule` composes
+two groups of either kind, so an expression's atoms fold into one rule, and
+`_tabulate` is the one place a rule becomes a multiplication table.  It
+refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
+product, a single atom included; no order budget lifts this.
 """
 
 from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 from .expr import Atom, GroupExpr, parse_group_expr
 
 __all__ = [
-    "DEFAULT_PRODUCT_MAX_ENTRIES",
     "FiniteGroup",
     "NormalForm",
     "ResourceLimitError",
+    "TABLE_MAX_ENTRIES",
     "atom_group",
     "binary_dihedral_group",
     "binary_dihedral_rule",
@@ -35,10 +39,10 @@ __all__ = [
     "group_order",
     "istar_group",
     "ostar_group",
+    "product_rule",
     "tprime_group",
     "tprime_rule",
     "tstar_group",
-    "validate_spherical",
 ]
 
 
@@ -46,7 +50,9 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured size budget."""
 
 
-DEFAULT_PRODUCT_MAX_ENTRIES = 10**6
+# every multiplication table, a single atom's included, and the orbit walk's
+# visited set stay within this many entries
+TABLE_MAX_ENTRIES = 10**6
 
 
 class FiniteGroup:
@@ -54,7 +60,8 @@ class FiniteGroup:
 
     `mul_table` is row-major: the product of i and j sits at index i*order+j.
     Element 0 must be a two-sided identity; inverses are computed and checked
-    at construction time.
+    at construction time.  `generators` must generate the group: the orbit
+    and diagram walks move along them.
     """
 
     __slots__ = ("order", "_mul", "inverses", "labels", "family_tag", "generators")
@@ -65,7 +72,8 @@ class FiniteGroup:
         mul_table,
         labels=None,
         family_tag: str = "",
-        generators=None,
+        *,
+        generators,
     ) -> None:
         if order < 1:
             raise ValueError(f"order must be positive, got {order}.")
@@ -97,8 +105,6 @@ class FiniteGroup:
                 raise ValueError("label count does not match order")
         self.labels = labels
         self.family_tag = family_tag
-        if generators is None:
-            generators = self._greedy_generators()
         self.generators = list(generators)
 
     def mul(self, i: int, j: int) -> int:
@@ -109,52 +115,6 @@ class FiniteGroup:
 
     def label(self, i: int) -> str:
         return self.labels[i]
-
-    def power(self, i: int, e: int) -> int:
-        if e < 0:
-            i = self.inverses[i]
-            e = -e
-        result = 0
-        while e:
-            if e & 1:
-                result = self.mul(result, i)
-            i = self.mul(i, i) if e > 1 else i
-            e >>= 1
-        return result
-
-    def check_associativity(self) -> None:
-        """Full O(order^3) associativity check; intended for tests."""
-        n = self.order
-        mul = self._mul
-        for i in range(n):
-            for j in range(n):
-                ij = mul[i * n + j]
-                for k in range(n):
-                    if mul[ij * n + k] != mul[i * n + mul[j * n + k]]:
-                        raise AssertionError(f"associativity fails at {(i, j, k)}")
-
-    def _closure(self, gens: list[int]) -> set[int]:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for s in gens:
-                y = self.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    frontier.append(y)
-        return seen
-
-    def _greedy_generators(self) -> list[int]:
-        gens: list[int] = []
-        reached = {0}
-        for i in range(1, self.order):
-            if i not in reached:
-                gens.append(i)
-                reached = self._closure(gens)
-                if len(reached) == self.order:
-                    break
-        return gens
 
 
 @dataclass(frozen=True)
@@ -312,9 +272,48 @@ def tprime_rule(k: int) -> NormalForm:
     return NormalForm(8 * three_k, mul, inv, label, [1, 8], f"Tprime({k})")
 
 
-def _tabulate(rule: NormalForm) -> FiniteGroup:
-    """The multiplication table a normal-form rule defines."""
+def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> NormalForm:
+    """g1 x g2 as a rule on either kind of factor: (i1, i2) has index i1*|g2| + i2."""
+    n2 = g2.order
+    mul1, mul2, inv1, inv2 = g1.mul, g2.mul, g1.inv, g2.inv
+
+    def mul(i: int, j: int) -> int:
+        i1, i2 = divmod(i, n2)
+        j1, j2 = divmod(j, n2)
+        return mul1(i1, j1) * n2 + mul2(i2, j2)
+
+    def inv(i: int) -> int:
+        i1, i2 = divmod(i, n2)
+        return inv1(i1) * n2 + inv2(i2)
+
+    def label(i: int) -> str:
+        i1, i2 = divmod(i, n2)
+        return f"({g1.label(i1)},{g2.label(i2)})"
+
+    return NormalForm(
+        g1.order * n2,
+        mul,
+        inv,
+        label,
+        [i1 * n2 for i1 in g1.generators] + list(g2.generators),
+        f"{g1.family_tag or '?'}x{g2.family_tag or '?'}",
+    )
+
+
+def _tabulate(
+    rule: NormalForm, max_entries: int = TABLE_MAX_ENTRIES, name: str = ""
+) -> FiniteGroup:
+    """The multiplication table a rule defines.
+
+    A table of more than `max_entries` entries is refused before any product
+    is taken; `name` describes the group in the refusal (default: its tag).
+    """
     n, mul = rule.order, rule.mul
+    if n * n > max_entries:
+        raise ResourceLimitError(
+            f"{name or rule.family_tag} needs {n * n} table entries, "
+            f"budget is {max_entries}."
+        )
     table = array("i", [mul(i, j) for i in range(n) for j in range(n)])
     return FiniteGroup(
         n,
@@ -420,61 +419,24 @@ def construct_family(atom: Atom) -> FiniteGroup:
 
 
 def direct_product(
-    g1: FiniteGroup,
-    g2: FiniteGroup,
-    max_entries: int = DEFAULT_PRODUCT_MAX_ENTRIES,
+    g1: NormalForm | FiniteGroup,
+    g2: NormalForm | FiniteGroup,
+    max_entries: int = TABLE_MAX_ENTRIES,
 ) -> FiniteGroup:
-    n1, n2 = g1.order, g2.order
-    n = n1 * n2
-    if n * n > max_entries:
-        raise ResourceLimitError(
-            f"product of orders {n1} and {n2} needs {n * n} table entries, "
-            f"budget is {max_entries}."
-        )
-    flat = [0] * (n * n)
-    m1, m2 = g1._mul, g2._mul
-    for i1 in range(n1):
-        for i2 in range(n2):
-            i = i1 * n2 + i2
-            base = i * n
-            row1 = i1 * n1
-            row2 = i2 * n2
-            for j1 in range(n1):
-                k1 = m1[row1 + j1] * n2
-                col = j1 * n2
-                for j2 in range(n2):
-                    flat[base + col + j2] = k1 + m2[row2 + j2]
-    labels = [
-        f"({a},{b})" for a in g1.labels for b in g2.labels
-    ]
-    gens = [i1 * n2 for i1 in g1.generators] + list(g2.generators)
-    tag1 = g1.family_tag or "?"
-    tag2 = g2.family_tag or "?"
-    return FiniteGroup(
-        n, flat, labels=labels, family_tag=f"{tag1}x{tag2}", generators=gens
-    )
+    """The multiplication table of `product_rule(g1, g2)`."""
+    name = f"product of orders {g1.order} and {g2.order}"
+    return _tabulate(product_rule(g1, g2), max_entries, name)
 
 
-def group_from_expr(
-    expr: GroupExpr | str,
-    max_entries: int = DEFAULT_PRODUCT_MAX_ENTRIES,
-) -> FiniteGroup:
+def group_from_expr(expr: GroupExpr | str) -> FiniteGroup:
+    """The multiplication table of an expression, the only table it builds.
+
+    A product folds its atoms' rules and tabulates the result once, so no
+    factor table is built beyond a binary polyhedral atom's own.
+    """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    group = construct_family(expr.atoms[0])
-    for atom in expr.atoms[1:]:
-        group = direct_product(group, construct_family(atom), max_entries=max_entries)
-    return group
-
-
-def validate_spherical(expr: GroupExpr | str) -> tuple[bool, str | None]:
-    """Whether the expression matches a spherical space form fundamental group."""
-    from .closed_forms import SphericalMatchError, spec_from_expr
-
-    if isinstance(expr, str):
-        expr = parse_group_expr(expr)
-    try:
-        spec_from_expr(expr)
-    except SphericalMatchError as exc:
-        return False, str(exc)
-    return True, None
+    *head, last = expr.atoms
+    if not head:
+        return construct_family(last)
+    return direct_product(reduce(product_rule, map(atom_group, head)), atom_group(last))

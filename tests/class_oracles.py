@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from oracles import power
 from thetadim.conjugacy import ClassData
 from thetadim.group_core import FiniteGroup
 
@@ -91,7 +92,7 @@ def pair_class_sums(group: FiniteGroup, cd: ClassData) -> tuple[int, int, int, i
     for c in range(k):
         rep = cd.representatives[c]
         r1 = root_count[rep]
-        r3 = root_count[group.power(rep, 3)]
+        r3 = root_count[power(group, rep, 3)]
         twist_sum += sizes[c] * (r1**3 + 3 * r1 * cent[c] + 2 * r3)
         twist_ker += sizes[c] * _ker_terms(r1, cent[c], r3)
     return plain_sum, plain_ker, n * twist_sum, n * twist_ker

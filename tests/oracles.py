@@ -1,5 +1,7 @@
 """Test-only oracles and helpers: literal actions, per-family closed forms,
-family presentations and table-group element helpers.
+family presentations, table-group element helpers, the literal product table,
+decoration canonical forms, character-table identities and the complex
+embedding of cyclotomic numbers.
 
 None of these is on a computation route.  The pair-action oracles build each
 permutation literally, the per-family closed forms check the class and
@@ -9,11 +11,18 @@ coset enumeration as a construction check independent of the normal forms.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 
-from thetadim.expr import Atom
-from thetadim.group_core import FiniteGroup
+from thetadim.characters import CharacterTable
+from thetadim.closed_forms import SphericalMatchError, spec_from_expr
+from thetadim.cyclo import CycloNumber, _canonical, exact_sum
+from thetadim.diagrams import _pair_moves
+from thetadim.expr import Atom, GroupExpr, parse_group_expr
+from thetadim.group_core import FiniteGroup, _tabulate, atom_group, product_rule
 
 # -- table-group element helpers ----------------------------------------------
 
@@ -31,6 +40,212 @@ def element_order(group: FiniteGroup, i: int) -> int:
 def conjugate(group: FiniteGroup, x: int, g: int) -> int:
     """x g x^-1."""
     return group.mul(group.mul(x, g), group.inverses[x])
+
+
+def power(group: FiniteGroup, i: int, e: int) -> int:
+    """i^e by repeated squaring; a negative e raises the inverse."""
+    if e < 0:
+        i = group.inverses[i]
+        e = -e
+    result = 0
+    while e:
+        if e & 1:
+            result = group.mul(result, i)
+        i = group.mul(i, i) if e > 1 else i
+        e >>= 1
+    return result
+
+
+def check_associativity(group: FiniteGroup) -> None:
+    """Full O(order^3) associativity check."""
+    n = group.order
+    mul = group._mul
+    for i in range(n):
+        for j in range(n):
+            ij = mul[i * n + j]
+            for k in range(n):
+                if mul[ij * n + k] != mul[i * n + mul[j * n + k]]:
+                    raise AssertionError(f"associativity fails at {(i, j, k)}")
+
+
+def direct_product_literal(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
+    """The product table filled loop by loop from the two factor tables."""
+    n1, n2 = g1.order, g2.order
+    n = n1 * n2
+    flat = [0] * (n * n)
+    m1, m2 = g1._mul, g2._mul
+    for i1 in range(n1):
+        for i2 in range(n2):
+            i = i1 * n2 + i2
+            base = i * n
+            row1 = i1 * n1
+            row2 = i2 * n2
+            for j1 in range(n1):
+                k1 = m1[row1 + j1] * n2
+                col = j1 * n2
+                for j2 in range(n2):
+                    flat[base + col + j2] = k1 + m2[row2 + j2]
+    labels = [
+        f"({a},{b})" for a in g1.labels for b in g2.labels
+    ]
+    gens = [i1 * n2 for i1 in g1.generators] + list(g2.generators)
+    tag1 = g1.family_tag or "?"
+    tag2 = g2.family_tag or "?"
+    return FiniteGroup(
+        n, flat, labels=labels, family_tag=f"{tag1}x{tag2}", generators=gens
+    )
+
+
+def unbudgeted_table(expr: str) -> FiniteGroup:
+    """The table `group_from_expr` builds, without its entries budget, for
+    oracles checked on groups larger than the library tabulates."""
+    rule = reduce(product_rule, map(atom_group, parse_group_expr(expr).atoms))
+    return _tabulate(rule, rule.order**2)
+
+
+def validate_spherical(expr: GroupExpr | str) -> tuple[bool, str | None]:
+    """Whether the expression matches a spherical space form fundamental group."""
+    if isinstance(expr, str):
+        expr = parse_group_expr(expr)
+    try:
+        spec_from_expr(expr)
+    except SphericalMatchError as exc:
+        return False, str(exc)
+    return True, None
+
+
+# -- decoration canonical forms -----------------------------------------------
+
+ThetaDecoration = tuple[int, int, int]
+
+
+def _reduce(d: ThetaDecoration, group: FiniteGroup) -> tuple[int, int]:
+    a, b, c = d
+    ai = group.inv(a)
+    return group.mul(ai, b), group.mul(ai, c)
+
+
+def normalize(d: ThetaDecoration, group: FiniteGroup) -> ThetaDecoration:
+    """Lexicographically smallest decoration equivalent to d."""
+    neighbors = _pair_moves(group)
+    start = _reduce(d, group)
+    seen = {start}
+    stack = [start]
+    best = start
+    while stack:
+        state = stack.pop()
+        if state < best:
+            best = state
+        for nxt in neighbors(*state):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return (0, best[0], best[1])
+
+
+# -- character-table identities ----------------------------------------------
+
+
+def real_char_sum(table: CharacterTable, class_index: int) -> int:
+    """Sum of the real-valued irreducible characters at one class, as an exact int."""
+    real = [row for row, is_real in zip(table.values, table.real_rows) if is_real]
+    return exact_sum(row[class_index] for row in real).as_int()
+
+
+def check_degree_sum(table: CharacterTable) -> None:
+    if sum(d * d for d in table.degrees) != table.class_data.order:
+        raise AssertionError(f"{table.group_name}: degree square sum mismatch")
+
+
+def check_row_orthogonality(table: CharacterTable) -> None:
+    """First orthogonality: size-weighted row inner products equal |G| * delta."""
+    cd = table.class_data
+    n = cd.order
+    k = cd.num_classes
+    rows = table.values
+    sizes = cd.sizes
+    for r in range(k):
+        for s in range(r, k):
+            acc = conjugate_dot(
+                (sizes[c], rows[r][c], rows[s][c]) for c in range(k)
+            )
+            expected = n if r == s else 0
+            if acc != expected:
+                raise AssertionError(
+                    f"{table.group_name}: row orthogonality fails at ({r}, {s})"
+                )
+
+
+def check_column_orthogonality(table: CharacterTable) -> None:
+    """Second orthogonality: column inner products equal centralizer sizes."""
+    cd = table.class_data
+    k = cd.num_classes
+    rows = table.values
+    for c in range(k):
+        for d in range(c, k):
+            acc = conjugate_dot((1, rows[r][c], rows[r][d]) for r in range(k))
+            expected = cd.centralizer_size(c) if c == d else 0
+            if acc != expected:
+                raise AssertionError(
+                    f"{table.group_name}: column orthogonality fails at ({c}, {d})"
+                )
+
+
+# -- cyclotomic numbers -------------------------------------------------------
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient of a positive integer."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}.")
+    result = n
+    m = n
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            while m % d == 0:
+                m //= d
+            result -= result // d
+        d += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+def conjugate_dot(terms) -> CycloNumber:
+    """Exact sum of w * x * conj(y) over (w, x, y) triples.
+
+    w is an integer or Fraction weight; x and y are CycloNumbers.  All
+    products are accumulated as raw powers of one common root of unity and
+    reduced modulo the cyclotomic polynomial once at the end, so long inner
+    products avoid the per-term reduction cost of repeated multiplication.
+    """
+    triples = [(w, x, y) for w, x, y in terms]
+    m = 1
+    for _, x, y in triples:
+        m = math.lcm(m, x.conductor, y.conductor)
+    acc: dict[int, int | Fraction] = {}
+    for w, x, y in triples:
+        if not w or not x.coeffs or not y.coeffs:
+            continue
+        fx = m // x.conductor
+        fy = m // y.conductor
+        for e1, q1 in x.coeffs.items():
+            wq1 = w * q1
+            base = e1 * fx
+            for e2, q2 in y.coeffs.items():
+                e = (base - e2 * fy) % m
+                acc[e] = acc.get(e, 0) + wq1 * q2
+    return CycloNumber._raw(m, _canonical(m, acc.items()))
+
+
+def to_complex(x: CycloNumber) -> complex:
+    """The value of x under the embedding z -> exp(2*pi*i/N)."""
+    step = 2j * cmath.pi / x.conductor
+    return sum(
+        (complex(q) * cmath.exp(step * e) for e, q in x.coeffs.items()),
+        complex(0),
+    )
 
 
 # -- literal pair actions -----------------------------------------------------

@@ -15,16 +15,14 @@ from functools import lru_cache
 from math import gcd
 
 from catalogs import ROUTE_120, ROUTE_500
-from oracles import presentation_for_family
-from thetadim.burnside import burnside_dims, orbit_count_dims
-from thetadim.characters import (
-    CharacterTable,
+from oracles import (
     check_column_orthogonality,
     check_degree_sum,
     check_row_orthogonality,
-    d2_char_formula,
-    table_for,
+    presentation_for_family,
 )
+from thetadim.burnside import burnside_dims, orbit_count_dims
+from thetadim.characters import CharacterTable, d2_char_formula, table_for
 from thetadim.cli import main
 from thetadim.closed_forms import SphericalSpec, closed_dims, closed_z2_orbit, spec_from_expr
 from thetadim.conjugacy import (

@@ -19,7 +19,13 @@ from thetadim.burnside import (
 )
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2
-from thetadim.group_core import FiniteGroup, cyclic_group, group_from_expr, group_order
+from thetadim.group_core import (
+    TABLE_MAX_ENTRIES,
+    FiniteGroup,
+    cyclic_group,
+    group_from_expr,
+    group_order,
+)
 
 
 def test_action_permutations_are_literal():
@@ -259,3 +265,13 @@ def test_budgets_are_checked_before_anything_is_built(monkeypatch):
     # invalid parameters are still reported as such, whatever the order
     with pytest.raises(ValueError):
         burnside_dims("Dprime(30,4)")
+
+
+def test_orbit_walk_visited_set_is_held_to_the_entries_budget(monkeypatch):
+    # C(182, 3) = 988,260 sorted triples fit in the budget, C(183, 3) = 1,004,731 do not
+    assert 182 * 181 * 180 // 6 <= TABLE_MAX_ENTRIES < 183 * 182 * 181 // 6
+    table = group_from_expr("Z(181)")
+    _refuse_tables_above(monkeypatch, 0)
+    for group in ("Z(181)", table):
+        with pytest.raises(ResourceLimitError, match="1004731 visited triples"):
+            orbit_count_dims(group, max_order=10**4)

@@ -10,15 +10,17 @@ from fractions import Fraction
 import pytest
 
 import thetadim.characters as characters
+from oracles import (
+    check_column_orthogonality,
+    check_degree_sum,
+    check_row_orthogonality,
+    real_char_sum,
+)
 from thetadim.characters import (
     CHAR_TABLE_MAX_CELLS,
     CharacterTable,
     _finish,
-    check_column_orthogonality,
-    check_degree_sum,
-    check_row_orthogonality,
     d2_char_formula,
-    real_char_sum,
     table_for,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr

@@ -131,6 +131,17 @@ def test_chars_cell_budget_exit_code_and_verify_skip(capsys):
     assert "chars     skipped:" in out and "cells" in out
 
 
+def test_max_order_flag_does_not_lift_the_entries_budget(capsys):
+    # the orbit walk's visited set and a single atom's table are both refused
+    for argv in (
+        ("compute", "--method", "orbits", "Z(181)", "--max-order", "1000"),
+        ("compute", "--method", "diagrams", "Z(1001)", "--max-order", "2000"),
+    ):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (3, "")
+        assert "budget is 1000000" in err
+
+
 def test_max_order_flag_lifts_budget(capsys):
     rc, out, _ = run(capsys, "compute", "Z(151)", "--method", "orbits", "--json", "--max-order", "151")
     assert rc == 0

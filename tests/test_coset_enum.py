@@ -4,8 +4,10 @@ direct table constructors."""
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import element_order, presentation_for_family
+from oracles import check_associativity, element_order, power, presentation_for_family
 from thetadim.conjugacy import compute_classes
 from thetadim.coset_enum import (
     DEFAULT_MAX_COSETS,
@@ -39,6 +41,70 @@ def test_parse_presentation_structure():
 def test_parse_presentation_rejects_malformed_text(text):
     with pytest.raises(ValueError):
         parse_presentation(text)
+
+
+def _inverse(columns):
+    # column 2i is generator i and 2i+1 its inverse
+    return [c ^ 1 for c in reversed(columns)]
+
+
+@st.composite
+def words(draw, names, depth=2):
+    """Random word text over `names` with its expected column sequence."""
+    text, columns = "", []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["gen", "one", "group"] if depth else ["gen", "one"]))
+        if kind == "gen":
+            i = draw(st.integers(0, len(names) - 1))
+            factor, cols = names[i], [2 * i]
+        elif kind == "one":
+            factor, cols = "1", []
+        else:
+            inner, cols = draw(words(names, depth - 1))
+            factor = f"({inner})"
+        if draw(st.booleans()):
+            e = draw(st.integers(-3, 3))
+            factor += f"^{e}"
+            cols = (_inverse(cols) if e < 0 else cols) * abs(e)
+        if text:
+            # no bare juxtaposition after an exponent: "a^2" "1" would read as a^21
+            seps = ["*", " ", " * "] + ([] if text[-1].isdigit() else [""])
+            text += draw(st.sampled_from(seps))
+        text += factor
+        columns += cols
+    return text, columns
+
+
+@st.composite
+def presentations(draw):
+    """Presentation text with relation chains, and the relators it should give."""
+    names = ["a", "b", "c"][: draw(st.integers(1, 3))]
+    relations, relators = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        chain = [draw(words(names)) for _ in range(draw(st.integers(1, 3)))]
+        relations.append(" = ".join(text for text, _ in chain))
+        if len(chain) == 1:
+            candidates = [chain[0][1]]
+        else:
+            # u = v = w abbreviates u*v^-1 and v*w^-1
+            candidates = [u + _inverse(v) for (_, u), (_, v) in zip(chain, chain[1:])]
+        relators += [tuple(r) for r in candidates if r]
+    text = f"<{','.join(names)} | {', '.join(relations)}>"
+    return text, tuple(names), tuple(relators)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(presentations())
+def test_presentation_words_expand_to_their_columns(case):
+    text, names, relators = case
+    p = parse_presentation(text)
+    assert p.generators == names
+    assert p.relators == relators
+
+
+def test_relation_chain_gives_consecutive_relators():
+    p = parse_presentation("<a,b | a^2 = b = a*b>")
+    assert p.relators == ((0, 0, 3), (2, 3, 1))
 
 
 def test_enumeration_of_small_presentations():
@@ -78,9 +144,9 @@ def test_group_from_presentation_satisfies_relations():
     G = group_from_presentation("<a,b | a^2, b^2, (a*b)^3>", family_tag="S3")
     assert G.order == 6
     assert G.family_tag == "S3"
-    G.check_associativity()
+    check_associativity(G)
     a, b = G.generators
-    assert G.power(a, 2) == 0 and G.power(b, 2) == 0
+    assert power(G, a, 2) == 0 and power(G, b, 2) == 0
     assert element_order(G, G.mul(a, b)) == 3
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from catalogs import ROUTE_120
 from thetadim.burnside import burnside_dims
-from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2, normalize
+from oracles import normalize
+from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2
 from thetadim.group_core import group_from_expr
 
 WALK_CATALOG = ["Z(2)", "Z(6)", "Dstar(2)", "Dstar(3)", "Dprime(0,3)", "Tstar"]

@@ -1,6 +1,8 @@
 """Group-expression parsing: grammar, normalization, and error reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetadim.expr import Atom, ExprSyntaxError, GroupExpr, expr_to_string, parse_group_expr
 
@@ -103,3 +105,36 @@ def test_atoms_are_immutable():
         e.atoms[0].kind = "Dstar"
     assert isinstance(e, GroupExpr)
     assert isinstance(e.atoms[0], Atom)
+
+
+# family name -> parameter count, written out independently of the parser
+ARITY = {"Z": 1, "Dstar": 1, "Dprime": 2, "Tstar": 0, "Tprime": 1, "Ostar": 0, "Istar": 0}
+
+_SPACE = st.text(alphabet=" \t\n", max_size=2)
+
+
+@st.composite
+def spelled_exprs(draw):
+    """A random atom list and one spelling of it with random case and whitespace."""
+    atoms, parts = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(sorted(ARITY)))
+        params = tuple(draw(st.integers(-50, 10**6)) for _ in range(ARITY[kind]))
+        atoms.append(Atom(kind, params))
+        text = draw(_SPACE) + "".join(
+            c.upper() if draw(st.booleans()) else c.lower() for c in kind
+        )
+        if params:
+            inner = ",".join(draw(_SPACE) + str(p) + draw(_SPACE) for p in params)
+            text += draw(_SPACE) + "(" + inner + ")"
+        parts.append(text + draw(_SPACE))
+    text = parts[0] + "".join(draw(st.sampled_from("xX")) + part for part in parts[1:])
+    return GroupExpr(tuple(atoms)), text
+
+
+@settings(max_examples=100, deadline=1000)
+@given(spelled_exprs())
+def test_grammar_round_trip_and_spellings(case):
+    expr, text = case
+    assert parse_group_expr(expr_to_string(expr)) == expr
+    assert parse_group_expr(text) == expr

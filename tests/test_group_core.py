@@ -1,17 +1,29 @@
 """Multiplication-table constructors: orders, axioms, defining relations."""
 
+import dataclasses
 import itertools
+from functools import reduce
 
 import pytest
 
-from catalogs import NON_SPHERICAL, ROUTE_120, SPHERICAL
-from oracles import conjugate, element_order
+import thetadim.group_core as group_core
+from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
+from oracles import (
+    check_associativity,
+    conjugate,
+    direct_product_literal,
+    element_order,
+    power,
+    validate_spherical,
+)
 from thetadim.expr import parse_group_expr
 from thetadim.group_core import (
+    TABLE_MAX_ENTRIES,
     FiniteGroup,
     ResourceLimitError,
     atom_group,
     binary_dihedral_group,
+    construct_family,
     cyclic_group,
     direct_product,
     dprime_group,
@@ -21,7 +33,6 @@ from thetadim.group_core import (
     ostar_group,
     tprime_group,
     tstar_group,
-    validate_spherical,
 )
 
 AXIOM_CATALOG = [
@@ -57,7 +68,7 @@ def test_group_axioms(expr):
     for i in range(n):
         assert sorted(G.mul(i, j) for j in range(n)) == list(range(n))
         assert sorted(G.mul(j, i) for j in range(n)) == list(range(n))
-    G.check_associativity()
+    check_associativity(G)
 
 
 def test_generators_generate():
@@ -117,20 +128,20 @@ def test_binary_dihedral_relations(p):
     G = binary_dihedral_group(p)
     a, x = G.generators
     assert element_order(G, a) == 2 * p
-    assert G.mul(x, x) == G.power(a, p)
+    assert G.mul(x, x) == power(G, a, p)
     assert conjugate(G, x, a) == G.inv(a)
     # x has order 4 and the central involution is a^p
     assert element_order(G, x) == (4 if p > 1 else 4)
-    assert G.power(x, 2) == G.power(a, p)
+    assert power(G, x, 2) == power(G, a, p)
 
 
 def test_quaternion_group_facts():
     G = binary_dihedral_group(2)
     i, j = G.generators
     k = G.mul(i, j)
-    m1 = G.power(i, 2)
+    m1 = power(G, i, 2)
     assert m1 != 0 and element_order(G, m1) == 2
-    assert G.power(j, 2) == m1 and G.power(k, 2) == m1
+    assert power(G, j, 2) == m1 and power(G, k, 2) == m1
     assert G.mul(j, i) == G.mul(m1, k)
     orders = sorted(element_order(G, g) for g in range(8))
     assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
@@ -153,7 +164,7 @@ def test_quaternion_tower_relations(k):
     y = conjugate(G, z, x)
     assert G.order == 8 * 3**k
     assert element_order(G, z) == 3**k
-    assert G.power(x, 2) == G.power(y, 2) == G.power(G.mul(x, y), 2)
+    assert power(G, x, 2) == power(G, y, 2) == power(G, G.mul(x, y), 2)
     assert element_order(G, x) == 4
     assert conjugate(G, z, y) == G.mul(x, y)
 
@@ -166,8 +177,8 @@ def test_binary_polyhedral_relations(make, q, order):
     G = make()
     a, b = G.generators
     assert G.order == order
-    c = G.power(G.mul(a, b), 2)
-    assert c == G.power(a, 3) == G.power(b, q)
+    c = power(G, G.mul(a, b), 2)
+    assert c == power(G, a, 3) == power(G, b, q)
     assert c != 0 and element_order(G, c) == 2
 
 
@@ -189,10 +200,10 @@ def test_power_and_element_order_consistency():
     G = group_from_expr("Dprime(1,5)")
     for g in range(G.order):
         d = element_order(G, g)
-        assert G.power(g, d) == 0
-        assert all(G.power(g, e) != 0 for e in range(1, d))
-        assert G.power(g, -1) == G.inv(g)
-        assert G.power(g, -3) == G.inv(G.power(g, 3))
+        assert power(G, g, d) == 0
+        assert all(power(G, g, e) != 0 for e in range(1, d))
+        assert power(G, g, -1) == G.inv(g)
+        assert power(G, g, -3) == G.inv(power(G, g, 3))
         assert G.order % d == 0
 
 
@@ -204,7 +215,7 @@ def test_direct_product_is_componentwise():
     for i1, i2, j1, j2 in itertools.product(range(3), range(n2), range(3), range(n2)):
         assert P.mul(i1 * n2 + i2, j1 * n2 + j2) == G1.mul(i1, j1) * n2 + G2.mul(i2, j2)
     assert P.labels[1] == "(e,a)"
-    P.check_associativity()
+    check_associativity(P)
 
 
 def test_direct_product_entry_budget():
@@ -215,6 +226,63 @@ def test_direct_product_entry_budget():
     assert direct_product(cyclic_group(3), cyclic_group(5), max_entries=225).order == 15
 
 
+# every product in the catalogs, plus two with three atoms
+PRODUCTS = list(
+    dict.fromkeys(
+        e
+        for catalog in (ROUTE_500, SPHERICAL, NON_SPHERICAL, RANDOM_PRODUCTS_500)
+        for e in catalog
+        if " x " in e
+    )
+) + ["Z(2) x Z(3) x Z(5)", "Z(5) x Z(7) x Dstar(2)"]
+
+
+@pytest.mark.parametrize("expr", PRODUCTS)
+def test_product_table_matches_the_literal_fill(expr):
+    atoms = parse_group_expr(expr).atoms
+    expected = reduce(direct_product_literal, map(construct_family, atoms))
+    got = group_from_expr(expr)
+    for field in FiniteGroup.__slots__:
+        assert getattr(got, field) == getattr(expected, field), field
+
+
+def test_a_product_builds_exactly_one_table(monkeypatch):
+    built = []
+    real_init = FiniteGroup.__init__
+
+    def counted(self, order, *args, **kwargs):
+        built.append(order)
+        real_init(self, order, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counted)
+    assert group_from_expr("Z(2) x Z(3) x Z(5)").order == 30
+    assert built == [30]
+
+
+def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
+    assert TABLE_MAX_ENTRIES == 10**6
+
+    def no_products(i, j):
+        raise AssertionError("a product was taken")
+
+    real_rule = group_core.cyclic_rule
+
+    def productless_rule(n):
+        return dataclasses.replace(real_rule(n), mul=no_products)
+
+    monkeypatch.setattr(group_core, "cyclic_rule", productless_rule)
+    monkeypatch.setitem(group_core._RULES, "Z", productless_rule)
+    # a single atom is held to the same budget as a product of the same order
+    with pytest.raises(ResourceLimitError) as err:
+        group_from_expr("Z(1001)")
+    assert str(err.value) == "Z(1001) needs 1002001 table entries, budget is 1000000."
+    with pytest.raises(ResourceLimitError) as err:
+        group_from_expr("Z(7) x Z(143)")
+    assert str(err.value) == (
+        "product of orders 7 and 143 needs 1002001 table entries, budget is 1000000."
+    )
+
+
 def test_group_from_expr_accepts_strings_and_folds_products():
     assert group_from_expr("Z(2)xZ(3)xZ(5)").order == 30
     assert group_from_expr("z(5) X TSTAR").family_tag == "Z(5)xTstar"
@@ -223,19 +291,19 @@ def test_group_from_expr_accepts_strings_and_folds_products():
 
 def test_table_constructor_rejects_malformed_tables():
     with pytest.raises(ValueError):
-        FiniteGroup(2, [0, 1, 1])  # wrong size
+        FiniteGroup(2, [0, 1, 1], generators=[1])  # wrong size
     with pytest.raises(ValueError):
-        FiniteGroup(2, [1, 0, 0, 1])  # 0 not an identity
+        FiniteGroup(2, [1, 0, 0, 1], generators=[1])  # 0 not an identity
     with pytest.raises(ValueError):
-        FiniteGroup(3, [0, 1, 2, 1, 1, 1, 2, 2, 2])  # no inverses
+        FiniteGroup(3, [0, 1, 2, 1, 1, 1, 2, 2, 2], generators=[1])  # no inverses
 
 
 def test_associativity_check_catches_corruption():
     table = [(i + j) % 5 for i in range(5) for j in range(5)]
     table[1 * 5 + 2] = 4  # cell not used by identity or inverse checks
-    bad = FiniteGroup(5, table)
+    bad = FiniteGroup(5, table, generators=[1])
     with pytest.raises(AssertionError):
-        bad.check_associativity()
+        check_associativity(bad)
 
 
 @pytest.mark.parametrize("expr", SPHERICAL)

@@ -1,5 +1,7 @@
-"""Package surface: the exported names are the ones README documents."""
+"""Package surface: the exported names are the ones README documents, and every
+other name a submodule exports is used by library code."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -22,3 +24,45 @@ def test_every_exported_name_is_documented_in_readme_library():
     ]
     assert undocumented == []
 
+
+
+def _library_modules() -> dict[str, ast.Module]:
+    return {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(Path(thetadim.__file__).parent.glob("*.py"))
+    }
+
+
+def _exports(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def test_every_submodule_export_is_used_by_library_code():
+    """A name exported only for the tests belongs in tests/, not in the library.
+
+    A use is a load of the name (or of an attribute so named) anywhere in the
+    library outside the name's own top-level definition; imports and the
+    strings of `__all__` do not count.
+    """
+    modules = _library_modules()
+    users: dict[str, set[tuple[str, str]]] = {}
+    for stem, tree in modules.items():
+        for top in tree.body:
+            owner = getattr(top, "name", "")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add((stem, owner))
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add((stem, owner))
+    unused = [
+        f"{stem}.{name}"
+        for stem, tree in modules.items()
+        for name in _exports(tree)
+        if name not in thetadim.__all__ and not users.get(name, set()) - {(stem, name)}
+    ]
+    assert unused == []
