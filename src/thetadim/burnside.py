@@ -270,7 +270,10 @@ def orbit_count_dims(
             f"order {n} exceeds the orbit-enumeration budget {budget}"
         )
     triples = (n + 2) * (n + 1) * n // 6
-    # group_from_expr refuses an expression over the table budget itself
+    # C(n+2, 3) > n^2 for n > 6, so this check alone would refuse every order
+    # past the table budget too; it lets an expression past the table budget
+    # through only so that _as_group refuses it with the table's message,
+    # which verify prints as its orbits skip line
     if triples > TABLE_MAX_ENTRIES and (
         isinstance(group, FiniteGroup) or n * n <= TABLE_MAX_ENTRIES
     ):

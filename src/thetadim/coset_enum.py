@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .group_core import FiniteGroup, ResourceLimitError
+from .group_core import TABLE_MAX_ENTRIES, FiniteGroup, ResourceLimitError
 
 __all__ = [
     "CosetTable",
@@ -316,13 +316,18 @@ def group_from_coset_table(
     Coset 0 is the trivial subgroup, so cosets are in bijection with group
     elements.  Multiplication columns are grown along a breadth-first search:
     if element j is reached from element j' by one generator column c, then
-    mul(-, j) is mul(-, j') followed by c.
+    mul(-, j) is mul(-, j') followed by c.  The table is held to
+    TABLE_MAX_ENTRIES before any column is grown.
     """
     n = ct.size
     ncols = 2 * len(ct.presentation.generators)
     if expected_order is not None and n != expected_order:
         raise ValueError(
             f"enumeration produced {n} cosets, expected order {expected_order}"
+        )
+    if n * n > TABLE_MAX_ENTRIES:
+        raise ResourceLimitError(
+            f"{n} cosets need {n * n} table entries, budget is {TABLE_MAX_ENTRIES}."
         )
     identity_col = list(range(n))
     columns: list[list[int] | None] = [None] * n

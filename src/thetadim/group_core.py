@@ -9,7 +9,10 @@ enumeration from their two-generator presentations.  `product_rule` composes
 two groups of either kind, so an expression's atoms fold into one rule, and
 `_tabulate` is the one place a rule becomes a multiplication table.  It
 refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
-product, a single atom included; no order budget lifts this.
+product, a single atom included; no order budget lifts this.  The other
+allocations held to the same budget check it themselves: the coset-enumerated
+table (`coset_enum.group_from_coset_table`) and the orbit walk's visited set
+(`burnside.orbit_count_dims`).
 """
 
 from __future__ import annotations
@@ -133,6 +136,8 @@ class NormalForm:
     label: Callable[[int], str]
     generators: list[int]
     family_tag: str
+    # (g1, g2) for a rule made by product_rule, whose table is filled from theirs
+    factors: tuple = ()
 
 
 def cyclic_rule(n: int) -> NormalForm:
@@ -297,27 +302,47 @@ def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> 
         label,
         [i1 * n2 for i1 in g1.generators] + list(g2.generators),
         f"{g1.family_tag or '?'}x{g2.family_tag or '?'}",
+        (g1, g2),
     )
 
 
-def _tabulate(
-    rule: NormalForm, max_entries: int = TABLE_MAX_ENTRIES, name: str = ""
-) -> FiniteGroup:
+def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
     """The multiplication table a rule defines.
 
-    A table of more than `max_entries` entries is refused before any product
-    is taken; `name` describes the group in the refusal (default: its tag).
+    A table of more than TABLE_MAX_ENTRIES entries is refused before any
+    product is taken; `name` describes the group in the refusal (default: its
+    tag).  A product rule's rows are filled from its factors' products, each
+    taken once, instead of calling the composed `mul` for every entry.
     """
-    n, mul = rule.order, rule.mul
-    if n * n > max_entries:
+    n = rule.order
+    if n * n > TABLE_MAX_ENTRIES:
         raise ResourceLimitError(
             f"{name or rule.family_tag} needs {n * n} table entries, "
-            f"budget is {max_entries}."
+            f"budget is {TABLE_MAX_ENTRIES}."
         )
-    table = array("i", [mul(i, j) for i in range(n) for j in range(n)])
+
+    def products(g: NormalForm | FiniteGroup) -> array:
+        if isinstance(g, FiniteGroup):
+            return g._mul
+        if not g.factors:
+            m, mul = g.order, g.mul
+            return array("i", [mul(i, j) for i in range(m) for j in range(m)])
+        g1, g2 = g.factors
+        n1, n2 = g1.order, g2.order
+        t1, t2 = products(g1), products(g2)
+        rows2 = [t2[i2 * n2 : (i2 + 1) * n2] for i2 in range(n2)]
+        table = array("i")
+        for i1 in range(n1):
+            # (i1, i2) * (j1, j2) = (i1*j1, i2*j2) has index (i1*j1)*n2 + i2*j2
+            row1 = [k * n2 for k in t1[i1 * n1 : (i1 + 1) * n1]]
+            for row2 in rows2:
+                for k in row1:
+                    table.extend([k + x for x in row2])
+        return table
+
     return FiniteGroup(
         n,
-        table,
+        products(rule),
         labels=[rule.label(i) for i in range(n)],
         family_tag=rule.family_tag,
         generators=rule.generators,
@@ -419,20 +444,18 @@ def construct_family(atom: Atom) -> FiniteGroup:
 
 
 def direct_product(
-    g1: NormalForm | FiniteGroup,
-    g2: NormalForm | FiniteGroup,
-    max_entries: int = TABLE_MAX_ENTRIES,
+    g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup
 ) -> FiniteGroup:
     """The multiplication table of `product_rule(g1, g2)`."""
     name = f"product of orders {g1.order} and {g2.order}"
-    return _tabulate(product_rule(g1, g2), max_entries, name)
+    return _tabulate(product_rule(g1, g2), name)
 
 
 def group_from_expr(expr: GroupExpr | str) -> FiniteGroup:
     """The multiplication table of an expression, the only table it builds.
 
     A product folds its atoms' rules and tabulates the result once, so no
-    factor table is built beyond a binary polyhedral atom's own.
+    factor `FiniteGroup` is built beyond a binary polyhedral atom's own.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -22,7 +23,7 @@ from thetadim.closed_forms import SphericalMatchError, spec_from_expr
 from thetadim.cyclo import CycloNumber, _canonical, exact_sum
 from thetadim.diagrams import _pair_moves
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
-from thetadim.group_core import FiniteGroup, _tabulate, atom_group, product_rule
+from thetadim.group_core import FiniteGroup, atom_group, product_rule
 
 # -- table-group element helpers ----------------------------------------------
 
@@ -97,10 +98,18 @@ def direct_product_literal(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def unbudgeted_table(expr: str) -> FiniteGroup:
-    """The table `group_from_expr` builds, without its entries budget, for
-    oracles checked on groups larger than the library tabulates."""
+    """The table `group_from_expr` builds, filled entry by entry from the
+    expression's composed rule with no entries budget, for oracles checked on
+    groups larger than the library tabulates."""
     rule = reduce(product_rule, map(atom_group, parse_group_expr(expr).atoms))
-    return _tabulate(rule, rule.order**2)
+    n, mul = rule.order, rule.mul
+    return FiniteGroup(
+        n,
+        array("i", [mul(i, j) for i in range(n) for j in range(n)]),
+        labels=[rule.label(i) for i in range(n)],
+        family_tag=rule.family_tag,
+        generators=rule.generators,
+    )
 
 
 def validate_spherical(expr: GroupExpr | str) -> tuple[bool, str | None]:

@@ -140,6 +140,13 @@ def test_infinite_presentation_hits_budget():
     assert DEFAULT_MAX_COSETS >= 2000
 
 
+def test_coset_table_is_held_to_the_entries_budget():
+    # 1001 cosets enumerate within the coset budget, but their table would not fit
+    with pytest.raises(ResourceLimitError) as err:
+        group_from_presentation("<a | a^1001>")
+    assert str(err.value) == "1001 cosets need 1002001 table entries, budget is 1000000."
+
+
 def test_group_from_presentation_satisfies_relations():
     G = group_from_presentation("<a,b | a^2, b^2, (a*b)^3>", family_tag="S3")
     assert G.order == 6

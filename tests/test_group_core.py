@@ -23,14 +23,17 @@ from thetadim.group_core import (
     ResourceLimitError,
     atom_group,
     binary_dihedral_group,
+    binary_dihedral_rule,
     construct_family,
     cyclic_group,
+    cyclic_rule,
     direct_product,
     dprime_group,
     group_from_expr,
     group_order,
     istar_group,
     ostar_group,
+    product_rule,
     tprime_group,
     tstar_group,
 )
@@ -222,8 +225,8 @@ def test_direct_product_entry_budget():
     with pytest.raises(ResourceLimitError):
         direct_product(cyclic_group(40), cyclic_group(40))
     with pytest.raises(ResourceLimitError):
-        direct_product(cyclic_group(3), cyclic_group(5), max_entries=100)
-    assert direct_product(cyclic_group(3), cyclic_group(5), max_entries=225).order == 15
+        direct_product(cyclic_group(7), cyclic_group(143))
+    assert direct_product(cyclic_group(10), cyclic_group(100)).order == 1000
 
 
 # every product in the catalogs, plus two with three atoms
@@ -244,6 +247,18 @@ def test_product_table_matches_the_literal_fill(expr):
     got = group_from_expr(expr)
     for field in FiniteGroup.__slots__:
         assert getattr(got, field) == getattr(expected, field), field
+
+
+def test_product_fill_agrees_with_the_composed_rule():
+    # a table factor on the left and a product rule on the right, which
+    # group_from_expr's left fold never makes
+    inner = product_rule(cyclic_rule(3), binary_dihedral_rule(1))
+    rule = product_rule(tstar_group(), inner)
+    got = direct_product(tstar_group(), inner)
+    n = rule.order
+    assert list(got._mul) == [rule.mul(i, j) for i in range(n) for j in range(n)]
+    assert got.labels == [rule.label(i) for i in range(n)]
+    check_associativity(got)
 
 
 def test_a_product_builds_exactly_one_table(monkeypatch):
