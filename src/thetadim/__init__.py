@@ -8,7 +8,7 @@ orbits and diagram enumeration) so that every number can be cross-checked.
 """
 
 from .burnside import BurnsideResult, burnside_dims, orbit_count_dims
-from .characters import d2_char_formula, table_for
+from .characters import d2_char_formula, real_character_sums, table_for
 from .closed_forms import closed_dims, spec_from_expr
 from .conjugacy import class_data_for, d1_class_formula, z2_orbit_count
 from .diagrams import dim_A2
@@ -30,6 +30,7 @@ __all__ = [
     "group_from_expr",
     "orbit_count_dims",
     "parse_group_expr",
+    "real_character_sums",
     "spec_from_expr",
     "table_for",
     "z2_orbit_count",

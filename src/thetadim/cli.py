@@ -3,14 +3,16 @@
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
 3 resource budget exceeded, 4 internal check failed (an integrality,
-alignment or character-table invariant did not hold; this is a bug, reported
-as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
+alignment or character invariant such as the Brauer or Frobenius-Schur count
+did not hold; this is a bug, reported as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
 brute-force order budgets; an explicit --max-order flag wins over the
 environment.  Neither lifts group_core.TABLE_MAX_ENTRIES (10^6): a
 multiplication table, a single atom's included, or an orbit walk's visited
 set beyond it exits with code 3.  The chars route and chartab refuse a
 character table of more than characters.CHAR_TABLE_MAX_CELLS (10^7) cells
-with exit code 3.
+with exit code 3.  Only chartab builds that table: the chars route takes the
+class data and real character sums from characters.real_character_sums,
+which builds the real rows alone.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .burnside import (
     burnside_dims,
     orbit_count_dims,
 )
-from .characters import d2_char_formula, table_for
+from .characters import d2_char_formula, real_character_sums, table_for
 from .closed_forms import (
     SphericalMatchError,
     closed_class_count,
@@ -107,13 +109,12 @@ def _closed(expr: GroupExpr, budgets):
 
 
 def _chars(expr: GroupExpr, budgets):
-    table = table_for(expr)
-    cd = table.class_data
+    cd, sums = real_character_sums(expr)
     d1 = d1_class_formula(cd)
-    d2 = d2_char_formula(table)
+    d2 = d2_char_formula(cd, sums)
     dim = (d1 + d2) / 2
     if dim.denominator != 1:
-        raise AssertionError(f"(d1+d2)/2 is not an integer for {table.group_name}")
+        raise AssertionError(f"(d1+d2)/2 is not an integer for {expr_to_string(expr)}")
     return cd.order, cd.num_classes, d1, d2, int(dim), z2_orbit_count(cd)
 
 

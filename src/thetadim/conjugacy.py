@@ -190,8 +190,15 @@ def delta3_weighted_sum(cd: ClassData) -> Fraction:
     cube class, with W3 the cube-class weights, so the sum runs in O(k).
     """
     sizes = cd.sizes
-    weights = power_class_weights(cd.cube_class, sizes)
-    return sum((Fraction(w * w, sizes[c]) for c, w in enumerate(weights) if w), Fraction(0))
+    by_size: dict[int, int] = {}
+    for c, w in enumerate(power_class_weights(cd.cube_class, sizes)):
+        by_size[sizes[c]] = by_size.get(sizes[c], 0) + w * w
+    return _sum_over_denominators(by_size)
+
+
+def _sum_over_denominators(numerators: dict[int, int]) -> Fraction:
+    """Sum of numerators[d] / d: one Fraction per distinct denominator d."""
+    return sum((Fraction(num, d) for d, num in numerators.items()), Fraction(0))
 
 
 def d1_class_formula(cd: ClassData) -> Fraction:
@@ -201,8 +208,12 @@ def d1_class_formula(cd: ClassData) -> Fraction:
     plus (1/(3|G|)) * the cube-matched pair sum.
     """
     n = cd.order
-    single = Fraction(0)
-    for c in range(cd.num_classes):
-        size = cd.sizes[c]
-        single += Fraction(n, size) + Fraction(3 * size, cd.sizes[cd.square_class[c]])
+    sizes = cd.sizes
+    # |C| divides |G|, so the first terms are integers; the second are grouped
+    # by their denominator, the size of the square class
+    whole = sum(n // size for size in sizes)
+    by_square: dict[int, int] = {}
+    for size, sq in zip(sizes, cd.square_class):
+        by_square[sizes[sq]] = by_square.get(sizes[sq], 0) + 3 * size
+    single = whole + _sum_over_denominators(by_square)
     return single / 6 + delta3_weighted_sum(cd) / (3 * n)

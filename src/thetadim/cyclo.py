@@ -294,7 +294,11 @@ def zeta(n: int, k: int = 1) -> CycloNumber:
     """The k-th power of a fixed primitive n-th root of unity."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
-    return CycloNumber(n, [(k % n, 1)])
+    k %= n
+    if 2 * k % n == 0:
+        # +-1 is already in canonical form, so no reduction table is built
+        return CycloNumber._raw(n, {0: 1 if k == 0 else -1})
+    return CycloNumber(n, [(k, 1)])
 
 
 def sqrt_minus_one() -> CycloNumber:
@@ -322,14 +326,20 @@ def exact_sum(values) -> CycloNumber:
     Every value is embedded in one common conductor as raw powers of its root
     of unity, the coefficients are added by exponent, and the result is
     reduced modulo the cyclotomic polynomial at the end, so a long sum costs
-    one reduction instead of one dict copy per term.
+    one reduction instead of one dict copy per term.  The common conductor is
+    that of the irrational values only: a rational value is its exponent-0
+    coefficient in every conductor, so a sum of rationals reduces at
+    conductor 1.
     """
     values = list(values)
     m = 1
     for x in values:
-        m = math.lcm(m, x.conductor)
+        c = x.coeffs
+        if m % x.conductor and c and (len(c) > 1 or 0 not in c):
+            m = math.lcm(m, x.conductor)
     acc: dict[int, int | Fraction] = {}
     for x in values:
+        # a rational value has exponent 0 only, whatever f is
         f = m // x.conductor
         for e, q in x.coeffs.items():
             e *= f

@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 import thetadim.characters as characters
+from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_500, SPHERICAL
 from oracles import (
     check_column_orthogonality,
     check_degree_sum,
@@ -19,8 +20,10 @@ from oracles import (
 from thetadim.characters import (
     CHAR_TABLE_MAX_CELLS,
     CharacterTable,
+    _atom_layout,
     _finish,
     d2_char_formula,
+    real_character_sums,
     table_for,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
@@ -198,7 +201,7 @@ KNOWN_D2 = {
 
 @pytest.mark.parametrize("expr,value", sorted(KNOWN_D2.items()))
 def test_real_summand_dimension_known_values(expr, value):
-    got = d2_char_formula(table_for(expr))
+    got = d2_char_formula(*real_character_sums(expr))
     assert isinstance(got, Fraction)
     assert got == value
 
@@ -219,9 +222,8 @@ SLOW_CONDUCTORS = ["Z(1995)", "Dstar(245)", "Dstar(247)", "Dprime(1,55)"]
 
 @pytest.mark.parametrize("expr", SLOW_CONDUCTORS)
 def test_chars_route_matches_closed_form_on_slow_conductors(expr):
-    table = table_for(expr)
-    cd = table.class_data
-    dim = (d1_class_formula(cd) + d2_char_formula(table)) / 2
+    cd, sums = real_character_sums(expr)
+    dim = (d1_class_formula(cd) + d2_char_formula(cd, sums)) / 2
     assert dim.denominator == 1
     want_dim, want_ker = closed_dims(spec_from_expr(expr))
     assert (dim, dim - z2_orbit_count(cd)) == (want_dim, want_ker)
@@ -243,3 +245,72 @@ def test_cell_budget_admits_z2000_and_still_reports_bad_parameters():
     # invalid parameters are still reported as such, however large the table
     with pytest.raises(ValueError):
         table_for("Dprime(30,4)")
+
+
+@pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
+def test_route_keeps_the_cell_budget_and_checks_it_before_classes(monkeypatch, expr):
+    def refuse(*args):
+        raise AssertionError("computed classes for a route over the cell budget")
+
+    monkeypatch.setattr(characters, "compute_classes", refuse)
+    with pytest.raises(ResourceLimitError) as err:
+        real_character_sums(expr)
+    assert str(CHAR_TABLE_MAX_CELLS) in str(err.value) and "cells" in str(err.value)
+    with pytest.raises(ValueError):
+        real_character_sums("Dprime(30,4)")
+
+
+# every family and product shape of the catalogs, the slow conductors, and a
+# three-factor product
+ROUTE_CATALOG = sorted(
+    set(ROUTE_500 + SPHERICAL + NON_SPHERICAL + RANDOM_PRODUCTS_500 + SLOW_CONDUCTORS)
+    | {"Z(3) x Dstar(2) x Z(5)"}
+)
+
+
+@pytest.mark.parametrize("expr", ROUTE_CATALOG)
+def test_real_character_sums_match_the_full_table(expr):
+    table = table_for(expr)
+    cd, sums = real_character_sums(expr)
+    assert cd == table.class_data
+    assert sums == [real_char_sum(table, c) for c in range(cd.num_classes)]
+
+
+LAYOUT_ATOMS = [
+    "Z(1)",
+    "Z(2)",
+    "Z(5)",
+    "Z(12)",
+    "Dstar(1)",
+    "Dstar(2)",
+    "Dstar(3)",
+    "Dstar(6)",
+    "Dprime(0,3)",
+    "Dprime(1,3)",
+    "Dprime(1,5)",
+    "Dprime(2,5)",
+    "Tprime(1)",
+    "Tprime(2)",
+    "Tprime(3)",
+    "Tstar",
+    "Ostar",
+    "Istar",
+]
+
+
+@pytest.mark.parametrize("expr", LAYOUT_ATOMS)
+def test_real_rows_are_the_layout_rows_with_their_frobenius_schur_indicators(expr):
+    atom = parse_group_expr(expr).atoms[0]
+    name, cd, rows = _atom_layout(atom, real_only=False)
+    real_name, real_cd, real_rows = _atom_layout(atom, real_only=True)
+    assert (real_name, real_cd) == (name, cd)
+    declared_real = [row for row in rows if row[1]]
+    assert [(n, nu) for n, nu, _ in real_rows] == [(n, nu) for n, nu, _ in declared_real]
+    for (_, _, got), (_, _, want) in zip(real_rows, declared_real):
+        assert all(a == b for a, b in zip(got, want))
+    # the declared indicator is (1/|G|) sum |C| chi(C^2), recomputed from the full row
+    for row_name, nu, values in rows:
+        acc = from_rational(0)
+        for c in range(cd.num_classes):
+            acc = acc + cd.sizes[c] * values[cd.square_class[c]]
+        assert (acc / cd.order).as_rational() == nu, row_name

@@ -1,6 +1,8 @@
 """Command-line front end: exit codes, output formats, budget plumbing."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,7 @@ import thetadim.characters as characters
 import thetadim.cli as cli
 from catalogs import RANDOM_PRODUCTS_500
 from thetadim.cli import main
+from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_rational
 from thetadim.group_core import FiniteGroup
 from thetadim.report import CSV_HEADER
@@ -323,3 +326,80 @@ def test_internal_check_failure_exit_code(capsys, monkeypatch, argv):
     assert len(lines) == 1
     assert lines[0].startswith("internal check failed: Dstar(3):")
     assert "Traceback" not in err
+
+
+def _chars_large_pool() -> list[str]:
+    # the benchmark's chars_large catalog, every pool member of every slot
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [expr for slot in workloads.WORKLOADS["chars_large"][1] for expr in slot]
+
+
+def test_chars_route_builds_no_full_character_table(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the chars route built a full character table")
+
+    monkeypatch.setattr(characters, "table_for", refuse)
+    monkeypatch.setattr(characters, "_product_table", refuse)
+    monkeypatch.setattr(cli, "table_for", refuse)
+    pool = _chars_large_pool()
+    assert "Z(2000)" in pool and "Z(13) x Istar" in pool
+    for expr in pool:
+        rc, out, err = run(capsys, "compute", expr, "--method", "chars", "--json")
+        assert (rc, err) == (0, ""), expr
+        data = json.loads(out)
+        want = closed_dims(spec_from_expr(expr))
+        assert (data["dim_Cpi"], data["dim_ker_eps"]) == want, expr
+
+
+def _doctored(monkeypatch, builder: str, edit):
+    """Replace a family layout so that its real rows pass through `edit`."""
+    original = getattr(characters, builder)
+
+    def layout(*params):
+        name, cd, rows = original(*params)
+        if params[-1]:  # real_only
+            rows = edit(list(rows), original, params)
+        return name, cd, rows
+
+    monkeypatch.setattr(characters, builder, layout)
+
+
+def _drop_last_row(rows, original, params):
+    return rows[:-1]
+
+
+def _flip_last_indicator(rows, original, params):
+    name, nu, values = rows[-1]
+    return rows[:-1] + [(name, -nu, values)]
+
+
+def _add_non_real_row(rows, original, params):
+    _, _, full = original(*params[:-1], False)
+    name, _, values = full[1]  # V_1 of Z(n)
+    return rows + [(name, 1, values)]
+
+
+@pytest.mark.parametrize(
+    "builder,edit,expr,check",
+    [
+        ("_binary_dihedral_layout", _drop_last_row, "Dstar(4)", "self-inverse classes"),
+        ("_binary_dihedral_layout", _flip_last_indicator, "Dstar(4)", "Frobenius-Schur count"),
+        ("_tprime_layout", _flip_last_indicator, "Tprime(2)", "Frobenius-Schur count"),
+        ("_polyhedral_layout", _flip_last_indicator, "Istar", "Frobenius-Schur count"),
+        ("_cyclic_layout", _add_non_real_row, "Z(5)", "not constant on inverse classes"),
+    ],
+    ids=["drop-row", "flip-nu-dstar", "flip-nu-tprime", "flip-nu-istar", "non-real-row"],
+)
+def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edit, expr, check):
+    _doctored(monkeypatch, builder, edit)
+    rc, out, err = run(capsys, "compute", expr, "--method", "chars")
+    assert (rc, out) == (cli.EXIT_INTERNAL, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"internal check failed: {expr}:")
+    assert check in lines[0]
+    # the full table reads the same layout but is not checked by the route
+    assert run(capsys, "chartab", expr)[0] == 0
