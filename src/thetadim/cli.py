@@ -4,15 +4,15 @@ Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
 3 resource budget exceeded, 4 internal check failed (an integrality,
 alignment or character invariant such as the Brauer or Frobenius-Schur count
-did not hold; this is a bug, reported as one line instead of a traceback).  THETA_DIM_MAX_ORDER overrides the
-brute-force order budgets; an explicit --max-order flag wins over the
-environment.  Neither lifts group_core.TABLE_MAX_ENTRIES (10^6): a
-multiplication table, a single atom's included, or an orbit walk's visited
-set beyond it exits with code 3.  The chars route and chartab refuse a
-character table of more than characters.CHAR_TABLE_MAX_CELLS (10^7) cells
-with exit code 3.  Only chartab builds that table: the chars route takes the
-class data and real character sums from characters.real_character_sums,
-which builds the real rows alone.
+did not hold; this is a bug, reported as one line instead of a traceback).
+THETA_DIM_MAX_ORDER overrides the brute-force order budgets; an explicit
+--max-order flag wins over the environment.  Neither lifts
+group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table, a single atom's
+included, or an orbit walk's visited set beyond it exits with code 3.  The
+chars route and chartab refuse a character table of more than
+characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  Only chartab
+builds that table: the chars route takes the class data and real character
+sums from characters.real_character_sums, which builds the real rows alone.
 """
 
 from __future__ import annotations

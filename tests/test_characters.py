@@ -245,6 +245,8 @@ def test_cell_budget_admits_z2000_and_still_reports_bad_parameters():
     # invalid parameters are still reported as such, however large the table
     with pytest.raises(ValueError):
         table_for("Dprime(30,4)")
+    with pytest.raises(ValueError):
+        real_character_sums("Dprime(30,4)")
 
 
 @pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
@@ -256,8 +258,6 @@ def test_route_keeps_the_cell_budget_and_checks_it_before_classes(monkeypatch, e
     with pytest.raises(ResourceLimitError) as err:
         real_character_sums(expr)
     assert str(CHAR_TABLE_MAX_CELLS) in str(err.value) and "cells" in str(err.value)
-    with pytest.raises(ValueError):
-        real_character_sums("Dprime(30,4)")
 
 
 # every family and product shape of the catalogs, the slow conductors, and a
