@@ -401,5 +401,5 @@ def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edi
     assert len(lines) == 1
     assert lines[0].startswith(f"internal check failed: {expr}:")
     assert check in lines[0]
-    # the full table reads the same layout but is not checked by the route
+    # only the real-only layout is doctored, and chartab reads the full one
     assert run(capsys, "chartab", expr)[0] == 0
