@@ -180,18 +180,21 @@ def _real_sums(name: str, cd: ClassData, rows: list[_Row]) -> list[int]:
     return sums
 
 
-def d2_char_formula(cd: ClassData, sums: list[int]) -> Fraction:
-    """Invariant dimension of the twisted cube action, from real character sums.
+def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
+    """Class data of `expr` and d2, the invariant dimension of the twisted cube action.
 
-    Evaluates (1/(6|G|)) * sum over classes |C| * (S^3 + 3*(|G|/|C|)*S + 2*S3)
-    where S = sums[C] is the real character sum at the class and S3 the sum at
-    its cube class.
+    Takes S = `real_character_sums(expr)` and evaluates, in O(k),
+    (1/(6|G|)) * sum over classes |C| * (S^3 + 3*(|G|/|C|)*S + 2*S3)
+    where S = S[C] is the real character sum at the class and S3 the sum at
+    its cube class.  The class data is returned with d2 so that the chars
+    route computes it once.
     """
+    cd, sums = real_character_sums(expr)
     n = cd.order
     total = 0
     for size, s, cube in zip(cd.sizes, sums, cd.cube_class):
         total += size * (s**3 + 2 * sums[cube]) + 3 * n * s
-    return Fraction(total, 6 * n)
+    return cd, Fraction(total, 6 * n)
 
 
 # -- family layouts -----------------------------------------------------------

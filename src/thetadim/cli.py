@@ -11,8 +11,9 @@ group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table, a single atom's
 included, or an orbit walk's visited set beyond it exits with code 3.  The
 chars route and chartab refuse a character table of more than
 characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  Only chartab
-builds that table: the chars route takes the class data and real character
-sums from characters.real_character_sums, which builds the real rows alone.
+builds that table: the chars route takes the class data and d2 from
+characters.d2_char_formula, which sums the real rows alone
+(characters.real_character_sums).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .burnside import (
     burnside_dims,
     orbit_count_dims,
 )
-from .characters import d2_char_formula, real_character_sums, table_for
+from .characters import d2_char_formula, table_for
 from .closed_forms import (
     SphericalMatchError,
     closed_class_count,
@@ -109,9 +110,8 @@ def _closed(expr: GroupExpr, budgets):
 
 
 def _chars(expr: GroupExpr, budgets):
-    cd, sums = real_character_sums(expr)
+    cd, d2 = d2_char_formula(expr)
     d1 = d1_class_formula(cd)
-    d2 = d2_char_formula(cd, sums)
     dim = (d1 + d2) / 2
     if dim.denominator != 1:
         raise AssertionError(f"(d1+d2)/2 is not an integer for {expr_to_string(expr)}")

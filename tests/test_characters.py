@@ -201,7 +201,7 @@ KNOWN_D2 = {
 
 @pytest.mark.parametrize("expr,value", sorted(KNOWN_D2.items()))
 def test_real_summand_dimension_known_values(expr, value):
-    got = d2_char_formula(*real_character_sums(expr))
+    got = d2_char_formula(expr)[1]
     assert isinstance(got, Fraction)
     assert got == value
 
@@ -222,8 +222,8 @@ SLOW_CONDUCTORS = ["Z(1995)", "Dstar(245)", "Dstar(247)", "Dprime(1,55)"]
 
 @pytest.mark.parametrize("expr", SLOW_CONDUCTORS)
 def test_chars_route_matches_closed_form_on_slow_conductors(expr):
-    cd, sums = real_character_sums(expr)
-    dim = (d1_class_formula(cd) + d2_char_formula(cd, sums)) / 2
+    cd, d2 = d2_char_formula(expr)
+    dim = (d1_class_formula(cd) + d2) / 2
     assert dim.denominator == 1
     want_dim, want_ker = closed_dims(spec_from_expr(expr))
     assert (dim, dim - z2_orbit_count(cd)) == (want_dim, want_ker)

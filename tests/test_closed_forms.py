@@ -8,7 +8,7 @@ import pytest
 from catalogs import NON_SPHERICAL, SPHERICAL
 from oracles import closed_delta3, closed_family_d1, closed_family_d2
 from thetadim.burnside import burnside_dims
-from thetadim.characters import d2_char_formula, real_character_sums
+from thetadim.characters import d2_char_formula
 from thetadim.closed_forms import (
     SphericalMatchError,
     SphericalSpec,
@@ -122,7 +122,7 @@ def test_family_polynomials_match_class_and_character_data(atom):
     cd = compute_classes(group_from_expr(expr))
     assert closed_delta3(atom) == delta3_weighted_sum(cd)
     assert closed_family_d1(atom) == d1_class_formula(cd)
-    assert closed_family_d2(atom) == d2_char_formula(*real_character_sums(expr))
+    assert closed_family_d2(atom) == d2_char_formula(expr)[1]
 
 
 def test_tower_polynomials_require_level_two():
