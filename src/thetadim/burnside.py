@@ -12,10 +12,10 @@ counts from two literally-counted tables, and is the trusted reference;
 "class" reduces both sums to O(k) sums over the k conjugacy classes and
 needs only class data, so it builds no multiplication table for an
 expression.  Orbit enumeration on sorted monomial triples provides a third,
-lemma-free count of the same dimension.  It walks only the left translations
-by the generators and the inversion i: conjugating a left translation x -> g*x
-by i gives the right translation x -> x*g^-1, so these moves reach every pair
-action.
+lemma-free count of the same dimension.  Every orbit meets the triples that
+contain the identity, so it walks only those, as sorted pairs {e, u, v}:
+re-centring at u or v, conjugation by the generators and inversion connect
+exactly the pairs whose triples share an orbit.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from fractions import Fraction
 from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .group_core import (
-    TABLE_MAX_ENTRIES,
     FiniteGroup,
     ResourceLimitError,
     group_from_expr,
@@ -249,19 +248,29 @@ def orbit_count_dims(
     """Number of monomial-triple orbits under both pair actions and inversion.
 
     Equals the full invariant dimension, and cross-checks burnside_dims by
-    Burnside's lemma.  Literal closure over sorted triples, keyed by the
-    combinatorial rank of the strictly increasing lift (a, b+1, c+2).  The
-    moves are the left translations L_s: x -> s*x by the generators s and the
-    inversion i.  Since i L_g i is the right translation x -> x*g^-1, these
-    moves generate the same group as both pair actions and inversion, so the
-    orbits are the same.  Each new orbit starts at the first unvisited rank,
-    found by `bytearray.find` and unranked by bisection, so the walk takes one
-    Python step per orbit start instead of one per triple.
+    Burnside's lemma.  Every orbit meets the identity slice, the multisets
+    {e, u, v} that contain the identity e (element 0), so the walk runs over
+    sorted pairs u <= v, one per such multiset, of rank v(v+1)/2 + u.  Its
+    moves give the same orbits as the whole group acting on all triples:
 
-    The visited set has C(n+2, 3) entries and is held to TABLE_MAX_ENTRIES,
-    which no order budget lifts (order 181 is the first refused), before
-    anything is built.  An expression too large to tabulate is refused by its
-    table budget instead.
+    1. A pair action (g, h) keeps {e, u, v} in the slice only when g*h^-1,
+       g*u*h^-1 or g*v*h^-1 is e.
+    2. So every such action is the conjugation x -> h*x*h^-1 composed with
+       the identity, with the re-centre at u (left multiplication by u^-1,
+       giving {u^-1, e, u^-1*v}) or with the re-centre at v.
+    3. Inversion maps the slice to itself.
+    4. Conjugations by the generators s generate all conjugations.
+
+    Each state therefore has |S| + 3 moves: both re-centres, the inversion
+    {e, u^-1, v^-1} and each conjugation {e, s^-1*u*s, s^-1*v*s}, and each
+    move re-sorts its pair.  Each new orbit starts at the first unvisited
+    rank, found by `bytearray.find` and unranked by bisection, so the walk
+    takes one Python step per orbit start instead of one per state.
+
+    The slice has n(n+1)/2 states, fewer than the n^2 entries of the group's
+    table, so the table's entries budget bounds the walk too: an expression
+    too large to tabulate is refused with the table's message before anything
+    is built.
     """
     n = group_order(group)
     budget = DEFAULT_ORBIT_MAX_ORDER if max_order is None else max_order
@@ -269,50 +278,41 @@ def orbit_count_dims(
         raise ResourceLimitError(
             f"order {n} exceeds the orbit-enumeration budget {budget}"
         )
-    triples = (n + 2) * (n + 1) * n // 6
-    # C(n+2, 3) > n^2 for n > 6, so this check alone would refuse every order
-    # past the table budget too; it lets an expression past the table budget
-    # through only so that _as_group refuses it with the table's message,
-    # which verify prints as its orbits skip line
-    if triples > TABLE_MAX_ENTRIES and (
-        isinstance(group, FiniteGroup) or n * n <= TABLE_MAX_ENTRIES
-    ):
-        raise ResourceLimitError(
-            f"order {n} needs {triples} visited triples, budget is {TABLE_MAX_ENTRIES}."
-        )
     group = _as_group(group)
+    mul = group._mul
+    inv = list(group.inverses)
+    perms = [
+        [mul[mul[inv[s] * n + x] * n + s] for x in range(n)] for s in group.generators
+    ]
+    perms.append(inv)
 
-    moves = [[group.mul(s, x) for x in range(n)] for s in group.generators]
-    moves.append(list(group.inverses))
-
-    # shifted so that the sorted triple a <= b <= c has rank c3[c] + c2[b] + a
-    c2 = [(i + 1) * i // 2 for i in range(n)]
-    c3 = [(i + 2) * (i + 1) * i // 6 for i in range(n)]
-
-    visited = bytearray(triples)
+    half = [v * (v + 1) // 2 for v in range(n)]
+    visited = bytearray(n * (n + 1) // 2)
     orbits = 0
     start = visited.find(0)
     while start >= 0:
         orbits += 1
         visited[start] = 1
-        c = bisect_right(c3, start) - 1
-        rest = start - c3[c]
-        b = bisect_right(c2, rest) - 1
-        stack = [(rest - c2[b], b, c)]
+        v = bisect_right(half, start) - 1
+        stack = [(start - half[v], v)]
         pop, push = stack.pop, stack.append
         while stack:
-            a, b, c = pop()
-            for move in moves:
-                x, y, z = move[a], move[b], move[c]
+            u, v = pop()
+            ui, vi = inv[u], inv[v]
+            for x, y in ((ui, mul[ui * n + v]), (vi, mul[vi * n + u])):
                 if x > y:
                     x, y = y, x
-                if y > z:
-                    y, z = z, y
-                    if x > y:
-                        x, y = y, x
-                r = c3[z] + c2[y] + x
+                r = half[y] + x
                 if not visited[r]:
                     visited[r] = 1
-                    push((x, y, z))
+                    push((x, y))
+            for perm in perms:
+                x, y = perm[u], perm[v]
+                if x > y:
+                    x, y = y, x
+                r = half[y] + x
+                if not visited[r]:
+                    visited[r] = 1
+                    push((x, y))
         start = visited.find(0, start + 1)
     return orbits

@@ -7,18 +7,18 @@ alignment or character invariant such as the Brauer or Frobenius-Schur count
 did not hold; this is a bug, reported as one line instead of a traceback).
 THETA_DIM_MAX_ORDER overrides the brute-force order budgets; an explicit
 --max-order flag wins over the environment.  Neither lifts
-group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table, a single atom's
-included, or an orbit walk's visited set beyond it exits with code 3.  The
-chars route and chartab refuse a character table of more than
-characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  Only chartab
-builds that table: the chars route takes the class data and d2 from
-characters.d2_char_formula, which sums the real rows alone
-(characters.real_character_sums).
+group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table beyond it, a
+single atom's included, exits with code 3.  The chars route and chartab
+refuse a character table of more than characters.CHAR_TABLE_MAX_CELLS (10^7)
+cells with exit code 3.  Only chartab builds that table: the chars route
+takes the class data and d2 from characters.d2_char_formula, which sums the
+real rows alone (characters.real_character_sums).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import os
 import sys
@@ -99,7 +99,9 @@ def _budgets(args) -> dict[str, int]:
 # -- computation routes -------------------------------------------------------
 #
 # Each route returns (order, classes, d1, d2, dim, z2); _run times it and
-# builds the report.  Routes call library functions through this module's
+# builds the report.  The orbits and diagrams routes leave classes and z2 as
+# None for _run to fill from the class data of their table, which verify
+# computes once for both.  Routes call library functions through this module's
 # globals, so a tracer that rebinds those names sees every call.
 
 
@@ -124,8 +126,7 @@ def _burnside(group: FiniteGroup | GroupExpr, budgets):
 
 
 def _enumerated(group: FiniteGroup, dim: int):
-    cd = compute_classes(group)
-    return group.order, cd.num_classes, None, None, dim, z2_orbit_count(cd)
+    return group.order, None, None, None, dim, None
 
 
 def _orbits(group: FiniteGroup | GroupExpr, budgets):
@@ -156,15 +157,21 @@ def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
         return expr
 
 
-def _run(name: str, expr: GroupExpr, budgets, group=None) -> DimensionReport:
+def _run(name: str, expr: GroupExpr, budgets, group=None, classes_of=None) -> DimensionReport:
     """Route `name` as a timed report; closed and chars see only `expr`, the others
-    `group`, the `_table_within` result verify shares, or else their own."""
+    `group`, the `_table_within` result verify shares, or else their own.
+    `classes_of(table)` gives the class data an enumeration route's report needs;
+    verify passes a memo of `compute_classes` so its table's classes are found once.
+    Class data never feeds an enumerated dimension."""
     t0 = time.perf_counter()
     if name in ("closed", "chars"):
         group = expr
     elif group is None:
         group = expr if name == "burnside" else _table_within(expr, budgets[name])
     order, classes, d1, d2, dim, z2 = _ROUTES[name](group, budgets)
+    if classes is None:
+        cd = (classes_of or compute_classes)(group)
+        classes, z2 = cd.num_classes, z2_orbit_count(cd)
     return DimensionReport(
         group=expr_to_string(expr),
         order=order,
@@ -214,12 +221,13 @@ def _cmd_verify(args) -> int:
     expr = parse_group_expr(args.expr)
     budgets = _budgets(args)
     group = _table_within(expr, max(budgets["orbits"], budgets["diagrams"]))
+    classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:
         log.info("running %s on %s", name, expr_to_string(expr))
         try:
-            rep = _run(name, expr, budgets, group)
+            rep = _run(name, expr, budgets, group, classes_of)
         except (SphericalMatchError, ResourceLimitError) as exc:
             lines.append(f"  {name:<9} skipped: {exc}")
             continue

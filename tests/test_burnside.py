@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalogs import ROUTE_120
 from oracles import orbit_count_literal, plain_action, sym3_trace, twisted_action
@@ -213,11 +215,32 @@ def test_orbit_count_depends_only_on_the_generated_group(expr):
 
 
 def test_orbit_count_grows_when_generators_miss_the_group():
-    # a move left out of the walk would go unnoticed without this check
+    # a move left out of the walk would go unnoticed without this check;
+    # the generators act by conjugation, so the group must be non-abelian
+    G = group_from_expr("Tstar")
+    assert orbit_count_dims(G) == 15
+    for kept in list(G.generators):
+        G.generators = [kept]
+        assert orbit_count_dims(G) > 15
+
+
+@pytest.mark.parametrize("generators", [[], [1], [2, 1], [1, 2, 3]])
+def test_orbit_count_of_an_abelian_group_ignores_the_generators(generators):
+    # conjugation is trivial, so re-centring and inversion reach every orbit
     G = group_from_expr("Z(2) x Z(2)")
-    full = orbit_count_dims(G)
-    G.generators = G.generators[:1]
-    assert orbit_count_dims(G) > full
+    G.generators = generators
+    assert orbit_count_dims(G) == 5
+
+
+@settings(max_examples=25, deadline=2000)
+@given(
+    st.sampled_from([e for e in ROUTE_120 if group_order(e) <= 48]),
+    st.lists(st.integers(min_value=0, max_value=47), max_size=3),
+)
+def test_orbit_walk_with_extra_generators_matches_literal_closure(expr, extra):
+    G = group_from_expr(expr)
+    G.generators = list(G.generators) + [x % G.order for x in extra]
+    assert orbit_count_dims(G) == orbit_count_literal(G)
 
 
 def test_budget_error_suggests_cheaper_route():
@@ -268,10 +291,9 @@ def test_budgets_are_checked_before_anything_is_built(monkeypatch):
 
 
 def test_orbit_walk_visited_set_is_held_to_the_entries_budget(monkeypatch):
-    # C(182, 3) = 988,260 sorted triples fit in the budget, C(183, 3) = 1,004,731 do not
-    assert 182 * 181 * 180 // 6 <= TABLE_MAX_ENTRIES < 183 * 182 * 181 // 6
-    table = group_from_expr("Z(181)")
+    # the n(n+1)/2 states of the identity slice are fewer than the n^2 table
+    # entries, so the table's entries budget is the walk's budget too
+    assert 1001 * 1002 // 2 <= TABLE_MAX_ENTRIES < 1001 * 1001
     _refuse_tables_above(monkeypatch, 0)
-    for group in ("Z(181)", table):
-        with pytest.raises(ResourceLimitError, match="1004731 visited triples"):
-            orbit_count_dims(group, max_order=10**4)
+    with pytest.raises(ResourceLimitError, match="1002001 table entries"):
+        orbit_count_dims("Z(1001)", max_order=10**4)

@@ -135,14 +135,21 @@ def test_chars_cell_budget_exit_code_and_verify_skip(capsys):
 
 
 def test_max_order_flag_does_not_lift_the_entries_budget(capsys):
-    # the orbit walk's visited set and a single atom's table are both refused
+    # a single atom's table is refused on the orbit and diagram routes alike
     for argv in (
-        ("compute", "--method", "orbits", "Z(181)", "--max-order", "1000"),
+        ("compute", "--method", "orbits", "Z(1001)", "--max-order", "2000"),
         ("compute", "--method", "diagrams", "Z(1001)", "--max-order", "2000"),
     ):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (3, "")
         assert "budget is 1000000" in err
+    # the orbit walk holds n(n+1)/2 states, so orders past 180 fit
+    argv = ("compute", "--method", "orbits", "Z(181)", "--max-order", "1000", "--json")
+    rc, out, _ = run(capsys, *argv)
+    assert rc == 0
+    report = json.loads(out)
+    assert (report["dim_Cpi"], report["dim_ker_eps"]) == (2821, 2730)
+    assert closed_dims(spec_from_expr("Z(181)")) == (2821, 2730)
 
 
 def test_max_order_flag_lifts_budget(capsys):
@@ -228,6 +235,22 @@ def test_verify_builds_one_table(capsys, monkeypatch):
     assert rc == 0
     assert "agree: dim 30, kernel 21 (5 methods)" in out
     assert built == [24]
+
+
+def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
+    # orbits and diagrams read the class count and z2 off one computation
+    calls = []
+    real = cli.compute_classes
+
+    def counting(group):
+        calls.append(group.order)
+        return real(group)
+
+    monkeypatch.setattr(cli, "compute_classes", counting)
+    rc, out, _ = run(capsys, "verify", "Dstar(6)")
+    assert rc == 0
+    assert "agree: dim 30, kernel 21 (5 methods)" in out
+    assert calls == [24]
 
 
 def test_table_binary_dihedral_prefix(capsys):

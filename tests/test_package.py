@@ -25,7 +25,6 @@ def test_every_exported_name_is_documented_in_readme_library():
     assert undocumented == []
 
 
-
 def _library_modules() -> dict[str, ast.Module]:
     return {
         path.stem: ast.parse(path.read_text())
@@ -66,3 +65,21 @@ def test_every_submodule_export_is_used_by_library_code():
         if name not in thetadim.__all__ and not users.get(name, set()) - {(stem, name)}
     ]
     assert unused == []
+
+
+def _imported_modules(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.add((node.module or "").rpartition(".")[2])
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            names.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return names
+
+
+def test_orbit_and_diagram_walks_share_no_code():
+    """verify's orbit and diagram routes must enumerate independently."""
+    modules = _library_modules()
+    assert "diagrams" not in _imported_modules(modules["burnside"])
+    assert "burnside" not in _imported_modules(modules["diagrams"])
