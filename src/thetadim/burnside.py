@@ -20,10 +20,9 @@ exactly the pairs whose triples share an orbit.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
 from .expr import GroupExpr, expr_to_string, parse_group_expr
@@ -49,8 +48,7 @@ DEFAULT_ORBIT_MAX_ORDER = 150
 _AUTO_NAIVE_MAX_ORDER = 300
 
 
-@dataclass
-class BurnsideResult:
+class BurnsideResult(NamedTuple):
     group_name: str
     order: int
     d1: Fraction
@@ -68,51 +66,69 @@ def _ker_terms(t1: int, t2: int, t3: int) -> int:
     return u1**3 + 3 * u1 * u2 + 2 * u3
 
 
-def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int]:
-    """Sym-cube trace sums over all pairs, via two counted fixed-point tables.
+def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
+    """Sym-cube trace sums over all pairs, via two counted fixed-point tables,
+    and the number of conjugacy classes, read off the plain table.
 
-    pl[u*n + v] counts solutions of x^-1*u*x = v, the fixed points of the
+    pl[u][v] counts solutions of x^-1*u*x = v, the fixed points of the
     plain action of any pair (g, h) with g in the role of u at x-conjugate v.
-    tw[u*n + v] counts solutions of x*u*x = v, the twisted fixed points.
+    tw[u][v] counts solutions of x*u*x = v, the twisted fixed points.
     Power traces reduce to table lookups: the square of the twisted action of
     (g, h) is the plain action of (h*g, g*h), and its cube is the twisted
-    action of (g*h*g, h*g*h).
+    action of (g*h*g, h*g*h).  pl[u][u] is the centralizer size of u, so by
+    Burnside's lemma for conjugation the classes number sum_u pl[u][u] / |G|.
     """
     n = group.order
     mul = group._mul
+    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
     inv = group.inverses
-    pl = array("i", [0]) * (n * n)
-    tw = array("i", [0]) * (n * n)
+    pl = [[0] * n for _ in range(n)]
+    tw = [[0] * n for _ in range(n)]
     for u in range(n):
-        base = u * n
+        pl_u, tw_u = pl[u], tw[u]
         for x in range(n):
-            pl[base + mul[mul[inv[x] * n + u] * n + x]] += 1
-            tw[base + mul[mul[x * n + u] * n + x]] += 1
+            pl_u[rows[rows[inv[x]][u]][x]] += 1
+            tw_u[rows[rows[x][u]][x]] += 1
+    num_classes, rem = divmod(sum(pl[u][u] for u in range(n)), n)
+    if rem:
+        raise AssertionError(
+            f"{group.family_tag}: centralizer sizes do not sum to a multiple of |G|"
+        )
 
-    sq = [mul[x * n + x] for x in range(n)]
-    cu = [mul[sq[x] * n + x] for x in range(n)]
+    sq = [rows[x][x] for x in range(n)]
+    cu = [rows[sq[x]][x] for x in range(n)]
 
-    plain_sum = plain_ker = 0
-    twist_sum = twist_ker = 0
+    # the kernel polynomial (t1-1)^3 + 3(t1-1)(t2-1) + 2(t3-1) is the full one
+    # t1^3 + 3 t1 t2 + 2 t3 minus 3 (t1^2 + t2), so each sum keeps that correction
+    plain_sum = plain_corr = 0
+    twist_sum = twist_corr = 0
     for g in range(n):
-        row = g * n
-        sq_row = sq[g] * n
-        cu_row = cu[g] * n
+        pl_g, tw_g, row_g = pl[g], tw[g], rows[g]
+        pl_sq, pl_cu = pl[sq[g]], pl[cu[g]]
         for h in range(n):
-            t1 = pl[row + h]
-            t2 = pl[sq_row + sq[h]]
-            t3 = pl[cu_row + cu[h]]
-            plain_sum += t1**3 + 3 * t1 * t2 + 2 * t3
-            plain_ker += _ker_terms(t1, t2, t3)
+            t1 = pl_g[h]
+            t2 = pl_sq[sq[h]]
+            t3 = pl_cu[cu[h]]
+            # both polynomials vanish at t1 = t2 = t3 = 0 (the kernel one is
+            # -1 + 3 - 2), so pairs without plain fixed points add nothing
+            if t1 or t2 or t3:
+                plain_sum += t1 * (t1 * t1 + 3 * t2) + 2 * t3
+                plain_corr += t1 * t1 + t2
 
-            gh = mul[row + h]
-            hg = mul[h * n + g]
-            u1 = tw[row + h]
-            u2 = pl[hg * n + gh]
-            u3 = tw[mul[gh * n + g] * n + mul[hg * n + h]]
-            twist_sum += u1**3 + 3 * u1 * u2 + 2 * u3
-            twist_ker += _ker_terms(u1, u2, u3)
-    return plain_sum, plain_ker, twist_sum, twist_ker
+            gh = row_g[h]
+            hg = rows[h][g]
+            u1 = tw_g[h]
+            u2 = pl[hg][gh]
+            u3 = tw[rows[gh][g]][rows[hg][h]]
+            twist_sum += u1 * (u1 * u1 + 3 * u2) + 2 * u3
+            twist_corr += u1 * u1 + u2
+    return (
+        plain_sum,
+        plain_sum - 3 * plain_corr,
+        twist_sum,
+        twist_sum - 3 * twist_corr,
+        num_classes,
+    )
 
 
 def _class_sums(cd: ClassData) -> tuple[int, int, int, int]:
@@ -197,9 +213,9 @@ def burnside_dims(
     if mode == "auto":
         mode = "naive" if n <= _AUTO_NAIVE_MAX_ORDER else "class"
     if mode == "naive":
-        table = _as_group(group)
-        plain_sum, plain_ker, twist_sum, twist_ker = _naive_sums(table)
-        num_classes = compute_classes(table).num_classes
+        plain_sum, plain_ker, twist_sum, twist_ker, num_classes = _naive_sums(
+            _as_group(group)
+        )
     elif mode == "class":
         if isinstance(group, FiniteGroup):
             cd = compute_classes(group)

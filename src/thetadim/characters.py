@@ -22,10 +22,10 @@ the products of a real irreducible of each factor.  No product table is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import prod
+from typing import NamedTuple
 
 from .conjugacy import ClassData, compute_classes, power_class_weights, product_class_data
 from .cyclo import (
@@ -81,8 +81,7 @@ class _Memo(dict):
         return value
 
 
-@dataclass
-class CharacterTable:
+class CharacterTable(NamedTuple):
     group_name: str
     class_data: ClassData
     class_labels: list[str]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 import time
@@ -54,7 +53,12 @@ __all__ = [
     "main",
 ]
 
-log = logging.getLogger("thetadim")
+
+def _info(args, message: str) -> None:
+    """A progress line on standard error, written only under -v."""
+    if args.verbose:
+        print(message, file=sys.stderr)
+
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -86,7 +90,7 @@ def _budgets(args) -> dict[str, int]:
             try:
                 override = int(env)
             except ValueError:
-                log.warning("ignoring non-integer THETA_DIM_MAX_ORDER=%r", env)
+                print(f"ignoring non-integer THETA_DIM_MAX_ORDER={env!r}", file=sys.stderr)
     if override is not None:
         return dict.fromkeys(("burnside", "orbits", "diagrams"), override)
     return {
@@ -204,12 +208,12 @@ def _emit(report: DimensionReport, args) -> None:
 def _cmd_compute(args) -> int:
     expr = parse_group_expr(args.expr)
     budgets = _budgets(args)
-    log.info("computing %s (method %s)", expr_to_string(expr), args.method)
+    _info(args, f"computing {expr_to_string(expr)} (method {args.method})")
     if args.method == "auto":
         try:
             report = _run("closed", expr, budgets)
         except SphericalMatchError as exc:
-            log.info("closed form not applicable (%s); falling back to burnside", exc)
+            _info(args, f"closed form not applicable ({exc}); falling back to burnside")
             report = _run("burnside", expr, budgets)
     else:
         report = _run(args.method, expr, budgets)
@@ -225,7 +229,7 @@ def _cmd_verify(args) -> int:
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:
-        log.info("running %s on %s", name, expr_to_string(expr))
+        _info(args, f"running {name} on {expr_to_string(expr)}")
         try:
             rep = _run(name, expr, budgets, group, classes_of)
         except (SphericalMatchError, ResourceLimitError) as exc:
@@ -384,12 +388,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except _UsageError:
         return EXIT_USAGE
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(message)s",
-        force=True,
-    )
     try:
         return args.func(args)
     except ResourceLimitError as exc:

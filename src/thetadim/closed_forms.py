@@ -10,9 +10,9 @@ loudly instead of rounding away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
 
@@ -54,62 +54,75 @@ def p2(n: int) -> int:
     return 1 + n // 2
 
 
-@dataclass(frozen=True)
-class SphericalSpec:
-    """Case tag and parameters of a spherical fundamental group.
-
-    Cases: (a) cyclic of order n; (b) Z_m x Dstar(p); (c) Z_m x Dprime(k,p);
-    (d) Z_m x Tstar; (e) Z_m x Tprime(k), k >= 2; (f) Z_m x Ostar;
-    (g) Z_m x Istar.  Unused parameters stay at their defaults.
-    """
-
+class _SpecFields(NamedTuple):
     case: str
     m: int = 1
     n: int = 0
     p: int = 0
     k: int = 0
 
-    def __post_init__(self) -> None:
-        case, m, n, p, k = self.case, self.m, self.n, self.p, self.k
-        if case == "a":
-            if n < 1:
-                raise SphericalMatchError(f"case (a) requires n >= 1, got {n}.")
-            return
-        if m < 1:
-            raise SphericalMatchError(f"case ({case}) requires m >= 1, got {m}.")
-        if case == "b":
-            if p < 1:
-                raise SphericalMatchError(f"case (b) requires p >= 1, got {p}.")
-            if gcd(m, 2 * p) != 1:
-                raise SphericalMatchError(
-                    f"case (b) requires gcd(m, 2p) = 1; got m={m}, p={p}."
-                )
-        elif case == "c":
-            if k < 0 or p < 3 or p % 2 == 0:
-                raise SphericalMatchError(
-                    f"case (c) requires k >= 0 and odd p >= 3; got k={k}, p={p}."
-                )
-            if gcd(m, 2 * p) != 1:
-                raise SphericalMatchError(
-                    f"case (c) requires gcd(m, 2p) = 1; got m={m}, p={p}."
-                )
-        elif case in ("d", "f"):
-            if gcd(m, 6) != 1:
-                raise SphericalMatchError(
-                    f"case ({case}) requires gcd(m, 6) = 1; got m={m}."
-                )
-        elif case == "e":
-            if k < 2:
-                raise SphericalMatchError(
-                    f"case (e) requires k >= 2 (k=1 coincides with case (d)); got k={k}."
-                )
-            if gcd(m, 6) != 1:
-                raise SphericalMatchError(f"case (e) requires gcd(m, 6) = 1; got m={m}.")
-        elif case == "g":
-            if gcd(m, 30) != 1:
-                raise SphericalMatchError(f"case (g) requires gcd(m, 30) = 1; got m={m}.")
-        else:
-            raise SphericalMatchError(f"unknown case tag {case!r}.")
+
+class SphericalSpec(_SpecFields):
+    """Case tag and parameters of a spherical fundamental group.
+
+    Cases: (a) cyclic of order n; (b) Z_m x Dstar(p); (c) Z_m x Dprime(k,p);
+    (d) Z_m x Tstar; (e) Z_m x Tprime(k), k >= 2; (f) Z_m x Ostar;
+    (g) Z_m x Istar.  Unused parameters stay at their defaults.  Parameters
+    are checked whenever a spec is built, `_replace` included, so an invalid
+    spec never exists.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, case: str, m: int = 1, n: int = 0, p: int = 0, k: int = 0):
+        _check_spec(case, m, n, p, k)
+        return super().__new__(cls, case, m, n, p, k)
+
+    @classmethod
+    def _make(cls, iterable) -> SphericalSpec:
+        return cls(*iterable)
+
+
+def _check_spec(case: str, m: int, n: int, p: int, k: int) -> None:
+    if case == "a":
+        if n < 1:
+            raise SphericalMatchError(f"case (a) requires n >= 1, got {n}.")
+        return
+    if m < 1:
+        raise SphericalMatchError(f"case ({case}) requires m >= 1, got {m}.")
+    if case == "b":
+        if p < 1:
+            raise SphericalMatchError(f"case (b) requires p >= 1, got {p}.")
+        if gcd(m, 2 * p) != 1:
+            raise SphericalMatchError(
+                f"case (b) requires gcd(m, 2p) = 1; got m={m}, p={p}."
+            )
+    elif case == "c":
+        if k < 0 or p < 3 or p % 2 == 0:
+            raise SphericalMatchError(
+                f"case (c) requires k >= 0 and odd p >= 3; got k={k}, p={p}."
+            )
+        if gcd(m, 2 * p) != 1:
+            raise SphericalMatchError(
+                f"case (c) requires gcd(m, 2p) = 1; got m={m}, p={p}."
+            )
+    elif case in ("d", "f"):
+        if gcd(m, 6) != 1:
+            raise SphericalMatchError(
+                f"case ({case}) requires gcd(m, 6) = 1; got m={m}."
+            )
+    elif case == "e":
+        if k < 2:
+            raise SphericalMatchError(
+                f"case (e) requires k >= 2 (k=1 coincides with case (d)); got k={k}."
+            )
+        if gcd(m, 6) != 1:
+            raise SphericalMatchError(f"case (e) requires gcd(m, 6) = 1; got m={m}.")
+    elif case == "g":
+        if gcd(m, 30) != 1:
+            raise SphericalMatchError(f"case (g) requires gcd(m, 30) = 1; got m={m}.")
+    else:
+        raise SphericalMatchError(f"unknown case tag {case!r}.")
 
 
 def spec_from_expr(expr: GroupExpr | str) -> SphericalSpec:

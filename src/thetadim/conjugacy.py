@@ -7,9 +7,9 @@ classes are found without building any O(|G|^2) table (`class_data_for`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from typing import NamedTuple
 
 from .expr import GroupExpr, parse_group_expr
 from .group_core import FiniteGroup, NormalForm, atom_group
@@ -26,8 +26,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ClassData:
+class ClassData(NamedTuple):
     """Conjugacy structure of a finite group.
 
     Classes are numbered by their smallest contained element, in increasing

@@ -16,7 +16,7 @@ row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .group_core import TABLE_MAX_ENTRIES, FiniteGroup, ResourceLimitError
 
@@ -31,15 +31,13 @@ __all__ = [
 DEFAULT_MAX_COSETS = 10**5
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[tuple[int, ...], ...]  # sequences of column indices
     text: str
 
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     presentation: Presentation
     size: int
     action: list[list[int]]  # action[coset][column], columns 2g / 2g+1 = gen / inverse

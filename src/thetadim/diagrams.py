@@ -20,32 +20,12 @@ __all__ = ["DEFAULT_DIAGRAM_MAX_ORDER", "dim_A2"]
 DEFAULT_DIAGRAM_MAX_ORDER = 120
 
 
-def _pair_moves(group: FiniteGroup):
-    """Neighbor function on the slice: all images of (e, u, v) re-normalized."""
-    n = group.order
-    mul = group._mul
-    inv = group.inverses
-    gen_pairs = [(s, inv[s]) for s in group.generators]
-
-    def neighbors(u: int, v: int) -> list[tuple[int, int]]:
-        ui = inv[u]
-        vi = inv[v]
-        out = [
-            (ui, mul[ui * n + v]),  # swap first two labels, then renormalize
-            (v, u),  # swap last two labels
-            (mul[vi * n + u], vi),  # swap outer labels, then renormalize
-            (ui, vi),  # invert all labels
-        ]
-        for s, si in gen_pairs:
-            out.append((mul[mul[si * n + u] * n + s], mul[mul[si * n + v] * n + s]))
-        return out
-
-    return neighbors
-
-
 def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -> int:
     """Number of decoration orbits; equals the full invariant dimension.
 
+    The walk visits the n^2 ordered pairs (u, v) standing for (e, u, v).  Each
+    new orbit starts at the first unvisited pair, found by `bytearray.find`,
+    so the walk takes one Python step per orbit start instead of one per pair.
     The budget is checked before an expression's group is built.
     """
     n = group_order(group)
@@ -56,21 +36,48 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
         )
     if not isinstance(group, FiniteGroup):
         group = group_from_expr(group)
-    neighbors = _pair_moves(group)
+    mul = group._mul
+    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
+    inv = list(group.inverses)
+    # moves that act on each label alone, as element permutations: the
+    # re-normalised right translation x -> s^-1*x*s by each generator s, and
+    # inversion; each comes with its images times n, so a rank is one addition
+    perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
+    perms.append(inv)
+    moves = [([y * n for y in perm], perm) for perm in perms]
     visited = bytearray(n * n)
     count = 0
-    for u0 in range(n):
-        for v0 in range(n):
-            if visited[u0 * n + v0]:
-                continue
-            count += 1
-            visited[u0 * n + v0] = 1
-            stack = [(u0, v0)]
-            while stack:
-                u, v = stack.pop()
-                for x, y in neighbors(u, v):
-                    r = x * n + y
-                    if not visited[r]:
-                        visited[r] = 1
-                        stack.append((x, y))
+    start = visited.find(0)
+    while start >= 0:
+        count += 1
+        visited[start] = 1
+        stack = [divmod(start, n)]
+        pop, push = stack.pop, stack.append
+        while stack:
+            u, v = pop()
+            # swap the first two labels, then re-normalise: (e, u^-1, u^-1*v)
+            ui = inv[u]
+            x = rows[ui][v]
+            r = ui * n + x
+            if not visited[r]:
+                visited[r] = 1
+                push((ui, x))
+            # swap the last two labels: (e, v, u)
+            r = v * n + u
+            if not visited[r]:
+                visited[r] = 1
+                push((v, u))
+            # swap the outer labels, then re-normalise: (e, v^-1*u, v^-1)
+            vi = inv[v]
+            x = rows[vi][u]
+            r = x * n + vi
+            if not visited[r]:
+                visited[r] = 1
+                push((x, vi))
+            for scaled, perm in moves:
+                r = scaled[u] + perm[v]
+                if not visited[r]:
+                    visited[r] = 1
+                    push((perm[u], perm[v]))
+        start = visited.find(0, start + 1)
     return count

@@ -8,7 +8,7 @@ whitespace; printing always produces the canonical spaceless form, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Atom",
@@ -40,8 +40,7 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     kind: str
     params: tuple[int, ...] = ()
 
@@ -51,8 +50,7 @@ class Atom:
         return self.kind
 
 
-@dataclass(frozen=True)
-class GroupExpr:
+class GroupExpr(NamedTuple):
     atoms: tuple[Atom, ...]
 
     def __str__(self) -> str:

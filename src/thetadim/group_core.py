@@ -18,9 +18,8 @@ table (`coset_enum.group_from_coset_table`) and the orbit walk's visited set
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .expr import Atom, GroupExpr, parse_group_expr
 
@@ -120,8 +119,7 @@ class FiniteGroup:
         return self.labels[i]
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(NamedTuple):
     """A group given by a product rule on normal-form element indices.
 
     Elements are 0..order-1 with 0 the identity, numbered exactly as in the

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "CSV_HEADER",
@@ -18,8 +17,7 @@ __all__ = [
 CSV_HEADER = "param,dim_Cpi,dim_ker_eps,method"
 
 
-@dataclass
-class DimensionReport:
+class DimensionReport(NamedTuple):
     group: str
     order: int
     num_classes: int
@@ -56,6 +54,8 @@ def to_json_dict(report: DimensionReport) -> dict:
 
 
 def to_json(report: DimensionReport) -> str:
+    import json  # only --json output pays for the import
+
     return json.dumps(to_json_dict(report))
 
 

@@ -21,7 +21,6 @@ from functools import reduce
 from thetadim.characters import CharacterTable
 from thetadim.closed_forms import SphericalMatchError, spec_from_expr
 from thetadim.cyclo import CycloNumber, _canonical, exact_sum
-from thetadim.diagrams import _pair_moves
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import FiniteGroup, atom_group, product_rule
 
@@ -132,6 +131,29 @@ def _reduce(d: ThetaDecoration, group: FiniteGroup) -> tuple[int, int]:
     a, b, c = d
     ai = group.inv(a)
     return group.mul(ai, b), group.mul(ai, c)
+
+
+def _pair_moves(group: FiniteGroup):
+    """Neighbor function on the slice: all images of (e, u, v) re-normalized."""
+    n = group.order
+    mul = group._mul
+    inv = group.inverses
+    gen_pairs = [(s, inv[s]) for s in group.generators]
+
+    def neighbors(u: int, v: int) -> list[tuple[int, int]]:
+        ui = inv[u]
+        vi = inv[v]
+        out = [
+            (ui, mul[ui * n + v]),  # swap first two labels, then renormalize
+            (v, u),  # swap last two labels
+            (mul[vi * n + u], vi),  # swap outer labels, then renormalize
+            (ui, vi),  # invert all labels
+        ]
+        for s, si in gen_pairs:
+            out.append((mul[mul[si * n + u] * n + s], mul[mul[si * n + v] * n + s]))
+        return out
+
+    return neighbors
 
 
 def normalize(d: ThetaDecoration, group: FiniteGroup) -> ThetaDecoration:

@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from catalogs import ROUTE_120
+from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
 from oracles import orbit_count_literal, plain_action, sym3_trace, twisted_action
 from thetadim.characters import table_for
 from thetadim.closed_forms import closed_dims, spec_from_expr
+import thetadim.burnside as burnside
 from thetadim.burnside import (
     DEFAULT_ORBIT_MAX_ORDER,
     DEFAULT_PAIR_MAX_ORDER,
@@ -140,6 +141,51 @@ def test_naive_and_class_modes_agree(expr):
     assert a.mode == "naive" and b.mode == "class"
     for field in ("order", "d1", "d2", "dim_full", "dim_ker", "ker_d1", "ker_d2"):
         assert getattr(a, field) == getattr(b, field), (expr, field)
+
+
+# every catalog group the naive mode takes by default (order <= 300)
+NAIVE_CATALOG = sorted(
+    {
+        e
+        for e in ROUTE_500 + SPHERICAL + NON_SPHERICAL + RANDOM_PRODUCTS_500
+        if group_order(e) <= 300
+    },
+    key=lambda e: (group_order(e), e),
+)
+
+
+@pytest.mark.parametrize("expr", NAIVE_CATALOG)
+def test_naive_and_class_modes_agree_on_the_catalog(expr):
+    G = group_from_expr(expr)
+    a = burnside_dims(G, mode="naive")
+    b = burnside_dims(G, mode="class")
+    assert (a.dim_full, a.dim_ker, a.num_classes) == (b.dim_full, b.dim_ker, b.num_classes)
+    assert a.num_classes == compute_classes(G).num_classes
+
+
+def test_naive_mode_counts_classes_from_its_own_table(monkeypatch):
+    def no_classes(group):
+        raise AssertionError("naive mode looked up class data")
+
+    monkeypatch.setattr(burnside, "compute_classes", no_classes)
+    monkeypatch.setattr(burnside, "class_data_for", no_classes)
+    assert burnside_dims("Dprime(3,3)", mode="naive").num_classes == 48
+
+
+def test_naive_mode_refuses_a_table_whose_centralizers_do_not_add_up():
+    # a Latin square with identity 0 and two-sided inverses that is not
+    # associative: its pl[u][u] sum to 20, not a multiple of 6
+    rows = [
+        [0, 1, 2, 3, 4, 5],
+        [1, 0, 4, 5, 3, 2],
+        [2, 4, 1, 0, 5, 3],
+        [3, 5, 0, 1, 2, 4],
+        [4, 3, 5, 2, 1, 0],
+        [5, 2, 3, 4, 0, 1],
+    ]
+    loop = FiniteGroup(6, [x for row in rows for x in row], generators=[1])
+    with pytest.raises(AssertionError, match="centralizer sizes"):
+        burnside_dims(loop, mode="naive")
 
 
 def test_auto_mode_picks_naive_only_for_small_groups():

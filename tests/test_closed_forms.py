@@ -89,6 +89,18 @@ def test_spec_constraint_validation():
             bad()
 
 
+def test_spec_record_keeps_field_order_and_defaults_and_checks_every_build():
+    spec = SphericalSpec("d")
+    assert SphericalSpec._fields == ("case", "m", "n", "p", "k")
+    assert (spec.m, spec.n, spec.p, spec.k) == (1, 0, 0, 0)
+    assert spec == SphericalSpec("d", 1, 0, 0, 0)
+    assert spec._replace(m=5) == SphericalSpec("d", m=5)
+    with pytest.raises(SphericalMatchError):
+        spec._replace(m=3)
+    with pytest.raises(SphericalMatchError):
+        SphericalSpec._make(("d", 3, 0, 0, 0))
+
+
 @pytest.mark.parametrize("expr", SPHERICAL)
 def test_order_and_class_count_formulas(expr):
     spec = spec_from_expr(expr)

@@ -4,11 +4,12 @@ import random
 
 import pytest
 
-from catalogs import ROUTE_120
+from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
 from thetadim.burnside import burnside_dims
-from oracles import normalize
+from oracles import normalize, validate_spherical
+from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2
-from thetadim.group_core import group_from_expr
+from thetadim.group_core import group_from_expr, group_order
 
 WALK_CATALOG = ["Z(2)", "Z(6)", "Dstar(2)", "Dstar(3)", "Dprime(0,3)", "Tstar"]
 
@@ -93,6 +94,35 @@ def brute_orbit_count(G):
 def test_dimension_matches_brute_force_triple_orbits(expr):
     G = group_from_expr(expr)
     assert dim_A2(G) == brute_orbit_count(G)
+
+
+CANONICAL_CATALOG = [
+    "Z(1)", "Z(7)", "Dstar(2)", "Dstar(3)", "Z(2) x Z(2)", "Dprime(0,3)", "Tstar", "Dstar(6)"
+]
+
+
+@pytest.mark.parametrize("expr", CANONICAL_CATALOG)
+def test_dimension_counts_distinct_canonical_forms(expr):
+    G = group_from_expr(expr)
+    n = G.order
+    forms = {normalize((0, u, v), G) for u in range(n) for v in range(n)}
+    assert dim_A2(G) == len(forms)
+
+
+# every spherical catalog group within the diagram budget
+CLOSED_CATALOG = sorted(
+    {
+        e
+        for e in ROUTE_500 + SPHERICAL + NON_SPHERICAL + RANDOM_PRODUCTS_500
+        if group_order(e) <= DEFAULT_DIAGRAM_MAX_ORDER and validate_spherical(e)[0]
+    },
+    key=lambda e: (group_order(e), e),
+)
+
+
+@pytest.mark.parametrize("expr", CLOSED_CATALOG)
+def test_dimension_matches_closed_form_on_the_catalog(expr):
+    assert dim_A2(expr) == closed_dims(spec_from_expr(expr))[0]
 
 
 def test_dimension_agrees_with_averaging_route():

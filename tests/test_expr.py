@@ -97,6 +97,15 @@ def test_parser_accepts_any_integer_parameters():
     assert atoms("Tprime(0)") == [("Tprime", (0,))]
 
 
+def test_atom_record_keeps_field_order_and_defaults():
+    atom = Atom("Z", (3,))
+    assert Atom._fields == ("kind", "params")
+    assert Atom("Tstar").params == ()
+    assert {atom: "cyclic"}[Atom("Z", (3,))] == "cyclic"
+    assert str(atom) == "Z(3)" and repr(atom) == "Atom(kind='Z', params=(3,))"
+    assert str(GroupExpr((atom, Atom("Tstar")))) == "Z(3)xTstar"
+
+
 def test_atoms_are_immutable():
     e = parse_group_expr("Z(5)")
     with pytest.raises(AttributeError):

@@ -1,6 +1,5 @@
 """Multiplication-table constructors: orders, axioms, defining relations."""
 
-import dataclasses
 import itertools
 from functools import reduce
 
@@ -283,7 +282,7 @@ def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
     real_rule = group_core.cyclic_rule
 
     def productless_rule(n):
-        return dataclasses.replace(real_rule(n), mul=no_products)
+        return real_rule(n)._replace(mul=no_products)
 
     monkeypatch.setattr(group_core, "cyclic_rule", productless_rule)
     monkeypatch.setitem(group_core._RULES, "Z", productless_rule)

@@ -2,7 +2,10 @@
 other name a submodule exports is used by library code."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import thetadim
@@ -83,3 +86,22 @@ def test_orbit_and_diagram_walks_share_no_code():
     modules = _library_modules()
     assert "diagrams" not in _imported_modules(modules["burnside"])
     assert "burnside" not in _imported_modules(modules["diagrams"])
+
+
+def test_cli_import_loads_no_introspection_logging_or_json_modules():
+    """Every CLI call is a fresh process, so start-up imports are paid each time.
+
+    Modules the interpreter's own start-up already loaded do not count.
+    """
+    src = str(Path(thetadim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    code = (
+        "import sys; before = set(sys.modules); import thetadim.cli; "
+        "print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "thetadim.cli" in out
+    assert {"dataclasses", "inspect", "logging", "json"}.isdisjoint(out)
