@@ -5,15 +5,13 @@ of closed trivalent theta diagrams labeled by a finite group algebra, together
 with the corresponding dimension for the augmentation ideal.  Five routes are
 provided (closed formulas, character sums, fixed-point counting, monomial-triple
 orbits and diagram enumeration) so that every number can be cross-checked.
+
+Each exported name is imported from its submodule on first access (PEP 562),
+so `import thetadim` loads no submodule and a command line process loads only
+the modules its route runs.
 """
 
-from .burnside import BurnsideResult, burnside_dims, orbit_count_dims
-from .characters import d2_char_formula, real_character_sums, table_for
-from .closed_forms import closed_dims, spec_from_expr
-from .conjugacy import class_data_for, d1_class_formula, z2_orbit_count
-from .diagrams import dim_A2
-from .expr import parse_group_expr
-from .group_core import ResourceLimitError, group_from_expr
+from importlib import import_module
 
 __version__ = "0.1.0"
 
@@ -35,3 +33,28 @@ __all__ = [
     "table_for",
     "z2_orbit_count",
 ]
+
+# the submodule that defines each exported name
+_EXPORTS = {
+    "burnside": ("BurnsideResult", "burnside_dims", "orbit_count_dims"),
+    "characters": ("d2_char_formula", "real_character_sums", "table_for"),
+    "closed_forms": ("closed_dims", "spec_from_expr"),
+    "conjugacy": ("class_data_for", "d1_class_formula", "z2_orbit_count"),
+    "diagrams": ("dim_A2",),
+    "expr": ("parse_group_expr",),
+    "group_core": ("ResourceLimitError", "group_from_expr"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

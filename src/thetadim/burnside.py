@@ -21,7 +21,7 @@ exactly the pairs whose triples share an orbit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
@@ -51,14 +51,24 @@ _AUTO_NAIVE_MAX_ORDER = 300
 class BurnsideResult(NamedTuple):
     group_name: str
     order: int
-    d1: Fraction
-    d2: Fraction
-    dim_full: Fraction
-    dim_ker: Fraction
-    ker_d1: Fraction
-    ker_d2: Fraction
+    d1: int
+    d2: int
+    dim_full: int
+    dim_ker: int
+    ker_d1: int
+    ker_d2: int
     mode: str
     num_classes: int
+
+
+def _whole(label: str, name: str, num: int, den: int) -> int:
+    """num / den, which must be a nonnegative integer; anything else is a bug."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        g = gcd(num, den)
+        value = q if not rem else f"{num // g}/{den // g}"
+        raise AssertionError(f"{label} for {name} is not a nonnegative integer: {value}")
+    return q
 
 
 def _ker_terms(t1: int, t2: int, t3: int) -> int:
@@ -227,22 +237,12 @@ def burnside_dims(
         raise ValueError(f"mode must be auto, naive or class, got {mode!r}.")
 
     denom = 6 * n * n
-    d1 = Fraction(plain_sum, denom)
-    d2 = Fraction(twist_sum, denom)
-    ker_d1 = Fraction(plain_ker, denom)
-    ker_d2 = Fraction(twist_ker, denom)
-    dim_full = (d1 + d2) / 2
-    dim_ker = (ker_d1 + ker_d2) / 2
-    for label, value in (
-        ("d1", d1),
-        ("d2", d2),
-        ("dim", dim_full),
-        ("kernel dim", dim_ker),
-    ):
-        if value.denominator != 1 or value < 0:
-            raise AssertionError(
-                f"{label} for {name} is not a nonnegative integer: {value}"
-            )
+    d1 = _whole("d1", name, plain_sum, denom)
+    d2 = _whole("d2", name, twist_sum, denom)
+    ker_d1 = _whole("kernel d1", name, plain_ker, denom)
+    ker_d2 = _whole("kernel d2", name, twist_ker, denom)
+    dim_full = _whole("dim", name, d1 + d2, 2)
+    dim_ker = _whole("kernel dim", name, ker_d1 + ker_d2, 2)
     return BurnsideResult(
         group_name=name,
         order=n,

@@ -1,50 +1,46 @@
 """Command line front end: route dispatch, verification, and table emission.
 
+Usage: thetadim [-h] [-v] {compute,verify,table,classes,chartab} ...
+`thetadim -h` lists the commands and `thetadim <command> -h` a command's
+options; help goes to standard output and exits 0.  Options take the
+`--opt value` and `--opt=value` forms and unique prefixes of their names.
+
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
 3 resource budget exceeded, 4 internal check failed (an integrality,
 alignment or character invariant such as the Brauer or Frobenius-Schur count
-did not hold; this is a bug, reported as one line instead of a traceback).
+did not hold; this is a bug, reported as one line instead of a traceback),
+141 standard output closed by its reader (as in `thetadim classes ... | head`;
+128 + SIGPIPE, the status a shell reports for a writer ended by a closed pipe).
 THETA_DIM_MAX_ORDER overrides the brute-force order budgets; an explicit
 --max-order flag wins over the environment.  Neither lifts
 group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table beyond it, a
-single atom's included, exits with code 3.  The chars route and chartab
-refuse a character table of more than characters.CHAR_TABLE_MAX_CELLS (10^7)
-cells with exit code 3.  Only chartab builds that table: the chars route
-takes the class data and d2 from characters.d2_char_formula, which sums the
-real rows alone (characters.real_character_sums).
+single atom's included, exits with code 3.  Nor do they lift
+conjugacy.CLASS_DATA_MAX_ORDER (10^7): `classes`, and class-mode burnside
+under a raised budget, refuse a larger order with code 3 before any class
+data is built.  The chars route and chartab refuse a character table of more
+than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  Only
+chartab builds that table: the chars route takes the class data and d2 from
+characters.d2_char_formula, which sums the real rows alone
+(characters.real_character_sums).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import getopt
 import os
 import sys
 import time
+from types import SimpleNamespace
 
-from .burnside import (
-    DEFAULT_ORBIT_MAX_ORDER,
-    DEFAULT_PAIR_MAX_ORDER,
-    burnside_dims,
-    orbit_count_dims,
-)
-from .characters import d2_char_formula, table_for
-from .closed_forms import (
-    SphericalMatchError,
-    closed_class_count,
-    closed_dims,
-    closed_order,
-    closed_z2_orbit,
-    spec_from_expr,
-)
 from .conjugacy import class_data_for, compute_classes, d1_class_formula, z2_orbit_count
-from .diagrams import DEFAULT_DIAGRAM_MAX_ORDER, dim_A2
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 __all__ = [
+    "EXIT_BROKEN_PIPE",
     "EXIT_INTERNAL",
     "EXIT_MISMATCH",
     "EXIT_OK",
@@ -65,24 +61,14 @@ EXIT_USAGE = 1
 EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 METHODS = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems are exit code 1, not argparse's default 2
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise _UsageError(message)
-
-
-def _budgets(args) -> dict[str, int]:
-    """Order budget of each enumeration route, keyed by route name."""
+def _max_order(args) -> int | None:
+    """The order budget override of every enumeration route: --max-order, else
+    THETA_DIM_MAX_ORDER, else None for each route's own default."""
     override = getattr(args, "max_order", None)
     if override is None:
         env = os.environ.get("THETA_DIM_MAX_ORDER")
@@ -91,13 +77,18 @@ def _budgets(args) -> dict[str, int]:
                 override = int(env)
             except ValueError:
                 print(f"ignoring non-integer THETA_DIM_MAX_ORDER={env!r}", file=sys.stderr)
-    if override is not None:
-        return dict.fromkeys(("burnside", "orbits", "diagrams"), override)
-    return {
-        "burnside": DEFAULT_PAIR_MAX_ORDER,
-        "orbits": DEFAULT_ORBIT_MAX_ORDER,
-        "diagrams": DEFAULT_DIAGRAM_MAX_ORDER,
-    }
+    return override
+
+
+def _table_budget(name: str, max_order: int | None) -> int:
+    """Order up to which the orbits or diagrams route is handed a table."""
+    if max_order is not None:
+        return max_order
+    if name == "orbits":
+        from .burnside import DEFAULT_ORBIT_MAX_ORDER as default
+    else:
+        from .diagrams import DEFAULT_DIAGRAM_MAX_ORDER as default
+    return default
 
 
 # -- computation routes -------------------------------------------------------
@@ -105,17 +96,29 @@ def _budgets(args) -> dict[str, int]:
 # Each route returns (order, classes, d1, d2, dim, z2); _run times it and
 # builds the report.  The orbits and diagrams routes leave classes and z2 as
 # None for _run to fill from the class data of their table, which verify
-# computes once for both.  Routes call library functions through this module's
-# globals, so a tracer that rebinds those names sees every call.
+# computes once for both.  `max_order` is _max_order's override, None for the
+# library's default.  A route imports the library functions it calls when it
+# runs, so a process loads only its route's modules, and a tracer that rebinds
+# a function in its defining module sees every call.
 
 
-def _closed(expr: GroupExpr, budgets):
+def _closed(expr: GroupExpr, max_order):
+    from .closed_forms import (
+        closed_class_count,
+        closed_dims,
+        closed_order,
+        closed_z2_orbit,
+        spec_from_expr,
+    )
+
     spec = spec_from_expr(expr)
     dim, _ = closed_dims(spec)
     return closed_order(spec), closed_class_count(spec), None, None, dim, closed_z2_orbit(spec)
 
 
-def _chars(expr: GroupExpr, budgets):
+def _chars(expr: GroupExpr, max_order):
+    from .characters import d2_char_formula
+
     cd, d2 = d2_char_formula(expr)
     d1 = d1_class_formula(cd)
     dim = (d1 + d2) / 2
@@ -124,21 +127,27 @@ def _chars(expr: GroupExpr, budgets):
     return cd.order, cd.num_classes, d1, d2, int(dim), z2_orbit_count(cd)
 
 
-def _burnside(group: FiniteGroup | GroupExpr, budgets):
-    r = burnside_dims(group, mode="auto", max_order=budgets["burnside"])
-    return r.order, r.num_classes, r.d1, r.d2, int(r.dim_full), int(r.dim_full - r.dim_ker)
+def _burnside(group: FiniteGroup | GroupExpr, max_order):
+    from .burnside import burnside_dims
+
+    r = burnside_dims(group, mode="auto", max_order=max_order)
+    return r.order, r.num_classes, r.d1, r.d2, r.dim_full, r.dim_full - r.dim_ker
 
 
 def _enumerated(group: FiniteGroup, dim: int):
     return group.order, None, None, None, dim, None
 
 
-def _orbits(group: FiniteGroup | GroupExpr, budgets):
-    return _enumerated(group, orbit_count_dims(group, max_order=budgets["orbits"]))
+def _orbits(group: FiniteGroup | GroupExpr, max_order):
+    from .burnside import orbit_count_dims
+
+    return _enumerated(group, orbit_count_dims(group, max_order=max_order))
 
 
-def _diagrams(group: FiniteGroup | GroupExpr, budgets):
-    return _enumerated(group, dim_A2(group, max_order=budgets["diagrams"]))
+def _diagrams(group: FiniteGroup | GroupExpr, max_order):
+    from .diagrams import dim_A2
+
+    return _enumerated(group, dim_A2(group, max_order=max_order))
 
 
 _ROUTES = {
@@ -161,7 +170,7 @@ def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
         return expr
 
 
-def _run(name: str, expr: GroupExpr, budgets, group=None, classes_of=None) -> DimensionReport:
+def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> DimensionReport:
     """Route `name` as a timed report; closed and chars see only `expr`, the others
     `group`, the `_table_within` result verify shares, or else their own.
     `classes_of(table)` gives the class data an enumeration route's report needs;
@@ -171,8 +180,8 @@ def _run(name: str, expr: GroupExpr, budgets, group=None, classes_of=None) -> Di
     if name in ("closed", "chars"):
         group = expr
     elif group is None:
-        group = expr if name == "burnside" else _table_within(expr, budgets[name])
-    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, budgets)
+        group = expr if name == "burnside" else _table_within(expr, _table_budget(name, max_order))
+    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order)
     if classes is None:
         cd = (classes_of or compute_classes)(group)
         classes, z2 = cd.num_classes, z2_orbit_count(cd)
@@ -207,31 +216,36 @@ def _emit(report: DimensionReport, args) -> None:
 
 def _cmd_compute(args) -> int:
     expr = parse_group_expr(args.expr)
-    budgets = _budgets(args)
+    max_order = _max_order(args)
     _info(args, f"computing {expr_to_string(expr)} (method {args.method})")
     if args.method == "auto":
+        from .closed_forms import SphericalMatchError
+
         try:
-            report = _run("closed", expr, budgets)
+            report = _run("closed", expr, max_order)
         except SphericalMatchError as exc:
             _info(args, f"closed form not applicable ({exc}); falling back to burnside")
-            report = _run("burnside", expr, budgets)
+            report = _run("burnside", expr, max_order)
     else:
-        report = _run(args.method, expr, budgets)
+        report = _run(args.method, expr, max_order)
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    from .closed_forms import SphericalMatchError
+
     expr = parse_group_expr(args.expr)
-    budgets = _budgets(args)
-    group = _table_within(expr, max(budgets["orbits"], budgets["diagrams"]))
+    max_order = _max_order(args)
+    budget = max(_table_budget("orbits", max_order), _table_budget("diagrams", max_order))
+    group = _table_within(expr, budget)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:
         _info(args, f"running {name} on {expr_to_string(expr)}")
         try:
-            rep = _run(name, expr, budgets, group, classes_of)
+            rep = _run(name, expr, max_order, group, classes_of)
         except (SphericalMatchError, ResourceLimitError) as exc:
             lines.append(f"  {name:<9} skipped: {exc}")
             continue
@@ -263,14 +277,14 @@ def _table_rows(args):
 
 
 def _cmd_table(args) -> int:
-    budgets = _budgets(args)
+    max_order = _max_order(args)
     lines = [CSV_HEADER]
     for param, expr_text in _table_rows(args):
         expr = parse_group_expr(expr_text)
-        closed = _run("closed", expr, budgets)
+        closed = _run("closed", expr, max_order)
         dims = (closed.dim_cpi, closed.dim_ker_eps)
         try:
-            check = _run("burnside", expr, budgets)
+            check = _run("burnside", expr, max_order)
         except ResourceLimitError:
             method = "closed"
         else:
@@ -304,6 +318,8 @@ def _cmd_classes(args) -> int:
 
 
 def _cmd_chartab(args) -> int:
+    from .characters import table_for
+
     table = table_for(parse_group_expr(args.expr))
     cd = table.class_data
     sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
@@ -333,63 +349,193 @@ def _cmd_chartab(args) -> int:
 
 
 # -- parser -------------------------------------------------------------------
+#
+# Each option is (dest, kind, default, help), where kind is int, a tuple of
+# choices, or None for an on/off flag.  Each command is (handler, help,
+# (positional, its choices or None), {long option: option}).
+
+_PROG = "thetadim"
+_DESCRIPTION = (
+    "Exact dimension computations for group algebras of spherical space-form\n"
+    "groups, by closed forms, characters, fixed-point counting, and orbit\n"
+    "enumeration."
+)
+_MAX_ORDER = ("max_order", int, None, "order budget of the enumeration routes")
+_COMMANDS = {
+    "compute": (
+        _cmd_compute,
+        "compute both dimensions for an expression",
+        ("expr", None),
+        {
+            "method": ("method", METHODS, "auto", "the route"),
+            "json": ("json", None, False, "print one JSON object"),
+            "csv": ("csv", None, False, "print a CSV header and row"),
+            "max-order": _MAX_ORDER,
+        },
+    ),
+    "verify": (
+        _cmd_verify,
+        "run every applicable method and compare",
+        ("expr", None),
+        {"max-order": _MAX_ORDER},
+    ),
+    "table": (
+        _cmd_table,
+        "emit a parameter sweep as CSV",
+        ("family", ("d4p", "t8_3k", "zn")),
+        {
+            "max-p": ("max_p", int, 15, "largest p of the d4p sweep"),
+            "max-k": ("max_k", int, 9, "largest k of the t8_3k sweep"),
+            "max-n": ("max_n", int, 60, "largest n of the zn sweep"),
+            "max-order": _MAX_ORDER,
+        },
+    ),
+    "classes": (_cmd_classes, "dump conjugacy class data", ("expr", None), {}),
+    "chartab": (
+        _cmd_chartab,
+        "print the character table",
+        ("expr", None),
+        {"csv": ("csv", None, False, "print the table as CSV")},
+    ),
+}
+# options that may not be given together, in a command that has both
+_EXCLUSIVE = ("json", "csv")
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="thetadim",
-        description=(
-            "Exact dimension computations for group algebras of spherical "
-            "space-form groups, by closed forms, characters, fixed-point "
-            "counting, and orbit enumeration."
-        ),
-    )
-    parser.add_argument(
-        "-v", "--verbose", action="count", default=0, help="log progress to stderr"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+class _UsageError(Exception):
+    """A refused command line; `command` selects the usage line printed with it."""
 
-    p = sub.add_parser("compute", help="compute both dimensions for an expression")
-    p.add_argument("expr", help='e.g. "Z(5) x Dstar(4)" or "Istar"')
-    p.add_argument("--method", choices=METHODS, default="auto")
-    out = p.add_mutually_exclusive_group()
-    out.add_argument("--json", action="store_true")
-    out.add_argument("--csv", action="store_true")
-    p.add_argument("--max-order", type=int, dest="max_order")
-    p.set_defaults(func=_cmd_compute)
+    def __init__(self, message: str, command: str | None = None):
+        super().__init__(message)
+        self.command = command
 
-    p = sub.add_parser("verify", help="run every applicable method and compare")
-    p.add_argument("expr")
-    p.add_argument("--max-order", type=int, dest="max_order")
-    p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("table", help="emit a parameter sweep as CSV")
-    p.add_argument("family", choices=["d4p", "t8_3k", "zn"])
-    p.add_argument("--max-p", type=int, default=15, dest="max_p")
-    p.add_argument("--max-k", type=int, default=9, dest="max_k")
-    p.add_argument("--max-n", type=int, default=60, dest="max_n")
-    p.add_argument("--max-order", type=int, dest="max_order")
-    p.set_defaults(func=_cmd_table)
+def _metavar(dest: str, kind) -> str:
+    return "N" if kind is int else dest.upper()
 
-    p = sub.add_parser("classes", help="dump conjugacy class data")
-    p.add_argument("expr")
-    p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("chartab", help="print the character table")
-    p.add_argument("expr")
-    p.add_argument("--csv", action="store_true")
-    p.set_defaults(func=_cmd_chartab)
-    return parser
+def _usage(command: str | None) -> str:
+    if command is None:
+        return f"usage: {_PROG} [-h] [-v] {{{','.join(_COMMANDS)}}} ..."
+    _, _, (positional, choices), options = _COMMANDS[command]
+    parts = [f"usage: {_PROG} {command} [-h]"]
+    grouped = set(_EXCLUSIVE) <= set(options)
+    for name, (dest, kind, _, _) in options.items():
+        if grouped and name in _EXCLUSIVE:
+            if name == _EXCLUSIVE[0]:
+                parts.append("[" + " | ".join(f"--{n}" for n in _EXCLUSIVE) + "]")
+        else:
+            parts.append(f"[--{name}]" if kind is None else f"[--{name} {_metavar(dest, kind)}]")
+    parts.append(positional if choices is None else "{" + ",".join(choices) + "}")
+    return " ".join(parts)
+
+
+def _help(command: str | None) -> str:
+    helps = [("-h, --help", "show this help and exit")]
+    if command is None:
+        head = _DESCRIPTION
+        helps.append(("-v, --verbose", "log progress to stderr"))
+        sections = {"commands": [(name, spec[1]) for name, spec in _COMMANDS.items()]}
+    else:
+        _, head, (positional, choices), options = _COMMANDS[command]
+        if choices is None:
+            what = 'a group expression, e.g. "Z(5) x Dstar(4)" or "Istar"'
+        else:
+            what = "one of " + ", ".join(choices)
+        sections = {"arguments": [(positional, what)]}
+        for name, (dest, kind, default, text) in options.items():
+            if kind is not None:
+                name = f"{name} {_metavar(dest, kind)}"
+            if kind not in (None, int):
+                text = f"{text}; one of {', '.join(kind)}"
+            if default not in (None, False):
+                text = f"{text} (default {default})"
+            helps.append((f"--{name}", text))
+    sections["options"] = helps
+    width = 2 + max(len(flag) for rows in sections.values() for flag, _ in rows)
+    lines = [_usage(command), "", head]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"] + [f"  {flag:<{width}}{text}" for flag, text in rows]
+    if command is None:
+        lines += ["", f"Run `{_PROG} <command> -h` for the options of a command."]
+    return "\n".join(lines)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The parsed command line, or None once help has been printed.
+
+    Options before the command are -h and -v; the command's own options may
+    come before or after its one positional argument.  Any other command line
+    raises _UsageError.
+    """
+    try:
+        opts, rest = getopt.getopt(argv, "hv", ["help", "verbose"])
+    except getopt.GetoptError as exc:
+        raise _UsageError(str(exc)) from None
+    if any(opt in ("-h", "--help") for opt, _ in opts):
+        print(_help(None))
+        return None
+    if argv[: len(argv) - len(rest)][-1:] == ["--"]:
+        rest = ["--", *rest]  # "--" ends the options but is no command
+    if not rest:
+        raise _UsageError("a command is required")
+    command, *rest = rest
+    if command not in _COMMANDS:
+        raise _UsageError(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
+    _, _, (positional, choices), options = _COMMANDS[command]
+    longopts = ["help"] + [name if spec[1] is None else f"{name}=" for name, spec in options.items()]
+    try:
+        sub_opts, positionals = getopt.gnu_getopt(rest, "h", longopts)
+    except getopt.GetoptError as exc:
+        raise _UsageError(str(exc), command) from None
+    if any(opt in ("-h", "--help") for opt, _ in sub_opts):
+        print(_help(command))
+        return None
+
+    values = {"verbose": len(opts), "command": command}
+    values.update((dest, default) for dest, _, default, _ in options.values())
+    for opt, arg in sub_opts:
+        dest, kind, _, _ = options[opt[2:]]
+        if kind is None:
+            arg = True
+        elif kind is int:
+            try:
+                arg = int(arg)
+            except ValueError:
+                raise _UsageError(f"{opt}: invalid int value {arg!r}", command) from None
+        elif arg not in kind:
+            raise _UsageError(f"{opt}: invalid choice {arg!r} (choose from {', '.join(kind)})", command)
+        values[dest] = arg
+    if all(values.get(name) for name in _EXCLUSIVE):
+        raise _UsageError(" and ".join(f"--{n}" for n in _EXCLUSIVE) + " exclude each other", command)
+    if not positionals:
+        raise _UsageError(f"the argument {positional} is required", command)
+    if len(positionals) > 1:
+        raise _UsageError(f"unrecognized arguments: {' '.join(positionals[1:])}", command)
+    if choices is not None and positionals[0] not in choices:
+        raise _UsageError(
+            f"invalid {positional} {positionals[0]!r} (choose from {', '.join(choices)})", command
+        )
+    values[positional] = positionals[0]
+    return SimpleNamespace(**values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+        code = EXIT_OK if args is None else _COMMANDS[args.command][0](args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except _UsageError as exc:
+        prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
+        print(_usage(exc.command), file=sys.stderr)
+        print(f"{prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return args.func(args)
+    except BrokenPipeError:
+        # the reader closed standard output: send what is still buffered to
+        # devnull so that the interpreter's final flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

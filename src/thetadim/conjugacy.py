@@ -7,12 +7,14 @@ classes are found without building any O(|G|^2) table (`class_data_for`).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .expr import GroupExpr, parse_group_expr
-from .group_core import FiniteGroup, NormalForm, atom_group
+from .group_core import FiniteGroup, NormalForm, ResourceLimitError, atom_group, group_order
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "ClassData",
@@ -24,6 +26,10 @@ __all__ = [
     "product_class_data",
     "z2_orbit_count",
 ]
+
+# class data holds several ints per element: `classes "Z(3000000)"` peaks at
+# about 540 MB.  class_data_for refuses a larger order, and no budget lifts it
+CLASS_DATA_MAX_ORDER = 10**7
 
 
 class ClassData(NamedTuple):
@@ -110,10 +116,17 @@ def class_data_for(expr: GroupExpr | str) -> ClassData:
     Normal-form atoms are conjugated through their product rule, the binary
     polyhedral atoms through their coset-enumerated tables, and products are
     composed with `product_class_data`.  The numbering equals that of
-    `compute_classes` on the full `group_from_expr` table.
+    `compute_classes` on the full `group_from_expr` table.  An order above
+    CLASS_DATA_MAX_ORDER, read off the expression, is refused before anything
+    is built.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
+    n = group_order(expr)
+    if n > CLASS_DATA_MAX_ORDER:
+        raise ResourceLimitError(
+            f"order {n} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
+        )
     return reduce(product_class_data, (compute_classes(atom_group(a)) for a in expr.atoms))
 
 
@@ -197,6 +210,8 @@ def delta3_weighted_sum(cd: ClassData) -> Fraction:
 
 def _sum_over_denominators(numerators: dict[int, int]) -> Fraction:
     """Sum of numerators[d] / d: one Fraction per distinct denominator d."""
+    from fractions import Fraction  # only the routes that build one pay for it
+
     return sum((Fraction(num, d) for d, num in numerators.items()), Fraction(0))
 
 

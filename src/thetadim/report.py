@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "CSV_HEADER",
@@ -21,8 +23,9 @@ class DimensionReport(NamedTuple):
     group: str
     order: int
     num_classes: int
-    d1: Fraction | None
-    d2: Fraction | None
+    # exact rationals; the burnside route gives plain ints
+    d1: Fraction | int | None
+    d2: Fraction | int | None
     dim_cpi: int
     dim_ker_eps: int
     dim_classhat_z2: int
@@ -30,7 +33,7 @@ class DimensionReport(NamedTuple):
     millis: float
 
 
-def _json_number(value: Fraction | None):
+def _json_number(value: Fraction | int | None):
     if value is None:
         return None
     if value.denominator == 1:

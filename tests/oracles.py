@@ -1,7 +1,8 @@
 """Test-only oracles and helpers: literal actions, per-family closed forms,
 family presentations, table-group element helpers, the literal product table,
-decoration canonical forms, character-table identities and the complex
-embedding of cyclotomic numbers.
+decoration canonical forms, character-table identities, the complex
+embedding of cyclotomic numbers and the argparse reference parser of the
+command line.
 
 None of these is on a computation route.  The pair-action oracles build each
 permutation literally, the per-family closed forms check the class and
@@ -11,6 +12,7 @@ coset enumeration as a construction check independent of the normal forms.
 
 from __future__ import annotations
 
+import argparse
 import cmath
 import math
 from array import array
@@ -479,3 +481,55 @@ def presentation_for_family(atom: Atom) -> str:
     if kind == "Istar":
         return "<a,b | (a*b)^2 = a^3 = b^5>"
     raise ValueError(f"unknown family {kind!r}")
+
+
+# -- reference command-line parser ----------------------------------------------
+
+
+class ReferenceUsageError(Exception):
+    pass
+
+
+class _ReferenceParser(argparse.ArgumentParser):
+    # a usage problem raises instead of exiting, so a test can compare refusals
+    def error(self, message):
+        raise ReferenceUsageError(message)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The argparse parser the command line used before its getopt parser:
+    the same commands, options, defaults, choices and exclusions."""
+    from thetadim.cli import METHODS
+
+    parser = _ReferenceParser(prog="thetadim")
+    parser.add_argument(
+        "-v", "--verbose", action="count", default=0, help="log progress to stderr"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("compute", help="compute both dimensions for an expression")
+    p.add_argument("expr", help='e.g. "Z(5) x Dstar(4)" or "Istar"')
+    p.add_argument("--method", choices=METHODS, default="auto")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--json", action="store_true")
+    out.add_argument("--csv", action="store_true")
+    p.add_argument("--max-order", type=int, dest="max_order")
+
+    p = sub.add_parser("verify", help="run every applicable method and compare")
+    p.add_argument("expr")
+    p.add_argument("--max-order", type=int, dest="max_order")
+
+    p = sub.add_parser("table", help="emit a parameter sweep as CSV")
+    p.add_argument("family", choices=["d4p", "t8_3k", "zn"])
+    p.add_argument("--max-p", type=int, default=15, dest="max_p")
+    p.add_argument("--max-k", type=int, default=9, dest="max_k")
+    p.add_argument("--max-n", type=int, default=60, dest="max_n")
+    p.add_argument("--max-order", type=int, dest="max_order")
+
+    p = sub.add_parser("classes", help="dump conjugacy class data")
+    p.add_argument("expr")
+
+    p = sub.add_parser("chartab", help="print the character table")
+    p.add_argument("expr")
+    p.add_argument("--csv", action="store_true")
+    return parser

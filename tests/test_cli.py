@@ -2,17 +2,23 @@
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import thetadim.characters as characters
 import thetadim.cli as cli
+import thetadim.burnside as burnside
+import thetadim.conjugacy as conjugacy
 from catalogs import RANDOM_PRODUCTS_500
+from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_rational
-from thetadim.group_core import FiniteGroup
+from thetadim.group_core import FiniteGroup, ResourceLimitError
 from thetadim.report import CSV_HEADER
 
 
@@ -364,9 +370,10 @@ def test_chars_route_builds_no_full_character_table(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the chars route built a full character table")
 
+    # the CLI imports table_for from characters when chartab runs, so the
+    # patch on the defining module covers every caller
     monkeypatch.setattr(characters, "table_for", refuse)
     monkeypatch.setattr(characters, "_product_table", refuse)
-    monkeypatch.setattr(cli, "table_for", refuse)
     pool = _chars_large_pool()
     assert "Z(2000)" in pool and "Z(13) x Istar" in pool
     for expr in pool:
@@ -426,3 +433,156 @@ def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edi
     assert check in lines[0]
     # only the real-only layout is doctored, and chartab reads the full one
     assert run(capsys, "chartab", expr)[0] == 0
+
+
+# -- parser -------------------------------------------------------------------
+
+GOLDEN = Path(__file__).with_name("golden_cli.jsonl")
+
+PARSER_EDGE_CASES = [
+    ["compute", "Z(3)", "--method=chars"],
+    ["compute", "Z(3)", "--meth", "chars"],
+    ["-vv", "compute", "Z(3)"],
+    ["-v", "--verb", "verify", "Z(3)", "--max-order=7"],
+    ["compute", "Z(3)", "-v"],
+    ["compute", "Z(3)", "--max-order", "x"],
+    ["compute", "Z(3)", "--max-order", "-5"],
+    ["compute", "Z(3)", "--json", "--csv"],
+    ["compute", "Z(3)", "Z(4)"],
+    ["compute", "--", "Z(3)"],
+    ["compute", "--method", "chars", "--", "Z(3)"],
+    ["--", "compute", "Z(3)"],
+    [],
+    ["-v"],
+    ["table", "zn", "--max", "3"],
+    ["table", "zn", "--max-o", "4", "--max-n=5"],
+    ["compute", "Z(3)", "--m", "chars"],
+    ["compute", "Z(3)", "--j"],
+    ["compute", "Z(3)", "--json=1"],
+    ["compute", "Z(3)", "--method"],
+    ["compute", "Z(3)", "--method", "chars", "--method", "closed"],
+    ["compute"],
+    ["comp", "Z(3)"],
+    ["classes", "Z(3)", "--csv"],
+    ["chartab", "--csv", "Z(3)"],
+]
+
+
+def _golden_argvs():
+    with GOLDEN.open() as fh:
+        return [json.loads(line)["argv"] for line in fh if line.strip()]
+
+
+def _new_parse(argv):
+    try:
+        return vars(cli._parse_args(list(argv)))
+    except cli._UsageError:
+        return cli.EXIT_USAGE
+
+
+def _reference_parse(argv):
+    try:
+        return vars(reference_parser().parse_args(list(argv)))
+    except ReferenceUsageError:
+        return cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "argv", _golden_argvs() + PARSER_EDGE_CASES, ids=lambda argv: " ".join(argv) or "<none>"
+)
+def test_parser_matches_the_argparse_reference(argv):
+    """Same command, values and defaults, or a usage refusal from both."""
+    assert _new_parse(argv) == _reference_parse(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [argv for argv in PARSER_EDGE_CASES if _reference_parse(argv) == cli.EXIT_USAGE],
+    ids=lambda argv: " ".join(argv) or "<none>",
+)
+def test_usage_errors_print_a_usage_line_and_exit_1(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (1, "")
+    first, second = err.splitlines()
+    assert first.startswith("usage: thetadim")
+    assert second.startswith("thetadim") and ": error: " in second
+
+
+@pytest.mark.parametrize(
+    "argv", [["-h"], ["--help"], ["-v", "--he"], ["compute", "-h"], ["table", "zn", "--help"]]
+)
+def test_help_goes_to_stdout_and_exits_0(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, err) == (0, "")
+    assert out.startswith("usage: thetadim")
+    command = next((a for a in argv if not a.startswith("-")), None)
+    if command is None:
+        assert all(name in out for name in ("compute", "verify", "table", "classes", "chartab"))
+        assert "thetadim <command> -h" in out
+    else:
+        assert out.startswith(f"usage: thetadim {command} [-h]")
+        assert "--max-order N" in out
+
+
+# -- broken pipe, class-data cap, integrality ---------------------------------
+
+
+@pytest.mark.parametrize("argv", [["classes", "Z(100000)"], ["chartab", "Z(11) x Dstar(9)"]])
+def test_a_closed_stdout_pipe_ends_quietly(argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "thetadim", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert "Traceback" not in err and err == ""
+
+
+@pytest.mark.parametrize("argv", [["classes", "Tprime(14)"], ["classes", "Z(10000001)"]])
+def test_classes_refuses_orders_past_the_class_data_cap(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (cli.EXIT_RESOURCE, "")
+    assert "class-data budget 10000000" in err
+
+
+def test_the_class_data_cap_is_read_off_the_order_and_no_budget_lifts_it(capsys, monkeypatch):
+    assert conjugacy.CLASS_DATA_MAX_ORDER == 10**7
+    monkeypatch.setattr(conjugacy, "CLASS_DATA_MAX_ORDER", 120)
+    assert conjugacy.class_data_for("Istar").num_classes == 9
+    with pytest.raises(ResourceLimitError, match="class-data budget 120"):
+        conjugacy.class_data_for("Z(121)")
+    # class-mode burnside under a lifted order budget meets the same cap
+    argv = ("compute", "Z(400)", "--method", "burnside", "--max-order", "1000")
+    rc, out, err = run(capsys, *argv)
+    assert (rc, out) == (cli.EXIT_RESOURCE, "")
+    assert "class-data budget 120" in err
+    monkeypatch.undo()
+    assert run(capsys, *argv)[0] == 0
+
+
+def test_class_routes_answer_below_the_class_data_cap(capsys):
+    # order 1,728,000: chars and class-mode burnside under a lifted order
+    # budget compose the class data per atom and agree
+    expr = "Istar x Istar x Istar"
+    for argv in (("--method", "chars"), ("--method", "burnside", "--max-order", "2000000")):
+        rc, out, _ = run(capsys, "compute", expr, *argv, "--json")
+        assert rc == 0, argv
+        data = json.loads(out)
+        assert (data["order"], data["dim_Cpi"], data["dim_ker_eps"]) == (1728000, 3176448, 3175719)
+
+
+def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
+    # a plain sum that |G|^2 does not divide
+    monkeypatch.setattr(burnside, "_naive_sums", lambda group: (1, 0, 0, 0, 3))
+    with pytest.raises(AssertionError, match="d1 for Z\\(3\\) is not a nonnegative integer: 1/54"):
+        burnside.burnside_dims("Z(3)", mode="naive")
+    rc, out, err = run(capsys, "compute", "Z(3)", "--method", "burnside")
+    assert (rc, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal check failed: d1 for Z(3) is not a nonnegative integer: 1/54\n"

@@ -2,11 +2,14 @@
 other name a submodule exports is used by library code."""
 
 import ast
+import doctest
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import thetadim
 
@@ -88,20 +91,71 @@ def test_orbit_and_diagram_walks_share_no_code():
     assert "burnside" not in _imported_modules(modules["diagrams"])
 
 
-def test_cli_import_loads_no_introspection_logging_or_json_modules():
+def _loaded_after_start(code: str) -> set[str]:
+    """Modules that `code` loads in a fresh interpreter, past the interpreter's
+    own start-up; `code` runs with standard output captured."""
+    src = str(Path(thetadim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env.pop("THETA_DIM_MAX_ORDER", None)
+    script = (
+        "import contextlib, io, sys\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        + "".join(f"    {line}\n" for line in code.splitlines())
+        + "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    return set(out.split())
+
+
+def _cli_call(*argv: str) -> str:
+    return f"import thetadim.cli\nassert thetadim.cli.main({list(argv)!r}) == 0"
+
+
+def test_a_process_loads_only_the_modules_its_route_runs():
     """Every CLI call is a fresh process, so start-up imports are paid each time.
 
     Modules the interpreter's own start-up already loaded do not count.
     """
-    src = str(Path(thetadim.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    code = (
-        "import sys; before = set(sys.modules); import thetadim.cli; "
-        "print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert "thetadim.cli" in out
-    assert {"dataclasses", "inspect", "logging", "json"}.isdisjoint(out)
+    assert {m for m in _loaded_after_start("import thetadim") if m.startswith("thetadim.")} == set()
+
+    loaded = _loaded_after_start("import thetadim.cli")
+    assert "thetadim.cli" in loaded
+    assert {"dataclasses", "inspect", "logging", "json"}.isdisjoint(loaded)
+
+    loaded = _loaded_after_start(_cli_call("compute", "--method", "burnside", "Z(12)"))
+    assert "thetadim.burnside" in loaded
+    unused = {"argparse", "fractions", "decimal", "json"}
+    unused |= {f"thetadim.{m}" for m in ("characters", "cyclo", "closed_forms", "diagrams")}
+    assert unused.isdisjoint(loaded)
+
+    loaded = _loaded_after_start(_cli_call("compute", "--method", "chars", "Z(12)"))
+    assert "thetadim.characters" in loaded
+    assert {"thetadim.burnside", "thetadim.diagrams"}.isdisjoint(loaded)
+
+
+def test_lazy_exports_resolve_to_the_submodule_objects():
+    import thetadim.burnside
+    import thetadim.group_core
+
+    assert thetadim.burnside_dims is thetadim.burnside.burnside_dims
+    assert thetadim.ResourceLimitError is thetadim.group_core.ResourceLimitError
+    assert set(thetadim.__all__) <= set(dir(thetadim))
+    for name in thetadim.__all__:
+        assert getattr(thetadim, name) is getattr(
+            sys.modules[f"thetadim.{thetadim._MODULE_OF[name]}"], name
+        )
+    with pytest.raises(AttributeError, match="no_such_name"):
+        thetadim.no_such_name
+
+
+def test_readme_python_example_runs():
+    """The Library example in README.md, run as a doctest, so it cannot go stale."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", str(README), 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert (runner.failures, runner.tries) == (0, len(test.examples)) and test.examples
