@@ -9,10 +9,11 @@ contributes exactly 1 to each.
 
 Two evaluation modes: "naive" iterates all |G|^2 pairs reading fixed-point
 counts from two literally-counted tables, and is the trusted reference;
-"class" reduces both sums to O(k) sums over the k conjugacy classes and
-needs only class data, so it builds no multiplication table for an
-expression.  Orbit enumeration on sorted monomial triples provides a third,
-lemma-free count of the same dimension.  Every orbit meets the triples that
+"class" reduces both sums to O(k) sums over the k conjugacy classes with
+`conjugacy`'s trace evaluator, the one the chars route also uses, and needs
+only class data, so it builds no multiplication table for an expression.
+Orbit enumeration on sorted monomial triples provides a third, lemma-free
+count of the same dimension.  Every orbit meets the triples that
 contain the identity, so it walks only those, as sorted pairs {e, u, v}:
 re-centring at u or v, conjugation by the generators and inversion connect
 exactly the pairs whose triples share an orbit.
@@ -24,7 +25,13 @@ from bisect import bisect_right
 from math import gcd
 from typing import NamedTuple
 
-from .conjugacy import ClassData, class_data_for, compute_classes, power_class_weights
+from .conjugacy import (
+    class_data_for,
+    compute_classes,
+    plain_trace_sums,
+    square_root_counts,
+    twisted_trace_sums,
+)
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .group_core import (
     FiniteGroup,
@@ -69,11 +76,6 @@ def _whole(label: str, name: str, num: int, den: int) -> int:
         value = q if not rem else f"{num // g}/{den // g}"
         raise AssertionError(f"{label} for {name} is not a nonnegative integer: {value}")
     return q
-
-
-def _ker_terms(t1: int, t2: int, t3: int) -> int:
-    u1, u2, u3 = t1 - 1, t2 - 1, t3 - 1
-    return u1**3 + 3 * u1 * u2 + 2 * u3
 
 
 def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
@@ -141,57 +143,6 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
     )
 
 
-def _class_sums(cd: ClassData) -> tuple[int, int, int, int]:
-    """Same four sums as _naive_sums, from conjugacy class data alone, in O(k).
-
-    Plain traces are class functions of the pair: for g in class i and h in
-    class j, t1 = |C_G(g)| if i == j, t2 = |C_G(g^2)| if g^2 ~ h^2 and
-    t3 = |C_G(g^3)| if g^3 ~ h^3, each 0 otherwise.  Summing |i||j| times a
-    trace polynomial over class pairs, the t1 terms live on the diagonal and
-    the lone t2 and t3 terms on pairs with a common square or cube class C,
-    whose total weight is the power-class weight W2[C] or W3[C].  The kernel
-    polynomial expands to t1^3 - 3 t1^2 + 3 t1 t2 - 3 t2 + 2 t3.
-
-    Twisted traces are functions of the product h*g alone, and summing over
-    pairs with a fixed product gives |G| times a single sum over classes, with
-    t1 the number of square roots of the class, t2 its centralizer size, and
-    t3 the square-root count of its cube class.  Roots of class C number
-    W2[C] / |C|.
-    """
-    n = cd.order
-    sizes = cd.sizes
-    cent = [n // s for s in sizes]
-    sq_cls = cd.square_class
-    cu_cls = cd.cube_class
-    w2 = power_class_weights(sq_cls, sizes)
-    w3 = power_class_weights(cu_cls, sizes)
-    roots = []
-    for c, size in enumerate(sizes):
-        r, rem = divmod(w2[c], size)
-        if rem:
-            raise AssertionError(f"square roots of class {c} are not evenly spread")
-        roots.append(r)
-
-    plain_sum = plain_ker = 0
-    twist_sum = twist_ker = 0
-    for i, size in enumerate(sizes):
-        c1, c2, c3 = cent[i], cent[sq_cls[i]], cent[cu_cls[i]]
-        diagonal = size * size * c1
-        same_cube = 2 * size * c3 * w3[cu_cls[i]]
-        plain_sum += diagonal * (c1 * c1 + 3 * c2) + same_cube
-        plain_ker += (
-            diagonal * (c1 * c1 - 3 * c1 + 3 * c2)
-            - 3 * size * c2 * w2[sq_cls[i]]
-            + same_cube
-        )
-
-        r1, r3 = roots[i], roots[cu_cls[i]]
-        twist_sum += size * (r1**3 + 3 * r1 * c1 + 2 * r3)
-        twist_ker += size * _ker_terms(r1, c1, r3)
-    # pair sums carry one more factor of |G| than the class-collapsed twisted sum
-    return plain_sum, plain_ker, n * twist_sum, n * twist_ker
-
-
 def _as_group(group: FiniteGroup | GroupExpr | str) -> FiniteGroup:
     if isinstance(group, FiniteGroup):
         return group
@@ -231,7 +182,8 @@ def burnside_dims(
             cd = compute_classes(group)
         else:
             cd = class_data_for(group)
-        plain_sum, plain_ker, twist_sum, twist_ker = _class_sums(cd)
+        plain_sum, plain_ker = plain_trace_sums(cd)
+        twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
         num_classes = cd.num_classes
     else:
         raise ValueError(f"mode must be auto, naive or class, got {mode!r}.")

@@ -27,11 +27,17 @@ from functools import partial
 from math import prod
 from typing import NamedTuple
 
-from .conjugacy import ClassData, compute_classes, power_class_weights, product_class_data
+from .conjugacy import (
+    ClassData,
+    compute_classes,
+    product_class_data,
+    square_root_counts,
+    twisted_trace_sums,
+)
 from .cyclo import (
     CycloNumber,
     exact_sum,
-    from_rational,
+    from_int,
     golden_ratio,
     golden_ratio_conjugate,
     sqrt2,
@@ -140,10 +146,9 @@ def _finish(
 
 
 def _integer(x: CycloNumber, name: str) -> int:
-    q = x.coeffs.get(0, 0)
-    if x.coeffs.keys() - {0} or type(q) is not int:
+    if x.coeffs.keys() - {0}:
         raise AssertionError(f"{name}: a real character sum is not an integer: {x}")
-    return q
+    return x.coeffs.get(0, 0)
 
 
 def _real_sums(name: str, cd: ClassData, rows: list[_Row]) -> list[int]:
@@ -152,9 +157,9 @@ def _real_sums(name: str, cd: ClassData, rows: list[_Row]) -> list[int]:
     Every row must be real and declare an indicator of 1 or -1; there must be
     as many rows as self-inverse classes (Brauer); and at every class the
     Frobenius-Schur count sum nu(chi) chi(C) = S+ - S- must equal the number
-    of square roots W2[C]/|C| of an element of C.  Irreducible characters are
-    linearly independent, so the last identity pins both the set of rows and
-    every declared indicator.
+    of square roots of an element of C (`square_root_counts`).  Irreducible
+    characters are linearly independent, so the last identity pins both the
+    set of rows and every declared indicator.
     """
     inverse = cd.inverse_class
     for row_name, nu, values in rows:
@@ -163,17 +168,17 @@ def _real_sums(name: str, cd: ClassData, rows: list[_Row]) -> list[int]:
         if not _is_real(values, inverse):
             raise AssertionError(f"{name}: row {row_name} is not constant on inverse classes")
     _brauer_check(name, len(rows), inverse)
-    roots = power_class_weights(cd.square_class, cd.sizes)
+    roots = square_root_counts(cd)
     plus_rows = [values for _, nu, values in rows if nu > 0]
     minus_rows = [values for _, nu, values in rows if nu < 0]
     sums = []
-    for c, size in enumerate(cd.sizes):
+    for c in range(cd.num_classes):
         plus = _integer(exact_sum(values[c] for values in plus_rows), name)
         minus = _integer(exact_sum(values[c] for values in minus_rows), name)
-        if (plus - minus) * size != roots[c]:
+        if plus - minus != roots[c]:
             raise AssertionError(
                 f"{name}: Frobenius-Schur count {plus - minus} at class {cd.labels[c]}, "
-                f"but it has {roots[c] // size} square roots"
+                f"but it has {roots[c]} square roots"
             )
         sums.append(plus + minus)
     return sums
@@ -185,15 +190,13 @@ def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
     Takes S = `real_character_sums(expr)` and evaluates, in O(k),
     (1/(6|G|)) * sum over classes |C| * (S^3 + 3*(|G|/|C|)*S + 2*S3)
     where S = S[C] is the real character sum at the class and S3 the sum at
-    its cube class.  The class data is returned with d2 so that the chars
-    route computes it once.
+    its cube class: the twisted trace sum of `conjugacy.twisted_trace_sums`
+    with S as the first twisted trace.  The class data is returned with d2 so
+    that the chars route computes it once.
     """
     cd, sums = real_character_sums(expr)
     n = cd.order
-    total = 0
-    for size, s, cube in zip(cd.sizes, sums, cd.cube_class):
-        total += size * (s**3 + 2 * sums[cube]) + 3 * n * s
-    return cd, Fraction(total, 6 * n)
+    return cd, Fraction(twisted_trace_sums(cd, sums)[0], 6 * n * n)
 
 
 # -- family layouts -----------------------------------------------------------
@@ -230,9 +233,9 @@ def _binary_dihedral_layout(p: int, real_only: bool) -> _Layout:
     if cd.sizes[col_x[0]] != p or cd.sizes[col_x[1]] != p:
         raise ValueError(f"Dstar({p}): reflection-class sizes do not match")
 
-    one = from_rational(1)
-    minus_one = from_rational(-1)
-    zero = from_rational(0)
+    one = from_int(1)
+    minus_one = from_int(-1)
+    zero = from_int(0)
     zs = _Memo(partial(zeta, two_p))
     cos2 = _Memo(lambda t: zs[t] + zs[-t % two_p])
 
@@ -303,7 +306,7 @@ def _dprime_layout(k: int, p: int, real_only: bool) -> _Layout:
 
     zn = _Memo(partial(zeta, big_n))
     cosp = _Memo(lambda t: zeta(p, t) + zeta(p, -t))
-    zero = from_rational(0)
+    zero = from_int(0)
     # every degree-2 entry is one of these products, each built once
     two_zn = _Memo(lambda e: 2 * zn[e])
     zn_cosp = _Memo(lambda key: zn[key[0]] * cosp[key[1]])
@@ -364,7 +367,7 @@ def _tprime_layout(k: int, real_only: bool) -> _Layout:
 
     zs = _Memo(partial(zeta, three_k))
     scaled = _Memo(lambda key: key[0] * zs[key[1]])
-    zero = from_rational(0)
+    zero = from_int(0)
     # (name prefix, family coefficients or None for the linear rows, number of
     # rows, indicator of the lam = 0 row: the only real one of each kind)
     kinds = [
@@ -387,7 +390,7 @@ def _tprime_layout(k: int, real_only: bool) -> _Layout:
 
 
 def _polyhedral_data(kind: str):
-    one = from_rational(1)
+    one = from_int(1)
     if kind == "Tstar":
         w = zeta(3)
         w2 = zeta(3, 2)
@@ -496,7 +499,7 @@ def _polyhedral_layout(kind: str, real_only: bool) -> _Layout:
         row = [None] * k_classes
         for i, v in enumerate(printed):
             if not isinstance(v, CycloNumber):
-                v = from_rational(v)
+                v = from_int(v)
             row[cols[i]] = v
         rows.append((name, nu, row))
     return kind, cd, rows

@@ -103,17 +103,12 @@ def _table_budget(name: str, max_order: int | None) -> int:
 
 
 def _closed(expr: GroupExpr, max_order):
-    from .closed_forms import (
-        closed_class_count,
-        closed_dims,
-        closed_order,
-        closed_z2_orbit,
-        spec_from_expr,
-    )
+    from .closed_forms import closed_class_count, closed_dims, closed_order, spec_from_expr
 
     spec = spec_from_expr(expr)
-    dim, _ = closed_dims(spec)
-    return closed_order(spec), closed_class_count(spec), None, None, dim, closed_z2_orbit(spec)
+    # closed_dims has checked dim - ker against the closed inversion-orbit count
+    dim, ker = closed_dims(spec)
+    return closed_order(spec), closed_class_count(spec), None, None, dim, dim - ker
 
 
 def _chars(expr: GroupExpr, max_order):

@@ -3,6 +3,10 @@
 Class data comes from orbits of conjugation by the generators, on either a
 multiplication table or a normal-form product rule, so a group expression's
 classes are found without building any O(|G|^2) table (`class_data_for`).
+`plain_trace_sums` and `twisted_trace_sums` are the one O(k) evaluator of the
+pair-averaged cube traces: class-mode burnside and the chars route both call
+it, and differ only in the first twisted trace they pass, the square-root
+counts of the classes or their real character sums.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ __all__ = [
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
-    "delta3_weighted_sum",
+    "plain_trace_sums",
     "power_class_weights",
     "product_class_data",
+    "square_root_counts",
+    "twisted_trace_sums",
     "z2_orbit_count",
 ]
 
@@ -54,9 +60,6 @@ class ClassData(NamedTuple):
     @property
     def num_classes(self) -> int:
         return len(self.representatives)
-
-    def centralizer_size(self, c: int) -> int:
-        return self.order // self.sizes[c]
 
 
 def compute_classes(group: FiniteGroup | NormalForm) -> ClassData:
@@ -195,39 +198,79 @@ def power_class_weights(power_class: list[int], sizes: list[int]) -> list[int]:
     return weights
 
 
-def delta3_weighted_sum(cd: ClassData) -> Fraction:
-    """Sum of |C(g)| |C(h)| / |C(g^3)| over class pairs with g^3 conjugate to h^3.
-
-    Grouping the pairs by their common cube class C gives W3[C]^2 / |C| per
-    cube class, with W3 the cube-class weights, so the sum runs in O(k).
-    """
-    sizes = cd.sizes
-    by_size: dict[int, int] = {}
-    for c, w in enumerate(power_class_weights(cd.cube_class, sizes)):
-        by_size[sizes[c]] = by_size.get(sizes[c], 0) + w * w
-    return _sum_over_denominators(by_size)
-
-
-def _sum_over_denominators(numerators: dict[int, int]) -> Fraction:
-    """Sum of numerators[d] / d: one Fraction per distinct denominator d."""
-    from fractions import Fraction  # only the routes that build one pay for it
-
-    return sum((Fraction(num, d) for d, num in numerators.items()), Fraction(0))
+def square_root_counts(cd: ClassData) -> list[int]:
+    """The number of square roots of an element of each class, W2[C] / |C|."""
+    weights = power_class_weights(cd.square_class, cd.sizes)
+    roots = []
+    for c, size in enumerate(cd.sizes):
+        r, rem = divmod(weights[c], size)
+        if rem:
+            raise AssertionError(f"square roots of class {c} are not evenly spread")
+        roots.append(r)
+    return roots
 
 
-def d1_class_formula(cd: ClassData) -> Fraction:
-    """Dimension of the invariant part of the cube of the two-sided action.
+# Both pair actions are averaged through the symmetric-cube trace polynomial
+# t1^3 + 3 t1 t2 + 2 t3 and its kernel form, with every power trace t_k replaced
+# by t_k - 1, which is the full polynomial minus 3 (t1^2 + t2).  Each evaluator
+# returns the pair sums of both: 6|G|^2 times the dimension (d1 or d2) and its
+# kernel variant.
 
-    Evaluates (1/6) * sum over classes of (|G|/|C| + 3|C|/|C^2-class|)
-    plus (1/(3|G|)) * the cube-matched pair sum.
+
+def plain_trace_sums(cd: ClassData) -> tuple[int, int]:
+    """Pair sums of the plain cube traces and of their kernel form, in O(k).
+
+    Plain traces are class functions of the pair: for g in class i and h in
+    class j, t1 = |C_G(g)| if i == j, t2 = |C_G(g^2)| if g^2 ~ h^2 and
+    t3 = |C_G(g^3)| if g^3 ~ h^3, each 0 otherwise.  Summing |i||j| times the
+    polynomial over class pairs, the t1 terms live on the diagonal and the
+    lone t2 and t3 terms on pairs with a common square or cube class C, whose
+    total weight is the power-class weight W2[C] or W3[C].
     """
     n = cd.order
     sizes = cd.sizes
-    # |C| divides |G|, so the first terms are integers; the second are grouped
-    # by their denominator, the size of the square class
-    whole = sum(n // size for size in sizes)
-    by_square: dict[int, int] = {}
-    for size, sq in zip(sizes, cd.square_class):
-        by_square[sizes[sq]] = by_square.get(sizes[sq], 0) + 3 * size
-    single = whole + _sum_over_denominators(by_square)
-    return single / 6 + delta3_weighted_sum(cd) / (3 * n)
+    cent = [n // s for s in sizes]
+    sq_cls = cd.square_class
+    cu_cls = cd.cube_class
+    w2 = power_class_weights(sq_cls, sizes)
+    w3 = power_class_weights(cu_cls, sizes)
+    total = ker = 0
+    for i, size in enumerate(sizes):
+        c1, c2, c3 = cent[i], cent[sq_cls[i]], cent[cu_cls[i]]
+        diagonal = size * size * c1
+        same_cube = 2 * size * c3 * w3[cu_cls[i]]
+        total += diagonal * (c1 * c1 + 3 * c2) + same_cube
+        ker += diagonal * (c1 * c1 - 3 * c1 + 3 * c2) - 3 * size * c2 * w2[sq_cls[i]] + same_cube
+    return total, ker
+
+
+def twisted_trace_sums(cd: ClassData, t: list[int]) -> tuple[int, int]:
+    """Pair sums of the twisted cube traces and of their kernel form, in O(k).
+
+    Twisted traces are functions of the product h*g alone, and summing over
+    pairs with a fixed product gives |G| times a single sum over classes,
+    with t2 the centralizer size of the class and t1, t3 read from `t` at the
+    class and at its cube class.  `t` is the first twisted trace per class:
+    the square-root count (`square_root_counts`) by its definition, or the
+    real character sum S(C) = S+ + S-.  By Frobenius-Schur the root count is
+    S+ - S-, so the two differ where a quaternionic character is nonzero,
+    yet both give the same two sums.
+    """
+    n = cd.order
+    cu_cls = cd.cube_class
+    total = ker = 0
+    for i, size in enumerate(cd.sizes):
+        t1, t2, t3 = t[i], n // size, t[cu_cls[i]]
+        full = t1 * (t1 * t1 + 3 * t2) + 2 * t3
+        total += size * full
+        ker += size * (full - 3 * (t1 * t1 + t2))
+    # pair sums carry one more factor of |G| than the class-collapsed sum
+    return n * total, n * ker
+
+
+def d1_class_formula(cd: ClassData) -> Fraction:
+    """d1, the dimension of the invariant part of the cube of the plain pair action."""
+    from fractions import Fraction  # only the routes that return one pay for it
+
+    n = cd.order
+    return Fraction(plain_trace_sums(cd)[0], 6 * n * n)

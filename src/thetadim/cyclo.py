@@ -1,25 +1,24 @@
-"""Exact arithmetic in cyclotomic fields.
+"""Exact arithmetic in the cyclotomic integers Z[z_N].
 
-A value is a rational linear combination of powers of a primitive N-th root of
-unity, reduced to the canonical power basis 1, z, ..., z^(phi(N)-1) modulo the
-N-th cyclotomic polynomial.  That basis is integral and every character value
-in the package is an algebraic integer, so integral coefficients are stored as
-`int`; `fractions.Fraction` appears only for a coefficient that is not an
-integer, never for an integral one.  Every comparison is exact and no value
-passes through floating point; the complex embedding the tests compare
-against lives in the tests.
+A value is an integer linear combination of powers of a primitive N-th root
+of unity, reduced to the canonical power basis 1, z, ..., z^(phi(N)-1) modulo
+the N-th cyclotomic polynomial.  That basis is integral and the cyclotomic
+polynomial is monic, so reduction keeps every coefficient an `int`; every
+character value in the package is an algebraic integer, so the ring (sums,
+negatives, products) is all the package needs.  Every comparison is exact and
+no value passes through floating point; complex conjugation and the complex
+embedding the tests compare against live in the tests.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "CycloNumber",
     "cyclotomic_polynomial",
     "exact_sum",
-    "from_rational",
+    "from_int",
     "golden_ratio",
     "golden_ratio_conjugate",
     "sqrt2",
@@ -84,43 +83,29 @@ def _reduction_rows(n: int) -> list[dict[int, int]]:
     return rows
 
 
-def _integral(q):
-    """q as an int when it is an integral Fraction, else q unchanged."""
-    if type(q) is Fraction and q.denominator == 1:
-        return q.numerator
-    return q
-
-
-def _canonical(n: int, items) -> dict[int, int | Fraction]:
+def _canonical(n: int, items) -> dict[int, int]:
     rows = _reduction_rows(n)
-    acc: dict[int, int | Fraction] = {}
-    fractional = False
+    acc: dict[int, int] = {}
     for e, q in items:
         if not q:
             continue
-        if type(q) is not int:
-            fractional = True
         for b, ic in rows[e % n].items():
             nv = acc.get(b, 0) + q * ic
             if nv:
                 acc[b] = nv
             else:
                 acc.pop(b, None)
-    if fractional:
-        acc = {b: _integral(q) for b, q in acc.items()}
     return acc
 
 
-def _coefficient(q) -> int | Fraction:
-    if isinstance(q, Fraction):
-        return _integral(q)
-    if isinstance(q, int):
-        return int(q)
-    raise TypeError(f"coefficient must be an int or Fraction, got {type(q).__name__}")
+def _coefficient(q) -> int:
+    if not isinstance(q, int):
+        raise TypeError(f"coefficient must be an int, got {type(q).__name__}")
+    return int(q)
 
 
 class CycloNumber:
-    """An element of the N-th cyclotomic field in canonical reduced form."""
+    """An element of the N-th cyclotomic integers in canonical reduced form."""
 
     __slots__ = ("conductor", "coeffs")
 
@@ -131,7 +116,7 @@ class CycloNumber:
         self.coeffs = _canonical(conductor, ((e, _coefficient(q)) for e, q in terms))
 
     @classmethod
-    def _raw(cls, conductor: int, coeffs: dict[int, int | Fraction]) -> "CycloNumber":
+    def _raw(cls, conductor: int, coeffs: dict[int, int]) -> "CycloNumber":
         obj = cls.__new__(cls)
         obj.conductor = conductor
         obj.coeffs = coeffs
@@ -158,7 +143,7 @@ class CycloNumber:
         for e, q in b.coeffs.items():
             nv = coeffs.get(e, 0) + q
             if nv:
-                coeffs[e] = _integral(nv)
+                coeffs[e] = nv
             else:
                 coeffs.pop(e, None)
         return CycloNumber._raw(m, coeffs)
@@ -170,18 +155,6 @@ class CycloNumber:
             self.conductor, {e: -q for e, q in self.coeffs.items()}
         )
 
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.__add__(-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other.__add__(-self)
-
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
@@ -189,7 +162,7 @@ class CycloNumber:
         m = math.lcm(self.conductor, other.conductor)
         a = self._embed(m)
         b = other._embed(m)
-        acc: dict[int, int | Fraction] = {}
+        acc: dict[int, int] = {}
         for e1, q1 in a.coeffs.items():
             for e2, q2 in b.coeffs.items():
                 e = e1 + e2
@@ -197,31 +170,6 @@ class CycloNumber:
         return CycloNumber._raw(m, _canonical(m, acc.items()))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, CycloNumber):
-            q = other.as_rational()
-        else:
-            q = Fraction(other)
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        inv = 1 / q
-        return CycloNumber._raw(
-            self.conductor, {e: _integral(c * inv) for e, c in self.coeffs.items()}
-        )
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"exponent must be a non-negative int, got {exponent!r}.")
-        result = from_rational(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         other = _coerce(other)
@@ -237,30 +185,10 @@ class CycloNumber:
 
     # -- structure ----------------------------------------------------------
 
-    def conjugate(self) -> "CycloNumber":
-        """Complex conjugate, i.e. the image under z -> z^(N-1)."""
-        n = self.conductor
-        return CycloNumber._raw(
-            n,
-            _canonical(n, (((e * (n - 1)) % n, q) for e, q in self.coeffs.items())),
-        )
-
-    def is_real(self) -> bool:
-        return self == self.conjugate()
-
-    def is_rational(self) -> bool:
-        return all(e == 0 for e in self.coeffs)
-
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"not a rational number: {self}")
-        return Fraction(self.coeffs.get(0, 0))
-
     def as_int(self) -> int:
-        q = self.as_rational()
-        if q.denominator != 1:
+        if self.coeffs.keys() - {0}:
             raise ValueError(f"not an integer: {self}")
-        return q.numerator
+        return self.coeffs.get(0, 0)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -280,13 +208,14 @@ class CycloNumber:
 def _coerce(value):
     if isinstance(value, CycloNumber):
         return value
-    if isinstance(value, (int, Fraction)):
-        return from_rational(value)
+    if isinstance(value, int):
+        return from_int(value)
     return None
 
 
-def from_rational(q) -> CycloNumber:
-    q = _integral(Fraction(q))
+def from_int(q: int) -> CycloNumber:
+    """The integer q as a cyclotomic number of conductor 1."""
+    q = _coefficient(q)
     return CycloNumber._raw(1, {0: q} if q else {})
 
 
@@ -327,8 +256,8 @@ def exact_sum(values) -> CycloNumber:
     of unity, the coefficients are added by exponent, and the result is
     reduced modulo the cyclotomic polynomial at the end, so a long sum costs
     one reduction instead of one dict copy per term.  The common conductor is
-    that of the irrational values only: a rational value is its exponent-0
-    coefficient in every conductor, so a sum of rationals reduces at
+    that of the non-integer values only: an integer value is its exponent-0
+    coefficient in every conductor, so a sum of integers reduces at
     conductor 1.
     """
     values = list(values)
@@ -337,9 +266,9 @@ def exact_sum(values) -> CycloNumber:
         c = x.coeffs
         if m % x.conductor and c and (len(c) > 1 or 0 not in c):
             m = math.lcm(m, x.conductor)
-    acc: dict[int, int | Fraction] = {}
+    acc: dict[int, int] = {}
     for x in values:
-        # a rational value has exponent 0 only, whatever f is
+        # an integer value has exponent 0 only, whatever f is
         f = m // x.conductor
         for e, q in x.coeffs.items():
             e *= f

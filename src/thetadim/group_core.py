@@ -9,10 +9,11 @@ enumeration from their two-generator presentations.  `product_rule` composes
 two groups of either kind, so an expression's atoms fold into one rule, and
 `_tabulate` is the one place a rule becomes a multiplication table.  It
 refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
-product, a single atom included; no order budget lifts this.  The other
-allocations held to the same budget check it themselves: the coset-enumerated
-table (`coset_enum.group_from_coset_table`) and the orbit walk's visited set
-(`burnside.orbit_count_dims`).
+product, a single atom included; no order budget lifts this.  The
+coset-enumerated table (`coset_enum.group_from_coset_table`) checks the same
+budget itself.  The orbit walk's visited set (`burnside.orbit_count_dims`)
+has n(n+1)/2 entries, fewer than the n^2 of the table it walks, so the
+table's budget bounds it too.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured size budget."""
 
 
-# every multiplication table, a single atom's included, and the orbit walk's
-# visited set stay within this many entries
+# every multiplication table, a single atom's included, stays within this many
+# entries; so does the orbit walk's visited set, which is smaller than its table
 TABLE_MAX_ENTRIES = 10**6
 
 

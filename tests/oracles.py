@@ -22,7 +22,7 @@ from functools import reduce
 
 from thetadim.characters import CharacterTable
 from thetadim.closed_forms import SphericalMatchError, spec_from_expr
-from thetadim.cyclo import CycloNumber, _canonical, exact_sum
+from thetadim.cyclo import CycloNumber, _canonical, exact_sum, from_int
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import FiniteGroup, atom_group, product_rule
 
@@ -217,7 +217,7 @@ def check_column_orthogonality(table: CharacterTable) -> None:
     for c in range(k):
         for d in range(c, k):
             acc = conjugate_dot((1, rows[r][c], rows[r][d]) for r in range(k))
-            expected = cd.centralizer_size(c) if c == d else 0
+            expected = cd.order // cd.sizes[c] if c == d else 0
             if acc != expected:
                 raise AssertionError(
                     f"{table.group_name}: column orthogonality fails at ({c}, {d})"
@@ -248,7 +248,7 @@ def euler_phi(n: int) -> int:
 def conjugate_dot(terms) -> CycloNumber:
     """Exact sum of w * x * conj(y) over (w, x, y) triples.
 
-    w is an integer or Fraction weight; x and y are CycloNumbers.  All
+    w is an integer weight; x and y are CycloNumbers.  All
     products are accumulated as raw powers of one common root of unity and
     reduced modulo the cyclotomic polynomial once at the end, so long inner
     products avoid the per-term reduction cost of repeated multiplication.
@@ -257,7 +257,7 @@ def conjugate_dot(terms) -> CycloNumber:
     m = 1
     for _, x, y in triples:
         m = math.lcm(m, x.conductor, y.conductor)
-    acc: dict[int, int | Fraction] = {}
+    acc: dict[int, int] = {}
     for w, x, y in triples:
         if not w or not x.coeffs or not y.coeffs:
             continue
@@ -270,6 +270,11 @@ def conjugate_dot(terms) -> CycloNumber:
                 e = (base - e2 * fy) % m
                 acc[e] = acc.get(e, 0) + wq1 * q2
     return CycloNumber._raw(m, _canonical(m, acc.items()))
+
+
+def complex_conjugate(x: CycloNumber) -> CycloNumber:
+    """conj(x), the image of x under z -> z^-1."""
+    return conjugate_dot([(1, from_int(1), x)])
 
 
 def to_complex(x: CycloNumber) -> complex:

@@ -15,6 +15,7 @@ from functools import lru_cache
 from math import gcd
 
 from catalogs import ROUTE_120, ROUTE_500
+from class_oracles import cube_matched_sum
 from oracles import (
     check_column_orthogonality,
     check_degree_sum,
@@ -28,12 +29,11 @@ from thetadim.closed_forms import SphericalSpec, closed_dims, closed_z2_orbit, s
 from thetadim.conjugacy import (
     compute_classes,
     d1_class_formula,
-    delta3_weighted_sum,
     product_class_data,
     z2_orbit_count,
 )
 from thetadim.coset_enum import enumerate_cosets
-from thetadim.cyclo import from_rational, zeta
+from thetadim.cyclo import from_int, zeta
 from thetadim.diagrams import dim_A2
 from thetadim.expr import Atom, parse_group_expr
 from thetadim.group_core import construct_family, group_from_expr
@@ -246,23 +246,23 @@ def test_presentation_orders():
 def test_cube_class_weighted_sums():
     for n in range(1, 61):
         expected = 3 * n if n % 3 == 0 else n
-        assert delta3_weighted_sum(_classes(f"Z({n})")) == expected
+        assert cube_matched_sum(_classes(f"Z({n})")) == expected
 
     for p in range(1, 16):
         expected = 8 * p if p % 3 == 0 else 4 * p
-        assert delta3_weighted_sum(_classes(f"Dstar({p})")) == expected
+        assert cube_matched_sum(_classes(f"Dstar({p})")) == expected
 
     for k in range(0, 4):
         for p in range(3, 16, 2):
             expected = (2 ** (k + 3) if p % 3 == 0 else 2 ** (k + 2)) * p
-            assert delta3_weighted_sum(_classes(f"Dprime({k},{p})")) == expected
+            assert cube_matched_sum(_classes(f"Dprime({k},{p})")) == expected
 
     # the tower expression 8*3^(k+2) starts at k = 2; the k = 1 member (the
     # binary tetrahedral group) has weighted sum 168, not 8*27 = 216
-    assert delta3_weighted_sum(_classes("Tprime(1)")) == 168
-    assert delta3_weighted_sum(_classes("Tstar")) == 168
+    assert cube_matched_sum(_classes("Tprime(1)")) == 168
+    assert cube_matched_sum(_classes("Tstar")) == 168
     for k in (2, 3):
-        assert delta3_weighted_sum(_classes(f"Tprime({k})")) == 8 * 3 ** (k + 2)
+        assert cube_matched_sum(_classes(f"Tprime({k})")) == 8 * 3 ** (k + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +307,8 @@ def _verify_cyclic_table(tab: CharacterTable) -> None:
 
     for m in _divisors(n):
         if m > 1:
-            total = sum((zeta(m, j) for j in range(m)), from_rational(0))
-            assert total == from_rational(0)
+            total = sum((zeta(m, j) for j in range(m)), from_int(0))
+            assert total == from_int(0)
 
     check_degree_sum(tab)
 

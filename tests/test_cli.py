@@ -17,7 +17,7 @@ from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
-from thetadim.cyclo import from_rational
+from thetadim.cyclo import from_int
 from thetadim.group_core import FiniteGroup, ResourceLimitError
 from thetadim.report import CSV_HEADER
 
@@ -348,7 +348,7 @@ def test_verify_sweep_agrees(capsys, expr):
 def test_internal_check_failure_exit_code(capsys, monkeypatch, argv):
     # zeroing i makes two non-real rows of Dstar(3) look real, so the
     # library's Brauer count check fails inside the character layer
-    monkeypatch.setattr(characters, "sqrt_minus_one", lambda: from_rational(0))
+    monkeypatch.setattr(characters, "sqrt_minus_one", lambda: from_int(0))
     rc, _, err = run(capsys, *argv)
     assert rc == cli.EXIT_INTERNAL == 4
     lines = err.splitlines()

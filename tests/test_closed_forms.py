@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 
 from catalogs import NON_SPHERICAL, SPHERICAL
+from class_oracles import cube_matched_sum
 from oracles import closed_delta3, closed_family_d1, closed_family_d2
 from thetadim.burnside import burnside_dims
 from thetadim.characters import d2_char_formula
@@ -23,7 +24,6 @@ from thetadim.closed_forms import (
 from thetadim.conjugacy import (
     compute_classes,
     d1_class_formula,
-    delta3_weighted_sum,
     z2_orbit_count,
 )
 from thetadim.expr import Atom
@@ -132,7 +132,7 @@ FAMILY_ATOMS = (
 def test_family_polynomials_match_class_and_character_data(atom):
     expr = f"{atom.kind}({','.join(map(str, atom.params))})" if atom.params else atom.kind
     cd = compute_classes(group_from_expr(expr))
-    assert closed_delta3(atom) == delta3_weighted_sum(cd)
+    assert closed_delta3(atom) == cube_matched_sum(cd)
     assert closed_family_d1(atom) == d1_class_formula(cd)
     assert closed_family_d2(atom) == d2_char_formula(expr)[1]
 
@@ -144,7 +144,7 @@ def test_tower_polynomials_require_level_two():
         with pytest.raises(ValueError):
             fn(Atom("Tprime", (1,)))
     cd = compute_classes(group_from_expr("Tprime(1)"))
-    assert delta3_weighted_sum(cd) == 168
+    assert cube_matched_sum(cd) == 168
 
 
 def spherical_spec_grid():

@@ -4,16 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from catalogs import ROUTE_120, ROUTE_500
-from class_oracles import literal_classes, pair_class_sums, pair_delta3_sum
+from catalogs import NON_SPHERICAL, ROUTE_120, ROUTE_500, SPHERICAL
+from class_oracles import cube_matched_sum, literal_classes, pair_class_sums, pair_delta3_sum
 from oracles import conjugate, power, unbudgeted_table
-from thetadim.burnside import _class_sums
+from thetadim.characters import real_character_sums
 from thetadim.conjugacy import (
     class_data_for,
     compute_classes,
     d1_class_formula,
-    delta3_weighted_sum,
+    plain_trace_sums,
     product_class_data,
+    square_root_counts,
+    twisted_trace_sums,
     z2_orbit_count,
 )
 from thetadim.expr import parse_group_expr
@@ -80,7 +82,7 @@ def test_class_bookkeeping_is_internally_consistent(expr):
         assert cd.square_class[c] == cd.class_of[G.mul(rep, rep)]
         assert cd.cube_class[c] == cd.class_of[power(G, rep, 3)]
         assert cd.inverse_class[c] == cd.class_of[G.inv(rep)]
-        assert cd.centralizer_size(c) * cd.sizes[c] == G.order
+        assert (G.order // cd.sizes[c]) * cd.sizes[c] == G.order
     # power maps are class functions: any member gives the same answer
     for g in range(G.order):
         c = cd.class_of[g]
@@ -151,14 +153,14 @@ def brute_cube_pairs(G):
 def test_cube_class_weighted_sum_counts_element_pairs(expr):
     G = group_from_expr(expr)
     cd = compute_classes(G)
-    assert delta3_weighted_sum(cd) == brute_cube_pairs(G)
+    assert cube_matched_sum(cd) == brute_cube_pairs(G)
 
 
 def test_cube_class_weighted_sum_small_values():
-    assert delta3_weighted_sum(compute_classes(cyclic_group(1))) == 1
-    assert delta3_weighted_sum(compute_classes(cyclic_group(2))) == 2
-    assert delta3_weighted_sum(compute_classes(cyclic_group(3))) == 9
-    assert delta3_weighted_sum(compute_classes(group_from_expr("Dstar(3)"))) == 24
+    assert cube_matched_sum(compute_classes(cyclic_group(1))) == 1
+    assert cube_matched_sum(compute_classes(cyclic_group(2))) == 2
+    assert cube_matched_sum(compute_classes(cyclic_group(3))) == 9
+    assert cube_matched_sum(compute_classes(group_from_expr("Dstar(3)"))) == 24
 
 
 def test_first_summand_dimension_small_values():
@@ -193,8 +195,31 @@ def test_table_free_class_layer_matches_literal_oracles(expr):
     cd = class_data_for(expr)
     # field for field: numbering, sizes, power maps and representative labels
     assert cd == literal
-    assert _class_sums(cd) == pair_class_sums(G, literal)
-    assert delta3_weighted_sum(cd) == pair_delta3_sum(literal)
+    plain = plain_trace_sums(cd)
+    twisted = twisted_trace_sums(cd, square_root_counts(cd))
+    assert plain + twisted == pair_class_sums(G, literal)
+    assert cube_matched_sum(cd) == pair_delta3_sum(literal)
+
+
+# products whose two factors both have quaternionic characters, so that
+# S(C) and the square-root count differ at many classes
+QUATERNIONIC_PRODUCTS = ["Ostar x Istar", "Dprime(1,5) x Tstar"]
+
+
+@pytest.mark.parametrize("expr", sorted(set(SPHERICAL + NON_SPHERICAL)) + QUATERNIONIC_PRODUCTS)
+def test_real_character_sums_and_root_counts_give_the_same_twisted_sums(expr):
+    """The chars route and class burnside share twisted_trace_sums.
+
+    The route passes S(C), the sum of the real characters at C; burnside
+    passes the square-root count, sum nu(chi) chi(C) by Frobenius-Schur.  The
+    two differ wherever a quaternionic character is nonzero, but both sums,
+    the full and the kernel one, agree.
+    """
+    cd, sums = real_character_sums(expr)
+    roots = square_root_counts(cd)
+    assert twisted_trace_sums(cd, sums) == twisted_trace_sums(cd, roots)
+    if expr in QUATERNIONIC_PRODUCTS:
+        assert sums != roots
 
 
 @pytest.mark.parametrize("expr", ["Z(12)", "Dstar(5)", "Dprime(1,5)", "Tprime(2)", "Ostar"])

@@ -2,7 +2,9 @@
 
 Every algebraic identity asserted exactly is also embedded into the complex
 numbers and compared numerically, so a bug in the exact layer cannot hide
-behind a matching bug in the test.
+behind a matching bug in the test.  The library's numbers form the ring
+Z[z_N]; differences, powers and conjugates are written here with its sums,
+negatives and products and the test-side `complex_conjugate`.
 """
 
 import cmath
@@ -16,12 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import conjugate_dot, euler_phi, to_complex
+from oracles import complex_conjugate, conjugate_dot, euler_phi, to_complex
 from thetadim.cyclo import (
     CycloNumber,
     cyclotomic_polynomial,
     exact_sum,
-    from_rational,
+    from_int,
     golden_ratio,
     golden_ratio_conjugate,
     sqrt2,
@@ -34,6 +36,11 @@ EPS = 1e-9
 
 def embed_close(x: CycloNumber, z: complex) -> bool:
     return abs(to_complex(x) - z) < EPS
+
+
+def power(x: CycloNumber, e: int) -> CycloNumber:
+    """x^e as e products."""
+    return reduce(operator.mul, [x] * e, from_int(1))
 
 
 # low conductors have well-known minimal polynomials; coefficients are
@@ -96,23 +103,23 @@ def test_zeta_embeds_to_primitive_root():
 
 def test_zeta_power_relation():
     z = zeta(12)
-    acc = from_rational(1)
+    acc = from_int(1)
     for k in range(25):
         assert acc == zeta(12, k % 12)
-        assert acc == z**k
+        assert acc == power(z, k)
         acc = acc * z
 
 
 def test_root_of_unity_order():
-    assert zeta(5) ** 5 == from_rational(1)
-    assert zeta(5) ** 4 != from_rational(1)
-    assert zeta(8) ** 4 == from_rational(-1)
+    assert power(zeta(5), 5) == from_int(1)
+    assert power(zeta(5), 4) != from_int(1)
+    assert power(zeta(8), 4) == from_int(-1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8, 9, 12, 15])
 def test_geometric_sum_of_all_roots_vanishes(n):
-    total = sum((zeta(n, k) for k in range(n)), from_rational(0))
-    expected = from_rational(1 if n == 1 else 0)
+    total = sum((zeta(n, k) for k in range(n)), from_int(0))
+    expected = from_int(1 if n == 1 else 0)
     assert total == expected
 
 
@@ -120,13 +127,13 @@ def test_arithmetic_matches_embedding_on_random_expressions():
     rng = random.Random(20260816)
     for _ in range(120):
         n = rng.choice([3, 4, 5, 8, 12, 20, 24])
-        a = zeta(n, rng.randrange(n)) * from_rational(Fraction(rng.randint(-3, 3)))
-        b = zeta(n, rng.randrange(n)) + from_rational(Fraction(rng.randint(-2, 2), rng.randint(1, 3)))
+        a = zeta(n, rng.randrange(n)) * from_int(rng.randint(-3, 3))
+        b = zeta(n, rng.randrange(n)) + from_int(rng.randint(-2, 2))
         for x, z in [
             (a + b, to_complex(a) + to_complex(b)),
-            (a - b, to_complex(a) - to_complex(b)),
+            (a + -b, to_complex(a) - to_complex(b)),
             (a * b, to_complex(a) * to_complex(b)),
-            (a.conjugate(), to_complex(a).conjugate()),
+            (complex_conjugate(a), to_complex(a).conjugate()),
         ]:
             assert abs(to_complex(x) - z) < EPS
 
@@ -142,66 +149,63 @@ def test_scalar_operations_from_either_side():
     z = zeta(7)
     assert 1 + z == z + 1
     assert 2 * z == z * 2
-    assert 3 * z - z == z * 2
-    assert (1 - z) + z == from_rational(1)
-    assert Fraction(1, 2) * z + Fraction(1, 2) * z == z
-
-
-def test_division_by_rational():
-    z = zeta(5) + 1
-    assert (z / 2) * 2 == z
-    assert z / Fraction(1, 3) == 3 * z
+    assert 3 * z + -z == z * 2
+    assert (1 + -z) + z == from_int(1)
 
 
 def test_equality_ignores_representation():
     # z(4)^1 created directly and via conductor 8 must compare equal
-    assert zeta(4) == zeta(8) ** 2
-    assert zeta(6) == zeta(3) ** 2 * -1 or zeta(6) == -zeta(3, 2)
+    assert zeta(4) == zeta(8) * zeta(8)
+    assert zeta(6) == zeta(3) * zeta(3) * -1 == -zeta(3, 2)
 
 
 def test_truthiness_and_zero():
-    assert not from_rational(0)
-    assert from_rational(1)
-    assert not (zeta(5) - zeta(5))
-    assert not sum((zeta(7, k) for k in range(7)), from_rational(0))
+    assert not from_int(0)
+    assert from_int(1)
+    assert not (zeta(5) + -zeta(5))
+    assert not sum((zeta(7, k) for k in range(7)), from_int(0))
+
+
+def is_real(x: CycloNumber) -> bool:
+    return x == complex_conjugate(x)
 
 
 def test_is_real_and_conjugation():
-    assert from_rational(Fraction(-7, 3)).is_real()
-    assert not zeta(5).is_real()
+    assert is_real(from_int(-7))
+    assert not is_real(zeta(5))
     x = zeta(5) + zeta(5, 4)
-    assert x.is_real()
-    assert x.conjugate() == x
-    y = zeta(5) - zeta(5, 4)
-    assert not y.is_real()
-    assert y.conjugate() == -y
-    assert (y * y.conjugate()).is_real()
+    assert is_real(x)
+    assert complex_conjugate(x) == x
+    y = zeta(5) + -zeta(5, 4)
+    assert not is_real(y)
+    assert complex_conjugate(y) == -y
+    assert is_real(y * complex_conjugate(y))
 
 
 def test_rational_extraction():
-    assert from_rational(Fraction(3, 2)).as_rational() == Fraction(3, 2)
-    assert (zeta(6) + zeta(6, 5)).as_rational() == 1
+    assert from_int(-7).as_int() == -7
+    assert (zeta(6) + zeta(6, 5)).as_int() == 1
     assert (zeta(8, 2) * zeta(8, 2)).as_int() == -1
     with pytest.raises(ValueError):
-        zeta(5).as_rational()
+        zeta(5).as_int()
     with pytest.raises(ValueError):
-        from_rational(Fraction(1, 2)).as_int()
+        (zeta(5) + zeta(5, 4)).as_int()
 
 
 def test_special_constants():
     i = sqrt_minus_one()
-    assert i * i == from_rational(-1)
+    assert i * i == from_int(-1)
     assert embed_close(i, 1j)
 
     r = sqrt2()
-    assert r * r == from_rational(2)
+    assert r * r == from_int(2)
     assert embed_close(r, complex(math.sqrt(2)))
 
     phi = golden_ratio()
     psi = golden_ratio_conjugate()
     assert phi * phi == phi + 1
-    assert phi + psi == from_rational(1)
-    assert phi * psi == from_rational(-1)
+    assert phi + psi == from_int(1)
+    assert phi * psi == from_int(-1)
     assert embed_close(phi, complex((1 + math.sqrt(5)) / 2))
     assert embed_close(psi, complex((1 - math.sqrt(5)) / 2))
 
@@ -218,7 +222,7 @@ def test_unhashable_by_design():
 def test_str_roundtrip_content():
     s = str(zeta(8) + 2)
     assert "z(8)" in s
-    assert str(from_rational(0)) == "0"
+    assert str(from_int(0)) == "0"
 
 
 def dirichlet_sum(n: int, k: int) -> int:
@@ -229,7 +233,7 @@ def dirichlet_sum(n: int, k: int) -> int:
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
-    acc = from_rational(0)
+    acc = from_int(0)
     for j in range(1, n):
         acc = acc + zeta(2 * n, k * j) + zeta(2 * n, -k * j)
     value = acc.as_int()
@@ -285,10 +289,7 @@ def test_dirichlet_sum_branch_examples():
 
 CONDUCTORS = [1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20, 21, 30]
 
-coefficients = st.one_of(
-    st.integers(-5, 5),
-    st.fractions(min_value=-3, max_value=3, max_denominator=6),
-)
+coefficients = st.integers(-5, 5)
 
 
 @st.composite
@@ -298,44 +299,45 @@ def cyclo_numbers(draw):
     return CycloNumber(n, terms)
 
 
-def stores_no_integral_fraction(x: CycloNumber) -> bool:
-    return all(
-        type(q) is int or (type(q) is Fraction and q.denominator != 1)
-        for q in x.coeffs.values()
-    )
+def stores_only_ints(x: CycloNumber) -> bool:
+    return all(type(q) is int and q for q in x.coeffs.values())
 
 
 @settings(deadline=None)
-@given(cyclo_numbers(), cyclo_numbers(), coefficients.filter(bool), coefficients)
-def test_integral_coefficients_are_stored_as_int(a, b, q, w):
-    assert stores_no_integral_fraction(a)
+@given(cyclo_numbers(), cyclo_numbers(), coefficients)
+def test_integral_coefficients_are_stored_as_int(a, b, w):
+    assert stores_only_ints(a)
     for x in (
         a + b,
-        a - b,
+        -a,
         a * b,
-        a.conjugate(),
-        a / q,
+        w * a,
         conjugate_dot([(w, a, b), (1, b, a)]),
         exact_sum([a, b]),
     ):
-        assert stores_no_integral_fraction(x)
+        assert stores_only_ints(x)
 
 
 @settings(deadline=None)
 @given(st.lists(cyclo_numbers(), max_size=8))
 def test_exact_sum_equals_left_fold(values):
     got = exact_sum(values)
-    want = reduce(operator.add, values, from_rational(0))
+    want = reduce(operator.add, values, from_int(0))
     assert got == want
-    assert stores_no_integral_fraction(got)
+    assert stores_only_ints(got)
     assert abs(to_complex(got) - sum(to_complex(v) for v in values)) < EPS
 
 
-def test_integral_fraction_input_is_stored_as_int():
-    x = CycloNumber(5, [(1, Fraction(4, 2)), (2, Fraction(1, 2))])
-    assert x.coeffs == {1: 2, 2: Fraction(1, 2)}
-    assert type(x.coeffs[1]) is int
-    half = from_rational(Fraction(1, 2))
-    assert type((half + half).coeffs[0]) is int
-    assert (half + half).as_rational() == Fraction(1)
-    assert type((half + half).as_rational()) is Fraction
+def test_non_int_coefficients_are_refused():
+    # every value is a cyclotomic integer: a Fraction coefficient, even an
+    # integral one, is refused rather than stored, and so is a Fraction scalar
+    with pytest.raises(TypeError, match="int"):
+        CycloNumber(5, [(1, Fraction(4, 2))])
+    with pytest.raises(TypeError, match="int"):
+        from_int(Fraction(1, 2))
+    with pytest.raises(TypeError):
+        Fraction(1, 2) * zeta(7)
+    with pytest.raises(TypeError):
+        zeta(7) + 0.5
+    assert CycloNumber(5, [(1, True)]).coeffs == {1: 1}
+    assert type(CycloNumber(5, [(1, True)]).coeffs[1]) is int

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,12 +48,18 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _attribute_counts(tree: ast.AST) -> Counter:
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+
 def test_every_submodule_export_is_used_by_library_code():
     """A name exported only for the tests belongs in tests/, not in the library.
 
     A use is a load of the name (or of an attribute so named) anywhere in the
     library outside the name's own top-level definition; imports and the
-    strings of `__all__` do not count.
+    strings of `__all__` do not count.  The same holds for the public methods
+    and properties of library classes: each must be read as an attribute
+    somewhere in the library outside its own body.
     """
     modules = _library_modules()
     users: dict[str, set[tuple[str, str]]] = {}
@@ -69,6 +76,17 @@ def test_every_submodule_export_is_used_by_library_code():
         for stem, tree in modules.items()
         for name in _exports(tree)
         if name not in thetadim.__all__ and not users.get(name, set()) - {(stem, name)}
+    ]
+    attributes = sum((_attribute_counts(tree) for tree in modules.values()), Counter())
+    unused += [
+        f"{stem}.{top.name}.{method.name}"
+        for stem, tree in modules.items()
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for method in top.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and attributes[method.name] == _attribute_counts(method)[method.name]
     ]
     assert unused == []
 
