@@ -1,23 +1,26 @@
 """Exact irreducible characters for the supported group families.
 
-Each family has one parametric layout: its characters as closed expressions
-in roots of unity, each row with its Frobenius-Schur indicator declared (1 or
--1 on a real row, 0 otherwise), and its columns aligned with the conjugacy
-classes computed from the family's normal-form rule (or, for the binary
-polyhedral groups, their coset-enumerated table) by locating explicit
-representative words, so no other atom builds a multiplication table.  Any
-failure of that alignment (sizes, power maps, inversion pairing) raises
-instead of guessing.  Roots of unity are computed on first use, so a layout
-asked for its real rows only computes the roots those rows read.
+Each family is written once over its normal form: a character's value at a
+class is a closed expression in the coordinates of the representative that
+`compute_classes` finds for the class on `group_core.atom_group(atom)`, so
+no column is located and no atom but a binary polyhedral one builds a
+multiplication table.  A family gives its cyclotomic rows, for `table_for`,
+and the integer sums S+ and S- of its real rows of Frobenius-Schur indicator
+1 and -1 at every class, with the number of real rows, for the chars route.
+The binary polyhedral atoms are coset-enumerated tables with no normal form:
+their rows and sums are constants at a list of representative words, used
+only once the words' class sizes and power maps agree with the class data;
+any failure of that alignment raises instead of guessing.  Only the row
+builders import `cyclo`, so the chars route never loads it.
 
-`table_for` reads every row of the layout and composes product tables as
-outer products of the factor tables, in the same factor order as group
-construction, so indices agree with the composed class data by construction.
-The chars route reads the real rows only: `real_character_sums` sums them per
-class, checks them against the class data (realness, Brauer's count of real
-characters, and the Frobenius-Schur count of square roots), and composes a
-product's sums as S1 (x) S2, since the real irreducibles of G1 x G2 are exactly
-the products of a real irreducible of each factor.  No product table is built.
+`table_for` composes product tables as outer products of the factor tables, in
+the same factor order as group construction, so indices agree with the
+composed class data by construction.  `real_character_sums` checks each
+atom's sums against its class data (Brauer's count of real characters, the
+Frobenius-Schur count of square roots and the norm of the real rows) and
+composes a product's S = S+ + S- as S1 (x) S2, since the real irreducibles of
+G1 x G2 are exactly the products of a real irreducible of each factor.  No
+product table is built.
 """
 
 from __future__ import annotations
@@ -25,37 +28,21 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from math import prod
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .conjugacy import (
     ClassData,
+    check_class_data_order,
     compute_classes,
     product_class_data,
     square_root_counts,
     twisted_trace_sums,
 )
-from .cyclo import (
-    CycloNumber,
-    exact_sum,
-    from_int,
-    golden_ratio,
-    golden_ratio_conjugate,
-    sqrt2,
-    sqrt_minus_one,
-    zeta,
-)
 from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
-from .group_core import (
-    ResourceLimitError,
-    binary_dihedral_rule,
-    cyclic_rule,
-    dprime_rule,
-    group_order,
-    istar_group,
-    ostar_group,
-    tprime_rule,
-    tstar_group,
-)
+from .group_core import ResourceLimitError, atom_group, group_order
+
+if TYPE_CHECKING:
+    from .cyclo import CycloNumber
 
 __all__ = [
     "CHAR_TABLE_MAX_CELLS",
@@ -69,14 +56,9 @@ __all__ = [
 # Z(2000) needs 4 * 10^6
 CHAR_TABLE_MAX_CELLS = 10**7
 
-# one row of a family layout: (name, declared Frobenius-Schur indicator, values
-# by class); and a layout: (atom name, class data, rows)
-_Row = tuple[str, int, list[CycloNumber]]
-_Layout = tuple[str, ClassData, list[_Row]]
-
 
 class _Memo(dict):
-    """fn(key) computed on first lookup, so a layout computes only the values its rows read."""
+    """fn(key) computed on first lookup, so a family computes only the values its rows read."""
 
     def __init__(self, fn) -> None:
         super().__init__()
@@ -145,43 +127,27 @@ def _finish(
     )
 
 
-def _integer(x: CycloNumber, name: str) -> int:
-    if x.coeffs.keys() - {0}:
-        raise AssertionError(f"{name}: a real character sum is not an integer: {x}")
-    return x.coeffs.get(0, 0)
+def _real_sums(name: str, cd: ClassData, pairs: list[tuple[int, int]], count: int) -> list[int]:
+    """S(C) = S+ + S- at each class of one atom, from its family's (S+, S-) pairs
+    and count of real rows, after three checks.
 
-
-def _real_sums(name: str, cd: ClassData, rows: list[_Row]) -> list[int]:
-    """S(C) = sum of the real rows at each class of one atom, after three checks.
-
-    Every row must be real and declare an indicator of 1 or -1; there must be
-    as many rows as self-inverse classes (Brauer); and at every class the
-    Frobenius-Schur count sum nu(chi) chi(C) = S+ - S- must equal the number
-    of square roots of an element of C (`square_root_counts`).  Irreducible
-    characters are linearly independent, so the last identity pins both the
-    set of rows and every declared indicator.
+    There must be as many real rows as self-inverse classes (Brauer); at every
+    class the Frobenius-Schur count S+ - S- must equal the number of square
+    roots of an element of C (`square_root_counts`); and the real rows are
+    orthonormal, so sum |C| S(C)^2 is |G| times their number.
     """
-    inverse = cd.inverse_class
-    for row_name, nu, values in rows:
-        if nu not in (1, -1):
-            raise AssertionError(f"{name}: real row {row_name} declares indicator {nu}")
-        if not _is_real(values, inverse):
-            raise AssertionError(f"{name}: row {row_name} is not constant on inverse classes")
-    _brauer_check(name, len(rows), inverse)
-    roots = square_root_counts(cd)
-    plus_rows = [values for _, nu, values in rows if nu > 0]
-    minus_rows = [values for _, nu, values in rows if nu < 0]
-    sums = []
-    for c in range(cd.num_classes):
-        plus = _integer(exact_sum(values[c] for values in plus_rows), name)
-        minus = _integer(exact_sum(values[c] for values in minus_rows), name)
-        if plus - minus != roots[c]:
+    _brauer_check(name, count, cd.inverse_class)
+    for c, ((plus, minus), roots) in enumerate(zip(pairs, square_root_counts(cd))):
+        if plus - minus != roots:
             raise AssertionError(
                 f"{name}: Frobenius-Schur count {plus - minus} at class {cd.labels[c]}, "
-                f"but it has {roots[c]} square roots"
+                f"but it has {roots} square roots"
             )
-        sums.append(plus + minus)
-    return sums
+    total = [plus + minus for plus, minus in pairs]
+    norm = sum(size * s * s for size, s in zip(cd.sizes, total))
+    if norm != cd.order * count:
+        raise AssertionError(f"{name}: the real rows have norm {norm}, not |G| * {count}")
+    return total
 
 
 def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
@@ -199,325 +165,308 @@ def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
     return cd, Fraction(twisted_trace_sums(cd, sums)[0], 6 * n * n)
 
 
-# -- family layouts -----------------------------------------------------------
+# -- families -----------------------------------------------------------------
+#
+# Each family gives (rows, sums): `rows(cd)` is the row names and cyclotomic
+# rows, `sums(cd)` the pair (S+, S-) at each class, summed over the real rows
+# of indicator 1 and -1, with the number of real rows.  Both read each class at
+# its representative's normal-form coordinates.  Only `rows` imports `cyclo`.
 
 
-def _cyclic_layout(n: int, real_only: bool) -> _Layout:
-    cd = compute_classes(cyclic_rule(n))
-    zs = _Memo(partial(zeta, n))
-    # V_lam is real iff 2*lam = 0 mod n, and then it is a +-1-valued linear row
-    lams = ([0, n // 2] if n % 2 == 0 else [0]) if real_only else range(n)
-    rows = [
-        (f"V_{lam}", int(2 * lam % n == 0), [zs[lam * r % n] for r in cd.representatives])
-        for lam in lams
-    ]
-    return f"Z({n})", cd, rows
+def _cyclic(n: int):
+    # g^r has index r and V_lam(g^r) = z_n^(lam r); the real rows are V_0 = 1
+    # and, for even n, V_(n/2) = (-1)^r, both of indicator 1
+    def rows(cd):
+        from .cyclo import zeta
+
+        zs = _Memo(partial(zeta, n))
+        reps = cd.representatives
+        values = [[zs[lam * r % n] for r in reps] for lam in range(n)]
+        return [f"V_{lam}" for lam in range(n)], values
+
+    def sums(cd):
+        return [(1 + (n % 2 == 0) * (-1) ** r, 0) for r in cd.representatives], 2 - n % 2
+
+    return rows, sums
 
 
-def _binary_dihedral_layout(p: int, real_only: bool) -> _Layout:
-    cd = compute_classes(binary_dihedral_rule(p))
+def _binary_dihedral(p: int):
+    # a^k x^l has index k + 2p*l.  With u = 1 for even p and i for odd p, the
+    # linear rows are 1, (-1)^l, (-1)^k u^l and (-1)^k (-u)^l; V2_lam, for
+    # lam = 1..p-1, is z^(k lam) + z^(-k lam) (z = z_2p) at l = 0 and 0 at
+    # l = 1, of indicator (-1)^lam
     two_p = 2 * p
-    k_classes = cd.num_classes
-    if k_classes != p + 3:
-        raise AssertionError(f"Dstar({p}): expected {p + 3} classes, got {k_classes}")
 
-    col_a = [cd.class_of[k] for k in range(p + 1)]
-    col_x = [cd.class_of[two_p], cd.class_of[two_p + 1]]
-    seen = set(col_a) | set(col_x)
-    if len(seen) != k_classes:
-        raise ValueError(f"Dstar({p}): class alignment is ambiguous")
-    for k in range(p + 1):
-        expected = 1 if k in (0, p) else 2
-        if cd.sizes[col_a[k]] != expected:
-            raise ValueError(f"Dstar({p}): power-class sizes do not match")
-    if cd.sizes[col_x[0]] != p or cd.sizes[col_x[1]] != p:
-        raise ValueError(f"Dstar({p}): reflection-class sizes do not match")
+    def rows(cd):
+        from .cyclo import from_int, sqrt_minus_one, zeta
 
-    one = from_int(1)
-    minus_one = from_int(-1)
-    zero = from_int(0)
-    zs = _Memo(partial(zeta, two_p))
-    cos2 = _Memo(lambda t: zs[t] + zs[-t % two_p])
-
-    def row_from(a_vals, x_even, x_odd):
-        row = [zero] * k_classes
-        for k in range(p + 1):
-            row[col_a[k]] = a_vals(k)
-        row[col_x[0]] = x_even
-        row[col_x[1]] = x_odd
-        return row
-
-    sign_a = lambda k: one if k % 2 == 0 else minus_one
-    if p % 2 == 0:
-        x_unit = (one, minus_one)
-    else:
-        i_unit = sqrt_minus_one()
-        x_unit = (i_unit, -i_unit)
-    linear = [
-        ("V1_1", row_from(lambda k: one, one, one)),
-        ("V1_2", row_from(lambda k: one, minus_one, minus_one)),
-        ("V1_3", row_from(sign_a, x_unit[0], x_unit[1])),
-        ("V1_4", row_from(sign_a, x_unit[1], x_unit[0])),
-    ]
-    # the four linear rows cost O(k) together, so their realness is read off
-    # their values; a real linear character is +-1-valued, with indicator 1
-    rows = [(name, int(_is_real(values, cd.inverse_class)), values) for name, values in linear]
-    if real_only:
-        rows = [row for row in rows if row[1]]
-    # every 2-dimensional row is real: orthogonal for even lam, quaternionic for odd
-    for lam in range(1, p):
-        values = row_from(lambda k: cos2[k * lam % two_p], zero, zero)
-        rows.append((f"V2_{lam}", (-1) ** lam, values))
-    return f"Dstar({p})", cd, rows
-
-
-def _dprime_layout(k: int, p: int, real_only: bool) -> _Layout:
-    cd = compute_classes(dprime_rule(k, p))
-    big_n = 2 ** (k + 2)
-    half = big_n // 2
-    k_classes = cd.num_classes
-    if k_classes != 2**k * (p + 3):
-        raise AssertionError(f"Dprime({k},{p}): unexpected class count {k_classes}")
-
-    # column index and x-exponent for every printed class
-    cols_even_pure = []  # (col, 2m)
-    cols_even_mixed = []  # (col, 2m, l)
-    cols_odd = []  # (col, 2m+1)
-    seen = set()
-    for m in range(half):
-        c = cd.class_of[(2 * m) * p]
-        if cd.sizes[c] != 1:
-            raise ValueError(f"Dprime({k},{p}): central class size mismatch")
-        cols_even_pure.append((c, 2 * m))
-        seen.add(c)
-        for l in range(1, (p - 1) // 2 + 1):
-            c = cd.class_of[(2 * m) * p + l]
-            if cd.sizes[c] != 2:
-                raise ValueError(f"Dprime({k},{p}): paired class size mismatch")
-            cols_even_mixed.append((c, 2 * m, l))
-            seen.add(c)
-        c = cd.class_of[(2 * m + 1) * p]
-        if cd.sizes[c] != p:
-            raise ValueError(f"Dprime({k},{p}): odd-column class size mismatch")
-        cols_odd.append((c, 2 * m + 1))
-        seen.add(c)
-    if len(seen) != k_classes:
-        raise ValueError(f"Dprime({k},{p}): class alignment is ambiguous")
-
-    zn = _Memo(partial(zeta, big_n))
-    cosp = _Memo(lambda t: zeta(p, t) + zeta(p, -t))
-    zero = from_int(0)
-    # every degree-2 entry is one of these products, each built once
-    two_zn = _Memo(lambda e: 2 * zn[e])
-    zn_cosp = _Memo(lambda key: zn[key[0]] * cosp[key[1]])
-
-    # V1_j is real iff 2j = 0 mod big_n; V2_{s,t} iff 4t = 0 mod big_n, and
-    # then it is orthogonal for t = 0 and quaternionic for t = big_n/4
-    rows = []
-    for j in [0, half] if real_only else range(big_n):
-        row = [zero] * k_classes
-        for c, n_exp in cols_even_pure:
-            row[c] = zn[n_exp * j % big_n]
-        for c, n_exp, _l in cols_even_mixed:
-            row[c] = zn[n_exp * j % big_n]
-        for c, n_exp in cols_odd:
-            row[c] = zn[n_exp * j % big_n]
-        rows.append((f"V1_{j}", int(2 * j % big_n == 0), row))
-    for s in range(1, (p - 1) // 2 + 1):
-        for t in [0, big_n // 4] if real_only else range(half):
-            row = [zero] * k_classes
-            for c, n_exp in cols_even_pure:
-                row[c] = two_zn[n_exp * t % big_n]
-            for c, n_exp, l in cols_even_mixed:
-                row[c] = zn_cosp[n_exp * t % big_n, s * l % p]
-            nu = 1 if t == 0 else -1 if 4 * t % big_n == 0 else 0
-            rows.append((f"V2_{s}_{t}", nu, row))
-    return f"Dprime({k},{p})", cd, rows
-
-
-def _tprime_layout(k: int, real_only: bool) -> _Layout:
-    cd = compute_classes(tprime_rule(k))
-    three_k = 3**k
-    third = 3 ** (k - 1)
-    k_classes = cd.num_classes
-    if k_classes != 7 * third:
-        raise AssertionError(f"Tprime({k}): unexpected class count {k_classes}")
-
-    # (column, z-exponent, family coefficient index) for the seven families
-    cols: list[tuple[int, int, int]] = []
-    family_sizes = [1, 1, 6, 4, 4, 4, 4]
-    seen = set()
-    for m in range(third):
-        members = [
-            (cd.class_of[8 * (3 * m)], 3 * m, 0),
-            (cd.class_of[3 + 8 * (3 * m)], 3 * m, 1),
-            (cd.class_of[1 + 8 * (3 * m)], 3 * m, 2),
-            (cd.class_of[8 * (3 * m + 1)], 3 * m + 1, 3),
-            (cd.class_of[1 + 8 * (3 * m + 1)], 3 * m + 1, 4),
-            (cd.class_of[8 * (3 * m + 2)], 3 * m + 2, 5),
-            (cd.class_of[3 + 8 * (3 * m + 2)], 3 * m + 2, 6),
+        signs = (from_int(1), from_int(-1))
+        if p % 2:
+            i = sqrt_minus_one()
+            units = (i, -i)
+        else:
+            units = signs
+        zero = from_int(0)
+        zs = _Memo(partial(zeta, two_p))
+        cos2 = _Memo(lambda t: zs[t] + zs[-t % two_p])
+        kl = [(r % two_p, r // two_p) for r in cd.representatives]
+        values = [
+            [signs[0] for _ in kl],
+            [signs[l] for _, l in kl],
+            [(signs, units)[l][k % 2] for k, l in kl],
+            [(signs, units)[l][(k + l) % 2] for k, l in kl],
         ]
-        for c, _j, fam in members:
-            if cd.sizes[c] != family_sizes[fam]:
-                raise ValueError(f"Tprime({k}): class family sizes do not match")
-            seen.add(c)
-        cols.extend(members)
-    if len(seen) != k_classes:
-        raise ValueError(f"Tprime({k}): class alignment is ambiguous")
+        values += [[zero if l else cos2[k * lam % two_p] for k, l in kl] for lam in range(1, p)]
+        return ["V1_1", "V1_2", "V1_3", "V1_4"] + [f"V2_{lam}" for lam in range(1, p)], values
 
-    zs = _Memo(partial(zeta, three_k))
-    scaled = _Memo(lambda key: key[0] * zs[key[1]])
-    zero = from_int(0)
-    # (name prefix, family coefficients or None for the linear rows, number of
-    # rows, indicator of the lam = 0 row: the only real one of each kind)
-    kinds = [
-        ("V1", None, three_k, 1),
-        ("V2", [2, -2, 0, -1, 1, -1, 1], three_k, -1),
-        ("V3", [3, 3, -1, 0, 0, 0, 0], third, 1),
-    ]
-    rows = []
-    for prefix, coeffs, count, nu in kinds:
-        for lam in [0] if real_only else range(count):
-            row = [zero] * k_classes
-            for c, j, fam in cols:
-                e = j * lam % three_k
-                if coeffs is None:
-                    row[c] = zs[e]
-                elif coeffs[fam]:
-                    row[c] = scaled[coeffs[fam], e]
-            rows.append((f"{prefix}_{lam}", nu if lam == 0 else 0, row))
-    return f"Tprime({k})", cd, rows
+    def sums(cd):
+        # at a^k, sum over lam = 1..p-1 of z^(k lam) + z^(-k lam) is
+        # t = 2p[2p | k] - 1 - (-1)^k by the orthogonality of the characters of
+        # Z/2p, and with the sign (-1)^lam it is t' = t at k + p; the linear
+        # rows are real for even p, and at l = 1 they cancel in pairs
+        def at(r):
+            if r >= two_p:
+                return 0, 0
+            t = two_p * (r % two_p == 0) - 1 - (-1) ** r
+            t_alt = two_p * ((r + p) % two_p == 0) - 1 - (-1) ** (r + p)
+            return 2 + 2 * (p % 2 == 0) * (-1) ** r + (t + t_alt) // 2, (t - t_alt) // 2
+
+        return [at(r) for r in cd.representatives], p + 1 + 2 * (p % 2 == 0)
+
+    return rows, sums
 
 
-def _polyhedral_data(kind: str):
-    one = from_int(1)
+def _dprime(k: int, p: int):
+    # x^a y^b has index a*p + b, with x of order N = 2^(k+2).  V1_j is z_N^(aj);
+    # V2_s_t (s = 1..(p-1)/2, t < N/2) is 0 at odd a, 2 z_N^(at) at b = 0 and
+    # z_N^(at) (z_p^(sb) + z_p^(-sb)) otherwise.  The real rows are V1_0,
+    # V1_(N/2) and V2_s_0 of indicator 1, and V2_s_(N/4) of indicator -1
+    big_n = 2 ** (k + 2)
+
+    def rows(cd):
+        from .cyclo import from_int, zeta
+
+        zn = _Memo(partial(zeta, big_n))
+        cosp = _Memo(lambda t: zeta(p, t) + zeta(p, -t))
+        # every degree-2 entry is one of these products, each built once
+        two_zn = _Memo(lambda e: 2 * zn[e])
+        zn_cosp = _Memo(lambda key: zn[key[0]] * cosp[key[1]])
+        zero = from_int(0)
+        def v2(s, t, a, b):
+            if a % 2:
+                return zero
+            return zn_cosp[a * t % big_n, s * b % p] if b else two_zn[a * t % big_n]
+
+        ab = [divmod(r, p) for r in cd.representatives]
+        names = [f"V1_{j}" for j in range(big_n)]
+        values = [[zn[a * j % big_n] for a, _ in ab] for j in range(big_n)]
+        for s in range(1, (p - 1) // 2 + 1):
+            for t in range(big_n // 2):
+                names.append(f"V2_{s}_{t}")
+                values.append([v2(s, t, a, b) for a, b in ab])
+        return names, values
+
+    def sums(cd):
+        # at x^(2m) y^b the cosines sum to c = p - 1 at b = 0 and to -1
+        # otherwise, and z_N^(2m N/4) = (-1)^m; at odd a every real row cancels
+        def at(r):
+            a, b = divmod(r, p)
+            if a % 2:
+                return 0, 0
+            c = -1 if b else p - 1
+            return 2 + c, (-1) ** (a // 2) * c
+
+        return [at(r) for r in cd.representatives], p + 1
+
+    return rows, sums
+
+
+# Tprime(k) has seven class families.  The representative w*z^l of a class (w
+# a quaternion unit index) is in family _TPRIME_FAMILY[l % 3, w], of class size
+# _TPRIME_SIZES[f], where V1_lam, V2_lam and V3_lam take z^(l lam) times 1,
+# _TPRIME_V2[f] and _TPRIME_V3[f]; the lam = 0 row of each kind is the only
+# real one, of indicator 1, -1 and 1
+_TPRIME_FAMILY = {(0, 0): 0, (0, 3): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4, (2, 0): 5, (2, 3): 6}
+_TPRIME_SIZES = [1, 1, 6, 4, 4, 4, 4]
+_TPRIME_V2 = [2, -2, 0, -1, 1, -1, 1]
+_TPRIME_V3 = [3, 3, -1, 0, 0, 0, 0]
+
+
+def _tprime(k: int):
+    # (unit w)*z^l has index w + 8l, and z has order 3^k
+    three_k = 3**k
+
+    def families(cd) -> list[tuple[int, int]]:
+        """(l, family) at each class representative, once the class sizes agree."""
+        out = []
+        for r, size in zip(cd.representatives, cd.sizes):
+            l, w = divmod(r, 8)
+            f = _TPRIME_FAMILY.get((l % 3, w))
+            if f is None or size != _TPRIME_SIZES[f]:
+                raise AssertionError(f"Tprime({k}): class family sizes do not match")
+            out.append((l, f))
+        return out
+
+    def rows(cd):
+        from .cyclo import from_int, zeta
+
+        zs = _Memo(partial(zeta, three_k))
+        scaled = _Memo(lambda key: key[0] * zs[key[1]])
+        zero = from_int(0)
+        lf = families(cd)
+        names, values = [], []
+        kinds = [
+            ("V1", [1] * 7, three_k),
+            ("V2", _TPRIME_V2, three_k),
+            ("V3", _TPRIME_V3, three_k // 3),
+        ]
+        for prefix, coeffs, count in kinds:
+            for lam in range(count):
+                names.append(f"{prefix}_{lam}")
+                values.append(
+                    [scaled[coeffs[f], l * lam % three_k] if coeffs[f] else zero for l, f in lf]
+                )
+        return names, values
+
+    def sums(cd):
+        return [(1 + _TPRIME_V3[f], _TPRIME_V2[f]) for _, f in families(cd)], 3
+
+    return rows, sums
+
+
+# each binary polyhedral atom at its representative words in the generators a
+# and b: the class sizes, the words of the square, cube and inverse classes
+# (as indices), and S+ and S- with the number of real rows
+_POLYHEDRAL = {
+    "Tstar": {
+        "words": ["", "aa", "ab", "aaa", "aaaa", "aaaaa", "a"],
+        "sizes": [1, 4, 6, 1, 4, 4, 4],
+        "square": [0, 4, 3, 0, 1, 4, 1],
+        "cube": [0, 0, 2, 3, 0, 3, 3],
+        "inverse": [0, 4, 2, 3, 1, 6, 5],
+        "plus": [4, 1, 0, 4, 1, 1, 1],
+        "minus": [2, -1, 0, -2, -1, 1, 1],
+        "real": 3,
+    },
+    "Ostar": {
+        "words": ["", "ab", "aa", "bb", "aaa", "b", "a", "aab"],
+        "sizes": [1, 12, 8, 6, 1, 6, 8, 6],
+        "square": [0, 4, 2, 4, 0, 3, 2, 3],
+        "cube": [0, 1, 0, 3, 4, 7, 4, 5],
+        "inverse": [0, 1, 2, 3, 4, 5, 6, 7],
+        "plus": [10, 0, 1, 2, 10, 0, 1, 0],
+        "minus": [8, 0, -1, 0, -8, 0, 1, 0],
+        "real": 8,
+    },
+    "Istar": {
+        "words": ["", "aaa", "aabbaabba", "abaab", "a", "aabbaabb", "aabb", "aabba", "b"],
+        "sizes": [1, 1, 30, 20, 20, 12, 12, 12, 12],
+        "square": [0, 0, 1, 3, 3, 6, 5, 6, 5],
+        "cube": [0, 1, 2, 0, 1, 6, 5, 8, 7],
+        "inverse": [0, 1, 2, 3, 4, 5, 6, 7, 8],
+        "plus": [16, 16, 0, 1, 1, 1, 1, 1, 1],
+        "minus": [14, -14, 0, -1, 1, -1, -1, 1, 1],
+        "real": 9,
+    },
+}
+
+
+def _polyhedral_rows(kind: str) -> list[tuple[str, list]]:
+    """The named rows of a binary polyhedral atom, valued at its words."""
+    from .cyclo import golden_ratio, golden_ratio_conjugate, sqrt2, zeta
+
     if kind == "Tstar":
         w = zeta(3)
         w2 = zeta(3, 2)
-        return {
-            "builder": tstar_group,
-            "words": ["", "aa", "ab", "aaa", "aaaa", "aaaaa", "a"],
-            "sizes": [1, 4, 6, 1, 4, 4, 4],
-            "square": [0, 4, 3, 0, 1, 4, 1],
-            "cube": [0, 0, 2, 3, 0, 3, 3],
-            "inverse": [0, 4, 2, 3, 1, 6, 5],
-            # (name, Frobenius-Schur indicator, values)
-            "rows": [
-                ("V_1", 1, [1, 1, 1, 1, 1, 1, 1]),
-                ("V_2", 0, [1, w2, 1, 1, w, w2, w]),
-                ("V_3", 0, [1, w, 1, 1, w2, w, w2]),
-                ("V_4", -1, [2, -1, 0, -2, -1, 1, 1]),
-                ("V_5", 0, [2, -w, 0, -2, -w2, w, w2]),
-                ("V_6", 0, [2, -w2, 0, -2, -w, w2, w]),
-                ("V_7", 1, [3, 0, -1, 3, 0, 0, 0]),
-            ],
-        }
+        return [
+            ("V_1", [1, 1, 1, 1, 1, 1, 1]),
+            ("V_2", [1, w2, 1, 1, w, w2, w]),
+            ("V_3", [1, w, 1, 1, w2, w, w2]),
+            ("V_4", [2, -1, 0, -2, -1, 1, 1]),
+            ("V_5", [2, -w, 0, -2, -w2, w, w2]),
+            ("V_6", [2, -w2, 0, -2, -w, w2, w]),
+            ("V_7", [3, 0, -1, 3, 0, 0, 0]),
+        ]
     if kind == "Ostar":
         r = sqrt2()
-        return {
-            "builder": ostar_group,
-            "words": ["", "ab", "aa", "bb", "aaa", "b", "a", "aab"],
-            "sizes": [1, 12, 8, 6, 1, 6, 8, 6],
-            "square": [0, 4, 2, 4, 0, 3, 2, 3],
-            "cube": [0, 1, 0, 3, 4, 7, 4, 5],
-            "inverse": [0, 1, 2, 3, 4, 5, 6, 7],
-            "rows": [
-                ("A_1", 1, [1, 1, 1, 1, 1, 1, 1, 1]),
-                ("A_2", 1, [1, -1, 1, 1, 1, -1, 1, -1]),
-                ("A_3", 1, [2, 0, -1, 2, 2, 0, -1, 0]),
-                ("A_4", -1, [2, 0, -1, 0, -2, -r, 1, r]),
-                ("A_5", -1, [2, 0, -1, 0, -2, r, 1, -r]),
-                ("A_6", 1, [3, 1, 0, -1, 3, -1, 0, -1]),
-                ("A_7", 1, [3, -1, 0, -1, 3, 1, 0, 1]),
-                ("A_8", -1, [4, 0, 1, 0, -4, 0, -1, 0]),
-            ],
-        }
-    if kind == "Istar":
-        g = golden_ratio()
-        h = golden_ratio_conjugate()
-        return {
-            "builder": istar_group,
-            "words": [
-                "",
-                "aaa",
-                "aabbaabba",
-                "abaab",
-                "a",
-                "aabbaabb",
-                "aabb",
-                "aabba",
-                "b",
-            ],
-            "sizes": [1, 1, 30, 20, 20, 12, 12, 12, 12],
-            "square": [0, 0, 1, 3, 3, 6, 5, 6, 5],
-            "cube": [0, 1, 2, 0, 1, 6, 5, 8, 7],
-            "inverse": [0, 1, 2, 3, 4, 5, 6, 7, 8],
-            "rows": [
-                ("A_1", 1, [1, 1, 1, 1, 1, 1, 1, 1, 1]),
-                ("A_2", -1, [2, -2, 0, -1, 1, -h, -g, h, g]),
-                ("A_3", -1, [2, -2, 0, -1, 1, -g, -h, g, h]),
-                ("A_4", 1, [3, 3, -1, 0, 0, g, h, g, h]),
-                ("A_5", 1, [3, 3, -1, 0, 0, h, g, h, g]),
-                ("A_6", 1, [4, 4, 0, 1, 1, -1, -1, -1, -1]),
-                ("A_7", -1, [4, -4, 0, 1, -1, -1, -1, 1, 1]),
-                ("A_8", 1, [5, 5, 1, -1, -1, 0, 0, 0, 0]),
-                ("A_9", -1, [6, -6, 0, 0, 0, 1, 1, -1, -1]),
-            ],
-        }
-    raise ValueError(f"unknown polyhedral family {kind!r}")
+        return [
+            ("A_1", [1, 1, 1, 1, 1, 1, 1, 1]),
+            ("A_2", [1, -1, 1, 1, 1, -1, 1, -1]),
+            ("A_3", [2, 0, -1, 2, 2, 0, -1, 0]),
+            ("A_4", [2, 0, -1, 0, -2, -r, 1, r]),
+            ("A_5", [2, 0, -1, 0, -2, r, 1, -r]),
+            ("A_6", [3, 1, 0, -1, 3, -1, 0, -1]),
+            ("A_7", [3, -1, 0, -1, 3, 1, 0, 1]),
+            ("A_8", [4, 0, 1, 0, -4, 0, -1, 0]),
+        ]
+    g = golden_ratio()
+    h = golden_ratio_conjugate()
+    return [
+        ("A_1", [1, 1, 1, 1, 1, 1, 1, 1, 1]),
+        ("A_2", [2, -2, 0, -1, 1, -h, -g, h, g]),
+        ("A_3", [2, -2, 0, -1, 1, -g, -h, g, h]),
+        ("A_4", [3, 3, -1, 0, 0, g, h, g, h]),
+        ("A_5", [3, 3, -1, 0, 0, h, g, h, g]),
+        ("A_6", [4, 4, 0, 1, 1, -1, -1, -1, -1]),
+        ("A_7", [4, -4, 0, 1, -1, -1, -1, 1, 1]),
+        ("A_8", [5, 5, 1, -1, -1, 0, 0, 0, 0]),
+        ("A_9", [6, -6, 0, 0, 0, 1, 1, -1, -1]),
+    ]
 
 
-def _polyhedral_layout(kind: str, real_only: bool) -> _Layout:
-    data = _polyhedral_data(kind)
-    group = data["builder"]()
-    cd = compute_classes(group)
-    a, b = group.generators[0], group.generators[1]
+def _polyhedral(kind: str, group):
+    # a coset-enumerated table has no normal form: its classes are located by
+    # the words, and the layout is used only once every class agrees with it
+    data = _POLYHEDRAL[kind]
 
-    cols = []
-    for word in data["words"]:
-        el = 0
-        for ch in word:
-            el = group.mul(el, a if ch == "a" else b)
-        cols.append(cd.class_of[el])
-    k_classes = cd.num_classes
-    if len(set(cols)) != len(cols) or len(cols) != k_classes:
-        raise ValueError(f"{kind}: class alignment is ambiguous")
-    for i, c in enumerate(cols):
-        if cd.sizes[c] != data["sizes"][i]:
-            raise ValueError(f"{kind}: class sizes do not match the table layout")
-        if cd.square_class[c] != cols[data["square"][i]]:
-            raise ValueError(f"{kind}: square classes do not match the table layout")
-        if cd.cube_class[c] != cols[data["cube"][i]]:
-            raise ValueError(f"{kind}: cube classes do not match the table layout")
-        if cd.inverse_class[c] != cols[data["inverse"][i]]:
-            raise ValueError(f"{kind}: inverse classes do not match the table layout")
+    def word_of(cd) -> list[int]:
+        """The index of each class's word, once sizes and power maps agree."""
+        a, b = group.generators[0], group.generators[1]
+        cols = []
+        for word in data["words"]:
+            el = 0
+            for ch in word:
+                el = group.mul(el, a if ch == "a" else b)
+            cols.append(cd.class_of[el])
+        if sorted(cols) != list(range(cd.num_classes)):
+            raise AssertionError(f"{kind}: class alignment is ambiguous")
+        for i, c in enumerate(cols):
+            if cd.sizes[c] != data["sizes"][i]:
+                raise AssertionError(f"{kind}: class sizes do not match the table layout")
+            for power in ("square", "cube", "inverse"):
+                if getattr(cd, f"{power}_class")[c] != cols[data[power][i]]:
+                    raise AssertionError(f"{kind}: {power} classes do not match the table layout")
+        return sorted(range(len(cols)), key=cols.__getitem__)
 
-    rows = []
-    for name, nu, printed in data["rows"]:
-        if real_only and not nu:
-            continue
-        row = [None] * k_classes
-        for i, v in enumerate(printed):
-            if not isinstance(v, CycloNumber):
-                v = from_int(v)
-            row[cols[i]] = v
-        rows.append((name, nu, row))
-    return kind, cd, rows
+    def rows(cd):
+        from .cyclo import CycloNumber, from_int
+
+        words = word_of(cd)
+        named = _polyhedral_rows(kind)
+        cells = [[row[i] for i in words] for _, row in named]
+        values = [[v if isinstance(v, CycloNumber) else from_int(v) for v in row] for row in cells]
+        return [name for name, _ in named], values
+
+    def sums(cd):
+        return [(data["plus"][i], data["minus"][i]) for i in word_of(cd)], data["real"]
+
+    return rows, sums
 
 
-def _atom_layout(atom: Atom, real_only: bool) -> _Layout:
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        return _cyclic_layout(params[0], real_only)
-    if kind == "Dstar":
-        return _binary_dihedral_layout(params[0], real_only)
-    if kind == "Dprime":
-        return _dprime_layout(params[0], params[1], real_only)
-    if kind == "Tprime":
-        return _tprime_layout(params[0], real_only)
-    if kind in ("Tstar", "Ostar", "Istar"):
-        return _polyhedral_layout(kind, real_only)
-    raise ValueError(f"unknown family {kind!r}")
+def _atoms(expr: GroupExpr):
+    """(name, class data, rows, sums) of each atom of `expr`, in factor order.
+
+    The classes are those `compute_classes` finds on `atom_group(atom)`, and
+    rows and sums are its family's functions of them.
+    """
+    for atom in expr.atoms:
+        group = atom_group(atom)
+        if atom.kind in _POLYHEDRAL:
+            family = _polyhedral(atom.kind, group)
+        else:
+            families = {"Z": _cyclic, "Dstar": _binary_dihedral, "Dprime": _dprime, "Tprime": _tprime}
+            family = families[atom.kind](*atom.params)
+        yield (group.family_tag, compute_classes(group), *family)
 
 
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
@@ -545,6 +494,10 @@ def _atom_class_count(atom: Atom) -> int:
     return {"Tstar": 7, "Ostar": 8, "Istar": 9}[kind]
 
 
+def _class_count(expr: GroupExpr) -> int:
+    return prod(map(_atom_class_count, expr.atoms))
+
+
 def _check_cells(expr: GroupExpr) -> int:
     """The class count k of `expr`, once k x k is known to be within the cell budget.
 
@@ -552,7 +505,7 @@ def _check_cells(expr: GroupExpr) -> int:
     refusal; invalid parameters raise ValueError before the budget check.
     """
     group_order(expr)
-    k = prod(_atom_class_count(atom) for atom in expr.atoms)
+    k = _class_count(expr)
     if k * k > CHAR_TABLE_MAX_CELLS:
         raise ResourceLimitError(
             f"character table of {expr_to_string(expr)} needs {k * k} cells, "
@@ -576,9 +529,8 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
         expr = parse_group_expr(expr)
     k = _check_cells(expr)
     table = None
-    for atom in expr.atoms:
-        name, cd, rows = _atom_layout(atom, real_only=False)
-        atom_table = _finish(name, cd, [r[0] for r in rows], [r[2] for r in rows])
+    for name, cd, rows, _ in _atoms(expr):
+        atom_table = _finish(name, cd, *rows(cd))
         table = atom_table if table is None else _product_table(table, atom_table)
     _check_class_count(table.group_name, table.class_data, k)
     return table
@@ -587,21 +539,21 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
 def real_character_sums(expr: GroupExpr | str) -> tuple[ClassData, list[int]]:
     """Class data of `expr` and S(C), the sum of its real irreducible characters per class.
 
-    Only the real rows of each atom are built and checked (`_real_sums`); a
-    product's sums are the outer product of its atoms' sums, on the numbering
-    of `product_class_data`.  The cell budget is the one `table_for` applies.
+    Each atom's sums come from its family in integers and are checked by
+    `_real_sums`; a product's sums are the outer product of its atoms' sums,
+    on the numbering of `product_class_data`.  The order is held to the
+    class-data budget before any class is computed; no row is built.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    k = _check_cells(expr)
+    check_class_data_order(expr)
     cd = sums = None
-    for atom in expr.atoms:
-        name, atom_cd, rows = _atom_layout(atom, real_only=True)
-        atom_sums = _real_sums(name, atom_cd, rows)
+    for name, atom_cd, _, atom_sums in _atoms(expr):
+        atom_total = _real_sums(name, atom_cd, *atom_sums(atom_cd))
         if cd is None:
-            cd, sums = atom_cd, atom_sums
+            cd, sums = atom_cd, atom_total
         else:
             cd = product_class_data(cd, atom_cd)
-            sums = [s1 * s2 for s1 in sums for s2 in atom_sums]
-    _check_class_count(expr_to_string(expr), cd, k)
+            sums = [s1 * s2 for s1 in sums for s2 in atom_total]
+    _check_class_count(expr_to_string(expr), cd, _class_count(expr))
     return cd, sums

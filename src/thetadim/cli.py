@@ -16,13 +16,14 @@ THETA_DIM_MAX_ORDER overrides the brute-force order budgets; an explicit
 --max-order flag wins over the environment.  Neither lifts
 group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table beyond it, a
 single atom's included, exits with code 3.  Nor do they lift
-conjugacy.CLASS_DATA_MAX_ORDER (10^7): `classes`, and class-mode burnside
-under a raised budget, refuse a larger order with code 3 before any class
-data is built.  The chars route and chartab refuse a character table of more
-than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  Only
-chartab builds that table: the chars route takes the class data and d2 from
-characters.d2_char_formula, which sums the real rows alone
-(characters.real_character_sums).
+conjugacy.CLASS_DATA_MAX_ORDER (10^7): `classes`, the chars route, and
+class-mode burnside under a raised budget, refuse a larger order with code 3
+before any class data is built.  That is the chars route's only budget: it
+takes the class data and d2 from characters.d2_char_formula, which sums the
+real characters in integers at the class representatives
+(characters.real_character_sums) and builds no table.  chartab, which builds
+the character table, refuses one of more than
+characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
 """
 
 from __future__ import annotations

@@ -208,30 +208,10 @@ def closed_dims(spec: SphericalSpec) -> tuple[int, int]:
             - Fraction(m, 2)
             + (Fraction(-1, 2) if first else Fraction(-1, 6))
         )
-    elif case == "b":
+    elif case in ("b", "c"):
+        # for odd p, Dstar(p) is Dprime(0,p) (a = y x^2): case (b) is case (c) at q = 1
         first = (m * p) % 3 != 0
-        dim = (
-            Fraction(m * m * p * p, 6)
-            + Fraction(m * m * p, 2)
-            + Fraction(2 * m * m, 3)
-            + Fraction(3 * m * p, 2)
-            + Fraction(p * p, 6)
-            + Fraction(m, 2)
-            + (Fraction(1, 2) if first else Fraction(5, 6))
-        )
-        ker = (
-            Fraction(m * m * p * p, 6)
-            + Fraction(m * m * p, 2)
-            + Fraction(2 * m * m, 3)
-            + m * p
-            + Fraction(p * p, 6)
-            - m
-            - Fraction(p, 2)
-            + (Fraction(0) if first else Fraction(1, 3))
-        )
-    elif case == "c":
-        first = (m * p) % 3 != 0
-        q = 2**k
+        q = 2**k if case == "c" else 1
         dim = (
             Fraction(q * q * m * m * p * p, 6)
             + Fraction(q * q * m * m * p, 2)
@@ -284,10 +264,8 @@ def closed_z2_orbit(spec: SphericalSpec) -> int:
         return p2(spec.n)
     if case == "b" and p % 2 == 0:
         value = Fraction(m * p, 2) + Fraction(3 * m, 2) + Fraction(p, 2) + Fraction(3, 2)
-    elif case == "b":
-        value = Fraction(m * p, 2) + Fraction(3 * m, 2) + Fraction(p, 2) + Fraction(1, 2)
-    elif case == "c":
-        q = 2**k
+    elif case in ("b", "c"):
+        q = 2**k if case == "c" else 1
         value = (
             Fraction(q * m * p, 2)
             + Fraction(3 * q * m, 2)

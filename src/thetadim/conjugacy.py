@@ -22,6 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClassData",
+    "check_class_data_order",
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
@@ -125,12 +126,20 @@ def class_data_for(expr: GroupExpr | str) -> ClassData:
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
+    check_class_data_order(expr)
+    return reduce(product_class_data, (compute_classes(atom_group(a)) for a in expr.atoms))
+
+
+def check_class_data_order(expr: GroupExpr) -> None:
+    """Refuse an order above CLASS_DATA_MAX_ORDER, read off the expression.
+
+    Nothing is built first; invalid parameters raise ValueError instead.
+    """
     n = group_order(expr)
     if n > CLASS_DATA_MAX_ORDER:
         raise ResourceLimitError(
             f"order {n} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
         )
-    return reduce(product_class_data, (compute_classes(atom_group(a)) for a in expr.atoms))
 
 
 def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:

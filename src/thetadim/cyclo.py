@@ -17,7 +17,6 @@ import math
 __all__ = [
     "CycloNumber",
     "cyclotomic_polynomial",
-    "exact_sum",
     "from_int",
     "golden_ratio",
     "golden_ratio_conjugate",
@@ -223,10 +222,6 @@ def zeta(n: int, k: int = 1) -> CycloNumber:
     """The k-th power of a fixed primitive n-th root of unity."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
-    k %= n
-    if 2 * k % n == 0:
-        # +-1 is already in canonical form, so no reduction table is built
-        return CycloNumber._raw(n, {0: 1 if k == 0 else -1})
     return CycloNumber(n, [(k, 1)])
 
 
@@ -247,30 +242,3 @@ def golden_ratio() -> CycloNumber:
 def golden_ratio_conjugate() -> CycloNumber:
     # (1 - sqrt 5)/2 = -(zeta_5 + zeta_5^4)
     return -(zeta(5, 1) + zeta(5, 4))
-
-
-def exact_sum(values) -> CycloNumber:
-    """Exact sum of CycloNumbers, reduced once.
-
-    Every value is embedded in one common conductor as raw powers of its root
-    of unity, the coefficients are added by exponent, and the result is
-    reduced modulo the cyclotomic polynomial at the end, so a long sum costs
-    one reduction instead of one dict copy per term.  The common conductor is
-    that of the non-integer values only: an integer value is its exponent-0
-    coefficient in every conductor, so a sum of integers reduces at
-    conductor 1.
-    """
-    values = list(values)
-    m = 1
-    for x in values:
-        c = x.coeffs
-        if m % x.conductor and c and (len(c) > 1 or 0 not in c):
-            m = math.lcm(m, x.conductor)
-    acc: dict[int, int] = {}
-    for x in values:
-        # an integer value has exponent 0 only, whatever f is
-        f = m // x.conductor
-        for e, q in x.coeffs.items():
-            e *= f
-            acc[e] = acc.get(e, 0) + q
-    return CycloNumber._raw(m, _canonical(m, acc.items()))

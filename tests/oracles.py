@@ -22,7 +22,7 @@ from functools import reduce
 
 from thetadim.characters import CharacterTable
 from thetadim.closed_forms import SphericalMatchError, spec_from_expr
-from thetadim.cyclo import CycloNumber, _canonical, exact_sum, from_int
+from thetadim.cyclo import CycloNumber, _canonical, from_int
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import FiniteGroup, atom_group, product_rule
 
@@ -177,6 +177,33 @@ def normalize(d: ThetaDecoration, group: FiniteGroup) -> ThetaDecoration:
 
 
 # -- character-table identities ----------------------------------------------
+
+
+def exact_sum(values) -> CycloNumber:
+    """Exact sum of CycloNumbers, reduced once.
+
+    Every value is embedded in one common conductor as raw powers of its root
+    of unity, the coefficients are added by exponent, and the result is
+    reduced modulo the cyclotomic polynomial at the end, so a long sum costs
+    one reduction instead of one dict copy per term.  The common conductor is
+    that of the non-integer values only: an integer value is its exponent-0
+    coefficient in every conductor, so a sum of integers reduces at
+    conductor 1.
+    """
+    values = list(values)
+    m = 1
+    for x in values:
+        c = x.coeffs
+        if m % x.conductor and c and (len(c) > 1 or 0 not in c):
+            m = math.lcm(m, x.conductor)
+    acc: dict[int, int] = {}
+    for x in values:
+        # an integer value has exponent 0 only, whatever f is
+        f = m // x.conductor
+        for e, q in x.coeffs.items():
+            e *= f
+            acc[e] = acc.get(e, 0) + q
+    return CycloNumber._raw(m, _canonical(m, acc.items()))
 
 
 def real_char_sum(table: CharacterTable, class_index: int) -> int:

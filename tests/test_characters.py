@@ -7,10 +7,14 @@ integers do not offer, is the test-side `complex_conjugate`.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetadim.characters as characters
+import thetadim.conjugacy as conjugacy
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_500, SPHERICAL
 from oracles import (
     check_column_orthogonality,
@@ -19,20 +23,26 @@ from oracles import (
     complex_conjugate,
     real_char_sum,
 )
+from thetadim.burnside import burnside_dims
 from thetadim.characters import (
     CHAR_TABLE_MAX_CELLS,
     CharacterTable,
-    _atom_layout,
+    _atoms,
     _finish,
     d2_char_formula,
     real_character_sums,
     table_for,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
-from thetadim.conjugacy import d1_class_formula, z2_orbit_count
+from thetadim.conjugacy import (
+    d1_class_formula,
+    square_root_counts,
+    twisted_trace_sums,
+    z2_orbit_count,
+)
 from thetadim.cyclo import from_int
 from thetadim.expr import parse_group_expr
-from thetadim.group_core import ResourceLimitError
+from thetadim.group_core import ResourceLimitError, group_order
 
 TABLE_CATALOG = [
     "Z(1)",
@@ -253,13 +263,26 @@ def test_cell_budget_admits_z2000_and_still_reports_bad_parameters():
 
 @pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
 def test_route_keeps_the_cell_budget_and_checks_it_before_classes(monkeypatch, expr):
-    def refuse(*args):
-        raise AssertionError("computed classes for a route over the cell budget")
+    """The route's one budget is the class-data order cap, checked before any class.
 
-    monkeypatch.setattr(characters, "compute_classes", refuse)
-    with pytest.raises(ResourceLimitError) as err:
-        real_character_sums(expr)
-    assert str(CHAR_TABLE_MAX_CELLS) in str(err.value) and "cells" in str(err.value)
+    These tables are over the cell budget, which `table_for` keeps, while the
+    route sums them in integers: its sums give the same twisted trace sums as
+    the square-root counts.
+    """
+
+    def refuse(*args):
+        raise AssertionError("computed classes for a route over the class-data budget")
+
+    n = group_order(expr)
+    with monkeypatch.context() as patch:
+        patch.setattr(characters, "compute_classes", refuse)
+        patch.setattr(conjugacy, "CLASS_DATA_MAX_ORDER", n - 1)
+        with pytest.raises(ResourceLimitError, match=f"order {n} exceeds the class-data budget"):
+            real_character_sums(expr)
+        with pytest.raises(ResourceLimitError, match="cells"):
+            table_for(expr)
+    cd, sums = real_character_sums(expr)
+    assert twisted_trace_sums(cd, sums) == twisted_trace_sums(cd, square_root_counts(cd))
 
 
 # every family and product shape of the catalogs, the slow conductors, and a
@@ -302,17 +325,69 @@ LAYOUT_ATOMS = [
 
 @pytest.mark.parametrize("expr", LAYOUT_ATOMS)
 def test_real_rows_are_the_layout_rows_with_their_frobenius_schur_indicators(expr):
-    atom = parse_group_expr(expr).atoms[0]
-    name, cd, rows = _atom_layout(atom, real_only=False)
-    real_name, real_cd, real_rows = _atom_layout(atom, real_only=True)
-    assert (real_name, real_cd) == (name, cd)
-    declared_real = [row for row in rows if row[1]]
-    assert [(n, nu) for n, nu, _ in real_rows] == [(n, nu) for n, nu, _ in declared_real]
-    for (_, _, got), (_, _, want) in zip(real_rows, declared_real):
-        assert all(a == b for a, b in zip(got, want))
-    # the declared indicator is (1/|G|) sum |C| chi(C^2), recomputed from the full row
-    for row_name, nu, values in rows:
+    """A family's integer sums are its full rows summed by their indicators.
+
+    The indicator nu = (1/|G|) sum |C| chi(C^2) is recomputed from each full
+    row; the rows of nu = 1 and of nu = -1, summed per class, must give the
+    family's S+ and S-, and the rows of nu != 0 its count of real rows.
+    """
+    [(_, cd, rows, sums)] = _atoms(parse_group_expr(expr))
+    k = cd.num_classes
+    by_indicator = {1: [from_int(0)] * k, -1: [from_int(0)] * k}
+    count = 0
+    for values in rows(cd)[1]:
         acc = from_int(0)
-        for c in range(cd.num_classes):
+        for c in range(k):
             acc = acc + cd.sizes[c] * values[cd.square_class[c]]
-        assert acc.as_int() == nu * cd.order, row_name
+        nu, rem = divmod(acc.as_int(), cd.order)
+        assert rem == 0 and nu in (-1, 0, 1)
+        if nu:
+            count += 1
+            by_indicator[nu] = [s + v for s, v in zip(by_indicator[nu], values)]
+    want = [(p.as_int(), m.as_int()) for p, m in zip(by_indicator[1], by_indicator[-1])]
+    assert sums(cd) == (want, count)
+
+
+@st.composite
+def spherical_exprs(draw, max_order: int) -> str:
+    """Z(m) times one atom, of order at most max_order, with m prime to what the case needs."""
+    atoms = [("Tstar", 24, 6), ("Ostar", 48, 6), ("Istar", 120, 30)]
+    atoms += [(f"Tprime({k})", 8 * 3**k, 6) for k in range(1, 12) if 8 * 3**k <= max_order]
+    kind = draw(st.sampled_from(["Z", "Dstar", "Dprime", "polyhedral"]))
+    if kind == "Z":
+        return f"Z({draw(st.integers(1, max_order))})"
+    if kind == "Dstar":
+        p = draw(st.integers(1, max_order // 4))
+        atom, n, prime_to = f"Dstar({p})", 4 * p, 2 * p
+    elif kind == "Dprime":
+        k = draw(st.integers(0, 4))
+        p = 2 * draw(st.integers(1, (max_order // 2 ** (k + 2) - 1) // 2)) + 1
+        atom, n, prime_to = f"Dprime({k},{p})", 2 ** (k + 2) * p, 2 * p
+    else:
+        atom, n, prime_to = draw(st.sampled_from(atoms))
+    m = draw(st.integers(1, max_order // n))
+    while gcd(m, prime_to) > 1:
+        m //= gcd(m, prime_to)
+    return atom if m == 1 else f"Z({m}) x {atom}"
+
+
+def _chars_dims(expr: str) -> tuple[int, int]:
+    cd, d2 = d2_char_formula(expr)
+    dim = (d1_class_formula(cd) + d2) / 2
+    assert dim.denominator == 1
+    return int(dim), int(dim) - z2_orbit_count(cd)
+
+
+@settings(max_examples=25, deadline=10000)
+@given(spherical_exprs(10**5))
+def test_chars_route_matches_closed_forms_up_to_order_1e5(expr):
+    assert _chars_dims(expr) == closed_dims(spec_from_expr(expr))
+
+
+@settings(max_examples=25, deadline=5000)
+@given(spherical_exprs(10**4))
+def test_closed_chars_and_class_burnside_agree_up_to_order_1e4(expr):
+    want = closed_dims(spec_from_expr(expr))
+    assert _chars_dims(expr) == want
+    result = burnside_dims(expr, mode="class", max_order=group_order(expr))
+    assert (result.dim_full, result.dim_ker) == want

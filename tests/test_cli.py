@@ -13,6 +13,7 @@ import thetadim.characters as characters
 import thetadim.cli as cli
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
+import thetadim.cyclo as cyclo
 from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
@@ -130,14 +131,26 @@ def test_resource_exit_code(capsys):
     assert "resource limit" in err
 
 
-def test_chars_cell_budget_exit_code_and_verify_skip(capsys):
-    for argv in (("compute", "Z(100000)", "--method", "chars"), ("chartab", "Z(400) x Z(400)")):
-        rc, out, err = run(capsys, *argv)
-        assert (rc, out) == (3, "")
-        assert "cells" in err
+def test_chars_cell_budget_exit_code_and_verify_skip(capsys, monkeypatch):
+    """The chars route's one budget is the class-data order; chartab keeps the cell budget."""
+    rc, out, err = run(capsys, "compute", "Z(100000)", "--method", "chars", "--json")
+    assert (rc, err) == (0, "")
+    data = json.loads(out)
+    assert (data["dim_Cpi"], data["dim_ker_eps"]) == closed_dims(spec_from_expr("Z(100000)"))
     rc, out, _ = run(capsys, "verify", "Z(100000)")
     assert rc == 0
-    assert "chars     skipped:" in out and "cells" in out
+    assert "  chars     dim" in out and out.splitlines()[-1].endswith("(2 methods)")
+
+    def refuse(*args):
+        raise AssertionError("computed classes over the class-data budget")
+
+    monkeypatch.setattr(characters, "compute_classes", refuse)
+    rc, out, err = run(capsys, "compute", "Z(10000001)", "--method", "chars")
+    assert (rc, out) == (3, "")
+    assert "class-data budget 10000000" in err
+    rc, out, err = run(capsys, "chartab", "Z(400) x Z(400)")
+    assert (rc, out) == (3, "")
+    assert "cells" in err
 
 
 def test_max_order_flag_does_not_lift_the_entries_budget(capsys):
@@ -346,9 +359,12 @@ def test_verify_sweep_agrees(capsys, expr):
     ],
 )
 def test_internal_check_failure_exit_code(capsys, monkeypatch, argv):
-    # zeroing i makes two non-real rows of Dstar(3) look real, so the
-    # library's Brauer count check fails inside the character layer
-    monkeypatch.setattr(characters, "sqrt_minus_one", lambda: from_int(0))
+    # chartab: zeroing i makes two non-real rows of Dstar(3) look real, so the
+    # Brauer count check of the table fails; chars, which verify runs: one
+    # more square root per class breaks the Frobenius-Schur count of the sums
+    monkeypatch.setattr(cyclo, "sqrt_minus_one", lambda: from_int(0))
+    roots = conjugacy.square_root_counts
+    monkeypatch.setattr(characters, "square_root_counts", lambda cd: [r + 1 for r in roots(cd)])
     rc, _, err = run(capsys, *argv)
     assert rc == cli.EXIT_INTERNAL == 4
     lines = err.splitlines()
@@ -385,43 +401,47 @@ def test_chars_route_builds_no_full_character_table(capsys, monkeypatch):
 
 
 def _doctored(monkeypatch, builder: str, edit):
-    """Replace a family layout so that its real rows pass through `edit`."""
+    """Replace a family so that its integer sums pass through `edit`."""
     original = getattr(characters, builder)
 
-    def layout(*params):
-        name, cd, rows = original(*params)
-        if params[-1]:  # real_only
-            rows = edit(list(rows), original, params)
-        return name, cd, rows
+    def family(*params):
+        rows, sums = original(*params)
+        return rows, lambda cd: edit(*sums(cd))
 
-    monkeypatch.setattr(characters, builder, layout)
+    monkeypatch.setattr(characters, builder, family)
 
 
-def _drop_last_row(rows, original, params):
-    return rows[:-1]
+def _drop_a_row(pairs, count):
+    return pairs, count - 1
 
 
-def _flip_last_indicator(rows, original, params):
-    name, nu, values = rows[-1]
-    return rows[:-1] + [(name, -nu, values)]
+def _add_a_row(pairs, count):
+    return pairs, count + 1
 
 
-def _add_non_real_row(rows, original, params):
-    _, _, full = original(*params[:-1], False)
-    name, _, values = full[1]  # V_1 of Z(n)
-    return rows + [(name, 1, values)]
+def _shift_one_to_plus(pairs, count):
+    # S+ + S- is unchanged, so only the Frobenius-Schur count can see it
+    (plus, minus), *rest = pairs
+    return [(plus + 1, minus - 1), *rest], count
+
+
+def _raise_both(pairs, count):
+    # S+ - S- is unchanged, so only the norm of the real rows can see it
+    (plus, minus), *rest = pairs
+    return [(plus + 1, minus + 1), *rest], count
 
 
 @pytest.mark.parametrize(
     "builder,edit,expr,check",
     [
-        ("_binary_dihedral_layout", _drop_last_row, "Dstar(4)", "self-inverse classes"),
-        ("_binary_dihedral_layout", _flip_last_indicator, "Dstar(4)", "Frobenius-Schur count"),
-        ("_tprime_layout", _flip_last_indicator, "Tprime(2)", "Frobenius-Schur count"),
-        ("_polyhedral_layout", _flip_last_indicator, "Istar", "Frobenius-Schur count"),
-        ("_cyclic_layout", _add_non_real_row, "Z(5)", "not constant on inverse classes"),
+        ("_binary_dihedral", _drop_a_row, "Dstar(4)", "self-inverse classes"),
+        ("_binary_dihedral", _shift_one_to_plus, "Dstar(4)", "Frobenius-Schur count"),
+        ("_tprime", _shift_one_to_plus, "Tprime(2)", "Frobenius-Schur count"),
+        ("_polyhedral", _shift_one_to_plus, "Istar", "Frobenius-Schur count"),
+        ("_cyclic", _add_a_row, "Z(5)", "self-inverse classes"),
+        ("_dprime", _raise_both, "Dprime(1,5)", "norm"),
     ],
-    ids=["drop-row", "flip-nu-dstar", "flip-nu-tprime", "flip-nu-istar", "non-real-row"],
+    ids=["drop-row", "flip-nu-dstar", "flip-nu-tprime", "flip-nu-istar", "non-real-row", "norm-dprime"],
 )
 def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edit, expr, check):
     _doctored(monkeypatch, builder, edit)
@@ -431,8 +451,38 @@ def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edi
     assert len(lines) == 1
     assert lines[0].startswith(f"internal check failed: {expr}:")
     assert check in lines[0]
-    # only the real-only layout is doctored, and chartab reads the full one
+    # only the integer sums are doctored, and chartab reads the rows
     assert run(capsys, "chartab", expr)[0] == 0
+
+
+def _doctor_tprime(monkeypatch):
+    monkeypatch.setattr(characters, "_TPRIME_SIZES", [1, 1, 6, 4, 4, 4, 3])
+
+
+def _doctor_istar(monkeypatch):
+    layout = dict(characters._POLYHEDRAL["Istar"], sizes=[1, 1, 30, 20, 20, 12, 12, 12, 11])
+    monkeypatch.setitem(characters._POLYHEDRAL, "Istar", layout)
+
+
+@pytest.mark.parametrize("command", [["compute", "--method", "chars"], ["chartab"], ["verify"]])
+@pytest.mark.parametrize(
+    "expr,doctor", [("Tprime(2)", _doctor_tprime), ("Istar", _doctor_istar)], ids=["Tprime", "Istar"]
+)
+def test_alignment_failure_is_an_internal_check(capsys, monkeypatch, command, expr, doctor):
+    doctor(monkeypatch)
+    rc, out, err = run(capsys, *command, expr)
+    assert (rc, out) == (cli.EXIT_INTERNAL, "")
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"internal check failed: {expr}:")
+    assert "do not match" in lines[0]
+
+
+@pytest.mark.parametrize("command", [["compute", "--method", "chars"], ["chartab"], ["verify"]])
+def test_invalid_parameters_are_a_usage_error(capsys, command):
+    rc, out, err = run(capsys, *command, "Dprime(30,4)")
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 # -- parser -------------------------------------------------------------------

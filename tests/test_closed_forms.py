@@ -208,3 +208,22 @@ def test_family_polynomial_values_are_fractions_with_unit_denominator():
         assert closed_family_d1(atom).denominator == 1
         assert closed_family_d2(atom).denominator == 1
         assert closed_delta3(atom) >= 1
+
+
+def test_odd_binary_dihedral_case_is_the_metacyclic_case_at_k_0():
+    # for odd p, Dstar(p) is Dprime(0,p) (take a = y x^2), so case (b) takes
+    # the values of case (c) at k = 0, and the groups agree under averaging
+    for p in range(3, 400, 2):
+        for m in range(1, 60):
+            if gcd(m, 2 * p) == 1:
+                b = SphericalSpec("b", m=m, p=p)
+                c = SphericalSpec("c", m=m, k=0, p=p)
+                assert closed_dims(b) == closed_dims(c), (m, p)
+                assert closed_z2_orbit(b) == closed_z2_orbit(c), (m, p)
+    for m, p in [(1, 1), (3, 1), (1, 9), (5, 9), (7, 15)]:
+        r = burnside_dims(f"Z({m}) x Dstar({p})", mode="class")
+        assert closed_dims(SphericalSpec("b", m=m, p=p)) == (r.dim_full, r.dim_ker)
+        if p > 1:
+            r = burnside_dims(f"Z({m}) x Dprime(0,{p})", mode="class")
+            assert closed_dims(SphericalSpec("b", m=m, p=p)) == (r.dim_full, r.dim_ker)
+    assert closed_dims(spec_from_expr("Dstar(9)")) == closed_dims(spec_from_expr("Dprime(0,9)")) == (47, 36)

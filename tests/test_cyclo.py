@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import complex_conjugate, conjugate_dot, euler_phi, to_complex
+from oracles import complex_conjugate, conjugate_dot, euler_phi, exact_sum, to_complex
 from thetadim.cyclo import (
     CycloNumber,
     cyclotomic_polynomial,
-    exact_sum,
     from_int,
     golden_ratio,
     golden_ratio_conjugate,

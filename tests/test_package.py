@@ -150,9 +150,13 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     unused |= {f"thetadim.{m}" for m in ("characters", "cyclo", "closed_forms", "diagrams")}
     assert unused.isdisjoint(loaded)
 
+    # the chars route sums its real characters in integers: no cyclotomic number
     loaded = _loaded_after_start(_cli_call("compute", "--method", "chars", "Z(12)"))
     assert "thetadim.characters" in loaded
-    assert {"thetadim.burnside", "thetadim.diagrams"}.isdisjoint(loaded)
+    assert {"thetadim.burnside", "thetadim.diagrams", "thetadim.cyclo"}.isdisjoint(loaded)
+
+    loaded = _loaded_after_start(_cli_call("verify", "Dstar(3)"))
+    assert "thetadim.characters" in loaded and "thetadim.cyclo" not in loaded
 
 
 def test_lazy_exports_resolve_to_the_submodule_objects():
