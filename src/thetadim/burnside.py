@@ -21,7 +21,6 @@ exactly the pairs whose triples share an orbit.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from math import gcd
 from typing import NamedTuple
 
@@ -218,8 +217,8 @@ def orbit_count_dims(
     Equals the full invariant dimension, and cross-checks burnside_dims by
     Burnside's lemma.  Every orbit meets the identity slice, the multisets
     {e, u, v} that contain the identity e (element 0), so the walk runs over
-    sorted pairs u <= v, one per such multiset, of rank v(v+1)/2 + u.  Its
-    moves give the same orbits as the whole group acting on all triples:
+    the unordered pairs {u, v}, one per such multiset.  Its moves give the
+    same orbits as the whole group acting on all triples:
 
     1. A pair action (g, h) keeps {e, u, v} in the slice only when g*h^-1,
        g*u*h^-1 or g*v*h^-1 is e.
@@ -229,14 +228,17 @@ def orbit_count_dims(
     3. Inversion maps the slice to itself.
     4. Conjugations by the generators s generate all conjugations.
 
-    Each state therefore has |S| + 3 moves: both re-centres, the inversion
-    {e, u^-1, v^-1} and each conjugation {e, s^-1*u*s, s^-1*v*s}, and each
-    move re-sorts its pair.  Each new orbit starts at the first unvisited
-    rank, found by `bytearray.find` and unranked by bisection, so the walk
-    takes one Python step per orbit start instead of one per state.
+    Each state therefore has at most |S| + 3 moves: both re-centres, the
+    inversion {e, u^-1, v^-1} and each conjugation {e, s^-1*u*s, s^-1*v*s}.
+    A central generator conjugates every element to itself, so its move is
+    dropped.  A pair is marked visited in both orders, in n rows of n bytes,
+    so a move's image is looked up as it comes, with no sorting or ranking.
+    Each new orbit starts at the next unvisited pair u <= v, found by
+    `bytearray.find` along row u, so the walk takes one Python step per
+    orbit start instead of one per state.
 
-    The slice has n(n+1)/2 states, fewer than the n^2 entries of the group's
-    table, so the table's entries budget bounds the walk too: an expression
+    The visited rows hold n^2 bytes, as many as the group's table has
+    entries, so the table's entries budget bounds the walk too: an expression
     too large to tabulate is refused with the table's message before anything
     is built.
     """
@@ -248,39 +250,40 @@ def orbit_count_dims(
         )
     group = _as_group(group)
     mul = group._mul
+    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
     inv = list(group.inverses)
-    perms = [
-        [mul[mul[inv[s] * n + x] * n + s] for x in range(n)] for s in group.generators
-    ]
+    identity = list(range(n))
+    perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
+    # a central generator conjugates trivially, so its move is no move at all
+    perms = [perm for perm in perms if perm != identity]
     perms.append(inv)
 
-    half = [v * (v + 1) // 2 for v in range(n)]
-    visited = bytearray(n * (n + 1) // 2)
+    visited = [bytearray(n) for _ in range(n)]
     orbits = 0
-    start = visited.find(0)
-    while start >= 0:
-        orbits += 1
-        visited[start] = 1
-        v = bisect_right(half, start) - 1
-        stack = [(start - half[v], v)]
-        pop, push = stack.pop, stack.append
-        while stack:
-            u, v = pop()
-            ui, vi = inv[u], inv[v]
-            for x, y in ((ui, mul[ui * n + v]), (vi, mul[vi * n + u])):
-                if x > y:
-                    x, y = y, x
-                r = half[y] + x
-                if not visited[r]:
-                    visited[r] = 1
-                    push((x, y))
-            for perm in perms:
-                x, y = perm[u], perm[v]
-                if x > y:
-                    x, y = y, x
-                r = half[y] + x
-                if not visited[r]:
-                    visited[r] = 1
-                    push((x, y))
-        start = visited.find(0, start + 1)
+    for u in range(n):
+        visited_u = visited[u]
+        v = visited_u.find(0, u)
+        while v >= 0:
+            orbits += 1
+            visited_u[v] = visited[v][u] = 1
+            stack = [(u, v)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                a, b = pop()
+                # the re-centres at a and at b
+                ai, bi = inv[a], inv[b]
+                y = rows[ai][b]
+                if not visited[ai][y]:
+                    visited[ai][y] = visited[y][ai] = 1
+                    push((ai, y))
+                y = rows[bi][a]
+                if not visited[bi][y]:
+                    visited[bi][y] = visited[y][bi] = 1
+                    push((bi, y))
+                for perm in perms:
+                    x, y = perm[a], perm[b]
+                    if not visited[x][y]:
+                        visited[x][y] = visited[y][x] = 1
+                        push((x, y))
+            v = visited_u.find(0, v + 1)
     return orbits

@@ -25,7 +25,6 @@ product table is built.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import partial
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
@@ -34,6 +33,7 @@ from .conjugacy import (
     ClassData,
     check_class_data_order,
     compute_classes,
+    pair_average,
     product_class_data,
     square_root_counts,
     twisted_trace_sums,
@@ -150,7 +150,7 @@ def _real_sums(name: str, cd: ClassData, pairs: list[tuple[int, int]], count: in
     return total
 
 
-def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
+def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, int]:
     """Class data of `expr` and d2, the invariant dimension of the twisted cube action.
 
     Takes S = `real_character_sums(expr)` and evaluates, in O(k),
@@ -161,8 +161,7 @@ def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, Fraction]:
     that the chars route computes it once.
     """
     cd, sums = real_character_sums(expr)
-    n = cd.order
-    return cd, Fraction(twisted_trace_sums(cd, sums)[0], 6 * n * n)
+    return cd, pair_average(twisted_trace_sums(cd, sums)[0], cd.order, "d2")
 
 
 # -- families -----------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import getopt
+import importlib
 import os
 import sys
 import time
@@ -117,10 +118,10 @@ def _chars(expr: GroupExpr, max_order):
 
     cd, d2 = d2_char_formula(expr)
     d1 = d1_class_formula(cd)
-    dim = (d1 + d2) / 2
-    if dim.denominator != 1:
+    dim, rem = divmod(d1 + d2, 2)
+    if rem:
         raise AssertionError(f"(d1+d2)/2 is not an integer for {expr_to_string(expr)}")
-    return cd.order, cd.num_classes, d1, d2, int(dim), z2_orbit_count(cd)
+    return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
 
 
 def _burnside(group: FiniteGroup | GroupExpr, max_order):
@@ -153,6 +154,19 @@ _ROUTES = {
     "orbits": _orbits,
     "diagrams": _diagrams,
 }
+# the module each route imports when it runs
+_ROUTE_MODULES = {
+    "closed": "closed_forms",
+    "chars": "characters",
+    "burnside": "burnside",
+    "orbits": "burnside",
+    "diagrams": "diagrams",
+}
+
+
+def _load_route(name: str) -> None:
+    """Import route `name`'s module, so that loading it is not timed as its work."""
+    importlib.import_module(f".{_ROUTE_MODULES[name]}", __package__)
 
 
 def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
@@ -171,7 +185,9 @@ def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> 
     `group`, the `_table_within` result verify shares, or else their own.
     `classes_of(table)` gives the class data an enumeration route's report needs;
     verify passes a memo of `compute_classes` so its table's classes are found once.
-    Class data never feeds an enumerated dimension."""
+    Class data never feeds an enumerated dimension.  The clock starts once the
+    route's module is loaded."""
+    _load_route(name)
     t0 = time.perf_counter()
     if name in ("closed", "chars"):
         group = expr
@@ -233,6 +249,8 @@ def _cmd_verify(args) -> int:
 
     expr = parse_group_expr(args.expr)
     max_order = _max_order(args)
+    for name in _ROUTES:
+        _load_route(name)
     budget = max(_table_budget("orbits", max_order), _table_budget("diagrams", max_order))
     group = _table_within(expr, budget)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)

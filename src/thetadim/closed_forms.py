@@ -3,14 +3,14 @@
 Every supported group is a product of coprime cyclic factors with at most one
 non-cyclic factor; spec_from_expr normalizes an expression to one of seven
 case tags and validates the coprimality constraints.  closed_dims evaluates
-the exact dimension pair for the case, with all arithmetic in Fractions and a
-final integrality assertion, so any transcription slip in a coefficient fails
-loudly instead of rounding away.
+the exact dimension pair for the case in integers: each polynomial is an
+integer numerator over its case's fixed denominator, divided once with a
+checked remainder, so any transcription slip in a coefficient fails loudly
+instead of rounding away.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
@@ -38,13 +38,11 @@ def p3(n: int) -> int:
     if n < 0:
         return 0
     if n % 2 == 0:
-        c = Fraction(1) if n % 3 == 0 else Fraction(2, 3)
+        c = 12 if n % 3 == 0 else 8
     else:
-        c = Fraction(3, 4) if n % 3 == 0 else Fraction(5, 12)
-    value = Fraction(n * n, 12) + Fraction(n, 2) + c
-    if value.denominator != 1:
-        raise AssertionError(f"p3({n}) branch constants are inconsistent")
-    return int(value)
+        c = 9 if n % 3 == 0 else 5
+    # n^2/12 + n/2 + c/12, with c twelve times the branch constant
+    return _whole(n * n + 6 * n + c, 12, f"p3({n})")
 
 
 def p2(n: int) -> int:
@@ -174,86 +172,74 @@ def spec_from_expr(expr: GroupExpr | str) -> SphericalSpec:
     raise SphericalMatchError(f"unsupported family {atom.kind!r}.")
 
 
-def _as_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1 or value < 0:
-        raise AssertionError(f"{what} is not a nonnegative integer: {value}")
-    return int(value)
+def _whole(num: int, den: int, what: str) -> int:
+    """num / den, which must be a nonnegative integer; anything else is a
+    transcription slip in a coefficient."""
+    q, rem = divmod(num, den)
+    if rem or q < 0:
+        raise AssertionError(f"{what} is not a nonnegative integer: {num}/{den}")
+    return q
 
 
 def closed_dims(spec: SphericalSpec) -> tuple[int, int]:
     """Both dimensions (full group algebra, augmentation kernel), exactly."""
     case = spec.case
     m, p, k = spec.m, spec.p, spec.k
+    # each case gives both polynomials as integer numerators over one denominator
     if case == "a":
-        dim = Fraction(p3(spec.n))
-        ker = Fraction(p3(spec.n - 3))
+        den, dim, ker = 1, p3(spec.n), p3(spec.n - 3)
     elif case == "b" and p % 2 == 0:
         first = (m * p) % 3 != 0
+        den = 6
         dim = (
-            Fraction(m * m * p * p, 6)
-            + Fraction(m * m * p, 2)
-            + Fraction(2 * m * m, 3)
-            + Fraction(3 * m * p, 2)
-            + Fraction(p * p, 6)
-            + m
-            + Fraction(p, 2)
-            + (Fraction(1) if first else Fraction(4, 3))
+            m * m * p * p + 3 * m * m * p + 4 * m * m + 9 * m * p
+            + p * p + 6 * m + 3 * p + (6 if first else 8)
         )
         ker = (
-            Fraction(m * m * p * p, 6)
-            + Fraction(m * m * p, 2)
-            + Fraction(2 * m * m, 3)
-            + m * p
-            + Fraction(p * p, 6)
-            - Fraction(m, 2)
-            + (Fraction(-1, 2) if first else Fraction(-1, 6))
+            m * m * p * p + 3 * m * m * p + 4 * m * m + 6 * m * p
+            + p * p - 3 * m - (3 if first else 1)
         )
     elif case in ("b", "c"):
         # for odd p, Dstar(p) is Dprime(0,p) (a = y x^2): case (b) is case (c) at q = 1
         first = (m * p) % 3 != 0
         q = 2**k if case == "c" else 1
+        qm = q * m
+        den = 6
         dim = (
-            Fraction(q * q * m * m * p * p, 6)
-            + Fraction(q * q * m * m * p, 2)
-            + Fraction(2 * q * q * m * m, 3)
-            + Fraction(3 * q * m * p, 2)
-            + Fraction(p * p, 6)
-            + Fraction(q * m, 2)
-            + (Fraction(1, 2) if first else Fraction(5, 6))
+            qm * qm * p * p + 3 * qm * qm * p + 4 * qm * qm + 9 * qm * p
+            + p * p + 3 * qm + (3 if first else 5)
         )
         ker = (
-            Fraction(q * q * m * m * p * p, 6)
-            + Fraction(q * q * m * m * p, 2)
-            + Fraction(2 * q * q * m * m, 3)
-            + q * m * p
-            - q * m
-            + Fraction(p * p, 6)
-            - Fraction(p, 2)
-            + (Fraction(0) if first else Fraction(1, 3))
+            qm * qm * p * p + 3 * qm * qm * p + 4 * qm * qm + 6 * qm * p - 6 * qm
+            + p * p - 3 * p + (0 if first else 2)
         )
     elif case == "d":
-        dim = Fraction(19 * m * m, 3) + 6 * m + Fraction(8, 3)
-        ker = Fraction(19 * m * m, 3) + Fraction(5 * m, 2) + Fraction(7, 6)
+        den = 6
+        dim = 38 * m * m + 36 * m + 16
+        ker = 38 * m * m + 15 * m + 7
     elif case == "e":
         t = 3**k
         lead = 19 * 3 ** (2 * k - 3) * m * m
-        dim = Fraction(lead) + 2 * t * m + 3
-        ker = Fraction(lead) + Fraction(5 * t * m, 6) + Fraction(3, 2)
+        den = 6
+        dim = 6 * lead + 12 * t * m + 18
+        ker = 6 * lead + 5 * t * m + 9
     elif case == "f":
-        dim = Fraction(34 * m * m, 3) + 12 * m + Fraction(35, 3)
-        ker = Fraction(34 * m * m, 3) + 8 * m + Fraction(23, 3)
+        den = 3
+        dim = 34 * m * m + 36 * m + 35
+        ker = 34 * m * m + 24 * m + 23
     elif case == "g":
-        dim = Fraction(74 * m * m, 3) + 19 * m + Fraction(64, 3)
-        ker = Fraction(74 * m * m, 3) + Fraction(29 * m, 2) + Fraction(101, 6)
+        den = 6
+        dim = 148 * m * m + 114 * m + 128
+        ker = 148 * m * m + 87 * m + 101
     else:
         raise SphericalMatchError(f"unknown case tag {case!r}.")
-    dim_i = _as_int(dim, f"case ({case}) dimension")
-    ker_i = _as_int(ker, f"case ({case}) kernel dimension")
-    if dim_i - ker_i != closed_z2_orbit(spec):
+    dim = _whole(dim, den, f"case ({case}) dimension")
+    ker = _whole(ker, den, f"case ({case}) kernel dimension")
+    if dim - ker != closed_z2_orbit(spec):
         raise AssertionError(
             f"case ({case}): dimension gap disagrees with the inversion-orbit count"
         )
-    return dim_i, ker_i
+    return dim, ker
 
 
 def closed_z2_orbit(spec: SphericalSpec) -> int:
@@ -263,26 +249,21 @@ def closed_z2_orbit(spec: SphericalSpec) -> int:
     if case == "a":
         return p2(spec.n)
     if case == "b" and p % 2 == 0:
-        value = Fraction(m * p, 2) + Fraction(3 * m, 2) + Fraction(p, 2) + Fraction(3, 2)
+        den, value = 2, m * p + 3 * m + p + 3
     elif case in ("b", "c"):
         q = 2**k if case == "c" else 1
-        value = (
-            Fraction(q * m * p, 2)
-            + Fraction(3 * q * m, 2)
-            + Fraction(p, 2)
-            + Fraction(1, 2)
-        )
+        den, value = 2, q * m * p + 3 * q * m + p + 1
     elif case == "d":
-        value = Fraction(7 * m, 2) + Fraction(3, 2)
+        den, value = 2, 7 * m + 3
     elif case == "e":
-        value = Fraction(7 * 3**k * m, 6) + Fraction(3, 2)
+        den, value = 6, 7 * 3**k * m + 9
     elif case == "f":
-        value = Fraction(4 * m) + 4
+        den, value = 1, 4 * m + 4
     elif case == "g":
-        value = Fraction(9 * m, 2) + Fraction(9, 2)
+        den, value = 2, 9 * m + 9
     else:
         raise SphericalMatchError(f"unknown case tag {case!r}.")
-    return _as_int(value, f"case ({case}) inversion-orbit count")
+    return _whole(value, den, f"case ({case}) inversion-orbit count")
 
 
 def closed_order(spec: SphericalSpec) -> int:

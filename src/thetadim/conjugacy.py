@@ -12,13 +12,10 @@ counts of the classes or their real character sums.
 from __future__ import annotations
 
 from functools import reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .expr import GroupExpr, parse_group_expr
 from .group_core import FiniteGroup, NormalForm, ResourceLimitError, atom_group, group_order
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 __all__ = [
     "ClassData",
@@ -26,6 +23,7 @@ __all__ = [
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
+    "pair_average",
     "plain_trace_sums",
     "power_class_weights",
     "product_class_data",
@@ -277,9 +275,16 @@ def twisted_trace_sums(cd: ClassData, t: list[int]) -> tuple[int, int]:
     return n * total, n * ker
 
 
-def d1_class_formula(cd: ClassData) -> Fraction:
-    """d1, the dimension of the invariant part of the cube of the plain pair action."""
-    from fractions import Fraction  # only the routes that return one pay for it
+def pair_average(total: int, order: int, what: str) -> int:
+    """total / (6 |G|^2), the pair average of a cube trace sum, which must be a
+    nonnegative integer; anything else is a bug."""
+    den = 6 * order * order
+    q, rem = divmod(total, den)
+    if rem or q < 0:
+        raise AssertionError(f"{what} is not a nonnegative integer: {total}/{den}")
+    return q
 
-    n = cd.order
-    return Fraction(plain_trace_sums(cd)[0], 6 * n * n)
+
+def d1_class_formula(cd: ClassData) -> int:
+    """d1, the dimension of the invariant part of the cube of the plain pair action."""
+    return pair_average(plain_trace_sums(cd)[0], cd.order, "d1")

@@ -327,9 +327,10 @@ def group_from_coset_table(
         raise ResourceLimitError(
             f"{n} cosets need {n * n} table entries, budget is {TABLE_MAX_ENTRIES}."
         )
-    identity_col = list(range(n))
+    # action_cols[col][x] is the coset that column col sends x to
+    action_cols = list(zip(*ct.action))
     columns: list[list[int] | None] = [None] * n
-    columns[0] = identity_col
+    columns[0] = list(range(n))
     words: list[list[tuple[int, int]] | None] = [None] * n
     words[0] = []
     queue = [0]
@@ -341,17 +342,17 @@ def group_from_coset_table(
         for col in range(ncols):
             target = ct.action[j][col]
             if columns[target] is None:
-                columns[target] = [ct.action[x][col] for x in col_j]
+                image = action_cols[col]
+                columns[target] = [image[x] for x in col_j]
                 words[target] = words[j] + [(col >> 1, 1 if col % 2 == 0 else -1)]
                 queue.append(target)
     if qi != n:
         raise AssertionError("coset action is not transitive")
 
-    flat = [0] * (n * n)
-    for j in range(n):
-        col_j = columns[j]
-        for x in range(n):
-            flat[x * n + j] = col_j[x]
+    # row x of the table is entry x of every column
+    flat: list[int] = []
+    for row in zip(*columns):
+        flat += row
 
     labels = [_word_label(ct.presentation.generators, words[j]) for j in range(n)]
     gens = [ct.action[0][2 * g] for g in range(len(ct.presentation.generators))]

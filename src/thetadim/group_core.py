@@ -11,8 +11,8 @@ two groups of either kind, so an expression's atoms fold into one rule, and
 refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
 product, a single atom included; no order budget lifts this.  The
 coset-enumerated table (`coset_enum.group_from_coset_table`) checks the same
-budget itself.  The orbit walk's visited set (`burnside.orbit_count_dims`)
-has n(n+1)/2 entries, fewer than the n^2 of the table it walks, so the
+budget itself.  The orbit walk (`burnside.orbit_count_dims`) marks its
+visited pairs in n^2 bytes, as many as the table it walks has entries, so the
 table's budget bounds it too.
 """
 
@@ -54,7 +54,7 @@ class ResourceLimitError(RuntimeError):
 
 
 # every multiplication table, a single atom's included, stays within this many
-# entries; so does the orbit walk's visited set, which is smaller than its table
+# entries; so does the orbit walk's visited set, which is no larger than its table
 TABLE_MAX_ENTRIES = 10**6
 
 
@@ -87,18 +87,19 @@ class FiniteGroup:
         self.order = order
         self._mul = mul_table if isinstance(mul_table, array) else array("i", mul_table)
         mul = self._mul
-        for j in range(order):
-            if mul[j] != j or mul[j * order] != j:
-                raise ValueError("element 0 is not a two-sided identity")
-        inv = [-1] * order
+        identity = array("i", range(order))
+        if mul[:order] != identity or mul[::order] != identity:
+            raise ValueError("element 0 is not a two-sided identity")
+        inv = []
         for i in range(order):
             base = i * order
-            for j in range(order):
-                if mul[base + j] == 0:
-                    inv[i] = j
-                    break
-            if inv[i] < 0 or mul[inv[i] * order + i] != 0:
+            try:
+                j = mul.index(0, base, base + order) - base
+            except ValueError:
+                j = -1
+            if j < 0 or mul[j * order + i] != 0:
                 raise ValueError(f"element {i} has no two-sided inverse")
+            inv.append(j)
         self.inverses = inv
         if labels is None:
             labels = [f"g{i}" for i in range(order)]
@@ -305,13 +306,45 @@ def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> 
     )
 
 
+def _atom_products(rule: NormalForm) -> array:
+    """A single atom's table, filled row by row along a breadth-first search
+    over its generators: row(p*s) = row(p) o row(s), since (p*s)*j = p*(s*j).
+    The rule is called for the |S| generator rows only, and each further row
+    is composed from a reached row and a generator row, instead of n^2 rule
+    calls.  Generators that do not reach every element are refused: the
+    table would be partial.
+    """
+    n, mul = rule.order, rule.mul
+    gen_rows = [(s, [mul(s, j) for j in range(n)]) for s in rule.generators]
+    rows: list = [None] * n
+    rows[0] = list(range(n))
+    reached = [0]
+    for p in reached:  # grows while it is read: a breadth-first queue
+        row_p = rows[p]
+        for s, row_s in gen_rows:
+            q = row_p[s]
+            if rows[q] is None:
+                rows[q] = [row_p[x] for x in row_s]
+                reached.append(q)
+    if len(reached) != n:
+        raise AssertionError(
+            f"{rule.family_tag}: the generators reach {len(reached)} of {n} elements"
+        )
+    flat: list[int] = []
+    for row in rows:
+        flat += row
+    return array("i", flat)
+
+
 def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
     """The multiplication table a rule defines.
 
     A table of more than TABLE_MAX_ENTRIES entries is refused before any
     product is taken; `name` describes the group in the refusal (default: its
-    tag).  A product rule's rows are filled from its factors' products, each
-    taken once, instead of calling the composed `mul` for every entry.
+    tag).  A single atom's rows are composed from its generators' rows
+    (`_atom_products`), and a product rule's rows are filled from its
+    factors' products, each taken once, so the composed `mul` is never called
+    per entry.  Element numbering and labels are the rule's own either way.
     """
     n = rule.order
     if n * n > TABLE_MAX_ENTRIES:
@@ -324,19 +357,23 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
         if isinstance(g, FiniteGroup):
             return g._mul
         if not g.factors:
-            m, mul = g.order, g.mul
-            return array("i", [mul(i, j) for i in range(m) for j in range(m)])
+            return _atom_products(g)
         g1, g2 = g.factors
         n1, n2 = g1.order, g2.order
         t1, t2 = products(g1), products(g2)
-        rows2 = [t2[i2 * n2 : (i2 + 1) * n2] for i2 in range(n2)]
+        # (i1, i2) * (j1, j2) = (i1*j1, i2*j2) has index (i1*j1)*n2 + i2*j2, so
+        # each row is n1 blocks, and block j1 is row i2 of g2's table shifted
+        # by (i1*j1)*n2: shifted[k][i2], built once and copied as a whole
+        shifted = [
+            [array("i", [k * n2 + x for x in t2[i2 * n2 : (i2 + 1) * n2]]) for i2 in range(n2)]
+            for k in range(n1)
+        ]
         table = array("i")
         for i1 in range(n1):
-            # (i1, i2) * (j1, j2) = (i1*j1, i2*j2) has index (i1*j1)*n2 + i2*j2
-            row1 = [k * n2 for k in t1[i1 * n1 : (i1 + 1) * n1]]
-            for row2 in rows2:
-                for k in row1:
-                    table.extend([k + x for x in row2])
+            blocks = [shifted[k] for k in t1[i1 * n1 : (i1 + 1) * n1]]
+            for i2 in range(n2):
+                for block in blocks:
+                    table += block[i2]
         return table
 
     return FiniteGroup(

@@ -2,10 +2,7 @@
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "CSV_HEADER",
@@ -23,9 +20,9 @@ class DimensionReport(NamedTuple):
     group: str
     order: int
     num_classes: int
-    # exact rationals; the burnside route gives plain ints
-    d1: Fraction | int | None
-    d2: Fraction | int | None
+    # the two pair averages, exact integers; None on routes that do not give them
+    d1: int | None
+    d2: int | None
     dim_cpi: int
     dim_ker_eps: int
     dim_classhat_z2: int
@@ -33,21 +30,13 @@ class DimensionReport(NamedTuple):
     millis: float
 
 
-def _json_number(value: Fraction | int | None):
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def to_json_dict(report: DimensionReport) -> dict:
     return {
         "group": report.group,
         "order": report.order,
         "num_classes": report.num_classes,
-        "d1": _json_number(report.d1),
-        "d2": _json_number(report.d2),
+        "d1": report.d1,
+        "d2": report.d2,
         "dim_Cpi": report.dim_cpi,
         "dim_ker_eps": report.dim_ker_eps,
         "dim_classhat_Z2": report.dim_classhat_z2,

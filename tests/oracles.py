@@ -1,8 +1,8 @@
-"""Test-only oracles and helpers: literal actions, per-family closed forms,
-family presentations, table-group element helpers, the literal product table,
-decoration canonical forms, character-table identities, the complex
-embedding of cyclotomic numbers and the argparse reference parser of the
-command line.
+"""Test-only oracles and helpers: the closed forms in Fractions, literal
+actions, per-family closed forms, family presentations, table-group element
+helpers, the literal product table, decoration canonical forms,
+character-table identities, the complex embedding of cyclotomic numbers and
+the argparse reference parser of the command line.
 
 None of these is on a computation route.  The pair-action oracles build each
 permutation literally, the per-family closed forms check the class and
@@ -21,10 +21,142 @@ from fractions import Fraction
 from functools import reduce
 
 from thetadim.characters import CharacterTable
-from thetadim.closed_forms import SphericalMatchError, spec_from_expr
+from thetadim.closed_forms import SphericalMatchError, SphericalSpec, p2, spec_from_expr
 from thetadim.cyclo import CycloNumber, _canonical, from_int
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import FiniteGroup, atom_group, product_rule
+
+# -- closed forms in Fractions -------------------------------------------------
+#
+# The closed polynomials as written before `closed_forms` moved to integer
+# numerators over fixed denominators: each term a Fraction, one integrality
+# check at the end.  The integer forms must agree with them on every spec.
+
+
+def fraction_p3(n: int) -> int:
+    """`closed_forms.p3` evaluated in Fractions."""
+    if n < 0:
+        return 0
+    if n % 2 == 0:
+        c = Fraction(1) if n % 3 == 0 else Fraction(2, 3)
+    else:
+        c = Fraction(3, 4) if n % 3 == 0 else Fraction(5, 12)
+    value = Fraction(n * n, 12) + Fraction(n, 2) + c
+    if value.denominator != 1:
+        raise AssertionError(f"p3({n}) branch constants are inconsistent")
+    return int(value)
+
+
+def _fraction_as_int(value: Fraction, what: str) -> int:
+    if value.denominator != 1 or value < 0:
+        raise AssertionError(f"{what} is not a nonnegative integer: {value}")
+    return int(value)
+
+
+def fraction_closed_dims(spec: SphericalSpec) -> tuple[int, int]:
+    """`closed_forms.closed_dims` evaluated in Fractions."""
+    case = spec.case
+    m, p, k = spec.m, spec.p, spec.k
+    if case == "a":
+        dim = Fraction(fraction_p3(spec.n))
+        ker = Fraction(fraction_p3(spec.n - 3))
+    elif case == "b" and p % 2 == 0:
+        first = (m * p) % 3 != 0
+        dim = (
+            Fraction(m * m * p * p, 6)
+            + Fraction(m * m * p, 2)
+            + Fraction(2 * m * m, 3)
+            + Fraction(3 * m * p, 2)
+            + Fraction(p * p, 6)
+            + m
+            + Fraction(p, 2)
+            + (Fraction(1) if first else Fraction(4, 3))
+        )
+        ker = (
+            Fraction(m * m * p * p, 6)
+            + Fraction(m * m * p, 2)
+            + Fraction(2 * m * m, 3)
+            + m * p
+            + Fraction(p * p, 6)
+            - Fraction(m, 2)
+            + (Fraction(-1, 2) if first else Fraction(-1, 6))
+        )
+    elif case in ("b", "c"):
+        # for odd p, Dstar(p) is Dprime(0,p) (a = y x^2): case (b) is case (c) at q = 1
+        first = (m * p) % 3 != 0
+        q = 2**k if case == "c" else 1
+        dim = (
+            Fraction(q * q * m * m * p * p, 6)
+            + Fraction(q * q * m * m * p, 2)
+            + Fraction(2 * q * q * m * m, 3)
+            + Fraction(3 * q * m * p, 2)
+            + Fraction(p * p, 6)
+            + Fraction(q * m, 2)
+            + (Fraction(1, 2) if first else Fraction(5, 6))
+        )
+        ker = (
+            Fraction(q * q * m * m * p * p, 6)
+            + Fraction(q * q * m * m * p, 2)
+            + Fraction(2 * q * q * m * m, 3)
+            + q * m * p
+            - q * m
+            + Fraction(p * p, 6)
+            - Fraction(p, 2)
+            + (Fraction(0) if first else Fraction(1, 3))
+        )
+    elif case == "d":
+        dim = Fraction(19 * m * m, 3) + 6 * m + Fraction(8, 3)
+        ker = Fraction(19 * m * m, 3) + Fraction(5 * m, 2) + Fraction(7, 6)
+    elif case == "e":
+        t = 3**k
+        lead = 19 * 3 ** (2 * k - 3) * m * m
+        dim = Fraction(lead) + 2 * t * m + 3
+        ker = Fraction(lead) + Fraction(5 * t * m, 6) + Fraction(3, 2)
+    elif case == "f":
+        dim = Fraction(34 * m * m, 3) + 12 * m + Fraction(35, 3)
+        ker = Fraction(34 * m * m, 3) + 8 * m + Fraction(23, 3)
+    elif case == "g":
+        dim = Fraction(74 * m * m, 3) + 19 * m + Fraction(64, 3)
+        ker = Fraction(74 * m * m, 3) + Fraction(29 * m, 2) + Fraction(101, 6)
+    else:
+        raise SphericalMatchError(f"unknown case tag {case!r}.")
+    dim_i = _fraction_as_int(dim, f"case ({case}) dimension")
+    ker_i = _fraction_as_int(ker, f"case ({case}) kernel dimension")
+    if dim_i - ker_i != fraction_closed_z2_orbit(spec):
+        raise AssertionError(
+            f"case ({case}): dimension gap disagrees with the inversion-orbit count"
+        )
+    return dim_i, ker_i
+
+
+def fraction_closed_z2_orbit(spec: SphericalSpec) -> int:
+    """`closed_forms.closed_z2_orbit` evaluated in Fractions."""
+    case = spec.case
+    m, p, k = spec.m, spec.p, spec.k
+    if case == "a":
+        return p2(spec.n)
+    if case == "b" and p % 2 == 0:
+        value = Fraction(m * p, 2) + Fraction(3 * m, 2) + Fraction(p, 2) + Fraction(3, 2)
+    elif case in ("b", "c"):
+        q = 2**k if case == "c" else 1
+        value = (
+            Fraction(q * m * p, 2)
+            + Fraction(3 * q * m, 2)
+            + Fraction(p, 2)
+            + Fraction(1, 2)
+        )
+    elif case == "d":
+        value = Fraction(7 * m, 2) + Fraction(3, 2)
+    elif case == "e":
+        value = Fraction(7 * 3**k * m, 6) + Fraction(3, 2)
+    elif case == "f":
+        value = Fraction(4 * m) + 4
+    elif case == "g":
+        value = Fraction(9 * m, 2) + Fraction(9, 2)
+    else:
+        raise SphericalMatchError(f"unknown case tag {case!r}.")
+    return _fraction_as_int(value, f"case ({case}) inversion-orbit count")
+
 
 # -- table-group element helpers ----------------------------------------------
 

@@ -636,3 +636,61 @@ def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
     rc, out, err = run(capsys, "compute", "Z(3)", "--method", "burnside")
     assert (rc, out) == (cli.EXIT_INTERNAL, "")
     assert err == "internal check failed: d1 for Z(3) is not a nonnegative integer: 1/54\n"
+
+
+# -- route timing -------------------------------------------------------------
+
+_FIRST_CLOCK_READ = """
+import contextlib, io, json, sys
+import thetadim.cli as cli
+
+real = cli.time.perf_counter
+seen = []
+
+
+def clock():
+    if not seen:
+        seen.append(sorted(m for m in sys.modules if m.startswith("thetadim.")))
+    return real()
+
+
+cli.time.perf_counter = clock
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(json.dumps([code, seen[0]]))
+"""
+
+ROUTE_MODULES = {
+    "closed": "closed_forms",
+    "chars": "characters",
+    "burnside": "burnside",
+    "orbits": "burnside",
+    "diagrams": "diagrams",
+}
+
+
+def _modules_at_first_clock_read(*argv: str) -> set[str]:
+    """The thetadim modules loaded when `thetadim argv` first reads the clock,
+    in a fresh interpreter, so that no earlier test has imported them."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("THETA_DIM_MAX_ORDER", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_CLOCK_READ, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    code, loaded = json.loads(out)
+    assert code == 0, argv
+    return set(loaded)
+
+
+@pytest.mark.parametrize("method", sorted(ROUTE_MODULES))
+def test_a_route_is_timed_after_its_module_is_loaded(method):
+    # a route's time is its work: the import of its module comes before the clock
+    loaded = _modules_at_first_clock_read("compute", "--method", method, "Dstar(9)")
+    assert f"thetadim.{ROUTE_MODULES[method]}" in loaded
+
+
+def test_verify_loads_every_route_module_before_timing_any():
+    loaded = _modules_at_first_clock_read("verify", "Dstar(9)")
+    assert {f"thetadim.{m}" for m in ROUTE_MODULES.values()} <= loaded

@@ -4,10 +4,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from catalogs import NON_SPHERICAL, SPHERICAL
 from class_oracles import cube_matched_sum
-from oracles import closed_delta3, closed_family_d1, closed_family_d2
+from oracles import (
+    closed_delta3,
+    closed_family_d1,
+    closed_family_d2,
+    fraction_closed_dims,
+    fraction_closed_z2_orbit,
+    fraction_p3,
+)
 from thetadim.burnside import burnside_dims
 from thetadim.characters import d2_char_formula
 from thetadim.closed_forms import (
@@ -26,7 +35,7 @@ from thetadim.conjugacy import (
     d1_class_formula,
     z2_orbit_count,
 )
-from thetadim.expr import Atom
+from thetadim.expr import Atom, GroupExpr
 from thetadim.group_core import group_from_expr
 
 
@@ -227,3 +236,56 @@ def test_odd_binary_dihedral_case_is_the_metacyclic_case_at_k_0():
             r = burnside_dims(f"Z({m}) x Dprime(0,{p})", mode="class")
             assert closed_dims(SphericalSpec("b", m=m, p=p)) == (r.dim_full, r.dim_ker)
     assert closed_dims(spec_from_expr("Dstar(9)")) == closed_dims(spec_from_expr("Dprime(0,9)")) == (47, 36)
+
+
+def _accepted_specs(max_m: int, max_p: int, max_k: int):
+    """Every spec spec_from_expr accepts for Z(m) times one atom (or none),
+    with m <= max_m, p <= max_p and k <= max_k."""
+    atoms = [None, Atom("Tstar"), Atom("Ostar"), Atom("Istar")]
+    atoms += [Atom("Dstar", (p,)) for p in range(1, max_p + 1)]
+    atoms += [Atom("Dprime", (k, p)) for k in range(max_k + 1) for p in range(3, max_p + 1, 2)]
+    atoms += [Atom("Tprime", (k,)) for k in range(1, max_k + 1)]
+    for m in range(1, max_m + 1):
+        for atom in atoms:
+            expr = GroupExpr((Atom("Z", (m,)),) + ((atom,) if atom else ()))
+            try:
+                yield spec_from_expr(expr)
+            except SphericalMatchError:
+                continue
+
+
+def _assert_integer_forms_match_fractions(spec):
+    assert closed_dims(spec) == fraction_closed_dims(spec), spec
+    assert closed_z2_orbit(spec) == fraction_closed_z2_orbit(spec), spec
+
+
+def test_integer_closed_forms_match_the_fraction_forms_on_every_small_spec():
+    cases = set()
+    for spec in _accepted_specs(max_m=60, max_p=200, max_k=4):
+        cases.add(spec.case)
+        _assert_integer_forms_match_fractions(spec)
+    assert cases == set("abcdefg")
+    for n in range(-3, 400):
+        assert p3(n) == fraction_p3(n), n
+
+
+@st.composite
+def _large_specs(draw):
+    case = draw(st.sampled_from("abcdefg"))
+    m = draw(st.integers(1, 10**9))
+    fields = {"a": {"n": m}, "d": {"m": m}, "f": {"m": m}, "g": {"m": m}}.get(case)
+    if case in "bc":
+        p = draw(st.integers(1, 10**9))
+        fields = {"m": m, "p": p} if case == "b" else {"m": m, "p": p | 1, "k": draw(st.integers(0, 40))}
+    elif case == "e":
+        fields = {"m": m, "k": draw(st.integers(2, 40))}
+    try:
+        return SphericalSpec(case, **fields)
+    except SphericalMatchError:
+        assume(False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_large_specs())
+def test_integer_closed_forms_match_the_fraction_forms_on_large_specs(spec):
+    _assert_integer_forms_match_fractions(spec)

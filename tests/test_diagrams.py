@@ -5,11 +5,11 @@ import random
 import pytest
 
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
-from thetadim.burnside import burnside_dims
+from thetadim.burnside import burnside_dims, orbit_count_dims
 from oracles import normalize, validate_spherical
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2
-from thetadim.group_core import group_from_expr, group_order
+from thetadim.group_core import FiniteGroup, group_from_expr, group_order
 
 WALK_CATALOG = ["Z(2)", "Z(6)", "Dstar(2)", "Dstar(3)", "Dprime(0,3)", "Tstar"]
 
@@ -147,3 +147,17 @@ def test_diagram_budget():
 def test_route_catalog_fits_diagram_budget():
     for expr in ROUTE_120:
         assert group_from_expr(expr).order <= DEFAULT_DIAGRAM_MAX_ORDER
+
+
+@pytest.mark.parametrize("expr", [e for e in ROUTE_120 if group_order(e) <= 48])
+def test_extra_central_generators_change_neither_walk(expr):
+    G = group_from_expr(expr)
+    n = G.order
+    center = [z for z in range(n) if all(G.mul(z, g) == G.mul(g, z) for g in range(n))]
+    # the identity, every central element, and each given generator twice
+    padded = FiniteGroup(
+        n, G._mul, G.labels, G.family_tag, generators=[0] + center + G.generators * 2
+    )
+    want = dim_A2(G)
+    assert orbit_count_dims(G) == want
+    assert dim_A2(padded) == orbit_count_dims(padded) == want

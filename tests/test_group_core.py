@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+import catalogs
 import thetadim.group_core as group_core
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
 from oracles import (
@@ -13,6 +14,7 @@ from oracles import (
     direct_product_literal,
     element_order,
     power,
+    unbudgeted_table,
     validate_spherical,
 )
 from thetadim.expr import parse_group_expr
@@ -363,3 +365,35 @@ def test_group_order_needs_no_construction():
         group_order("Dprime(1,4)")
     with pytest.raises(ValueError):
         group_order("Tprime(0)")
+
+
+SINGLE_ATOMS = sorted(
+    {
+        expr
+        for name, members in vars(catalogs).items()
+        if name.isupper()
+        for expr in members
+        if len(parse_group_expr(expr).atoms) == 1
+    },
+    key=group_order,
+)
+
+
+@pytest.mark.parametrize("expr", SINGLE_ATOMS + ["Dstar(250)"])
+def test_row_composed_atom_tables_match_the_entry_by_entry_fill(expr):
+    got = group_from_expr(expr)
+    want = unbudgeted_table(expr)
+    for field in FiniteGroup.__slots__:
+        assert getattr(got, field) == getattr(want, field), field
+
+
+def test_generators_that_miss_part_of_the_group_are_refused():
+    # 2 generates only the even residues of Z(6)
+    with pytest.raises(AssertionError, match="reach 3 of 6 elements"):
+        group_core._tabulate(cyclic_rule(6)._replace(generators=[2]))
+    with pytest.raises(AssertionError, match="reach 1 of 4 elements"):
+        group_core._tabulate(binary_dihedral_rule(1)._replace(generators=[]))
+    # a product's rows come from its factors' tables, so a factor is checked too
+    bad = product_rule(cyclic_rule(3), binary_dihedral_rule(2)._replace(generators=[1]))
+    with pytest.raises(AssertionError, match="reach 4 of 8 elements"):
+        group_core._tabulate(bad)

@@ -158,6 +158,21 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     loaded = _loaded_after_start(_cli_call("verify", "Dstar(3)"))
     assert "thetadim.characters" in loaded and "thetadim.cyclo" not in loaded
 
+    # every dimension is an integer, found by checked integer division
+    methods = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
+    calls = [("compute", "--method", method, "Z(5) x Dstar(3)") for method in methods]
+    calls += [
+        ("compute", "Z(3) x Tstar"),  # auto falls back to burnside
+        ("compute", "--json", "Dstar(3)"),
+        ("verify", "Dstar(3)"),
+        ("table", "d4p", "--max-p", "4"),
+        ("classes", "Tstar"),
+        ("chartab", "Dstar(3)"),
+    ]
+    for argv in calls:
+        loaded = _loaded_after_start(_cli_call(*argv))
+        assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded), argv
+
 
 def test_lazy_exports_resolve_to_the_submodule_objects():
     import thetadim.burnside
