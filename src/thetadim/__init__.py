@@ -1,10 +1,11 @@
 """Exact dimension counts for theta-shaped diagram spaces over finite group algebras.
 
-The package computes, in exact rational arithmetic, the dimension of the space
-of closed trivalent theta diagrams labeled by a finite group algebra, together
-with the corresponding dimension for the augmentation ideal.  Five routes are
-provided (closed formulas, character sums, fixed-point counting, monomial-triple
-orbits and diagram enumeration) so that every number can be cross-checked.
+The package computes exactly, in integer arithmetic, the dimension of the
+space of closed trivalent theta diagrams labeled by a finite group algebra,
+together with the corresponding dimension for the augmentation ideal.  Five
+routes are provided (closed formulas, character sums, fixed-point counting,
+monomial-triple orbits and diagram enumeration) so that every number can be
+cross-checked.
 
 Each exported name is imported from its submodule on first access (PEP 562),
 so `import thetadim` loads no submodule and a command line process loads only

@@ -21,12 +21,12 @@ exactly the pairs whose triples share an orbit.
 
 from __future__ import annotations
 
-from math import gcd
 from typing import NamedTuple
 
 from .conjugacy import (
     class_data_for,
     compute_classes,
+    pair_average,
     plain_trace_sums,
     square_root_counts,
     twisted_trace_sums,
@@ -67,13 +67,11 @@ class BurnsideResult(NamedTuple):
     num_classes: int
 
 
-def _whole(label: str, name: str, num: int, den: int) -> int:
-    """num / den, which must be a nonnegative integer; anything else is a bug."""
-    q, rem = divmod(num, den)
-    if rem or q < 0:
-        g = gcd(num, den)
-        value = q if not rem else f"{num // g}/{den // g}"
-        raise AssertionError(f"{label} for {name} is not a nonnegative integer: {value}")
+def _half(what: str, total: int) -> int:
+    """total / 2, the mean of two pair averages, which must be an integer."""
+    q, rem = divmod(total, 2)
+    if rem:
+        raise AssertionError(f"{what} is not an integer: {total}/2")
     return q
 
 
@@ -187,13 +185,12 @@ def burnside_dims(
     else:
         raise ValueError(f"mode must be auto, naive or class, got {mode!r}.")
 
-    denom = 6 * n * n
-    d1 = _whole("d1", name, plain_sum, denom)
-    d2 = _whole("d2", name, twist_sum, denom)
-    ker_d1 = _whole("kernel d1", name, plain_ker, denom)
-    ker_d2 = _whole("kernel d2", name, twist_ker, denom)
-    dim_full = _whole("dim", name, d1 + d2, 2)
-    dim_ker = _whole("kernel dim", name, ker_d1 + ker_d2, 2)
+    d1 = pair_average(plain_sum, n, f"d1 for {name}")
+    d2 = pair_average(twist_sum, n, f"d2 for {name}")
+    ker_d1 = pair_average(plain_ker, n, f"kernel d1 for {name}")
+    ker_d2 = pair_average(twist_ker, n, f"kernel d2 for {name}")
+    dim_full = _half(f"dim for {name}", d1 + d2)
+    dim_ker = _half(f"kernel dim for {name}", ker_d1 + ker_d2)
     return BurnsideResult(
         group_name=name,
         order=n,

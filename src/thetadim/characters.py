@@ -25,7 +25,7 @@ product table is built.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,22 +57,9 @@ __all__ = [
 CHAR_TABLE_MAX_CELLS = 10**7
 
 
-class _Memo(dict):
-    """fn(key) computed on first lookup, so a family computes only the values its rows read."""
-
-    def __init__(self, fn) -> None:
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class CharacterTable(NamedTuple):
     group_name: str
     class_data: ClassData
-    class_labels: list[str]
     row_names: list[str]
     values: list[list[CycloNumber]]
     degrees: list[int]
@@ -119,7 +106,6 @@ def _finish(
     return CharacterTable(
         group_name=name,
         class_data=cd,
-        class_labels=cd.labels,
         row_names=row_names,
         values=values,
         degrees=degrees,
@@ -127,20 +113,22 @@ def _finish(
     )
 
 
-def _real_sums(name: str, cd: ClassData, pairs: list[tuple[int, int]], count: int) -> list[int]:
+def _real_sums(group, cd: ClassData, pairs: list[tuple[int, int]], count: int) -> list[int]:
     """S(C) = S+ + S- at each class of one atom, from its family's (S+, S-) pairs
     and count of real rows, after three checks.
 
     There must be as many real rows as self-inverse classes (Brauer); at every
     class the Frobenius-Schur count S+ - S- must equal the number of square
     roots of an element of C (`square_root_counts`); and the real rows are
-    orthonormal, so sum |C| S(C)^2 is |G| times their number.
+    orthonormal, so sum |C| S(C)^2 is |G| times their number.  `group` is the
+    atom's model, which names the atom and a failing class.
     """
+    name = group.family_tag
     _brauer_check(name, count, cd.inverse_class)
-    for c, ((plus, minus), roots) in enumerate(zip(pairs, square_root_counts(cd))):
+    for rep, (plus, minus), roots in zip(cd.representatives, pairs, square_root_counts(cd)):
         if plus - minus != roots:
             raise AssertionError(
-                f"{name}: Frobenius-Schur count {plus - minus} at class {cd.labels[c]}, "
+                f"{name}: Frobenius-Schur count {plus - minus} at class {group.label(rep)}, "
                 f"but it has {roots} square roots"
             )
     total = [plus + minus for plus, minus in pairs]
@@ -178,9 +166,9 @@ def _cyclic(n: int):
     def rows(cd):
         from .cyclo import zeta
 
-        zs = _Memo(partial(zeta, n))
+        zs = cache(partial(zeta, n))
         reps = cd.representatives
-        values = [[zs[lam * r % n] for r in reps] for lam in range(n)]
+        values = [[zs(lam * r % n) for r in reps] for lam in range(n)]
         return [f"V_{lam}" for lam in range(n)], values
 
     def sums(cd):
@@ -206,8 +194,8 @@ def _binary_dihedral(p: int):
         else:
             units = signs
         zero = from_int(0)
-        zs = _Memo(partial(zeta, two_p))
-        cos2 = _Memo(lambda t: zs[t] + zs[-t % two_p])
+        zs = cache(partial(zeta, two_p))
+        cos2 = cache(lambda t: zs(t) + zs(-t % two_p))
         kl = [(r % two_p, r // two_p) for r in cd.representatives]
         values = [
             [signs[0] for _ in kl],
@@ -215,7 +203,7 @@ def _binary_dihedral(p: int):
             [(signs, units)[l][k % 2] for k, l in kl],
             [(signs, units)[l][(k + l) % 2] for k, l in kl],
         ]
-        values += [[zero if l else cos2[k * lam % two_p] for k, l in kl] for lam in range(1, p)]
+        values += [[zero if l else cos2(k * lam % two_p) for k, l in kl] for lam in range(1, p)]
         return ["V1_1", "V1_2", "V1_3", "V1_4"] + [f"V2_{lam}" for lam in range(1, p)], values
 
     def sums(cd):
@@ -245,20 +233,20 @@ def _dprime(k: int, p: int):
     def rows(cd):
         from .cyclo import from_int, zeta
 
-        zn = _Memo(partial(zeta, big_n))
-        cosp = _Memo(lambda t: zeta(p, t) + zeta(p, -t))
+        zn = cache(partial(zeta, big_n))
+        cosp = cache(lambda t: zeta(p, t) + zeta(p, -t))
         # every degree-2 entry is one of these products, each built once
-        two_zn = _Memo(lambda e: 2 * zn[e])
-        zn_cosp = _Memo(lambda key: zn[key[0]] * cosp[key[1]])
+        two_zn = cache(lambda e: 2 * zn(e))
+        zn_cosp = cache(lambda e, t: zn(e) * cosp(t))
         zero = from_int(0)
         def v2(s, t, a, b):
             if a % 2:
                 return zero
-            return zn_cosp[a * t % big_n, s * b % p] if b else two_zn[a * t % big_n]
+            return zn_cosp(a * t % big_n, s * b % p) if b else two_zn(a * t % big_n)
 
         ab = [divmod(r, p) for r in cd.representatives]
         names = [f"V1_{j}" for j in range(big_n)]
-        values = [[zn[a * j % big_n] for a, _ in ab] for j in range(big_n)]
+        values = [[zn(a * j % big_n) for a, _ in ab] for j in range(big_n)]
         for s in range(1, (p - 1) // 2 + 1):
             for t in range(big_n // 2):
                 names.append(f"V2_{s}_{t}")
@@ -309,8 +297,8 @@ def _tprime(k: int):
     def rows(cd):
         from .cyclo import from_int, zeta
 
-        zs = _Memo(partial(zeta, three_k))
-        scaled = _Memo(lambda key: key[0] * zs[key[1]])
+        zs = cache(partial(zeta, three_k))
+        scaled = cache(lambda coeff, e: coeff * zs(e))
         zero = from_int(0)
         lf = families(cd)
         names, values = [], []
@@ -323,7 +311,7 @@ def _tprime(k: int):
             for lam in range(count):
                 names.append(f"{prefix}_{lam}")
                 values.append(
-                    [scaled[coeffs[f], l * lam % three_k] if coeffs[f] else zero for l, f in lf]
+                    [scaled(coeffs[f], l * lam % three_k) if coeffs[f] else zero for l, f in lf]
                 )
         return names, values
 
@@ -419,14 +407,21 @@ def _polyhedral(kind: str, group):
     data = _POLYHEDRAL[kind]
 
     def word_of(cd) -> list[int]:
-        """The index of each class's word, once sizes and power maps agree."""
+        """The index of each class's word, once sizes and power maps agree.
+
+        A word's class is the one whose representative, its smallest member,
+        is the smallest conjugate of the word's element.
+        """
         a, b = group.generators[0], group.generators[1]
+        mul, inv = group.mul, group.inv
+        class_at = {r: c for c, r in enumerate(cd.representatives)}
         cols = []
         for word in data["words"]:
             el = 0
             for ch in word:
-                el = group.mul(el, a if ch == "a" else b)
-            cols.append(cd.class_of[el])
+                el = mul(el, a if ch == "a" else b)
+            smallest = min(mul(mul(x, el), inv(x)) for x in range(group.order))
+            cols.append(class_at.get(smallest, -1))
         if sorted(cols) != list(range(cd.num_classes)):
             raise AssertionError(f"{kind}: class alignment is ambiguous")
         for i, c in enumerate(cols):
@@ -453,10 +448,10 @@ def _polyhedral(kind: str, group):
 
 
 def _atoms(expr: GroupExpr):
-    """(name, class data, rows, sums) of each atom of `expr`, in factor order.
+    """(group, class data, rows, sums) of each atom of `expr`, in factor order.
 
-    The classes are those `compute_classes` finds on `atom_group(atom)`, and
-    rows and sums are its family's functions of them.
+    `group` is `atom_group(atom)`, the classes are those `compute_classes`
+    finds on it, and rows and sums are its family's functions of them.
     """
     for atom in expr.atoms:
         group = atom_group(atom)
@@ -465,7 +460,7 @@ def _atoms(expr: GroupExpr):
         else:
             families = {"Z": _cyclic, "Dstar": _binary_dihedral, "Dprime": _dprime, "Tprime": _tprime}
             family = families[atom.kind](*atom.params)
-        yield (group.family_tag, compute_classes(group), *family)
+        yield (group, compute_classes(group), *family)
 
 
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
@@ -528,8 +523,8 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
         expr = parse_group_expr(expr)
     k = _check_cells(expr)
     table = None
-    for name, cd, rows, _ in _atoms(expr):
-        atom_table = _finish(name, cd, *rows(cd))
+    for group, cd, rows, _ in _atoms(expr):
+        atom_table = _finish(group.family_tag, cd, *rows(cd))
         table = atom_table if table is None else _product_table(table, atom_table)
     _check_class_count(table.group_name, table.class_data, k)
     return table
@@ -547,8 +542,8 @@ def real_character_sums(expr: GroupExpr | str) -> tuple[ClassData, list[int]]:
         expr = parse_group_expr(expr)
     check_class_data_order(expr)
     cd = sums = None
-    for name, atom_cd, _, atom_sums in _atoms(expr):
-        atom_total = _real_sums(name, atom_cd, *atom_sums(atom_cd))
+    for group, atom_cd, _, atom_sums in _atoms(expr):
+        atom_total = _real_sums(group, atom_cd, *atom_sums(atom_cd))
         if cd is None:
             cd, sums = atom_cd, atom_total
         else:

@@ -38,7 +38,14 @@ from types import SimpleNamespace
 
 from .conjugacy import class_data_for, compute_classes, d1_class_formula, z2_orbit_count
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
+from .group_core import (
+    FiniteGroup,
+    ResourceLimitError,
+    atom_group,
+    group_from_expr,
+    group_order,
+    product_rule,
+)
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 __all__ = [
@@ -312,6 +319,13 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _class_labels(expr: GroupExpr, representatives: list[int]) -> list[str]:
+    """The printed name of each representative, read from the product rule of
+    the expression's atoms, which names a product's elements "(l1,l2)"."""
+    rule = functools.reduce(product_rule, map(atom_group, expr.atoms))
+    return [rule.label(r) for r in representatives]
+
+
 def _cmd_classes(args) -> int:
     expr = parse_group_expr(args.expr)
     cd = class_data_for(expr)
@@ -319,7 +333,7 @@ def _cmd_classes(args) -> int:
         f"group {expr_to_string(expr)}  order {cd.order}"
         f"  classes {cd.num_classes}"
     )
-    labels = cd.labels
+    labels = _class_labels(expr, cd.representatives)
     width = max(len(l) for l in labels)
     width = max(width, len("representative"))
     print(f"{'idx':>4} {'size':>5}  {'representative':<{width}}  square  cube  inverse")
@@ -334,19 +348,21 @@ def _cmd_classes(args) -> int:
 def _cmd_chartab(args) -> int:
     from .characters import table_for
 
-    table = table_for(parse_group_expr(args.expr))
+    expr = parse_group_expr(args.expr)
+    table = table_for(expr)
     cd = table.class_data
+    labels = _class_labels(expr, cd.representatives)
     sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
     cells = [[str(v) for v in row] for row in table.values]
     if args.csv:
-        print("name," + ",".join(table.class_labels))
+        print("name," + ",".join(labels))
         print("size," + ",".join(sizes))
         for name, row in zip(table.row_names, cells):
             print(name + "," + ",".join(row))
         return EXIT_OK
     name_w = max(len(n) for n in table.row_names + ["size", table.group_name])
     col_w = [
-        max([len(table.class_labels[c]), len(sizes[c])] + [len(r[c]) for r in cells])
+        max([len(labels[c]), len(sizes[c])] + [len(r[c]) for r in cells])
         for c in range(cd.num_classes)
     ]
 
@@ -355,7 +371,7 @@ def _cmd_chartab(args) -> int:
             f"{head:<{name_w}}  "
             + "  ".join(f"{e:>{col_w[c]}}" for c, e in enumerate(entries))
         )
-    print(fmt(table.group_name, table.class_labels))
+    print(fmt(table.group_name, labels))
     print(fmt("size", sizes))
     for name, row in zip(table.row_names, cells):
         print(fmt(name, row))

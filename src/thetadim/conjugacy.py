@@ -32,8 +32,10 @@ __all__ = [
     "z2_orbit_count",
 ]
 
-# class data holds several ints per element: `classes "Z(3000000)"` peaks at
-# about 540 MB.  class_data_for refuses a larger order, and no budget lifts it
+# class data holds several ints per class, as many as elements in a cyclic
+# group: class_data_for("Z(1000000)") peaks at about 122 MB, and `classes
+# "Z(3000000)"`, which names every class too, at about 520 MB.
+# class_data_for refuses a larger order, and no budget lifts it
 CLASS_DATA_MAX_ORDER = 10**7
 
 
@@ -44,17 +46,16 @@ class ClassData(NamedTuple):
     order, so class 0 is always the identity class.  `square_class[c]` is the
     class of g^2 for g in class c, and similarly for cubes and inverses; these
     maps are well defined because power maps commute with conjugation.
-    `labels[c]` is the printed name of `representatives[c]`.
+    Every list has one entry per class; the group's `label` names a
+    representative when one is printed.
     """
 
     order: int
-    class_of: list[int]
     representatives: list[int]
     sizes: list[int]
     square_class: list[int]
     cube_class: list[int]
     inverse_class: list[int]
-    labels: list[str]
 
     @property
     def num_classes(self) -> int:
@@ -100,16 +101,7 @@ def compute_classes(group: FiniteGroup | NormalForm) -> ClassData:
         square_class.append(class_of[r2])
         cube_class.append(class_of[mul(r2, r)])
         inverse_class.append(class_of[group.inv(r)])
-    return ClassData(
-        order=n,
-        class_of=class_of,
-        representatives=representatives,
-        sizes=sizes,
-        square_class=square_class,
-        cube_class=cube_class,
-        inverse_class=inverse_class,
-        labels=[group.label(r) for r in representatives],
-    )
+    return ClassData(n, representatives, sizes, square_class, cube_class, inverse_class)
 
 
 def class_data_for(expr: GroupExpr | str) -> ClassData:
@@ -150,16 +142,6 @@ def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
     """
     n2 = cd2.order
     k2 = cd2.num_classes
-    n = cd1.order * n2
-
-    class_of = [0] * n
-    for i1 in range(cd1.order):
-        base_cls = cd1.class_of[i1] * k2
-        base_el = i1 * n2
-        co2 = cd2.class_of
-        for i2 in range(n2):
-            class_of[base_el + i2] = base_cls + co2[i2]
-
     representatives = []
     sizes = []
     square_class = []
@@ -173,14 +155,7 @@ def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
             cube_class.append(cd1.cube_class[c1] * k2 + cd2.cube_class[c2])
             inverse_class.append(cd1.inverse_class[c1] * k2 + cd2.inverse_class[c2])
     return ClassData(
-        order=n,
-        class_of=class_of,
-        representatives=representatives,
-        sizes=sizes,
-        square_class=square_class,
-        cube_class=cube_class,
-        inverse_class=inverse_class,
-        labels=[f"({l1},{l2})" for l1 in cd1.labels for l2 in cd2.labels],
+        cd1.order * n2, representatives, sizes, square_class, cube_class, inverse_class
     )
 
 

@@ -19,7 +19,7 @@ table's budget bounds it too.
 from __future__ import annotations
 
 from array import array
-from functools import reduce
+from functools import cache, reduce
 from typing import Callable, NamedTuple
 
 from .expr import Atom, GroupExpr, parse_group_expr
@@ -401,11 +401,21 @@ def tprime_group(k: int) -> FiniteGroup:
     return _tabulate(tprime_rule(k))
 
 
-def _polyhedral(b_order: int, expected: int, tag: str) -> FiniteGroup:
+@cache
+def _enumerated(b_order: int, expected: int, tag: str) -> tuple[array, list[str], list[int]]:
+    """The table, labels and generators of one coset enumeration, run once per
+    process; the table is shared by every group built from it and never written."""
     from .coset_enum import group_from_presentation
 
     text = f"<a,b | (a*b)^2 = a^3 = b^{b_order}>"
-    return group_from_presentation(text, expected_order=expected, family_tag=tag)
+    group = group_from_presentation(text, expected_order=expected, family_tag=tag)
+    return group._mul, group.labels, group.generators
+
+
+def _polyhedral(b_order: int, expected: int, tag: str) -> FiniteGroup:
+    # a fresh group on each call: its generators and labels are its own
+    table, labels, generators = _enumerated(b_order, expected, tag)
+    return FiniteGroup(expected, table, labels, tag, generators=generators)
 
 
 def tstar_group() -> FiniteGroup:

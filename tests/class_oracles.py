@@ -17,25 +17,36 @@ from thetadim.conjugacy import ClassData, plain_trace_sums
 from thetadim.group_core import FiniteGroup
 
 
-def literal_classes(group: FiniteGroup) -> ClassData:
-    """Class data by conjugating every element by every x: x g x^-1."""
+def literal_class_of(group: FiniteGroup) -> list[int]:
+    """The class of each element, by conjugating every element by every x:
+    x g x^-1.  Classes are numbered by their smallest member, in increasing
+    order, as in `ClassData`."""
     n = group.order
     mul = group._mul
     inv = group.inverses
     class_of = [-1] * n
-    representatives: list[int] = []
-    sizes: list[int] = []
+    c = 0
     for g in range(n):
         if class_of[g] >= 0:
             continue
-        c = len(representatives)
-        members = set()
         for x in range(n):
-            members.add(mul[mul[x * n + g] * n + inv[x]])
-        for m in members:
-            class_of[m] = c
-        representatives.append(g)
-        sizes.append(len(members))
+            class_of[mul[mul[x * n + g] * n + inv[x]]] = c
+        c += 1
+    return class_of
+
+
+def literal_classes(group: FiniteGroup) -> ClassData:
+    """Class data read off `literal_class_of`."""
+    n = group.order
+    mul = group._mul
+    inv = group.inverses
+    class_of = literal_class_of(group)
+    representatives: list[int] = []
+    sizes = [0] * (max(class_of) + 1)
+    for g, c in enumerate(class_of):
+        if c == len(representatives):
+            representatives.append(g)
+        sizes[c] += 1
     square_class = []
     cube_class = []
     inverse_class = []
@@ -46,13 +57,11 @@ def literal_classes(group: FiniteGroup) -> ClassData:
         inverse_class.append(class_of[inv[r]])
     return ClassData(
         order=n,
-        class_of=class_of,
         representatives=representatives,
         sizes=sizes,
         square_class=square_class,
         cube_class=cube_class,
         inverse_class=inverse_class,
-        labels=[group.labels[r] for r in representatives],
     )
 
 

@@ -79,7 +79,6 @@ def test_shape_and_degrees(table):
     assert len(table.row_names) == k
     assert len(table.values) == k
     assert all(len(row) == k for row in table.values)
-    assert len(table.class_labels) == k
     assert sum(d * d for d in table.degrees) == cd.order
     for r, row in enumerate(table.values):
         assert row[0] == from_int(table.degrees[r])
@@ -186,7 +185,6 @@ def test_orthogonality_checks_catch_corruption():
     corrupt = CharacterTable(
         group_name=t.group_name,
         class_data=t.class_data,
-        class_labels=list(t.class_labels),
         row_names=list(t.row_names),
         values=[tuple(r) for r in values],
         degrees=list(t.degrees),

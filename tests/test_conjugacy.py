@@ -1,12 +1,20 @@
 """Conjugacy class data against brute-force orbit computation."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 from catalogs import NON_SPHERICAL, ROUTE_120, ROUTE_500, SPHERICAL
-from class_oracles import cube_matched_sum, literal_classes, pair_class_sums, pair_delta3_sum
-from oracles import conjugate, power, unbudgeted_table
+from class_oracles import (
+    cube_matched_sum,
+    literal_class_of,
+    literal_classes,
+    pair_class_sums,
+    pair_delta3_sum,
+)
+from oracles import conjugate, direct_product_literal, power, unbudgeted_table
+from thetadim.cli import _class_labels
 from thetadim.characters import real_character_sums
 from thetadim.conjugacy import (
     class_data_for,
@@ -57,38 +65,40 @@ def brute_classes(G):
 def test_class_partition_matches_brute_force(expr):
     G = group_from_expr(expr)
     cd = compute_classes(G)
-    got = {}
-    for g in range(G.order):
-        got.setdefault(cd.class_of[g], set()).add(g)
-    assert {frozenset(v) for v in got.values()} == brute_classes(G)
+    # one representative in each class, each class of its stated size
+    got = [frozenset(conjugate(G, x, r) for x in range(G.order)) for r in cd.representatives]
+    assert set(got) == brute_classes(G)
+    assert len(got) == cd.num_classes
+    assert [len(members) for members in got] == cd.sizes
 
 
 @pytest.mark.parametrize("expr", ORACLE_CATALOG)
 def test_class_bookkeeping_is_internally_consistent(expr):
     G = group_from_expr(expr)
     cd = compute_classes(G)
+    class_of = literal_class_of(G)
     k = cd.num_classes
     assert cd.order == G.order
-    assert len(cd.representatives) == len(cd.sizes) == k
+    assert all(len(field) == k for field in cd[1:])
     assert sum(cd.sizes) == G.order
     # representatives are the least member of their class, in increasing order
     assert cd.representatives == sorted(cd.representatives)
     for c, rep in enumerate(cd.representatives):
-        assert cd.class_of[rep] == c
-        members = [g for g in range(G.order) if cd.class_of[g] == c]
+        assert class_of[rep] == c
+        members = [g for g in range(G.order) if class_of[g] == c]
         assert min(members) == rep
         assert len(members) == cd.sizes[c]
     for c, rep in enumerate(cd.representatives):
-        assert cd.square_class[c] == cd.class_of[G.mul(rep, rep)]
-        assert cd.cube_class[c] == cd.class_of[power(G, rep, 3)]
-        assert cd.inverse_class[c] == cd.class_of[G.inv(rep)]
+        assert cd.square_class[c] == class_of[G.mul(rep, rep)]
+        assert cd.cube_class[c] == class_of[power(G, rep, 3)]
+        assert cd.inverse_class[c] == class_of[G.inv(rep)]
         assert (G.order // cd.sizes[c]) * cd.sizes[c] == G.order
     # power maps are class functions: any member gives the same answer
     for g in range(G.order):
-        c = cd.class_of[g]
-        assert cd.square_class[c] == cd.class_of[G.mul(g, g)]
-        assert cd.cube_class[c] == cd.class_of[power(G, g, 3)]
-        assert cd.inverse_class[c] == cd.class_of[G.inv(g)]
+        c = class_of[g]
+        assert cd.square_class[c] == class_of[G.mul(g, g)]
+        assert cd.cube_class[c] == class_of[power(G, g, 3)]
+        assert cd.inverse_class[c] == class_of[G.inv(g)]
 
 
 @pytest.mark.parametrize(
@@ -101,6 +111,7 @@ def test_product_class_data_matches_direct_computation(e1, e2):
     cd1, cd2 = compute_classes(G1), compute_classes(G2)
     pcd = product_class_data(cd1, cd2)
     direct = compute_classes(P)
+    class_of1, class_of2 = literal_class_of(G1), literal_class_of(G2)
     assert pcd.order == P.order
     assert pcd.num_classes == direct.num_classes == cd1.num_classes * cd2.num_classes
 
@@ -108,11 +119,11 @@ def test_product_class_data_matches_direct_computation(e1, e2):
     k2, n2 = cd2.num_classes, G2.order
     members = {}
     for g in range(P.order):
-        c = cd1.class_of[g // n2] * k2 + cd2.class_of[g % n2]
+        c = class_of1[g // n2] * k2 + class_of2[g % n2]
         members.setdefault(c, set()).add(g)
     direct_members = {}
-    for g in range(P.order):
-        direct_members.setdefault(direct.class_of[g], set()).add(g)
+    for g, c in enumerate(literal_class_of(P)):
+        direct_members.setdefault(c, set()).add(g)
     relabel = {}
     for c, ms in members.items():
         assert len(ms) == pcd.sizes[c]
@@ -124,6 +135,11 @@ def test_product_class_data_matches_direct_computation(e1, e2):
         assert relabel[pcd.square_class[c]] == direct.square_class[relabel[c]]
         assert relabel[pcd.cube_class[c]] == direct.cube_class[relabel[c]]
         assert relabel[pcd.inverse_class[c]] == direct.inverse_class[relabel[c]]
+    # the printed names come from the composed rule and read "(l1,l2)"
+    literal = direct_product_literal(G1, G2)
+    expr = parse_group_expr(f"{e1} x {e2}")
+    reps = pcd.representatives
+    assert _class_labels(expr, reps) == [literal.labels[r] for r in reps]
 
 
 def test_inversion_orbit_count_against_direct_orbits():
@@ -142,9 +158,10 @@ def test_inversion_orbit_count_against_direct_orbits():
 def brute_cube_pairs(G):
     """Element pairs with conjugate cubes, each weighted by 1/|class(g^3)|."""
     cd = compute_classes(G)
+    class_of = literal_class_of(G)
     counts = {}
     for g in range(G.order):
-        c = cd.class_of[power(G, g, 3)]
+        c = class_of[power(G, g, 3)]
         counts[c] = counts.get(c, 0) + 1
     return sum(Fraction(v * v, cd.sizes[c]) for c, v in counts.items())
 
@@ -193,7 +210,7 @@ def test_table_free_class_layer_matches_literal_oracles(expr):
     G = unbudgeted_table(expr)
     literal = literal_classes(G)
     cd = class_data_for(expr)
-    # field for field: numbering, sizes, power maps and representative labels
+    # field for field: numbering, sizes and power maps
     assert cd == literal
     plain = plain_trace_sums(cd)
     twisted = twisted_trace_sums(cd, square_root_counts(cd))
@@ -226,3 +243,16 @@ def test_real_character_sums_and_root_counts_give_the_same_twisted_sums(expr):
 def test_generator_orbits_on_rule_and_table_agree(expr):
     (atom,) = parse_group_expr(expr).atoms
     assert compute_classes(atom_group(atom)) == compute_classes(group_from_expr(expr))
+
+
+def test_composed_class_data_holds_nothing_per_element():
+    # Z(7) x Dstar(2500) has order 70,000 but 7 * 2503 classes: a product is
+    # composed per class, with no element-to-class map and no label strings
+    tracemalloc.start()
+    try:
+        cd = class_data_for("Z(7) x Dstar(2500)")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cd.num_classes == 7 * 2503
+    assert peak < 5_000_000

@@ -1,7 +1,11 @@
 """Multiplication-table constructors: orders, axioms, defining relations."""
 
 import itertools
+import os
+import subprocess
+import sys
 from functools import reduce
+from pathlib import Path
 
 import pytest
 
@@ -273,6 +277,59 @@ def test_a_product_builds_exactly_one_table(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "__init__", counted)
     assert group_from_expr("Z(2) x Z(3) x Z(5)").order == 30
     assert built == [30]
+
+
+# counts the coset enumerations of one CLI call in a fresh interpreter
+_COUNT_ENUMERATIONS = """
+import contextlib, io, sys
+import thetadim.cli as cli
+import thetadim.coset_enum as coset_enum
+
+real = coset_enum.enumerate_cosets
+calls = []
+
+
+def counted(*args, **kwargs):
+    calls.append(args[0])
+    return real(*args, **kwargs)
+
+
+coset_enum.enumerate_cosets = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, len(calls))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "Istar"],
+        ["verify", "Z(5) x Tstar"],
+        ["classes", "Z(2) x Ostar"],
+        ["chartab", "Tstar"],
+    ],
+)
+def test_a_process_enumerates_each_binary_polyhedral_atom_once(argv):
+    # the chars route, the shared table and the printed labels each build the atom
+    src = str(Path(group_core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("THETA_DIM_MAX_ORDER", None)
+    out = subprocess.run(
+        [sys.executable, "-c", _COUNT_ENUMERATIONS, *argv],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["0", "1"]
+
+
+def test_binary_polyhedral_groups_are_fresh_on_every_call():
+    first = tstar_group()
+    first.generators = [0]
+    first.labels[1] = "changed"
+    second = tstar_group()
+    assert second is not first
+    assert second.generators != [0] and second.labels[1] != "changed"
+    assert list(second._mul) == list(first._mul)
 
 
 def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
