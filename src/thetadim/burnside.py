@@ -16,7 +16,12 @@ Orbit enumeration on sorted monomial triples provides a third, lemma-free
 count of the same dimension.  Every orbit meets the triples that
 contain the identity, so it walks only those, as sorted pairs {e, u, v}:
 re-centring at u or v, conjugation by the generators and inversion connect
-exactly the pairs whose triples share an orbit.
+exactly the pairs whose triples share an orbit.  The walk marks each pair
+together with its inverse pair, so inversion is never applied as a move:
+conjugations commute with inversion, and a re-centre of the inverted pair is
+a conjugate of the inverted re-centre.  So once the re-centres and the
+conjugates by the generators of every walked pair are marked, the marked set
+is closed under every move (see `orbit_count_dims`).
 """
 
 from __future__ import annotations
@@ -225,14 +230,31 @@ def orbit_count_dims(
     3. Inversion maps the slice to itself.
     4. Conjugations by the generators s generate all conjugations.
 
-    Each state therefore has at most |S| + 3 moves: both re-centres, the
-    inversion {e, u^-1, v^-1} and each conjugation {e, s^-1*u*s, s^-1*v*s}.
-    A central generator conjugates every element to itself, so its move is
-    dropped.  A pair is marked visited in both orders, in n rows of n bytes,
-    so a move's image is looked up as it comes, with no sorting or ranking.
-    Each new orbit starts at the next unvisited pair u <= v, found by
+    A pair is marked visited in both orders, in n rows of n bytes, so a
+    move's image is looked up as it comes, with no sorting or ranking.  Each
+    new orbit starts at the next unvisited pair u <= v, found by
     `bytearray.find` along row u, so the walk takes one Python step per
     orbit start instead of one per state.
+
+    When the walk reaches an unvisited pair {a, b} it marks it and its
+    inverse {a^-1, b^-1}.  It pushes {a, b} alone, and applies to it only
+    the re-centres R_a{a, b} = {a^-1, a^-1*b} and R_b{a, b} = {b^-1*a, b^-1},
+    and the conjugation by each generator s that is not central (a central
+    one fixes every pair).  Write c_g for x -> g*x*g^-1, applied to both
+    members, and i for inversion.  The marked set V is the set of walked
+    pairs with their inverses, and it is closed under every move:
+
+    1. c_g is an automorphism, so it commutes with i, and V is closed under
+       each c_s: c_s(i p) = i c_s(p) for a walked pair p.  Since the
+       generators generate G, as `FiniteGroup` requires, V is closed under
+       every c_g.
+    2. V is closed under i by construction.
+    3. The re-centres of i{a, b} = {a^-1, b^-1} are conjugates of inverted
+       re-centres of {a, b}: at a^-1 it gives {a, a*b^-1} = c_a(i R_a{a, b}),
+       and at b^-1 it gives c_b(i R_b{a, b}), which lie in V by 1 and 2.
+
+    Every marked pair is reached from the start by moves, so V is exactly
+    the union of the orbits started, and the count is the number of orbits.
 
     The visited rows hold n^2 bytes, as many as the group's table has
     entries, so the table's entries budget bounds the walk too: an expression
@@ -253,8 +275,8 @@ def orbit_count_dims(
     perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
     # a central generator conjugates trivially, so its move is no move at all
     perms = [perm for perm in perms if perm != identity]
-    perms.append(inv)
 
+    # each new pair is marked with its inverse pair, each in both orders
     visited = [bytearray(n) for _ in range(n)]
     orbits = 0
     for u in range(n):
@@ -262,7 +284,8 @@ def orbit_count_dims(
         v = visited_u.find(0, u)
         while v >= 0:
             orbits += 1
-            visited_u[v] = visited[v][u] = 1
+            ui, vi = inv[u], inv[v]
+            visited_u[v] = visited[v][u] = visited[ui][vi] = visited[vi][ui] = 1
             stack = [(u, v)]
             pop, push = stack.pop, stack.append
             while stack:
@@ -270,17 +293,23 @@ def orbit_count_dims(
                 # the re-centres at a and at b
                 ai, bi = inv[a], inv[b]
                 y = rows[ai][b]
-                if not visited[ai][y]:
-                    visited[ai][y] = visited[y][ai] = 1
+                row = visited[ai]
+                if not row[y]:
+                    yi = inv[y]
+                    row[y] = visited[y][ai] = visited[a][yi] = visited[yi][a] = 1
                     push((ai, y))
                 y = rows[bi][a]
-                if not visited[bi][y]:
-                    visited[bi][y] = visited[y][bi] = 1
+                row = visited[bi]
+                if not row[y]:
+                    yi = inv[y]
+                    row[y] = visited[y][bi] = visited[b][yi] = visited[yi][b] = 1
                     push((bi, y))
                 for perm in perms:
                     x, y = perm[a], perm[b]
-                    if not visited[x][y]:
-                        visited[x][y] = visited[y][x] = 1
+                    row = visited[x]
+                    if not row[y]:
+                        xi, yi = inv[x], inv[y]
+                        row[y] = visited[y][x] = visited[xi][yi] = visited[yi][xi] = 1
                         push((x, y))
             v = visited_u.find(0, v + 1)
     return orbits

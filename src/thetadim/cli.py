@@ -319,11 +319,10 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _class_labels(expr: GroupExpr, representatives: list[int]) -> list[str]:
-    """The printed name of each representative, read from the product rule of
-    the expression's atoms, which names a product's elements "(l1,l2)"."""
-    rule = functools.reduce(product_rule, map(atom_group, expr.atoms))
-    return [rule.label(r) for r in representatives]
+def _class_label(expr: GroupExpr):
+    """The printed name of an element, read from the product rule of the
+    expression's atoms, which names a product's elements "(l1,l2)"."""
+    return functools.reduce(product_rule, map(atom_group, expr.atoms)).label
 
 
 def _cmd_classes(args) -> int:
@@ -333,13 +332,14 @@ def _cmd_classes(args) -> int:
         f"group {expr_to_string(expr)}  order {cd.order}"
         f"  classes {cd.num_classes}"
     )
-    labels = _class_labels(expr, cd.representatives)
-    width = max(len(l) for l in labels)
-    width = max(width, len("representative"))
+    # a cyclic group has a class per element, so the labels are made twice,
+    # for the width and for the rows, rather than held in a list
+    label, reps = _class_label(expr), cd.representatives
+    width = max(len("representative"), max(len(label(r)) for r in reps))
     print(f"{'idx':>4} {'size':>5}  {'representative':<{width}}  square  cube  inverse")
     for c in range(cd.num_classes):
         print(
-            f"{c:>4} {cd.sizes[c]:>5}  {labels[c]:<{width}}"
+            f"{c:>4} {cd.sizes[c]:>5}  {label(reps[c]):<{width}}"
             f"  {cd.square_class[c]:>6}  {cd.cube_class[c]:>4}  {cd.inverse_class[c]:>7}"
         )
     return EXIT_OK
@@ -351,7 +351,7 @@ def _cmd_chartab(args) -> int:
     expr = parse_group_expr(args.expr)
     table = table_for(expr)
     cd = table.class_data
-    labels = _class_labels(expr, cd.representatives)
+    labels = list(map(_class_label(expr), cd.representatives))
     sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
     cells = [[str(v) for v in row] for row in table.values]
     if args.csv:

@@ -34,7 +34,7 @@ __all__ = [
 
 # class data holds several ints per class, as many as elements in a cyclic
 # group: class_data_for("Z(1000000)") peaks at about 122 MB, and `classes
-# "Z(3000000)"`, which names every class too, at about 520 MB.
+# "Z(3000000)"`, which names every class too, at about 336 MB.
 # class_data_for refuses a larger order, and no budget lifts it
 CLASS_DATA_MAX_ORDER = 10**7
 

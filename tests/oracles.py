@@ -1,8 +1,9 @@
 """Test-only oracles and helpers: the closed forms in Fractions, literal
 actions, per-family closed forms, family presentations, table-group element
-helpers, the literal product table, decoration canonical forms,
-character-table identities, the complex embedding of cyclotomic numbers and
-the argparse reference parser of the command line.
+helpers, the literal product table, decoration canonical forms, the orbit
+and diagram walks one move at a time, character-table identities, the
+complex embedding of cyclotomic numbers and the argparse reference parser of
+the command line.
 
 None of these is on a computation route.  The pair-action oracles build each
 permutation literally, the per-family closed forms check the class and
@@ -538,6 +539,107 @@ def orbit_count_literal(group: FiniteGroup) -> int:
                             visited[r] = 1
                             stack.append((x, y, z))
     return orbits
+
+
+def orbit_count_per_move(group: FiniteGroup) -> int:
+    """`orbit_count_dims`'s walk with inversion applied as a move: every
+    state applies both re-centres, each non-central conjugation and
+    inversion, and marks only itself, in both orders."""
+    n = group.order
+    mul = group._mul
+    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
+    inv = list(group.inverses)
+    identity = list(range(n))
+    perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
+    # a central generator conjugates trivially, so its move is no move at all
+    perms = [perm for perm in perms if perm != identity]
+    perms.append(inv)
+
+    visited = [bytearray(n) for _ in range(n)]
+    orbits = 0
+    for u in range(n):
+        visited_u = visited[u]
+        v = visited_u.find(0, u)
+        while v >= 0:
+            orbits += 1
+            visited_u[v] = visited[v][u] = 1
+            stack = [(u, v)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                a, b = pop()
+                # the re-centres at a and at b
+                ai, bi = inv[a], inv[b]
+                y = rows[ai][b]
+                if not visited[ai][y]:
+                    visited[ai][y] = visited[y][ai] = 1
+                    push((ai, y))
+                y = rows[bi][a]
+                if not visited[bi][y]:
+                    visited[bi][y] = visited[y][bi] = 1
+                    push((bi, y))
+                for perm in perms:
+                    x, y = perm[a], perm[b]
+                    if not visited[x][y]:
+                        visited[x][y] = visited[y][x] = 1
+                        push((x, y))
+            v = visited_u.find(0, v + 1)
+    return orbits
+
+
+def diagram_count_per_move(group: FiniteGroup) -> int:
+    """`dim_A2`'s walk with the label transpositions applied as moves: every
+    state applies the three transpositions, each non-central conjugation and
+    inversion, and marks only itself."""
+    n = group.order
+    mul = group._mul
+    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
+    inv = list(group.inverses)
+    # moves that act on each label alone, as element permutations: the
+    # re-normalised right translation x -> s^-1*x*s by each generator s that
+    # is not central (a central one fixes every pair), and inversion
+    identity = list(range(n))
+    perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
+    perms = [perm for perm in perms if perm != identity]
+    perms.append(inv)
+    visited = [bytearray(n) for _ in range(n)]
+    count = 0
+    for u in range(n):
+        visited_u = visited[u]
+        v = visited_u.find(0)
+        while v >= 0:
+            count += 1
+            visited_u[v] = 1
+            stack = [(u, v)]
+            pop, push = stack.pop, stack.append
+            while stack:
+                a, b = pop()
+                # swap the first two labels, then re-normalise: (e, a^-1, a^-1*b)
+                ai = inv[a]
+                x = rows[ai][b]
+                seen = visited[ai]
+                if not seen[x]:
+                    seen[x] = 1
+                    push((ai, x))
+                # swap the last two labels: (e, b, a)
+                seen = visited[b]
+                if not seen[a]:
+                    seen[a] = 1
+                    push((b, a))
+                # swap the outer labels, then re-normalise: (e, b^-1*a, b^-1)
+                bi = inv[b]
+                x = rows[bi][a]
+                seen = visited[x]
+                if not seen[bi]:
+                    seen[bi] = 1
+                    push((x, bi))
+                for perm in perms:
+                    x, y = perm[a], perm[b]
+                    seen = visited[x]
+                    if not seen[y]:
+                        seen[y] = 1
+                        push((x, y))
+            v = visited_u.find(0, v + 1)
+    return count
 
 
 # -- single-family closed forms ----------------------------------------------

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
-from oracles import orbit_count_literal, plain_action, sym3_trace, twisted_action
+from oracles import (
+    orbit_count_literal,
+    orbit_count_per_move,
+    plain_action,
+    sym3_trace,
+    twisted_action,
+)
 from thetadim.characters import table_for
 from thetadim.closed_forms import closed_dims, spec_from_expr
 import thetadim.burnside as burnside
@@ -245,6 +251,14 @@ def test_orbit_walk_matches_literal_closure(expr):
     # starts a search at every sorted triple in turn
     G = group_from_expr(expr)
     assert orbit_count_dims(G) == orbit_count_literal(G)
+
+
+@pytest.mark.parametrize("expr", ROUTE_120)
+def test_orbit_walk_matches_the_per_move_walk(expr):
+    # the per-move walk applies inversion as a move instead of marking each
+    # pair with its inverse pair
+    G = group_from_expr(expr)
+    assert orbit_count_dims(G) == orbit_count_per_move(G)
 
 
 def test_orbit_catalog_covers_one_to_three_generators():

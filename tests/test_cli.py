@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, output formats, budget plumbing."""
 
+import contextlib
 import importlib.util
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -310,6 +312,21 @@ def test_classes_dump(capsys):
     assert rc == 0
     assert "order 8" in out and "classes 5" in out
     assert "square" in out and "cube" in out and "inverse" in out
+
+
+def test_classes_holds_no_label_per_class(monkeypatch):
+    # Z(50000) has a class per element; a list of their labels would hold
+    # about 3 MB while the rows print
+    cd = conjugacy.class_data_for("Z(50000)")
+    monkeypatch.setattr(cli, "class_data_for", lambda expr: cd)
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            assert main(["classes", "Z(50000)"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 500_000
 
 
 def test_chartab_text_and_csv(capsys):

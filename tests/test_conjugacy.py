@@ -14,7 +14,7 @@ from class_oracles import (
     pair_delta3_sum,
 )
 from oracles import conjugate, direct_product_literal, power, unbudgeted_table
-from thetadim.cli import _class_labels
+from thetadim.cli import _class_label
 from thetadim.characters import real_character_sums
 from thetadim.conjugacy import (
     class_data_for,
@@ -139,7 +139,7 @@ def test_product_class_data_matches_direct_computation(e1, e2):
     literal = direct_product_literal(G1, G2)
     expr = parse_group_expr(f"{e1} x {e2}")
     reps = pcd.representatives
-    assert _class_labels(expr, reps) == [literal.labels[r] for r in reps]
+    assert list(map(_class_label(expr), reps)) == [literal.labels[r] for r in reps]
 
 
 def test_inversion_orbit_count_against_direct_orbits():

@@ -3,10 +3,18 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
 from thetadim.burnside import burnside_dims, orbit_count_dims
-from oracles import normalize, validate_spherical
+from oracles import (
+    diagram_count_per_move,
+    normalize,
+    orbit_count_literal,
+    orbit_count_per_move,
+    validate_spherical,
+)
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2
 from thetadim.group_core import FiniteGroup, group_from_expr, group_order
@@ -161,3 +169,33 @@ def test_extra_central_generators_change_neither_walk(expr):
     want = dim_A2(G)
     assert orbit_count_dims(G) == want
     assert dim_A2(padded) == orbit_count_dims(padded) == want
+    assert diagram_count_per_move(padded) == orbit_count_per_move(padded) == want
+
+
+@pytest.mark.parametrize("expr", ROUTE_120)
+def test_diagram_walk_matches_the_per_move_walk(expr):
+    # the per-move walk applies the three transpositions as moves instead of
+    # marking all six orderings of a triple at once
+    G = group_from_expr(expr)
+    assert dim_A2(G) == diagram_count_per_move(G)
+
+
+@settings(max_examples=25, deadline=2000)
+@given(
+    st.sampled_from([e for e in ROUTE_120 if group_order(e) <= 48]),
+    st.lists(st.integers(min_value=0, max_value=47), max_size=3),
+)
+def test_diagram_walk_with_extra_generators_matches_literal_closure(expr, extra):
+    G = group_from_expr(expr)
+    G.generators = list(G.generators) + [x % G.order for x in extra]
+    assert dim_A2(G) == orbit_count_literal(G)
+
+
+def test_diagram_count_grows_when_generators_miss_the_group():
+    # the walk relies on conjugation by the generators reaching all of
+    # Inn(G), so a generator left out must show; Tstar is non-abelian
+    G = group_from_expr("Tstar")
+    assert dim_A2(G) == 15
+    for kept in list(G.generators):
+        G.generators = [kept]
+        assert dim_A2(G) > 15

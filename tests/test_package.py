@@ -102,11 +102,60 @@ def _imported_modules(tree: ast.Module) -> set[str]:
     return names
 
 
+def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
+    return next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == name
+    )
+
+
 def test_orbit_and_diagram_walks_share_no_code():
-    """verify's orbit and diagram routes must enumerate independently."""
+    """verify's orbit and diagram routes must enumerate independently.
+
+    Neither module imports the other, and past group construction neither walk
+    references a library function or method, so no batching helper can be
+    shared through a third module either.
+    """
     modules = _library_modules()
     assert "diagrams" not in _imported_modules(modules["burnside"])
     assert "burnside" not in _imported_modules(modules["diagrams"])
+    library_functions = {
+        node.name
+        for tree in modules.values()
+        for top in tree.body
+        for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
+        if isinstance(node, ast.FunctionDef)
+    }
+    construction = {"group_order", "group_from_expr", "_as_group"}
+    for stem, name in (("burnside", "orbit_count_dims"), ("diagrams", "dim_A2")):
+        nodes = list(ast.walk(_function(modules[stem], name)))
+        # a local such as `inv` or `mul` is no reference to the method so named
+        local = {node.arg for node in nodes if isinstance(node, ast.arg)}
+        local |= {node.name for node in nodes if isinstance(node, ast.FunctionDef)}
+        local |= {
+            node.id for node in nodes if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        referenced = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+        referenced |= {node.id for node in nodes if isinstance(node, ast.Name)} - local
+        assert referenced & library_functions <= construction, name
+
+
+def test_naive_pair_sums_iterate_every_pair():
+    """The naive burnside mode is the trusted reference, so its trace sums run
+    over all n^2 pairs (g, h): a loop over range(n) nested in another, with no
+    early exit."""
+    tree = _function(_library_modules()["burnside"], "_naive_sums")
+
+    def loops_over_all(node: ast.AST, name: str) -> bool:
+        return (
+            isinstance(node, ast.For)
+            and ast.unparse(node.target) == name
+            and ast.unparse(node.iter) == "range(n)"
+        )
+
+    outer = next(node for node in ast.walk(tree) if loops_over_all(node, "g"))
+    assert any(loops_over_all(node, "h") for node in ast.walk(outer))
+    assert not any(isinstance(node, (ast.Break, ast.Return)) for node in ast.walk(outer))
+    assert "n = group.order" in [ast.unparse(node) for node in tree.body]
 
 
 def _loaded_after_start(code: str) -> set[str]:
