@@ -21,7 +21,8 @@ together with its inverse pair, so inversion is never applied as a move:
 conjugations commute with inversion, and a re-centre of the inverted pair is
 a conjugate of the inverted re-centre.  So once the re-centres and the
 conjugates by the generators of every walked pair are marked, the marked set
-is closed under every move (see `orbit_count_dims`).
+is closed under every move (see `orbit_count_dims`).  Each route is bounded
+by the budget that bounds its memory, and `max_order` is an optional cap.
 """
 
 from __future__ import annotations
@@ -44,16 +45,7 @@ from .group_core import (
     group_order,
 )
 
-__all__ = [
-    "BurnsideResult",
-    "DEFAULT_PAIR_MAX_ORDER",
-    "DEFAULT_ORBIT_MAX_ORDER",
-    "burnside_dims",
-    "orbit_count_dims",
-]
-
-DEFAULT_PAIR_MAX_ORDER = 2000
-DEFAULT_ORBIT_MAX_ORDER = 150
+__all__ = ["BurnsideResult", "burnside_dims", "orbit_count_dims"]
 
 # naive mode switches to class reduction above this order when mode="auto"
 _AUTO_NAIVE_MAX_ORDER = 300
@@ -159,17 +151,17 @@ def burnside_dims(
     """Both dimensions by pair-averaged symmetric-cube traces.
 
     mode "naive" sums all |G|^2 pairs, "class" uses the conjugacy reduction,
-    "auto" picks naive for small orders and class otherwise.  The budget is
-    checked before anything is built, and class mode on an expression builds
-    no multiplication table.
+    "auto" picks naive for small orders and class otherwise.  An optional
+    `max_order` caps the order before anything is built.  Naive mode's table
+    is held to TABLE_MAX_ENTRIES before any product, and class mode, which
+    builds no table for an expression, to CLASS_DATA_MAX_ORDER before any class.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
     n = group_order(group)
-    budget = DEFAULT_PAIR_MAX_ORDER if max_order is None else max_order
-    if n > budget:
+    if max_order is not None and n > max_order:
         raise ResourceLimitError(
-            f"order {n} exceeds the pair-counting budget {budget}; "
+            f"order {n} exceeds the pair-counting budget {max_order}; "
             "use the character or closed-form route instead"
         )
     name = group.family_tag if isinstance(group, FiniteGroup) else expr_to_string(group)
@@ -183,7 +175,10 @@ def burnside_dims(
         if isinstance(group, FiniteGroup):
             cd = compute_classes(group)
         else:
-            cd = class_data_for(group)
+            try:
+                cd = class_data_for(group)
+            except ResourceLimitError as exc:  # the chars route has the same cap
+                raise ResourceLimitError(f"{exc}; use the closed-form route instead") from None
         plain_sum, plain_ker = plain_trace_sums(cd)
         twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
         num_classes = cd.num_classes
@@ -257,15 +252,15 @@ def orbit_count_dims(
     the union of the orbits started, and the count is the number of orbits.
 
     The visited rows hold n^2 bytes, as many as the group's table has
-    entries, so the table's entries budget bounds the walk too: an expression
-    too large to tabulate is refused with the table's message before anything
-    is built.
+    entries, so the table's entries budget bounds the walk: an expression too
+    large to tabulate, order above 1000, is refused with the table's message
+    before any product is taken.  An optional `max_order` caps the order
+    before anything is built.
     """
     n = group_order(group)
-    budget = DEFAULT_ORBIT_MAX_ORDER if max_order is None else max_order
-    if n > budget:
+    if max_order is not None and n > max_order:
         raise ResourceLimitError(
-            f"order {n} exceeds the orbit-enumeration budget {budget}"
+            f"order {n} exceeds the orbit-enumeration budget {max_order}"
         )
     group = _as_group(group)
     mul = group._mul

@@ -465,12 +465,23 @@ def _atoms(expr: GroupExpr):
 
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     cd = product_class_data(t1.class_data, t2.class_data)
-    k2 = t2.class_data.num_classes
     names = [f"{n1}(x){n2}" for n1 in t1.row_names for n2 in t2.row_names]
+    # a family's values are shared objects from its `cache`d constructors, so a
+    # product is keyed by its factors' ids, which no other object can take while
+    # both tables hold them
+    products: dict[tuple[int, int], CycloNumber] = {}
     values = []
     for row1 in t1.values:
         for row2 in t2.values:
-            values.append([row1[c1] * row2[c2] for c1 in range(len(row1)) for c2 in range(k2)])
+            row = []
+            for v1 in row1:
+                for v2 in row2:
+                    key = (id(v1), id(v2))
+                    v = products.get(key)
+                    if v is None:
+                        v = products[key] = v1 * v2
+                    row.append(v)
+            values.append(row)
     return _finish(f"{t1.group_name}x{t2.group_name}", cd, names, values)
 
 

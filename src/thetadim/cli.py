@@ -12,18 +12,19 @@ alignment or character invariant such as the Brauer or Frobenius-Schur count
 did not hold; this is a bug, reported as one line instead of a traceback),
 141 standard output closed by its reader (as in `thetadim classes ... | head`;
 128 + SIGPIPE, the status a shell reports for a writer ended by a closed pipe).
-THETA_DIM_MAX_ORDER overrides the brute-force order budgets; an explicit
---max-order flag wins over the environment.  Neither lifts
-group_core.TABLE_MAX_ENTRIES (10^6): a multiplication table beyond it, a
-single atom's included, exits with code 3.  Nor do they lift
-conjugacy.CLASS_DATA_MAX_ORDER (10^7): `classes`, the chars route, and
-class-mode burnside under a raised budget, refuse a larger order with code 3
-before any class data is built.  That is the chars route's only budget: it
-takes the class data and d2 from characters.d2_char_formula, which sums the
-real characters in integers at the class representatives
-(characters.real_character_sums) and builds no table.  chartab, which builds
-the character table, refuses one of more than
-characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
+Each route is bounded by the budget that bounds its memory.
+group_core.TABLE_MAX_ENTRIES (10^6, so order 1000) bounds naive burnside and
+the orbits and diagrams routes: a multiplication table beyond it, a single
+atom's included, exits with code 3 before any product is taken.
+conjugacy.CLASS_DATA_MAX_ORDER (10^7) bounds class-mode burnside, the chars
+route and `classes`: a larger order exits with code 3 before any class data
+is built.  That is the chars route's only budget: it takes the class data
+and d2 from characters.d2_char_formula, which sums the real characters in
+integers at the class representatives (characters.real_character_sums) and
+builds no table.  chartab, which builds the character table, refuses one of
+more than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
+--max-order, else THETA_DIM_MAX_ORDER, is an optional order cap on burnside,
+orbits and diagrams (none by default) and lifts no budget.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ METHODS = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
 
 
 def _max_order(args) -> int | None:
-    """The order budget override of every enumeration route: --max-order, else
-    THETA_DIM_MAX_ORDER, else None for each route's own default."""
+    """The optional order cap of burnside, orbits and diagrams: --max-order,
+    else THETA_DIM_MAX_ORDER, else None for no cap."""
     override = getattr(args, "max_order", None)
     if override is None:
         env = os.environ.get("THETA_DIM_MAX_ORDER")
@@ -89,26 +90,15 @@ def _max_order(args) -> int | None:
     return override
 
 
-def _table_budget(name: str, max_order: int | None) -> int:
-    """Order up to which the orbits or diagrams route is handed a table."""
-    if max_order is not None:
-        return max_order
-    if name == "orbits":
-        from .burnside import DEFAULT_ORBIT_MAX_ORDER as default
-    else:
-        from .diagrams import DEFAULT_DIAGRAM_MAX_ORDER as default
-    return default
-
-
 # -- computation routes -------------------------------------------------------
 #
 # Each route returns (order, classes, d1, d2, dim, z2); _run times it and
 # builds the report.  The orbits and diagrams routes leave classes and z2 as
 # None for _run to fill from the class data of their table, which verify
-# computes once for both.  `max_order` is _max_order's override, None for the
-# library's default.  A route imports the library functions it calls when it
-# runs, so a process loads only its route's modules, and a tracer that rebinds
-# a function in its defining module sees every call.
+# computes once for both.  `max_order` is _max_order's cap, None for none.  A
+# route imports the library functions it calls when it runs, so a process
+# loads only its route's modules, and a tracer that rebinds a function in its
+# defining module sees every call.
 
 
 def _closed(expr: GroupExpr, max_order):
@@ -176,13 +166,15 @@ def _load_route(name: str) -> None:
     importlib.import_module(f".{_ROUTE_MODULES[name]}", __package__)
 
 
-def _table_within(expr: GroupExpr, budget: int) -> FiniteGroup | GroupExpr:
-    """The table group of `expr`, or `expr` itself when its order exceeds `budget`
-    or its table would exceed the entries budget.  The routes refuse the bare
-    expression themselves; burnside reduces it by classes or builds its own table.
+def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | GroupExpr:
+    """The table group of `expr`, or `expr` itself when its order exceeds
+    `max_order` or its table would exceed the entries budget.  The routes refuse
+    the bare expression themselves; burnside reduces it by classes.
     """
+    if max_order is not None and group_order(expr) > max_order:
+        return expr
     try:
-        return group_from_expr(expr) if group_order(expr) <= budget else expr
+        return group_from_expr(expr)
     except ResourceLimitError:
         return expr
 
@@ -199,7 +191,7 @@ def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> 
     if name in ("closed", "chars"):
         group = expr
     elif group is None:
-        group = expr if name == "burnside" else _table_within(expr, _table_budget(name, max_order))
+        group = expr if name == "burnside" else _table_within(expr, max_order)
     order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order)
     if classes is None:
         cd = (classes_of or compute_classes)(group)
@@ -258,8 +250,7 @@ def _cmd_verify(args) -> int:
     max_order = _max_order(args)
     for name in _ROUTES:
         _load_route(name)
-    budget = max(_table_budget("orbits", max_order), _table_budget("diagrams", max_order))
-    group = _table_within(expr, budget)
+    group = _table_within(expr, max_order)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
@@ -390,7 +381,7 @@ _DESCRIPTION = (
     "groups, by closed forms, characters, fixed-point counting, and orbit\n"
     "enumeration."
 )
-_MAX_ORDER = ("max_order", int, None, "order budget of the enumeration routes")
+_MAX_ORDER = ("max_order", int, None, "order cap of the burnside, orbits and diagrams routes")
 _COMMANDS = {
     "compute": (
         _cmd_compute,

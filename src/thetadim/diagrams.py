@@ -23,9 +23,7 @@ from __future__ import annotations
 from .expr import GroupExpr
 from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
 
-__all__ = ["DEFAULT_DIAGRAM_MAX_ORDER", "dim_A2"]
-
-DEFAULT_DIAGRAM_MAX_ORDER = 120
+__all__ = ["dim_A2"]
 
 
 def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -> int:
@@ -35,7 +33,9 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
     marked in n rows of n bytes, one row per first label.  Each new orbit
     starts at the next unvisited pair, found by `bytearray.find` along its
     row, so the walk takes one Python step per orbit start instead of one
-    per pair.  The budget is checked before an expression's group is built.
+    per pair.  The rows hold as many bytes as the group's table has entries,
+    so the table's entries budget, order 1000, bounds the walk before any
+    product is taken; an optional `max_order` caps the order before anything.
 
     When the walk reaches an unvisited pair (a, b) it marks the six
     re-normalised orderings of (e, a, b): (a, b), (b, a), (a^-1, a^-1*b),
@@ -62,10 +62,9 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
     the union of the orbits started, and the count is the number of orbits.
     """
     n = group_order(group)
-    budget = DEFAULT_DIAGRAM_MAX_ORDER if max_order is None else max_order
-    if n > budget:
+    if max_order is not None and n > max_order:
         raise ResourceLimitError(
-            f"order {n} exceeds the diagram-enumeration budget {budget}"
+            f"order {n} exceeds the diagram-enumeration budget {max_order}"
         )
     if not isinstance(group, FiniteGroup):
         group = group_from_expr(group)

@@ -9,11 +9,11 @@ enumeration from their two-generator presentations.  `product_rule` composes
 two groups of either kind, so an expression's atoms fold into one rule, and
 `_tabulate` is the one place a rule becomes a multiplication table.  It
 refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
-product, a single atom included; no order budget lifts this.  The
+product, a single atom included; no order cap lifts this.  The
 coset-enumerated table (`coset_enum.group_from_coset_table`) checks the same
-budget itself.  The orbit walk (`burnside.orbit_count_dims`) marks its
-visited pairs in n^2 bytes, as many as the table it walks has entries, so the
-table's budget bounds it too.
+budget itself.  The orbit and diagram walks mark their visited pairs in n^2
+bytes, as many as the table they walk has entries, so the table's budget
+bounds them too; they have no other default bound.
 """
 
 from __future__ import annotations

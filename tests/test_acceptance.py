@@ -170,9 +170,9 @@ def test_tower_table(capsys):
     for r in rows:
         k = int(r[0])
         assert (int(r[1]), int(r[2])) == TOWER_TABLE[k]
-        # pair counting confirms every member whose order fits the default
-        # budget of 2000, which reaches k = 5 (order 1944)
-        assert r[3] == ("closed+burnside" if k <= 5 else "closed")
+        # class-mode pair counting confirms every member: the largest,
+        # k = 9 (order 157464), is far inside the class-data cap of 10^7
+        assert r[3] == "closed+burnside"
     assert elapsed < 60.0, f"table took {elapsed:.2f}s"
 
 
@@ -388,6 +388,32 @@ def test_route_agreement():
         group = _group(expr)
         assert orbit_count_dims(group) == res.dim_full, expr
         assert dim_A2(group) == res.dim_full, expr
+
+
+# the walks have no order cap of their own: the table's 10^6-entry budget,
+# order 1000, bounds them, so they run on groups of order 500-1000
+WALKS_TO_THE_ENTRIES_BUDGET = {
+    "Dstar(125)": (500, 5460, 5333),
+    "Z(7) x Istar": (840, 1363, 1327),
+    "Dprime(2,61)": (976, 11410, 11251),
+}
+
+
+def test_walks_agree_with_the_closed_form_up_to_the_entries_budget():
+    for expr, (order, dim, ker) in WALKS_TO_THE_ENTRIES_BUDGET.items():
+        assert closed_dims(spec_from_expr(expr)) == (dim, ker), expr
+        assert orbit_count_dims(expr) == dim, expr
+        assert dim_A2(expr) == dim, expr
+
+
+def test_verify_runs_every_route_at_order_500(capsys):
+    assert main(["verify", "Dstar(125)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines[1:6]] == [
+        "closed", "chars", "burnside", "orbits", "diagrams"
+    ]
+    assert all(line.split()[1] == "dim" for line in lines[1:6])
+    assert lines[-1] == "agree: dim 5460, kernel 5333 (5 methods)"
 
 
 # ---------------------------------------------------------------------------

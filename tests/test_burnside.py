@@ -19,13 +19,8 @@ from oracles import (
 from thetadim.characters import table_for
 from thetadim.closed_forms import closed_dims, spec_from_expr
 import thetadim.burnside as burnside
-from thetadim.burnside import (
-    DEFAULT_ORBIT_MAX_ORDER,
-    DEFAULT_PAIR_MAX_ORDER,
-    ResourceLimitError,
-    burnside_dims,
-    orbit_count_dims,
-)
+from thetadim.burnside import ResourceLimitError, burnside_dims, orbit_count_dims
+from thetadim import conjugacy
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2
 from thetadim.group_core import (
@@ -221,21 +216,29 @@ def test_orbit_enumeration_agrees_with_averaging(expr):
 
 
 def test_pair_budget():
-    with pytest.raises(ResourceLimitError) as err:
-        burnside_dims("Z(2025)")
-    assert "2000" in str(err.value)
-    assert DEFAULT_PAIR_MAX_ORDER == 2000
-    # explicit budget raises earlier ...
-    with pytest.raises(ResourceLimitError):
-        burnside_dims("Z(150)", max_order=100)
-    # ... or lifts the default
-    assert burnside_dims("Z(2025)", max_order=2500).order == 2025
+    # no order cap by default: naive mode is held to the table's entries
+    # budget, which admits order 1000 ...
+    with pytest.raises(ResourceLimitError, match="Z\\(1001\\) needs 1002001 table entries"):
+        burnside_dims("Z(1001)", mode="naive")
+    # ... and class mode to the class-data cap
+    assert burnside_dims("Z(2025)").order == 2025
+    with pytest.raises(ResourceLimitError, match="class-data budget 10000000"):
+        burnside_dims("Z(10000001)")
+    # an explicit cap raises earlier, in either mode
+    for mode in ("naive", "class"):
+        with pytest.raises(ResourceLimitError, match="pair-counting budget 100;"):
+            burnside_dims("Z(150)", mode=mode, max_order=100)
+    assert burnside_dims("Z(2025)", max_order=2025).order == 2025
 
 
 def test_orbit_budget():
-    with pytest.raises(ResourceLimitError):
-        orbit_count_dims("Z(151)")
-    assert DEFAULT_ORBIT_MAX_ORDER == 150
+    # no order cap by default: the walk is held to the table's entries budget
+    assert orbit_count_dims("Z(151)") == burnside_dims("Z(151)").dim_full
+    with pytest.raises(ResourceLimitError, match="Z\\(1001\\) needs 1002001 table entries"):
+        orbit_count_dims("Z(1001)")
+    # an explicit cap raises earlier
+    with pytest.raises(ResourceLimitError, match="orbit-enumeration budget 150"):
+        orbit_count_dims("Z(151)", max_order=150)
     assert orbit_count_dims("Z(151)", max_order=151) == burnside_dims("Z(151)").dim_full
 
 
@@ -304,10 +307,14 @@ def test_orbit_walk_with_extra_generators_matches_literal_closure(expr, extra):
 
 
 def test_budget_error_suggests_cheaper_route():
+    # past the class-data cap the chars route refuses too, so only the closed
+    # form is named; under an explicit cap both are
     with pytest.raises(ResourceLimitError) as err:
-        burnside_dims("Z(5000)")
-    message = str(err.value).lower()
-    assert "character" in message or "closed" in message
+        burnside_dims("Z(10000001)")
+    assert str(err.value).endswith("; use the closed-form route instead")
+    with pytest.raises(ResourceLimitError) as err:
+        burnside_dims("Z(5000)", max_order=2000)
+    assert str(err.value).endswith("; use the character or closed-form route instead")
 
 
 def _refuse_tables_above(monkeypatch, max_order):
@@ -336,11 +343,18 @@ def test_class_level_routes_build_no_big_tables(monkeypatch, expr):
 
 def test_budgets_are_checked_before_anything_is_built(monkeypatch):
     _refuse_tables_above(monkeypatch, 0)
+
+    def refuse(group):
+        raise AssertionError(f"computed the classes of order {group.order}")
+
+    monkeypatch.setattr(conjugacy, "compute_classes", refuse)
     for refused in (
-        lambda: burnside_dims("Z(100000)"),
+        lambda: burnside_dims("Z(10000001)"),
+        lambda: burnside_dims("Z(1001)", mode="naive"),
         lambda: burnside_dims("Z(7) x Istar", max_order=100),
-        lambda: orbit_count_dims("Z(2) x Istar"),
-        lambda: dim_A2("Z(3) x Ostar"),
+        lambda: orbit_count_dims("Dstar(251)"),
+        lambda: orbit_count_dims("Z(3) x Dstar(84)"),
+        lambda: dim_A2("Dprime(2,67)"),
         lambda: dim_A2("Z(100000)"),
     ):
         with pytest.raises(ResourceLimitError):
@@ -348,6 +362,17 @@ def test_budgets_are_checked_before_anything_is_built(monkeypatch):
     # invalid parameters are still reported as such, whatever the order
     with pytest.raises(ValueError):
         burnside_dims("Dprime(30,4)")
+
+
+@pytest.mark.parametrize("walk", [orbit_count_dims, dim_A2])
+@pytest.mark.parametrize("expr", ["Z(9) x Istar", "Z(21) x Ostar", "Tstar x Ostar"])
+def test_walks_past_the_entries_budget_build_only_a_polyhedral_atom(monkeypatch, walk, expr):
+    # a binary polyhedral atom (order <= 120) is coset-enumerated before the
+    # product's table is refused; nothing larger is built
+    assert group_order(expr) ** 2 > TABLE_MAX_ENTRIES
+    _refuse_tables_above(monkeypatch, 120)
+    with pytest.raises(ResourceLimitError, match="budget is 1000000"):
+        walk(expr)
 
 
 def test_orbit_walk_visited_set_is_held_to_the_entries_budget(monkeypatch):

@@ -173,6 +173,35 @@ def test_product_table_is_kronecker():
     assert prod.degrees == [d1 * d2 for d1 in t1.degrees for d2 in t2.degrees]
 
 
+def test_product_table_multiplies_each_pair_of_distinct_values_once(monkeypatch):
+    # a family's values are shared objects, so the product of two tables takes
+    # one product per pair of distinct value objects, not one per cell
+    from thetadim.cyclo import CycloNumber
+
+    def distinct_values(expr):
+        return len({id(v) for row in table_for(expr).values for v in row})
+
+    bound = distinct_values("Z(11)") * distinct_values("Dstar(9)")
+    calls = []
+    real_mul = CycloNumber.__mul__
+
+    def counting(self, other):
+        calls.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(CycloNumber, "__mul__", counting)
+    table = table_for("Z(11) x Dstar(9)")
+    monkeypatch.undo()
+    cells = table.class_data.num_classes ** 2
+    assert cells == 17424
+    assert len(calls) <= bound < cells
+    t1, t2 = table_for("Z(11)"), table_for("Dstar(9)")
+    k2 = t2.class_data.num_classes
+    for r, row in enumerate(table.values):
+        row1, row2 = t1.values[r // k2], t2.values[r % k2]
+        assert row == [v1 * v2 for v1 in row1 for v2 in row2]
+
+
 def test_orthogonality_checks_catch_corruption():
     t = table_for("Dstar(2)")
     # swap two non-identity entries of a nontrivial row: degree sum still

@@ -128,9 +128,9 @@ def test_unknown_subcommand_and_flag(capsys):
 
 
 def test_resource_exit_code(capsys):
-    rc, _, err = run(capsys, "compute", "Z(151)", "--method", "orbits")
+    rc, _, err = run(capsys, "compute", "Z(1001)", "--method", "orbits")
     assert rc == 3
-    assert "resource limit" in err
+    assert err == "resource limit: Z(1001) needs 1002001 table entries, budget is 1000000.\n"
 
 
 def test_chars_cell_budget_exit_code_and_verify_skip(capsys, monkeypatch):
@@ -141,7 +141,8 @@ def test_chars_cell_budget_exit_code_and_verify_skip(capsys, monkeypatch):
     assert (data["dim_Cpi"], data["dim_ker_eps"]) == closed_dims(spec_from_expr("Z(100000)"))
     rc, out, _ = run(capsys, "verify", "Z(100000)")
     assert rc == 0
-    assert "  chars     dim" in out and out.splitlines()[-1].endswith("(2 methods)")
+    assert "  chars     dim" in out and "  burnside  dim" in out
+    assert out.splitlines()[-1].endswith("(3 methods)")
 
     def refuse(*args):
         raise AssertionError("computed classes over the class-data budget")
@@ -215,10 +216,14 @@ def test_verify_agreement(capsys):
 
 
 def test_verify_skips_over_budget_routes(capsys):
-    rc, out, _ = run(capsys, "verify", "Z(500)")
+    # past the table's entries budget the walks are skipped with its message,
+    # and burnside reduces by classes
+    rc, out, _ = run(capsys, "verify", "Z(1001)")
     assert rc == 0
-    assert "skipped" in out
-    assert "agree: dim" in out
+    for name in ("orbits", "diagrams"):
+        assert f"  {name:<9} skipped: Z(1001) needs 1002001 table entries, budget is 1000000." in out
+    assert "  burnside  dim" in out
+    assert out.splitlines()[-1].endswith("(3 methods)")
 
 
 def test_verify_skips_closed_form_for_non_spherical(capsys):
@@ -256,6 +261,29 @@ def test_verify_builds_one_table(capsys, monkeypatch):
     assert rc == 0
     assert "agree: dim 30, kernel 21 (5 methods)" in out
     assert built == [24]
+
+
+@pytest.mark.parametrize(
+    "expr, built_orders, methods",
+    [("Z(1000)", [1000], 5), ("Z(1001)", [], 3)],
+)
+def test_verify_shares_a_table_whenever_it_fits_the_entries_budget(
+    capsys, monkeypatch, expr, built_orders, methods
+):
+    # no order cap: the one table is built whenever its entries fit, and past
+    # the budget none is, so burnside reduces by classes and the walks skip
+    built = []
+    real_init = FiniteGroup.__init__
+
+    def counting(self, order, *args, **kwargs):
+        built.append(order)
+        real_init(self, order, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting)
+    rc, out, _ = run(capsys, "verify", expr)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith(f"({methods} methods)")
+    assert built == built_orders
 
 
 def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
@@ -625,7 +653,7 @@ def test_the_class_data_cap_is_read_off_the_order_and_no_budget_lifts_it(capsys,
     assert conjugacy.class_data_for("Istar").num_classes == 9
     with pytest.raises(ResourceLimitError, match="class-data budget 120"):
         conjugacy.class_data_for("Z(121)")
-    # class-mode burnside under a lifted order budget meets the same cap
+    # class-mode burnside under an explicit order cap meets the same cap
     argv = ("compute", "Z(400)", "--method", "burnside", "--max-order", "1000")
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (cli.EXIT_RESOURCE, "")
@@ -635,8 +663,8 @@ def test_the_class_data_cap_is_read_off_the_order_and_no_budget_lifts_it(capsys,
 
 
 def test_class_routes_answer_below_the_class_data_cap(capsys):
-    # order 1,728,000: chars and class-mode burnside under a lifted order
-    # budget compose the class data per atom and agree
+    # order 1,728,000: chars and class-mode burnside under an explicit order
+    # cap compose the class data per atom and agree
     expr = "Istar x Istar x Istar"
     for argv in (("--method", "chars"), ("--method", "burnside", "--max-order", "2000000")):
         rc, out, _ = run(capsys, "compute", expr, *argv, "--json")

@@ -16,8 +16,8 @@ from oracles import (
     validate_spherical,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
-from thetadim.diagrams import DEFAULT_DIAGRAM_MAX_ORDER, ResourceLimitError, dim_A2
-from thetadim.group_core import FiniteGroup, group_from_expr, group_order
+from thetadim.diagrams import ResourceLimitError, dim_A2
+from thetadim.group_core import TABLE_MAX_ENTRIES, FiniteGroup, group_from_expr, group_order
 
 WALK_CATALOG = ["Z(2)", "Z(6)", "Dstar(2)", "Dstar(3)", "Dprime(0,3)", "Tstar"]
 
@@ -117,12 +117,12 @@ def test_dimension_counts_distinct_canonical_forms(expr):
     assert dim_A2(G) == len(forms)
 
 
-# every spherical catalog group within the diagram budget
+# every spherical catalog group whose table is within the entries budget
 CLOSED_CATALOG = sorted(
     {
         e
         for e in ROUTE_500 + SPHERICAL + NON_SPHERICAL + RANDOM_PRODUCTS_500
-        if group_order(e) <= DEFAULT_DIAGRAM_MAX_ORDER and validate_spherical(e)[0]
+        if group_order(e) ** 2 <= TABLE_MAX_ENTRIES and validate_spherical(e)[0]
     },
     key=lambda e: (group_order(e), e),
 )
@@ -146,15 +146,21 @@ def test_known_dimension_values():
 
 
 def test_diagram_budget():
-    assert DEFAULT_DIAGRAM_MAX_ORDER == 120
-    with pytest.raises(ResourceLimitError):
-        dim_A2(group_from_expr("Z(121)"))
+    # no order cap by default: the walk is held to the table's entries budget
+    assert dim_A2(group_from_expr("Z(121)")) == 1281
+    assert dim_A2("Z(121)") == 1281
+    with pytest.raises(ResourceLimitError, match="Z\\(1001\\) needs 1002001 table entries"):
+        dim_A2("Z(1001)")
+    # an explicit cap raises earlier
+    with pytest.raises(ResourceLimitError, match="diagram-enumeration budget 120"):
+        dim_A2(group_from_expr("Z(121)"), max_order=120)
     assert dim_A2(group_from_expr("Z(121)"), max_order=121) == 1281
 
 
 def test_route_catalog_fits_diagram_budget():
-    for expr in ROUTE_120:
-        assert group_from_expr(expr).order <= DEFAULT_DIAGRAM_MAX_ORDER
+    # the diagram walk's budget is its table's entries budget
+    for expr in ROUTE_120 + ROUTE_500:
+        assert group_order(expr) ** 2 <= TABLE_MAX_ENTRIES
 
 
 @pytest.mark.parametrize("expr", [e for e in ROUTE_120 if group_order(e) <= 48])
