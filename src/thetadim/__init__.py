@@ -43,7 +43,8 @@ _EXPORTS = {
     "conjugacy": ("class_data_for", "d1_class_formula", "z2_orbit_count"),
     "diagrams": ("dim_A2",),
     "expr": ("parse_group_expr",),
-    "group_core": ("ResourceLimitError", "group_from_expr"),
+    "group_core": ("group_from_expr",),
+    "normal_form": ("ResourceLimitError",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

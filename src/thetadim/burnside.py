@@ -27,9 +27,10 @@ by the budget that bounds its memory, and `max_order` is an optional cap.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .conjugacy import (
+    ClassData,
     class_data_for,
     compute_classes,
     pair_average,
@@ -38,12 +39,10 @@ from .conjugacy import (
     twisted_trace_sums,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .group_core import (
-    FiniteGroup,
-    ResourceLimitError,
-    group_from_expr,
-    group_order,
-)
+from .normal_form import ResourceLimitError, group_order
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 __all__ = ["BurnsideResult", "burnside_dims", "orbit_count_dims"]
 
@@ -138,8 +137,11 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
 
 
 def _as_group(group: FiniteGroup | GroupExpr | str) -> FiniteGroup:
-    if isinstance(group, FiniteGroup):
+    """The table of `group`: itself, or the one its expression names."""
+    if not isinstance(group, (GroupExpr, str)):
         return group
+    from .group_core import group_from_expr
+
     return group_from_expr(group)
 
 
@@ -147,6 +149,7 @@ def burnside_dims(
     group: FiniteGroup | GroupExpr | str,
     mode: str = "auto",
     max_order: int | None = None,
+    classes_of: Callable[[FiniteGroup], ClassData] | None = None,
 ) -> BurnsideResult:
     """Both dimensions by pair-averaged symmetric-cube traces.
 
@@ -155,6 +158,8 @@ def burnside_dims(
     `max_order` caps the order before anything is built.  Naive mode's table
     is held to TABLE_MAX_ENTRIES before any product, and class mode, which
     builds no table for an expression, to CLASS_DATA_MAX_ORDER before any class.
+    Class mode finds a table's classes with `classes_of`, `compute_classes` by
+    default, so that a caller holding them already does not find them again.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
@@ -164,7 +169,7 @@ def burnside_dims(
             f"order {n} exceeds the pair-counting budget {max_order}; "
             "use the character or closed-form route instead"
         )
-    name = group.family_tag if isinstance(group, FiniteGroup) else expr_to_string(group)
+    name = expr_to_string(group) if isinstance(group, GroupExpr) else group.family_tag
     if mode == "auto":
         mode = "naive" if n <= _AUTO_NAIVE_MAX_ORDER else "class"
     if mode == "naive":
@@ -172,8 +177,8 @@ def burnside_dims(
             _as_group(group)
         )
     elif mode == "class":
-        if isinstance(group, FiniteGroup):
-            cd = compute_classes(group)
+        if not isinstance(group, GroupExpr):
+            cd = (classes_of or compute_classes)(group)
         else:
             try:
                 cd = class_data_for(group)

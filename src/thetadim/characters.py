@@ -2,7 +2,7 @@
 
 Each family is written once over its normal form: a character's value at a
 class is a closed expression in the coordinates of the representative that
-`compute_classes` finds for the class on `group_core.atom_group(atom)`, so
+`compute_classes` finds for the class on `normal_form.atom_group(atom)`, so
 no column is located and no atom but a binary polyhedral one builds a
 multiplication table.  A family gives its cyclotomic rows, for `table_for`,
 and the integer sums S+ and S- of its real rows of Frobenius-Schur indicator
@@ -39,7 +39,7 @@ from .conjugacy import (
     twisted_trace_sums,
 )
 from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
-from .group_core import ResourceLimitError, atom_group, group_order
+from .normal_form import ResourceLimitError, atom_group, group_order
 
 if TYPE_CHECKING:
     from .cyclo import CycloNumber

@@ -1,9 +1,21 @@
-"""Command line front end: route dispatch, verification, and table emission.
+"""Command line front end: parsing, route dispatch, compute and verify.
 
 Usage: thetadim [-h] [-v] {compute,verify,table,classes,chartab} ...
 `thetadim -h` lists the commands and `thetadim <command> -h` a command's
-options; help goes to standard output and exits 0.  Options take the
-`--opt value` and `--opt=value` forms and unique prefixes of their names.
+options; help goes to standard output and exits 0.  Long options take the
+`--opt value` and `--opt=value` forms and unique prefixes of their names;
+the flags -h and -v may be bundled (`-vh`).  A command's options may come
+before or after its argument, and `--` ends the options.
+
+Module layout: this module parses every command line (`_scan`,
+`_parse_args`) and runs `compute` and `verify`.  Each route lives in the
+module that `_ROUTE_MODULES` names and is imported when it runs.  `table`,
+`classes` and `chartab`, and the help and usage text, live in `commands`,
+which the dispatch table `_COMMANDS` names; it is loaded only for those
+commands, -h and a usage error.  So a process compiles the code of its own
+command and route alone, and a class-level route (class-mode burnside,
+chars, `classes`, and `chartab` on normal-form atoms) never loads the table
+layer `group_core`.
 
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
@@ -30,24 +42,19 @@ orbits and diagrams (none by default) and lifts no budget.
 from __future__ import annotations
 
 import functools
-import getopt
-import importlib
 import os
 import sys
 import time
 from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
-from .conjugacy import class_data_for, compute_classes, d1_class_formula, z2_orbit_count
+from .conjugacy import compute_classes, d1_class_formula, z2_orbit_count
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .group_core import (
-    FiniteGroup,
-    ResourceLimitError,
-    atom_group,
-    group_from_expr,
-    group_order,
-    product_rule,
-)
+from .normal_form import ResourceLimitError, group_order
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 __all__ = [
     "EXIT_BROKEN_PIPE",
@@ -95,13 +102,14 @@ def _max_order(args) -> int | None:
 # Each route returns (order, classes, d1, d2, dim, z2); _run times it and
 # builds the report.  The orbits and diagrams routes leave classes and z2 as
 # None for _run to fill from the class data of their table, which verify
-# computes once for both.  `max_order` is _max_order's cap, None for none.  A
+# computes once for them and class-mode burnside.  `max_order` is _max_order's
+# cap, None for none, and `classes_of(table)` gives a table's class data.  A
 # route imports the library functions it calls when it runs, so a process
 # loads only its route's modules, and a tracer that rebinds a function in its
 # defining module sees every call.
 
 
-def _closed(expr: GroupExpr, max_order):
+def _closed(expr: GroupExpr, max_order, classes_of):
     from .closed_forms import closed_class_count, closed_dims, closed_order, spec_from_expr
 
     spec = spec_from_expr(expr)
@@ -110,7 +118,7 @@ def _closed(expr: GroupExpr, max_order):
     return closed_order(spec), closed_class_count(spec), None, None, dim, dim - ker
 
 
-def _chars(expr: GroupExpr, max_order):
+def _chars(expr: GroupExpr, max_order, classes_of):
     from .characters import d2_char_formula
 
     cd, d2 = d2_char_formula(expr)
@@ -121,10 +129,10 @@ def _chars(expr: GroupExpr, max_order):
     return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
 
 
-def _burnside(group: FiniteGroup | GroupExpr, max_order):
+def _burnside(group: FiniteGroup | GroupExpr, max_order, classes_of):
     from .burnside import burnside_dims
 
-    r = burnside_dims(group, mode="auto", max_order=max_order)
+    r = burnside_dims(group, mode="auto", max_order=max_order, classes_of=classes_of)
     return r.order, r.num_classes, r.d1, r.d2, r.dim_full, r.dim_full - r.dim_ker
 
 
@@ -132,13 +140,13 @@ def _enumerated(group: FiniteGroup, dim: int):
     return group.order, None, None, None, dim, None
 
 
-def _orbits(group: FiniteGroup | GroupExpr, max_order):
+def _orbits(group: FiniteGroup | GroupExpr, max_order, classes_of):
     from .burnside import orbit_count_dims
 
     return _enumerated(group, orbit_count_dims(group, max_order=max_order))
 
 
-def _diagrams(group: FiniteGroup | GroupExpr, max_order):
+def _diagrams(group: FiniteGroup | GroupExpr, max_order, classes_of):
     from .diagrams import dim_A2
 
     return _enumerated(group, dim_A2(group, max_order=max_order))
@@ -161,9 +169,13 @@ _ROUTE_MODULES = {
 }
 
 
-def _load_route(name: str) -> None:
-    """Import route `name`'s module, so that loading it is not timed as its work."""
-    importlib.import_module(f".{_ROUTE_MODULES[name]}", __package__)
+def _load(name: str):
+    """thetadim's submodule `name`, imported on first use.  The import goes
+    through `__import__`, as an import statement's does, so that
+    `python -X importtime` lists it."""
+    module = f"{__package__}.{name}"
+    __import__(module)
+    return sys.modules[module]
 
 
 def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | GroupExpr:
@@ -173,6 +185,8 @@ def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | Group
     """
     if max_order is not None and group_order(expr) > max_order:
         return expr
+    from .group_core import group_from_expr
+
     try:
         return group_from_expr(expr)
     except ResourceLimitError:
@@ -182,19 +196,20 @@ def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | Group
 def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> DimensionReport:
     """Route `name` as a timed report; closed and chars see only `expr`, the others
     `group`, the `_table_within` result verify shares, or else their own.
-    `classes_of(table)` gives the class data an enumeration route's report needs;
-    verify passes a memo of `compute_classes` so its table's classes are found once.
-    Class data never feeds an enumerated dimension.  The clock starts once the
-    route's module is loaded."""
-    _load_route(name)
+    `classes_of(table)` gives the class data that class-mode burnside and an
+    enumeration route's report need; verify passes a memo of `compute_classes`
+    so its table's classes are found once.  Class data never feeds an
+    enumerated dimension.  The clock starts once the route's module is loaded."""
+    _load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
     t0 = time.perf_counter()
+    classes_of = classes_of or compute_classes
     if name in ("closed", "chars"):
         group = expr
     elif group is None:
         group = expr if name == "burnside" else _table_within(expr, max_order)
-    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order)
+    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order, classes_of)
     if classes is None:
-        cd = (classes_of or compute_classes)(group)
+        cd = classes_of(group)
         classes, z2 = cd.num_classes, z2_orbit_count(cd)
     return DimensionReport(
         group=expr_to_string(expr),
@@ -249,7 +264,7 @@ def _cmd_verify(args) -> int:
     expr = parse_group_expr(args.expr)
     max_order = _max_order(args)
     for name in _ROUTES:
-        _load_route(name)
+        _load(_ROUTE_MODULES[name])
     group = _table_within(expr, max_order)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]
@@ -280,107 +295,14 @@ def _cmd_verify(args) -> int:
     return EXIT_MISMATCH
 
 
-def _table_rows(args):
-    if args.family == "d4p":
-        return [(p, f"Dstar({p})") for p in range(1, args.max_p + 1)]
-    if args.family == "t8_3k":
-        return [(k, f"Tprime({k})") for k in range(1, args.max_k + 1)]
-    return [(n, f"Z({n})") for n in range(1, args.max_n + 1)]
-
-
-def _cmd_table(args) -> int:
-    max_order = _max_order(args)
-    lines = [CSV_HEADER]
-    for param, expr_text in _table_rows(args):
-        expr = parse_group_expr(expr_text)
-        closed = _run("closed", expr, max_order)
-        dims = (closed.dim_cpi, closed.dim_ker_eps)
-        try:
-            check = _run("burnside", expr, max_order)
-        except ResourceLimitError:
-            method = "closed"
-        else:
-            got = (check.dim_cpi, check.dim_ker_eps)
-            if got != dims:
-                print(f"mismatch at {expr_text}: closed {dims} vs burnside {got}", file=sys.stderr)
-                return EXIT_MISMATCH
-            method = "closed+burnside"
-        lines.append(f"{param},{dims[0]},{dims[1]},{method}")
-    print("\n".join(lines))
-    return EXIT_OK
-
-
-def _class_label(expr: GroupExpr):
-    """The printed name of an element, read from the product rule of the
-    expression's atoms, which names a product's elements "(l1,l2)"."""
-    return functools.reduce(product_rule, map(atom_group, expr.atoms)).label
-
-
-def _cmd_classes(args) -> int:
-    expr = parse_group_expr(args.expr)
-    cd = class_data_for(expr)
-    print(
-        f"group {expr_to_string(expr)}  order {cd.order}"
-        f"  classes {cd.num_classes}"
-    )
-    # a cyclic group has a class per element, so the labels are made twice,
-    # for the width and for the rows, rather than held in a list
-    label, reps = _class_label(expr), cd.representatives
-    width = max(len("representative"), max(len(label(r)) for r in reps))
-    print(f"{'idx':>4} {'size':>5}  {'representative':<{width}}  square  cube  inverse")
-    for c in range(cd.num_classes):
-        print(
-            f"{c:>4} {cd.sizes[c]:>5}  {label(reps[c]):<{width}}"
-            f"  {cd.square_class[c]:>6}  {cd.cube_class[c]:>4}  {cd.inverse_class[c]:>7}"
-        )
-    return EXIT_OK
-
-
-def _cmd_chartab(args) -> int:
-    from .characters import table_for
-
-    expr = parse_group_expr(args.expr)
-    table = table_for(expr)
-    cd = table.class_data
-    labels = list(map(_class_label(expr), cd.representatives))
-    sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
-    cells = [[str(v) for v in row] for row in table.values]
-    if args.csv:
-        print("name," + ",".join(labels))
-        print("size," + ",".join(sizes))
-        for name, row in zip(table.row_names, cells):
-            print(name + "," + ",".join(row))
-        return EXIT_OK
-    name_w = max(len(n) for n in table.row_names + ["size", table.group_name])
-    col_w = [
-        max([len(labels[c]), len(sizes[c])] + [len(r[c]) for r in cells])
-        for c in range(cd.num_classes)
-    ]
-
-    def fmt(head, entries):
-        return (
-            f"{head:<{name_w}}  "
-            + "  ".join(f"{e:>{col_w[c]}}" for c, e in enumerate(entries))
-        )
-    print(fmt(table.group_name, labels))
-    print(fmt("size", sizes))
-    for name, row in zip(table.row_names, cells):
-        print(fmt(name, row))
-    return EXIT_OK
-
-
 # -- parser -------------------------------------------------------------------
 #
 # Each option is (dest, kind, default, help), where kind is int, a tuple of
 # choices, or None for an on/off flag.  Each command is (handler, help,
-# (positional, its choices or None), {long option: option}).
+# (positional, its choices or None), {long option: option}); a handler named
+# by a string is the function of the command's name in that module.
 
 _PROG = "thetadim"
-_DESCRIPTION = (
-    "Exact dimension computations for group algebras of spherical space-form\n"
-    "groups, by closed forms, characters, fixed-point counting, and orbit\n"
-    "enumeration."
-)
 _MAX_ORDER = ("max_order", int, None, "order cap of the burnside, orbits and diagrams routes")
 _COMMANDS = {
     "compute": (
@@ -401,7 +323,7 @@ _COMMANDS = {
         {"max-order": _MAX_ORDER},
     ),
     "table": (
-        _cmd_table,
+        "commands",
         "emit a parameter sweep as CSV",
         ("family", ("d4p", "t8_3k", "zn")),
         {
@@ -411,9 +333,9 @@ _COMMANDS = {
             "max-order": _MAX_ORDER,
         },
     ),
-    "classes": (_cmd_classes, "dump conjugacy class data", ("expr", None), {}),
+    "classes": ("commands", "dump conjugacy class data", ("expr", None), {}),
     "chartab": (
-        _cmd_chartab,
+        "commands",
         "print the character table",
         ("expr", None),
         {"csv": ("csv", None, False, "print the table as CSV")},
@@ -421,6 +343,12 @@ _COMMANDS = {
 }
 # options that may not be given together, in a command that has both
 _EXCLUSIVE = ("json", "csv")
+
+
+def _handler(command: str):
+    """The function that runs `command`, loading the module that defines it."""
+    handler = _COMMANDS[command][0]
+    return getattr(_load(handler), command) if isinstance(handler, str) else handler
 
 
 class _UsageError(Exception):
@@ -431,55 +359,55 @@ class _UsageError(Exception):
         self.command = command
 
 
-def _metavar(dest: str, kind) -> str:
-    return "N" if kind is int else dest.upper()
+def _scan(args: list[str], flags: dict[str, str], longs: dict[str, bool], command=None):
+    """([(long name, value)], positional arguments) of `args`, by the rules
+    and messages of the standard `getopt` module.
 
-
-def _usage(command: str | None) -> str:
-    if command is None:
-        return f"usage: {_PROG} [-h] [-v] {{{','.join(_COMMANDS)}}} ..."
-    _, _, (positional, choices), options = _COMMANDS[command]
-    parts = [f"usage: {_PROG} {command} [-h]"]
-    grouped = set(_EXCLUSIVE) <= set(options)
-    for name, (dest, kind, _, _) in options.items():
-        if grouped and name in _EXCLUSIVE:
-            if name == _EXCLUSIVE[0]:
-                parts.append("[" + " | ".join(f"--{n}" for n in _EXCLUSIVE) + "]")
+    `longs` maps each long option to whether it takes a value, given as
+    `--opt=value` or as the next argument, and an option may be named by a
+    unique prefix; `flags` maps each one-letter flag to its long option, and
+    flags may be bundled.  `--` ends the options.  Without a `command`, the
+    first argument that is no option ends them too, as a lone `-` or `--`
+    does, and is kept (getopt); with one, options and positional arguments
+    mix (gnu_getopt) and `-` is positional.  A refused option raises
+    _UsageError for `command`.
+    """
+    opts, positionals = [], []
+    i = 0
+    while i < len(args):
+        arg = args[i]
+        i += 1
+        if arg in ("-", "--") or not arg.startswith("-"):
+            if command is None:
+                return opts, args[i - 1 :]
+            if arg == "--":
+                return opts, positionals + args[i:]
+            positionals.append(arg)
+        elif arg.startswith("--"):
+            given, eq, value = arg[2:].partition("=")
+            names = [given] if given in longs else [n for n in longs if n.startswith(given)]
+            if len(names) != 1:
+                problem = "not a unique prefix" if names else "not recognized"
+                raise _UsageError(f"option --{given} {problem}", command)
+            name = names[0]
+            if longs[name] and not eq:
+                if i == len(args):
+                    raise _UsageError(f"option --{name} requires argument", command)
+                value = args[i]
+                i += 1
+            elif eq and not longs[name]:
+                raise _UsageError(f"option --{name} must not have an argument", command)
+            opts.append((name, value))
         else:
-            parts.append(f"[--{name}]" if kind is None else f"[--{name} {_metavar(dest, kind)}]")
-    parts.append(positional if choices is None else "{" + ",".join(choices) + "}")
-    return " ".join(parts)
+            for letter in arg[1:]:
+                if letter not in flags:
+                    raise _UsageError(f"option -{letter} not recognized", command)
+                opts.append((flags[letter], ""))
+    return opts, positionals
 
 
-def _help(command: str | None) -> str:
-    helps = [("-h, --help", "show this help and exit")]
-    if command is None:
-        head = _DESCRIPTION
-        helps.append(("-v, --verbose", "log progress to stderr"))
-        sections = {"commands": [(name, spec[1]) for name, spec in _COMMANDS.items()]}
-    else:
-        _, head, (positional, choices), options = _COMMANDS[command]
-        if choices is None:
-            what = 'a group expression, e.g. "Z(5) x Dstar(4)" or "Istar"'
-        else:
-            what = "one of " + ", ".join(choices)
-        sections = {"arguments": [(positional, what)]}
-        for name, (dest, kind, default, text) in options.items():
-            if kind is not None:
-                name = f"{name} {_metavar(dest, kind)}"
-            if kind not in (None, int):
-                text = f"{text}; one of {', '.join(kind)}"
-            if default not in (None, False):
-                text = f"{text} (default {default})"
-            helps.append((f"--{name}", text))
-    sections["options"] = helps
-    width = 2 + max(len(flag) for rows in sections.values() for flag, _ in rows)
-    lines = [_usage(command), "", head]
-    for title, rows in sections.items():
-        lines += ["", f"{title}:"] + [f"  {flag:<{width}}{text}" for flag, text in rows]
-    if command is None:
-        lines += ["", f"Run `{_PROG} <command> -h` for the options of a command."]
-    return "\n".join(lines)
+def _print_help(command: str | None) -> None:
+    print(_load("commands").help_text(command))
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace | None:
@@ -489,46 +417,40 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
     come before or after its one positional argument.  Any other command line
     raises _UsageError.
     """
-    try:
-        opts, rest = getopt.getopt(argv, "hv", ["help", "verbose"])
-    except getopt.GetoptError as exc:
-        raise _UsageError(str(exc)) from None
-    if any(opt in ("-h", "--help") for opt, _ in opts):
-        print(_help(None))
+    opts, rest = _scan(argv, {"h": "help", "v": "verbose"}, {"help": False, "verbose": False})
+    if any(name == "help" for name, _ in opts):
+        _print_help(None)
         return None
-    if argv[: len(argv) - len(rest)][-1:] == ["--"]:
-        rest = ["--", *rest]  # "--" ends the options but is no command
     if not rest:
         raise _UsageError("a command is required")
     command, *rest = rest
     if command not in _COMMANDS:
         raise _UsageError(f"invalid command {command!r} (choose from {', '.join(_COMMANDS)})")
     _, _, (positional, choices), options = _COMMANDS[command]
-    longopts = ["help"] + [name if spec[1] is None else f"{name}=" for name, spec in options.items()]
-    try:
-        sub_opts, positionals = getopt.gnu_getopt(rest, "h", longopts)
-    except getopt.GetoptError as exc:
-        raise _UsageError(str(exc), command) from None
-    if any(opt in ("-h", "--help") for opt, _ in sub_opts):
-        print(_help(command))
+    longs = {"help": False} | {name: spec[1] is not None for name, spec in options.items()}
+    sub_opts, positionals = _scan(rest, {"h": "help"}, longs, command)
+    if any(name == "help" for name, _ in sub_opts):
+        _print_help(command)
         return None
 
     values = {"verbose": len(opts), "command": command}
     values.update((dest, default) for dest, _, default, _ in options.values())
-    for opt, arg in sub_opts:
-        dest, kind, _, _ = options[opt[2:]]
+    for name, arg in sub_opts:
+        dest, kind, _, _ = options[name]
         if kind is None:
             arg = True
         elif kind is int:
             try:
                 arg = int(arg)
             except ValueError:
-                raise _UsageError(f"{opt}: invalid int value {arg!r}", command) from None
+                raise _UsageError(f"--{name}: invalid int value {arg!r}", command) from None
         elif arg not in kind:
-            raise _UsageError(f"{opt}: invalid choice {arg!r} (choose from {', '.join(kind)})", command)
+            choose = ", ".join(kind)
+            raise _UsageError(f"--{name}: invalid choice {arg!r} (choose from {choose})", command)
         values[dest] = arg
     if all(values.get(name) for name in _EXCLUSIVE):
-        raise _UsageError(" and ".join(f"--{n}" for n in _EXCLUSIVE) + " exclude each other", command)
+        both = " and ".join(f"--{n}" for n in _EXCLUSIVE)
+        raise _UsageError(f"{both} exclude each other", command)
     if not positionals:
         raise _UsageError(f"the argument {positional} is required", command)
     if len(positionals) > 1:
@@ -544,12 +466,12 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse_args(sys.argv[1:] if argv is None else argv)
-        code = EXIT_OK if args is None else _COMMANDS[args.command][0](args)
+        code = EXIT_OK if args is None else _handler(args.command)(args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except _UsageError as exc:
         prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
-        print(_usage(exc.command), file=sys.stderr)
+        print(_load("commands").usage(exc.command), file=sys.stderr)
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -12,10 +12,13 @@ counts of the classes or their real character sums.
 from __future__ import annotations
 
 from functools import reduce
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .expr import GroupExpr, parse_group_expr
-from .group_core import FiniteGroup, NormalForm, ResourceLimitError, atom_group, group_order
+from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 __all__ = [
     "ClassData",

@@ -20,8 +20,13 @@ every walked pair are marked, the marked set is closed under every move (see
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .expr import GroupExpr
-from .group_core import FiniteGroup, ResourceLimitError, group_from_expr, group_order
+from .normal_form import ResourceLimitError, group_order
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 __all__ = ["dim_A2"]
 
@@ -66,7 +71,9 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
         raise ResourceLimitError(
             f"order {n} exceeds the diagram-enumeration budget {max_order}"
         )
-    if not isinstance(group, FiniteGroup):
+    if isinstance(group, (GroupExpr, str)):
+        from .group_core import group_from_expr
+
         group = group_from_expr(group)
     mul = group._mul
     rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]

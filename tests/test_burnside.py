@@ -28,8 +28,8 @@ from thetadim.group_core import (
     FiniteGroup,
     cyclic_group,
     group_from_expr,
-    group_order,
 )
+from thetadim.normal_form import group_order
 
 
 def test_action_permutations_are_literal():

@@ -41,7 +41,7 @@ from thetadim.conjugacy import (
 )
 from thetadim.cyclo import from_int
 from thetadim.expr import parse_group_expr
-from thetadim.group_core import ResourceLimitError, group_order
+from thetadim.normal_form import ResourceLimitError, group_order
 
 TABLE_CATALOG = [
     "Z(1)",

@@ -2,6 +2,7 @@
 
 import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import pytest
 
 import thetadim.characters as characters
 import thetadim.cli as cli
+import thetadim.commands as commands
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
@@ -237,8 +239,8 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     # corrupt one route to prove disagreement is detected and coded 2
     real = cli._ROUTES["orbits"]
 
-    def lying_route(group, budgets):
-        order, classes, d1, d2, dim, z2 = real(group, budgets)
+    def lying_route(group, max_order, classes_of):
+        order, classes, d1, d2, dim, z2 = real(group, max_order, classes_of)
         return order, classes, d1, d2, dim + 1, z2
 
     monkeypatch.setitem(cli._ROUTES, "orbits", lying_route)
@@ -302,6 +304,24 @@ def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
     assert calls == [24]
 
 
+def test_verify_finds_a_class_mode_tables_classes_once(capsys, monkeypatch):
+    # above order 300 burnside reduces by classes, and takes them from the
+    # memo that orbits and diagrams read; the chars route's own call on the
+    # Z(1000) rule stays
+    calls = []
+    for module in (cli, burnside, characters):
+
+        def counting(group, real=module.compute_classes):
+            calls.append(type(group).__name__)
+            return real(group)
+
+        monkeypatch.setattr(module, "compute_classes", counting)
+    rc, out, _ = run(capsys, "verify", "Z(1000)")
+    assert rc == 0
+    assert out.splitlines()[-1] == "agree: dim 83834, kernel 83333 (5 methods)"
+    assert sorted(calls) == ["FiniteGroup", "NormalForm"]
+
+
 def test_table_binary_dihedral_prefix(capsys):
     rc, out, _ = run(capsys, "table", "d4p", "--max-p", "3")
     assert rc == 0
@@ -346,7 +366,7 @@ def test_classes_holds_no_label_per_class(monkeypatch):
     # Z(50000) has a class per element; a list of their labels would hold
     # about 3 MB while the rows print
     cd = conjugacy.class_data_for("Z(50000)")
-    monkeypatch.setattr(cli, "class_data_for", lambda expr: cd)
+    monkeypatch.setattr(commands, "class_data_for", lambda expr: cd)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -560,6 +580,14 @@ PARSER_EDGE_CASES = [
     ["comp", "Z(3)"],
     ["classes", "Z(3)", "--csv"],
     ["chartab", "--csv", "Z(3)"],
+    ["-vh"],
+    ["-hv"],
+    ["--verbose=1", "compute", "Z(3)"],
+    ["-x", "compute", "Z(3)"],
+    ["compute", "-"],
+    ["compute", "Z(3)", "--max-order="],
+    ["compute", "Z(3)", "--"],
+    ["compute", "--", "Z(3)", "--json"],
 ]
 
 
@@ -570,23 +598,30 @@ def _golden_argvs():
 
 def _new_parse(argv):
     try:
-        return vars(cli._parse_args(list(argv)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            args = cli._parse_args(list(argv))
     except cli._UsageError:
         return cli.EXIT_USAGE
+    return "help" if args is None else vars(args)
 
 
 def _reference_parse(argv):
     try:
-        return vars(reference_parser().parse_args(list(argv)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            return vars(reference_parser().parse_args(list(argv)))
     except ReferenceUsageError:
         return cli.EXIT_USAGE
+    except SystemExit as exc:  # argparse exits 0 once it has printed help
+        assert exc.code == 0
+        return "help"
 
 
 @pytest.mark.parametrize(
     "argv", _golden_argvs() + PARSER_EDGE_CASES, ids=lambda argv: " ".join(argv) or "<none>"
 )
 def test_parser_matches_the_argparse_reference(argv):
-    """Same command, values and defaults, or a usage refusal from both."""
+    """Same command, values and defaults, help from both, or a usage refusal
+    from both."""
     assert _new_parse(argv) == _reference_parse(argv)
 
 

@@ -14,8 +14,8 @@ from class_oracles import (
     pair_delta3_sum,
 )
 from oracles import conjugate, direct_product_literal, power, unbudgeted_table
-from thetadim.cli import _class_label
 from thetadim.characters import real_character_sums
+from thetadim.commands import _class_label
 from thetadim.conjugacy import (
     class_data_for,
     compute_classes,

@@ -3,6 +3,8 @@ other name a submodule exports is used by library code."""
 
 import ast
 import doctest
+import importlib
+import json
 import os
 import re
 import subprocess
@@ -158,13 +160,19 @@ def test_naive_pair_sums_iterate_every_pair():
     assert "n = group.order" in [ast.unparse(node) for node in tree.body]
 
 
+def _child_env(**extra: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this thetadim."""
+    src = str(Path(thetadim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
+    env.pop("THETA_DIM_MAX_ORDER", None)
+    return env
+
+
 def _loaded_after_start(code: str) -> set[str]:
     """Modules that `code` loads in a fresh interpreter, past the interpreter's
     own start-up; `code` runs with standard output captured."""
-    src = str(Path(thetadim.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    env.pop("THETA_DIM_MAX_ORDER", None)
+    env = _child_env()
     script = (
         "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
@@ -221,6 +229,29 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     for argv in calls:
         loaded = _loaded_after_start(_cli_call(*argv))
         assert {"fractions", "decimal", "numbers"}.isdisjoint(loaded), argv
+        # compute and verify load no module of the other commands
+        if argv[0] in ("compute", "verify"):
+            assert "thetadim.commands" not in loaded, argv
+
+    # class-level routes compile no table code, and no command line parser
+    # from the standard library
+    table_layer = {"thetadim.group_core", "array", "getopt", "gettext"}
+    class_level = [
+        ("compute", "--method", "burnside", "Z(2000)"),
+        ("compute", "--method", "chars", "Dstar(250)"),
+        ("classes", "Z(12)"),
+        ("chartab", "Dstar(3)"),
+    ]
+    for argv in class_level:
+        assert table_layer.isdisjoint(_loaded_after_start(_cli_call(*argv))), argv
+    # a binary polyhedral atom, an enumeration route and verify build tables
+    table_level = [
+        ("compute", "--method", "chars", "Z(7) x Istar"),
+        ("compute", "--method", "orbits", "Z(12)"),
+        ("verify", "Dstar(3)"),
+    ]
+    for argv in table_level:
+        assert "thetadim.group_core" in _loaded_after_start(_cli_call(*argv)), argv
 
 
 def test_lazy_exports_resolve_to_the_submodule_objects():
@@ -236,6 +267,62 @@ def test_lazy_exports_resolve_to_the_submodule_objects():
         )
     with pytest.raises(AttributeError, match="no_such_name"):
         thetadim.no_such_name
+
+
+def _lazy_imports() -> list[tuple[str, str]]:
+    """(module, name) of every `from .module import name` in the library that
+    is not at the top of its module, and so runs only when it is reached."""
+    found = []
+    for tree in _library_modules().values():
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and id(node) not in top:
+                found += [(node.module, alias.name) for alias in node.names]
+    return found
+
+
+# help for the program and for each command, then two usage errors; each line
+# is the exit code and whether stdout and stderr begin with a usage line
+_HELP_AND_USAGE = """
+import contextlib, io, json
+import thetadim.cli as cli
+
+argvs = [["-h"]] + [[command, "-h"] for command in cli._COMMANDS]
+for argv in argvs + [["compute"], ["no-such-command"]]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    usage = [text.getvalue().startswith("usage: thetadim") for text in (out, err)]
+    print(json.dumps([code, *usage]))
+"""
+
+
+def test_every_lazily_named_module_and_handler_resolves():
+    """A name that is imported only when its code runs breaks only the process
+    that runs it, so every one is resolved here: the names imported inside
+    library functions, the route modules, and the handler of every command,
+    some of which live in a module loaded only for them.  Help and usage text
+    come from such a module too, so a fresh child that compiles every module
+    anew prints them."""
+    import thetadim.cli as cli
+
+    lazy = _lazy_imports()
+    assert ("group_core", "group_from_expr") in lazy
+    for module, name in lazy:
+        assert hasattr(importlib.import_module(f"thetadim.{module}"), name), (module, name)
+    assert set(cli._ROUTE_MODULES) == set(cli._ROUTES)
+    for module in cli._ROUTE_MODULES.values():
+        importlib.import_module(f"thetadim.{module}")
+    for command in cli._COMMANDS:
+        assert callable(cli._handler(command)), command
+
+    env = _child_env(PYTHONDONTWRITEBYTECODE="1")
+    out = subprocess.run(
+        [sys.executable, "-c", _HELP_AND_USAGE], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    results = [json.loads(line) for line in out.splitlines()]
+    helps = 1 + len(cli._COMMANDS)
+    assert results == [[0, True, False]] * helps + [[1, False, True]] * 2
 
 
 def test_readme_python_example_runs():
