@@ -27,7 +27,8 @@ by the budget that bounds its memory, and `max_order` is an optional cap.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from collections import namedtuple
+from typing import TYPE_CHECKING, Callable
 
 from .conjugacy import (
     ClassData,
@@ -50,17 +51,16 @@ __all__ = ["BurnsideResult", "burnside_dims", "orbit_count_dims"]
 _AUTO_NAIVE_MAX_ORDER = 300
 
 
-class BurnsideResult(NamedTuple):
-    group_name: str
-    order: int
-    d1: int
-    d2: int
-    dim_full: int
-    dim_ker: int
-    ker_d1: int
-    ker_d2: int
-    mode: str
-    num_classes: int
+class BurnsideResult(
+    namedtuple(
+        "BurnsideResult",
+        "group_name order d1 d2 dim_full dim_ker ker_d1 ker_d2 mode num_classes",
+    )
+):
+    """Both dimensions of one group by pair averaging: group_name and mode
+    ("naive" or "class") are strs, every other field an int."""
+
+    __slots__ = ()
 
 
 def _half(what: str, total: int) -> int:

@@ -12,10 +12,13 @@ Module layout: this module parses every command line (`_scan`,
 module that `_ROUTE_MODULES` names and is imported when it runs.  `table`,
 `classes` and `chartab`, and the help and usage text, live in `commands`,
 which the dispatch table `_COMMANDS` names; it is loaded only for those
-commands, -h and a usage error.  So a process compiles the code of its own
-command and route alone, and a class-level route (class-mode burnside,
-chars, `classes`, and `chartab` on normal-form atoms) never loads the table
-layer `group_core`.
+commands, -h and a usage error.  `conjugacy` is imported by the routes that
+read class data, when they run, and each atom family's module by the first
+layer that meets the atom (`normal_form.family`).  So a process compiles the
+code of its own command, route and families alone: the closed form loads no
+class code, and a class-level route (class-mode burnside, chars, `classes`,
+and `chartab` on normal-form atoms) never loads the table layer
+`group_core`.
 
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
@@ -48,9 +51,8 @@ import time
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
-from .conjugacy import compute_classes, d1_class_formula, z2_orbit_count
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, group_order
+from .normal_form import ResourceLimitError, family, group_order
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 if TYPE_CHECKING:
@@ -120,6 +122,7 @@ def _closed(expr: GroupExpr, max_order, classes_of):
 
 def _chars(expr: GroupExpr, max_order, classes_of):
     from .characters import d2_char_formula
+    from .conjugacy import d1_class_formula, z2_orbit_count
 
     cd, d2 = d2_char_formula(expr)
     d1 = d1_class_formula(cd)
@@ -178,6 +181,13 @@ def _load(name: str):
     return sys.modules[module]
 
 
+def _load_families(expr: GroupExpr) -> None:
+    """Import the family module of each atom of `expr`, which every route but
+    the closed form reads, so that its loading is not timed as a route's work."""
+    for atom in expr.atoms:
+        family(atom.kind)
+
+
 def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | GroupExpr:
     """The table group of `expr`, or `expr` itself when its order exceeds
     `max_order` or its table would exceed the entries budget.  The routes refuse
@@ -199,18 +209,22 @@ def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> 
     `classes_of(table)` gives the class data that class-mode burnside and an
     enumeration route's report need; verify passes a memo of `compute_classes`
     so its table's classes are found once.  Class data never feeds an
-    enumerated dimension.  The clock starts once the route's module is loaded."""
+    enumerated dimension.  The clock starts once the modules the route runs
+    are loaded: its own, and for every route but the closed form `conjugacy`
+    and the expression's families."""
     _load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
+    if name != "closed":
+        conjugacy = _load("conjugacy")
+        _load_families(expr)
     t0 = time.perf_counter()
-    classes_of = classes_of or compute_classes
     if name in ("closed", "chars"):
         group = expr
     elif group is None:
         group = expr if name == "burnside" else _table_within(expr, max_order)
     order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order, classes_of)
     if classes is None:
-        cd = classes_of(group)
-        classes, z2 = cd.num_classes, z2_orbit_count(cd)
+        cd = (classes_of or conjugacy.compute_classes)(group)
+        classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
     return DimensionReport(
         group=expr_to_string(expr),
         order=order,
@@ -260,11 +274,13 @@ def _cmd_compute(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .closed_forms import SphericalMatchError
+    from .conjugacy import compute_classes
 
     expr = parse_group_expr(args.expr)
     max_order = _max_order(args)
     for name in _ROUTES:
         _load(_ROUTE_MODULES[name])
+    _load_families(expr)
     group = _table_within(expr, max_order)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]

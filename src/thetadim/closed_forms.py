@@ -11,8 +11,8 @@ instead of rounding away.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from math import gcd
-from typing import NamedTuple
 
 from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
 
@@ -52,12 +52,7 @@ def p2(n: int) -> int:
     return 1 + n // 2
 
 
-class _SpecFields(NamedTuple):
-    case: str
-    m: int = 1
-    n: int = 0
-    p: int = 0
-    k: int = 0
+_SpecFields = namedtuple("_SpecFields", "case m n p k", defaults=(1, 0, 0, 0))
 
 
 class SphericalSpec(_SpecFields):
@@ -65,7 +60,8 @@ class SphericalSpec(_SpecFields):
 
     Cases: (a) cyclic of order n; (b) Z_m x Dstar(p); (c) Z_m x Dprime(k,p);
     (d) Z_m x Tstar; (e) Z_m x Tprime(k), k >= 2; (f) Z_m x Ostar;
-    (g) Z_m x Istar.  Unused parameters stay at their defaults.  Parameters
+    (g) Z_m x Istar.  `case` is the tag and m, n, p, k are ints; unused
+    parameters stay at their defaults.  Parameters
     are checked whenever a spec is built, `_replace` included, so an invalid
     spec never exists.
     """

@@ -11,8 +11,9 @@ counts of the classes or their real character sums.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, parse_group_expr
 from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order
@@ -42,7 +43,11 @@ __all__ = [
 CLASS_DATA_MAX_ORDER = 10**7
 
 
-class ClassData(NamedTuple):
+class ClassData(
+    namedtuple(
+        "ClassData", "order representatives sizes square_class cube_class inverse_class"
+    )
+):
     """Conjugacy structure of a finite group.
 
     Classes are numbered by their smallest contained element, in increasing
@@ -50,15 +55,11 @@ class ClassData(NamedTuple):
     class of g^2 for g in class c, and similarly for cubes and inverses; these
     maps are well defined because power maps commute with conjugation.
     Every list has one entry per class; the group's `label` names a
-    representative when one is printed.
+    representative when one is printed.  `order` is an int and every other
+    field a list[int].
     """
 
-    order: int
-    representatives: list[int]
-    sizes: list[int]
-    square_class: list[int]
-    cube_class: list[int]
-    inverse_class: list[int]
+    __slots__ = ()
 
     @property
     def num_classes(self) -> int:

@@ -16,7 +16,7 @@ row.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .group_core import TABLE_MAX_ENTRIES, FiniteGroup, ResourceLimitError
 
@@ -31,16 +31,18 @@ __all__ = [
 DEFAULT_MAX_COSETS = 10**5
 
 
-class Presentation(NamedTuple):
-    generators: tuple[str, ...]
-    relators: tuple[tuple[int, ...], ...]  # sequences of column indices
-    text: str
+class Presentation(namedtuple("Presentation", "generators relators text")):
+    """The generator names (tuple[str, ...]) and relators (tuple of column-index
+    sequences, tuple[tuple[int, ...], ...]) of a presentation's text (str)."""
+
+    __slots__ = ()
 
 
-class CosetTable(NamedTuple):
-    presentation: Presentation
-    size: int
-    action: list[list[int]]  # action[coset][column], columns 2g / 2g+1 = gen / inverse
+class CosetTable(namedtuple("CosetTable", "presentation size action")):
+    """`size` (int) cosets of a Presentation, with action[coset][column]
+    (list[list[int]]); columns 2g and 2g+1 are generator g and its inverse."""
+
+    __slots__ = ()
 
 
 def _invert_word(word: list[int]) -> list[int]:

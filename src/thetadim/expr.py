@@ -8,7 +8,7 @@ whitespace; printing always produces the canonical spaceless form, and
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "Atom",
@@ -40,9 +40,11 @@ class ExprSyntaxError(ValueError):
         self.offset = offset
 
 
-class Atom(NamedTuple):
-    kind: str
-    params: tuple[int, ...] = ()
+class Atom(namedtuple("Atom", "kind params", defaults=((),))):
+    """One factor: kind (str), a canonical family name, and params
+    (tuple[int, ...]), its integer parameters."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.params:
@@ -50,8 +52,10 @@ class Atom(NamedTuple):
         return self.kind
 
 
-class GroupExpr(NamedTuple):
-    atoms: tuple[Atom, ...]
+class GroupExpr(namedtuple("GroupExpr", "atoms")):
+    """A product of atoms: atoms (tuple[Atom, ...]), in factor order."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         return expr_to_string(self)

@@ -1,14 +1,17 @@
 """Finite groups as dense multiplication tables: the table layer.
 
 Elements are integers 0..order-1 and 0 is always the identity.  The layer is
-split in two modules.  `normal_form` holds what class-level work needs: the
-`NormalForm` product rules of the cyclic, binary dihedral, split metacyclic
-and twisted quaternion-tower families, `product_rule`, `atom_group`,
-`group_order` and `ResourceLimitError`; it imports neither `array` nor this
-module.  This module holds the tables: `FiniteGroup`, the `*_group` builders,
-`construct_family`, `direct_product` and `group_from_expr`, and re-exports
-the normal-form names it uses.  Only a route that builds a table, or a
-binary polyhedral atom, loads it.
+split in two.  `normal_form` holds what class-level work needs: `NormalForm`,
+`product_rule`, `atom_group`, `group_order`, `ResourceLimitError` and the
+kind -> module table of the family modules (`family_z`, `family_dstar`,
+`family_dprime`, `family_tprime`, `family_polyhedral`), which hold each
+family's rule; it imports neither `array` nor this module.  This module
+holds the tables: `FiniteGroup`, the `*_group` builders, `construct_family`,
+`direct_product` and `group_from_expr`, and re-exports the normal-form names
+it uses.  A builder looks its family's rule up through `atom_group` when it
+runs, and no family module is imported here, so a process compiles only the
+families its expression names.  Only a route that builds a table, or a
+binary polyhedral atom, loads this module.
 
 The three exceptional binary polyhedral groups (order at most 120) are built
 solely by coset enumeration from their two-generator presentations.
@@ -27,16 +30,7 @@ from array import array
 from functools import cache, reduce
 
 from .expr import Atom, GroupExpr, parse_group_expr
-from .normal_form import (
-    NormalForm,
-    ResourceLimitError,
-    atom_group,
-    binary_dihedral_rule,
-    cyclic_rule,
-    dprime_rule,
-    product_rule,
-    tprime_rule,
-)
+from .normal_form import NormalForm, ResourceLimitError, atom_group, product_rule
 
 __all__ = [
     "FiniteGroup",
@@ -45,19 +39,15 @@ __all__ = [
     "TABLE_MAX_ENTRIES",
     "atom_group",
     "binary_dihedral_group",
-    "binary_dihedral_rule",
     "construct_family",
     "cyclic_group",
-    "cyclic_rule",
     "direct_product",
     "dprime_group",
-    "dprime_rule",
     "group_from_expr",
     "istar_group",
     "ostar_group",
     "product_rule",
     "tprime_group",
-    "tprime_rule",
     "tstar_group",
 ]
 
@@ -210,19 +200,19 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    return _tabulate(cyclic_rule(n))
+    return _tabulate(atom_group(Atom("Z", (n,))))
 
 
 def binary_dihedral_group(p: int) -> FiniteGroup:
-    return _tabulate(binary_dihedral_rule(p))
+    return _tabulate(atom_group(Atom("Dstar", (p,))))
 
 
 def dprime_group(k: int, p: int) -> FiniteGroup:
-    return _tabulate(dprime_rule(k, p))
+    return _tabulate(atom_group(Atom("Dprime", (k, p))))
 
 
 def tprime_group(k: int) -> FiniteGroup:
-    return _tabulate(tprime_rule(k))
+    return _tabulate(atom_group(Atom("Tprime", (k,))))
 
 
 @cache

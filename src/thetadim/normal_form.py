@@ -1,26 +1,37 @@
 """Groups as normal-form product rules: the class-level model of a group expression.
 
 The cyclic, binary dihedral, split metacyclic and twisted quaternion-tower
-families are each written once as a `NormalForm` product rule on their
-element indices: elements are integers 0..order-1, 0 is the identity, and
-`mul`, `inv` and `label` are plain functions of indices, so class-level work
-costs O(order) products.  `product_rule` composes two groups of either kind,
-a rule or a multiplication table, so an expression's atoms fold into one
-rule.  `atom_group` gives each atom its cheapest exact model: its rule, or,
-for the three binary polyhedral atoms, which have no normal form, their
+families each have a `NormalForm` product rule on their element indices:
+elements are integers 0..order-1, 0 is the identity, and `mul`, `inv` and
+`label` are plain functions of indices, so class-level work costs O(order)
+products.  `product_rule` composes two groups of either kind, a rule or a
+multiplication table, so an expression's atoms fold into one rule.
+`atom_group` gives each atom its cheapest exact model: its rule, or, for the
+three binary polyhedral atoms, which have no normal form, their
 coset-enumerated table.  `group_order` reads an expression's order off its
 atoms without building anything.
+
+Everything specific to one family lives in that family's module, named for
+its kind in `_FAMILY_MODULES`: `family_z`, `family_dstar`, `family_dprime`,
+`family_tprime` and `family_polyhedral`.  Each holds the family's model
+(`model(atom)`, its rule or table), its characters (`rows_and_sums(atom,
+group)`) and its closed-form class count (`class_count(atom)`), so the
+coordinates a rule gives its elements are read in the same module that
+writes them.  `family(kind)` imports a family's module when it is first
+used, so a process compiles only the families its expression names.
 
 At run time this module imports neither `array` nor `group_core`, so a
 process that works on class data alone compiles no table code.
 `group_core` turns a rule into a table (`_tabulate`), and `atom_group`
-imports it only for a binary polyhedral atom.  `ResourceLimitError`, the one
+reaches it only for a binary polyhedral atom.  `ResourceLimitError`, the one
 budget error of every layer, is defined here for the same reason.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple
+import sys
+from collections import namedtuple
+from typing import TYPE_CHECKING
 
 from .expr import Atom, GroupExpr, parse_group_expr
 
@@ -31,12 +42,9 @@ __all__ = [
     "NormalForm",
     "ResourceLimitError",
     "atom_group",
-    "binary_dihedral_rule",
-    "cyclic_rule",
-    "dprime_rule",
+    "family",
     "group_order",
     "product_rule",
-    "tprime_rule",
 ]
 
 
@@ -44,161 +52,25 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured size budget."""
 
 
-
-class NormalForm(NamedTuple):
+class NormalForm(
+    namedtuple(
+        "NormalForm", "order mul inv label generators family_tag factors", defaults=((),)
+    )
+):
     """A group given by a product rule on normal-form element indices.
 
     Elements are 0..order-1 with 0 the identity, numbered exactly as in the
     multiplication table the rule fills (`_tabulate`).  `mul`, `inv` and
     `label` are plain functions of element indices, so class-level work costs
     O(order) products instead of the order^2 entries of a table.
+
+    Fields: order (int), mul ((int, int) -> int), inv (int -> int), label
+    (int -> str), generators (list[int]), family_tag (str), and factors,
+    (g1, g2) for a rule made by product_rule, whose table is filled from
+    theirs, else ().
     """
 
-    order: int
-    mul: Callable[[int, int], int]
-    inv: Callable[[int], int]
-    label: Callable[[int], str]
-    generators: list[int]
-    family_tag: str
-    # (g1, g2) for a rule made by product_rule, whose table is filled from theirs
-    factors: tuple = ()
-
-
-def cyclic_rule(n: int) -> NormalForm:
-    """Z(n): g^k has index k."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}.")
-    return NormalForm(
-        order=n,
-        mul=lambda i, j: (i + j) % n,
-        inv=lambda i: -i % n,
-        label=lambda k: "e" if k == 0 else ("g" if k == 1 else f"g^{k}"),
-        generators=[1] if n > 1 else [],
-        family_tag=f"Z({n})",
-    )
-
-
-def binary_dihedral_rule(p: int) -> NormalForm:
-    """Order 4p group with a of order 2p, x^2 = a^p, and x a x^-1 = a^-1.
-
-    a^k x^l has index k + 2p*l.
-    """
-    if p < 1:
-        raise ValueError(f"p must be positive, got {p}.")
-    two_p = 2 * p
-
-    def mul(i: int, j: int) -> int:
-        l1, k1 = divmod(i, two_p)
-        l2, k2 = divmod(j, two_p)
-        if not l1:
-            return (k1 + k2) % two_p + two_p * l2
-        if not l2:
-            return (k1 - k2) % two_p + two_p
-        return (k1 - k2 + p) % two_p
-
-    def inv(i: int) -> int:
-        l, k = divmod(i, two_p)
-        return (k + p) % two_p + two_p if l else -k % two_p
-
-    def label(i: int) -> str:
-        l, k = divmod(i, two_p)
-        if l == 0:
-            return "e" if k == 0 else ("a" if k == 1 else f"a^{k}")
-        return "x" if k == 0 else ("a*x" if k == 1 else f"a^{k}*x")
-
-    return NormalForm(4 * p, mul, inv, label, [1, two_p], f"Dstar({p})")
-
-
-def dprime_rule(k: int, p: int) -> NormalForm:
-    """Order 2^(k+2) * p group with x of 2-power order inverting y of order p.
-
-    x^a y^b has index a*p + b.
-    """
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}.")
-    if p < 3 or p % 2 == 0:
-        raise ValueError(f"p must be odd and at least 3, got {p}.")
-    big_n = 2 ** (k + 2)
-
-    def mul(i: int, j: int) -> int:
-        n1, l1 = divmod(i, p)
-        n2, l2 = divmod(j, p)
-        if n2 % 2:
-            l1 = -l1
-        return (n1 + n2) % big_n * p + (l1 + l2) % p
-
-    def inv(i: int) -> int:
-        nx, l = divmod(i, p)
-        return -nx % big_n * p + (l if nx % 2 else -l) % p
-
-    def label(i: int) -> str:
-        nx, l = divmod(i, p)
-        xs = "" if nx == 0 else ("x" if nx == 1 else f"x^{nx}")
-        ys = "" if l == 0 else ("y" if l == 1 else f"y^{l}")
-        return f"{xs}*{ys}" if xs and ys else (xs or ys or "e")
-
-    return NormalForm(big_n * p, mul, inv, label, [p, 1], f"Dprime({k},{p})")
-
-
-# Unit group of the quaternions, indexed 0..7 in the order
-# e, x, y, x^2, x*y, y*x, x^3, y^3, which is 1, i, j, -1, k, -k, -i, -j.
-_QUNITS = [(1, 0), (1, 1), (1, 2), (-1, 0), (1, 3), (-1, 3), (-1, 1), (-1, 2)]
-_QINDEX = {unit: w for w, unit in enumerate(_QUNITS)}
-_QLABELS = ["e", "x", "y", "x^2", "x*y", "y*x", "x^3", "y^3"]
-
-# basis products for axes (1, i, j, k)
-_QBASIS = [[None] * 4 for _ in range(4)]
-for _a in range(4):
-    _QBASIS[0][_a] = (1, _a)
-    _QBASIS[_a][0] = (1, _a)
-for _a, _b, _c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
-    _QBASIS[_a][_a] = (-1, 0)
-    _QBASIS[_a][_b] = (1, _c)
-    _QBASIS[_b][_a] = (-1, _c)
-
-
-def _qmul(u: int, v: int) -> int:
-    su, au = _QUNITS[u]
-    sv, av = _QUNITS[v]
-    sb, ab = _QBASIS[au][av]
-    return _QINDEX[(su * sv * sb, ab)]
-
-
-_QMUL = [[_qmul(u, v) for v in range(8)] for u in range(8)]
-
-_QINV = [row.index(0) for row in _QMUL]
-
-# the order-3 automorphism x -> y -> x*y -> x induced by conjugation by z
-_QSIGMA = [0, 2, 4, 3, 1, 6, 7, 5]
-_QSIGMA_POWERS = [list(range(8)), _QSIGMA, [_QSIGMA[w] for w in _QSIGMA]]
-
-
-def tprime_rule(k: int) -> NormalForm:
-    """Order 8*3^k group: quaternion units extended by z of order 3^k acting by _QSIGMA.
-
-    (unit w)*z^l has index w + 8*l.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}.")
-    three_k = 3**k
-
-    def mul(i: int, j: int) -> int:
-        l1, w1 = divmod(i, 8)
-        l2, w2 = divmod(j, 8)
-        return _QMUL[w1][_QSIGMA_POWERS[l1 % 3][w2]] + 8 * ((l1 + l2) % three_k)
-
-    def inv(i: int) -> int:
-        l, w = divmod(i, 8)
-        return _QSIGMA_POWERS[-l % 3][_QINV[w]] + 8 * (-l % three_k)
-
-    def label(i: int) -> str:
-        l, w = divmod(i, 8)
-        if l == 0:
-            return _QLABELS[w]
-        zs = "z" if l == 1 else f"z^{l}"
-        return zs if w == 0 else f"{_QLABELS[w]}*{zs}"
-
-    return NormalForm(8 * three_k, mul, inv, label, [1, 8], f"Tprime({k})")
+    __slots__ = ()
 
 
 def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> NormalForm:
@@ -230,14 +102,29 @@ def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> 
     )
 
 
-
-_RULES = {
-    "Z": cyclic_rule,
-    "Dstar": binary_dihedral_rule,
-    "Dprime": dprime_rule,
-    "Tprime": tprime_rule,
+# the module that holds each kind's rule, characters and class count
+_FAMILY_MODULES = {
+    "Z": "family_z",
+    "Dstar": "family_dstar",
+    "Dprime": "family_dprime",
+    "Tprime": "family_tprime",
+    "Tstar": "family_polyhedral",
+    "Ostar": "family_polyhedral",
+    "Istar": "family_polyhedral",
 }
 _POLYHEDRAL_ORDERS = {"Tstar": 24, "Ostar": 48, "Istar": 120}
+
+
+def family(kind: str):
+    """The module of family `kind`, imported on first use.  The import goes
+    through `__import__`, as an import statement's does, so that
+    `python -X importtime` lists it."""
+    name = _FAMILY_MODULES.get(kind)
+    if name is None:
+        raise ValueError(f"unknown family {kind!r}")
+    module = f"{__package__}.{name}"
+    __import__(module)
+    return sys.modules[module]
 
 
 def atom_group(atom: Atom) -> NormalForm | FiniteGroup:
@@ -247,12 +134,7 @@ def atom_group(atom: Atom) -> NormalForm | FiniteGroup:
     binary polyhedral atoms give their coset-enumerated table, the only
     case that loads the table layer.
     """
-    rule = _RULES.get(atom.kind)
-    if rule is not None:
-        return rule(*atom.params)
-    from .group_core import construct_family
-
-    return construct_family(atom)
+    return family(atom.kind).model(atom)
 
 
 def group_order(group: NormalForm | FiniteGroup | GroupExpr | str) -> int:
@@ -268,8 +150,6 @@ def group_order(group: NormalForm | FiniteGroup | GroupExpr | str) -> int:
     for atom in group.atoms:
         if atom.kind in _POLYHEDRAL_ORDERS:
             order *= _POLYHEDRAL_ORDERS[atom.kind]
-        elif atom.kind in _RULES:
-            order *= _RULES[atom.kind](*atom.params).order
         else:
-            raise ValueError(f"unknown family {atom.kind!r}")
+            order *= family(atom.kind).model(atom).order
     return order

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 __all__ = [
     "CSV_HEADER",
@@ -16,18 +16,17 @@ __all__ = [
 CSV_HEADER = "param,dim_Cpi,dim_ker_eps,method"
 
 
-class DimensionReport(NamedTuple):
-    group: str
-    order: int
-    num_classes: int
-    # the two pair averages, exact integers; None on routes that do not give them
-    d1: int | None
-    d2: int | None
-    dim_cpi: int
-    dim_ker_eps: int
-    dim_classhat_z2: int
-    method: str
-    millis: float
+class DimensionReport(
+    namedtuple(
+        "DimensionReport",
+        "group order num_classes d1 d2 dim_cpi dim_ker_eps dim_classhat_z2 method millis",
+    )
+):
+    """One route's answer: group and method are strs and millis a float; d1
+    and d2, the two pair averages, are ints or None on routes that do not give
+    them, and every other field is an int."""
+
+    __slots__ = ()
 
 
 def to_json_dict(report: DimensionReport) -> dict:

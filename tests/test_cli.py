@@ -18,6 +18,8 @@ import thetadim.commands as commands
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
+import thetadim.family_polyhedral as family_polyhedral
+import thetadim.family_tprime as family_tprime
 from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
@@ -291,13 +293,14 @@ def test_verify_shares_a_table_whenever_it_fits_the_entries_budget(
 def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
     # orbits and diagrams read the class count and z2 off one computation
     calls = []
-    real = cli.compute_classes
+    real = conjugacy.compute_classes
 
     def counting(group):
         calls.append(group.order)
         return real(group)
 
-    monkeypatch.setattr(cli, "compute_classes", counting)
+    # cli imports compute_classes from conjugacy when verify runs
+    monkeypatch.setattr(conjugacy, "compute_classes", counting)
     rc, out, _ = run(capsys, "verify", "Dstar(6)")
     assert rc == 0
     assert "agree: dim 30, kernel 21 (5 methods)" in out
@@ -309,7 +312,7 @@ def test_verify_finds_a_class_mode_tables_classes_once(capsys, monkeypatch):
     # memo that orbits and diagrams read; the chars route's own call on the
     # Z(1000) rule stays
     calls = []
-    for module in (cli, burnside, characters):
+    for module in (conjugacy, burnside, characters):
 
         def counting(group, real=module.compute_classes):
             calls.append(type(group).__name__)
@@ -465,15 +468,16 @@ def test_chars_route_builds_no_full_character_table(capsys, monkeypatch):
         assert (data["dim_Cpi"], data["dim_ker_eps"]) == want, expr
 
 
-def _doctored(monkeypatch, builder: str, edit):
-    """Replace a family so that its integer sums pass through `edit`."""
-    original = getattr(characters, builder)
+def _doctored(monkeypatch, module: str, edit):
+    """Replace a family's characters so that its integer sums pass through `edit`."""
+    family = importlib.import_module(f"thetadim.{module}")
+    original = family.rows_and_sums
 
-    def family(*params):
-        rows, sums = original(*params)
+    def rows_and_sums(atom, group):
+        rows, sums = original(atom, group)
         return rows, lambda cd: edit(*sums(cd))
 
-    monkeypatch.setattr(characters, builder, family)
+    monkeypatch.setattr(family, "rows_and_sums", rows_and_sums)
 
 
 def _drop_a_row(pairs, count):
@@ -497,19 +501,19 @@ def _raise_both(pairs, count):
 
 
 @pytest.mark.parametrize(
-    "builder,edit,expr,check",
+    "module,edit,expr,check",
     [
-        ("_binary_dihedral", _drop_a_row, "Dstar(4)", "self-inverse classes"),
-        ("_binary_dihedral", _shift_one_to_plus, "Dstar(4)", "Frobenius-Schur count"),
-        ("_tprime", _shift_one_to_plus, "Tprime(2)", "Frobenius-Schur count"),
-        ("_polyhedral", _shift_one_to_plus, "Istar", "Frobenius-Schur count"),
-        ("_cyclic", _add_a_row, "Z(5)", "self-inverse classes"),
-        ("_dprime", _raise_both, "Dprime(1,5)", "norm"),
+        ("family_dstar", _drop_a_row, "Dstar(4)", "self-inverse classes"),
+        ("family_dstar", _shift_one_to_plus, "Dstar(4)", "Frobenius-Schur count"),
+        ("family_tprime", _shift_one_to_plus, "Tprime(2)", "Frobenius-Schur count"),
+        ("family_polyhedral", _shift_one_to_plus, "Istar", "Frobenius-Schur count"),
+        ("family_z", _add_a_row, "Z(5)", "self-inverse classes"),
+        ("family_dprime", _raise_both, "Dprime(1,5)", "norm"),
     ],
     ids=["drop-row", "flip-nu-dstar", "flip-nu-tprime", "flip-nu-istar", "non-real-row", "norm-dprime"],
 )
-def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edit, expr, check):
-    _doctored(monkeypatch, builder, edit)
+def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, module, edit, expr, check):
+    _doctored(monkeypatch, module, edit)
     rc, out, err = run(capsys, "compute", expr, "--method", "chars")
     assert (rc, out) == (cli.EXIT_INTERNAL, "")
     lines = err.splitlines()
@@ -521,12 +525,12 @@ def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, builder, edi
 
 
 def _doctor_tprime(monkeypatch):
-    monkeypatch.setattr(characters, "_TPRIME_SIZES", [1, 1, 6, 4, 4, 4, 3])
+    monkeypatch.setattr(family_tprime, "_TPRIME_SIZES", [1, 1, 6, 4, 4, 4, 3])
 
 
 def _doctor_istar(monkeypatch):
-    layout = dict(characters._POLYHEDRAL["Istar"], sizes=[1, 1, 30, 20, 20, 12, 12, 12, 11])
-    monkeypatch.setitem(characters._POLYHEDRAL, "Istar", layout)
+    layout = dict(family_polyhedral._POLYHEDRAL["Istar"], sizes=[1, 1, 30, 20, 20, 12, 12, 12, 11])
+    monkeypatch.setitem(family_polyhedral._POLYHEDRAL, "Istar", layout)
 
 
 @pytest.mark.parametrize("command", [["compute", "--method", "chars"], ["chartab"], ["verify"]])

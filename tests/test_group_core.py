@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import catalogs
+import thetadim.family_z as family_z
 import thetadim.group_core as group_core
-import thetadim.normal_form as normal_form
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
 from oracles import (
     check_associativity,
@@ -29,10 +29,8 @@ from thetadim.group_core import (
     ResourceLimitError,
     atom_group,
     binary_dihedral_group,
-    binary_dihedral_rule,
     construct_family,
     cyclic_group,
-    cyclic_rule,
     direct_product,
     dprime_group,
     group_from_expr,
@@ -42,6 +40,8 @@ from thetadim.group_core import (
     tprime_group,
     tstar_group,
 )
+from thetadim.family_dstar import binary_dihedral_rule
+from thetadim.family_z import cyclic_rule
 from thetadim.normal_form import group_order
 
 AXIOM_CATALOG = [
@@ -339,13 +339,15 @@ def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
     def no_products(i, j):
         raise AssertionError("a product was taken")
 
-    real_rule = group_core.cyclic_rule
+    real_rule = family_z.cyclic_rule
 
     def productless_rule(n):
         return real_rule(n)._replace(mul=no_products)
 
-    monkeypatch.setattr(group_core, "cyclic_rule", productless_rule)
-    monkeypatch.setitem(normal_form._RULES, "Z", productless_rule)
+    # the table builders and atom_group both reach the rule through family_z
+    monkeypatch.setattr(family_z, "cyclic_rule", productless_rule)
+    with pytest.raises(AssertionError, match="a product was taken"):
+        group_from_expr("Z(5)")
     # a single atom is held to the same budget as a product of the same order
     with pytest.raises(ResourceLimitError) as err:
         group_from_expr("Z(1001)")

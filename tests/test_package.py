@@ -253,6 +253,24 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     for argv in table_level:
         assert "thetadim.group_core" in _loaded_after_start(_cli_call(*argv)), argv
 
+    # the closed form needs no class data: closed, and auto before any fallback
+    for argv in [("compute", "--method", "closed", "Z(12)"), ("compute", "Dstar(3)")]:
+        assert "thetadim.conjugacy" not in _loaded_after_start(_cli_call(*argv)), argv
+
+    # a process compiles only the family modules its expression names
+    family_calls = {
+        ("compute", "--method", "chars", "Z(12)"): {"family_z"},
+        ("compute", "--method", "burnside", "Z(2000)"): {"family_z"},
+        ("compute", "--method", "chars", "Z(7) x Istar"): {"family_z", "family_polyhedral"},
+        ("verify", "Dstar(3)"): {"family_dstar"},
+        ("chartab", "Dstar(3)"): {"family_dstar"},
+    }
+    for argv, families in family_calls.items():
+        loaded = _loaded_after_start(_cli_call(*argv))
+        assert {m for m in loaded if m.startswith("thetadim.family_")} == {
+            f"thetadim.{m}" for m in families
+        }, argv
+
 
 def test_lazy_exports_resolve_to_the_submodule_objects():
     import thetadim.burnside
@@ -315,6 +333,16 @@ def test_every_lazily_named_module_and_handler_resolves():
         importlib.import_module(f"thetadim.{module}")
     for command in cli._COMMANDS:
         assert callable(cli._handler(command)), command
+    # each family module, looked up by kind when its atom is first met
+    import thetadim.expr as expr
+    import thetadim.normal_form as normal_form
+
+    assert set(normal_form._FAMILY_MODULES) == set(expr._ATOM_ARITY)
+    for kind, module in normal_form._FAMILY_MODULES.items():
+        family = normal_form.family(kind)
+        assert family is importlib.import_module(f"thetadim.{module}"), kind
+        for name in ("model", "class_count", "rows_and_sums"):
+            assert callable(getattr(family, name, None)), (module, name)
 
     env = _child_env(PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
