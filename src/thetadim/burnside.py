@@ -31,6 +31,7 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Callable
 
 from .conjugacy import (
+    CLASS_DATA_MAX_ORDER,
     ClassData,
     class_data_for,
     compute_classes,
@@ -84,9 +85,7 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
     Burnside's lemma for conjugation the classes number sum_u pl[u][u] / |G|.
     """
     n = group.order
-    mul = group._mul
-    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
-    inv = group.inverses
+    rows, inv = group.rows, group.inverses
     pl = [[0] * n for _ in range(n)]
     tw = [[0] * n for _ in range(n)]
     for u in range(n):
@@ -136,6 +135,26 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
     )
 
 
+def _other_routes(group: FiniteGroup | GroupExpr, n: int) -> str:
+    """The end of a refusal: the routes that answer `group` without its pairs.
+
+    The character route is named within the class-data cap, and the closed
+    form for an expression it accepts; a table gets no hint.  The closed form
+    is imported here, so a route that answers loads none of it.
+    """
+    if not isinstance(group, GroupExpr):
+        return ""
+    from .closed_forms import SphericalMatchError, spec_from_expr
+
+    routes = ["character"] if n <= CLASS_DATA_MAX_ORDER else []
+    try:
+        spec_from_expr(group)
+        routes.append("closed-form")
+    except SphericalMatchError:
+        pass
+    return f"; use the {' or '.join(routes)} route instead" if routes else ""
+
+
 def _as_group(group: FiniteGroup | GroupExpr | str) -> FiniteGroup:
     """The table of `group`: itself, or the one its expression names."""
     if not isinstance(group, (GroupExpr, str)):
@@ -166,8 +185,8 @@ def burnside_dims(
     n = group_order(group)
     if max_order is not None and n > max_order:
         raise ResourceLimitError(
-            f"order {n} exceeds the pair-counting budget {max_order}; "
-            "use the character or closed-form route instead"
+            f"order {n} exceeds the pair-counting budget {max_order}"
+            + _other_routes(group, n)
         )
     name = expr_to_string(group) if isinstance(group, GroupExpr) else group.family_tag
     if mode == "auto":
@@ -182,8 +201,8 @@ def burnside_dims(
         else:
             try:
                 cd = class_data_for(group)
-            except ResourceLimitError as exc:  # the chars route has the same cap
-                raise ResourceLimitError(f"{exc}; use the closed-form route instead") from None
+            except ResourceLimitError as exc:
+                raise ResourceLimitError(f"{exc}{_other_routes(group, n)}") from None
         plain_sum, plain_ker = plain_trace_sums(cd)
         twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
         num_classes = cd.num_classes
@@ -268,9 +287,7 @@ def orbit_count_dims(
             f"order {n} exceeds the orbit-enumeration budget {max_order}"
         )
     group = _as_group(group)
-    mul = group._mul
-    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
-    inv = list(group.inverses)
+    rows, inv = group.rows, group.inverses
     identity = list(range(n))
     perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
     # a central generator conjugates trivially, so its move is no move at all

@@ -22,7 +22,6 @@ from .cli import (
     _max_order,
     _run,
 )
-from .conjugacy import class_data_for
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .normal_form import ResourceLimitError, atom_group, product_rule
 from .report import CSV_HEADER
@@ -74,6 +73,8 @@ def _class_label(expr: GroupExpr):
 
 
 def classes(args) -> int:
+    from .conjugacy import class_data_for
+
     expr = parse_group_expr(args.expr)
     cd = class_data_for(expr)
     print(

@@ -317,7 +317,8 @@ def group_from_coset_table(
     elements.  Multiplication columns are grown along a breadth-first search:
     if element j is reached from element j' by one generator column c, then
     mul(-, j) is mul(-, j') followed by c.  The table is held to
-    TABLE_MAX_ENTRIES before any column is grown.
+    TABLE_MAX_ENTRIES before any column is grown; its rows are the columns
+    transposed, and each element is labelled by the word that reached it.
     """
     n = ct.size
     ncols = 2 * len(ct.presentation.generators)
@@ -352,13 +353,10 @@ def group_from_coset_table(
         raise AssertionError("coset action is not transitive")
 
     # row x of the table is entry x of every column
-    flat: list[int] = []
-    for row in zip(*columns):
-        flat += row
-
-    labels = [_word_label(ct.presentation.generators, words[j]) for j in range(n)]
+    rows = [list(row) for row in zip(*columns)]
+    spelled = [_word_label(ct.presentation.generators, word) for word in words]
     gens = [ct.action[0][2 * g] for g in range(len(ct.presentation.generators))]
-    return FiniteGroup(n, flat, labels=labels, family_tag=family_tag, generators=gens)
+    return FiniteGroup(rows, spelled.__getitem__, family_tag, generators=gens)
 
 
 def _word_label(names: tuple[str, ...], letters: list[tuple[int, int]]) -> str:

@@ -75,9 +75,7 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
         from .group_core import group_from_expr
 
         group = group_from_expr(group)
-    mul = group._mul
-    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
-    inv = list(group.inverses)
+    rows, inv = group.rows, group.inverses
     # moves that act on each label alone, as element permutations: the
     # re-normalised right translation x -> s^-1*x*s by each generator s that
     # is not central (a central one fixes every pair), and inversion

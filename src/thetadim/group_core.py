@@ -1,11 +1,13 @@
-"""Finite groups as dense multiplication tables: the table layer.
+"""Finite groups as the rows of their multiplication tables: the table layer.
 
-Elements are integers 0..order-1 and 0 is always the identity.  The layer is
+Elements are integers 0..order-1 and 0 is always the identity.  A table is
+its rows, `rows[i][j]` the product of i and j: every builder hands
+`FiniteGroup` rows, and the routes that walk a table read them.  The layer is
 split in two.  `normal_form` holds what class-level work needs: `NormalForm`,
 `product_rule`, `atom_group`, `group_order`, `ResourceLimitError` and the
 kind -> module table of the family modules (`family_z`, `family_dstar`,
 `family_dprime`, `family_tprime`, `family_polyhedral`), which hold each
-family's rule; it imports neither `array` nor this module.  This module
+family's rule; it does not import this module.  This module
 holds the tables: `FiniteGroup`, the `*_group` builders, `construct_family`,
 `direct_product` and `group_from_expr`, and re-exports the normal-form names
 it uses.  A builder looks its family's rule up through `atom_group` when it
@@ -26,7 +28,6 @@ bounds them too; they have no other default bound.
 
 from __future__ import annotations
 
-from array import array
 from functools import cache, reduce
 
 from .expr import Atom, GroupExpr, parse_group_expr
@@ -58,73 +59,57 @@ TABLE_MAX_ENTRIES = 10**6
 
 
 class FiniteGroup:
-    """A finite group given by its full multiplication table.
+    """A finite group given by the rows of its multiplication table.
 
-    `mul_table` is row-major: the product of i and j sits at index i*order+j.
+    `rows[i][j]` is the product of i and j, and the order is len(rows).
     Element 0 must be a two-sided identity; inverses are computed and checked
-    at construction time.  `generators` must generate the group: the orbit
-    and diagram walks move along them.
+    at construction time.  `label(i)` names element i.  `generators` must
+    generate the group: the orbit and diagram walks move along them.  Rows
+    may be shared between groups, so nothing writes them.
     """
 
-    __slots__ = ("order", "_mul", "inverses", "labels", "family_tag", "generators")
+    __slots__ = ("rows", "inverses", "label", "family_tag", "generators")
 
-    def __init__(
-        self,
-        order: int,
-        mul_table,
-        labels=None,
-        family_tag: str = "",
-        *,
-        generators,
-    ) -> None:
-        if order < 1:
-            raise ValueError(f"order must be positive, got {order}.")
-        if len(mul_table) != order * order:
-            raise ValueError(
-                f"table has {len(mul_table)} entries, expected {order * order}."
-            )
-        self.order = order
-        self._mul = mul_table if isinstance(mul_table, array) else array("i", mul_table)
-        mul = self._mul
-        identity = array("i", range(order))
-        if mul[:order] != identity or mul[::order] != identity:
+    def __init__(self, rows, label, family_tag: str = "", *, generators) -> None:
+        n = len(rows)
+        if n < 1:
+            raise ValueError("a group has at least one element")
+        if any(len(row) != n for row in rows):
+            raise ValueError(f"the table of {n} rows is not square")
+        identity = list(range(n))
+        if rows[0] != identity or [row[0] for row in rows] != identity:
             raise ValueError("element 0 is not a two-sided identity")
         inv = []
-        for i in range(order):
-            base = i * order
+        for i, row in enumerate(rows):
             try:
-                j = mul.index(0, base, base + order) - base
+                j = row.index(0)
             except ValueError:
                 j = -1
-            if j < 0 or mul[j * order + i] != 0:
+            if j < 0 or rows[j][i] != 0:
                 raise ValueError(f"element {i} has no two-sided inverse")
             inv.append(j)
+        self.rows = rows
         self.inverses = inv
-        if labels is None:
-            labels = [f"g{i}" for i in range(order)]
-        else:
-            labels = list(labels)
-            if len(labels) != order:
-                raise ValueError("label count does not match order")
-        self.labels = labels
+        self.label = label
         self.family_tag = family_tag
         self.generators = list(generators)
 
+    @property
+    def order(self) -> int:
+        return len(self.rows)
+
     def mul(self, i: int, j: int) -> int:
-        return self._mul[i * self.order + j]
+        return self.rows[i][j]
 
     def inv(self, i: int) -> int:
         return self.inverses[i]
 
-    def label(self, i: int) -> str:
-        return self.labels[i]
 
-
-def _atom_products(rule: NormalForm) -> array:
-    """A single atom's table, filled row by row along a breadth-first search
-    over its generators: row(p*s) = row(p) o row(s), since (p*s)*j = p*(s*j).
-    The rule is called for the |S| generator rows only, and each further row
-    is composed from a reached row and a generator row, instead of n^2 rule
+def _atom_products(rule: NormalForm) -> list[list[int]]:
+    """A single atom's rows, filled along a breadth-first search over its
+    generators: row(p*s) = row(p) o row(s), since (p*s)*j = p*(s*j).  The
+    rule is called for the |S| generator rows only, and each further row is
+    composed from a reached row and a generator row, instead of n^2 rule
     calls.  Generators that do not reach every element are refused: the
     table would be partial.
     """
@@ -144,10 +129,7 @@ def _atom_products(rule: NormalForm) -> array:
         raise AssertionError(
             f"{rule.family_tag}: the generators reach {len(reached)} of {n} elements"
         )
-    flat: list[int] = []
-    for row in rows:
-        flat += row
-    return array("i", flat)
+    return rows
 
 
 def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
@@ -156,9 +138,9 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
     A table of more than TABLE_MAX_ENTRIES entries is refused before any
     product is taken; `name` describes the group in the refusal (default: its
     tag).  A single atom's rows are composed from its generators' rows
-    (`_atom_products`), and a product rule's rows are filled from its
-    factors' products, each taken once, so the composed `mul` is never called
-    per entry.  Element numbering and labels are the rule's own either way.
+    (`_atom_products`), and a product rule's rows are joined block by block
+    from its factors' rows, so the composed `mul` is never called per entry.
+    Element numbering and labels are the rule's own either way.
     """
     n = rule.order
     if n * n > TABLE_MAX_ENTRIES:
@@ -167,35 +149,36 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
             f"budget is {TABLE_MAX_ENTRIES}."
         )
 
-    def products(g: NormalForm | FiniteGroup) -> array:
+    def products(g: NormalForm | FiniteGroup) -> list[list[int]]:
         if isinstance(g, FiniteGroup):
-            return g._mul
+            return g.rows
         if not g.factors:
             return _atom_products(g)
         g1, g2 = g.factors
-        n1, n2 = g1.order, g2.order
-        t1, t2 = products(g1), products(g2)
+        rows1, rows2 = products(g1), products(g2)
+        n2 = len(rows2)
         # (i1, i2) * (j1, j2) = (i1*j1, i2*j2) has index (i1*j1)*n2 + i2*j2, so
-        # each row is n1 blocks, and block j1 is row i2 of g2's table shifted
-        # by (i1*j1)*n2: shifted[k][i2], built once and copied as a whole
+        # row (i1, i2) is n1 blocks, and block j1 is row i2 of g2 shifted by
+        # (i1*j1)*n2: shifted[k][i2], built once and joined as a whole.  Shifted
+        # indices are read from one list of them all, so the table holds one
+        # int object per element, not one per entry
+        indices = list(range(len(rows1) * n2))
         shifted = [
-            [array("i", [k * n2 + x for x in t2[i2 * n2 : (i2 + 1) * n2]]) for i2 in range(n2)]
-            for k in range(n1)
+            [[offset[x] for x in row] for row in rows2]
+            for offset in (indices[k : k + n2] for k in range(0, len(indices), n2))
         ]
-        table = array("i")
-        for i1 in range(n1):
-            blocks = [shifted[k] for k in t1[i1 * n1 : (i1 + 1) * n1]]
+        rows = []
+        for row1 in rows1:
+            blocks = [shifted[k] for k in row1]
             for i2 in range(n2):
+                row = []
                 for block in blocks:
-                    table += block[i2]
-        return table
+                    row += block[i2]
+                rows.append(row)
+        return rows
 
     return FiniteGroup(
-        n,
-        products(rule),
-        labels=[rule.label(i) for i in range(n)],
-        family_tag=rule.family_tag,
-        generators=rule.generators,
+        products(rule), rule.label, rule.family_tag, generators=rule.generators
     )
 
 
@@ -216,20 +199,20 @@ def tprime_group(k: int) -> FiniteGroup:
 
 
 @cache
-def _enumerated(b_order: int, expected: int, tag: str) -> tuple[array, list[str], list[int]]:
-    """The table, labels and generators of one coset enumeration, run once per
-    process; the table is shared by every group built from it and never written."""
+def _enumerated(b_order: int, expected: int, tag: str) -> FiniteGroup:
+    """The group of one coset enumeration, run once per process; its rows and
+    label are shared by every group built from it, and nothing writes them."""
     from .coset_enum import group_from_presentation
 
     text = f"<a,b | (a*b)^2 = a^3 = b^{b_order}>"
-    group = group_from_presentation(text, expected_order=expected, family_tag=tag)
-    return group._mul, group.labels, group.generators
+    return group_from_presentation(text, expected_order=expected, family_tag=tag)
 
 
 def _polyhedral(b_order: int, expected: int, tag: str) -> FiniteGroup:
-    # a fresh group on each call: its generators and labels are its own
-    table, labels, generators = _enumerated(b_order, expected, tag)
-    return FiniteGroup(expected, table, labels, tag, generators=generators)
+    # a fresh group on each call: it shares the cached rows and label, and its
+    # generators are its own
+    group = _enumerated(b_order, expected, tag)
+    return FiniteGroup(group.rows, group.label, tag, generators=group.generators)
 
 
 def tstar_group() -> FiniteGroup:

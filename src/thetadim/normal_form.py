@@ -20,7 +20,7 @@ coordinates a rule gives its elements are read in the same module that
 writes them.  `family(kind)` imports a family's module when it is first
 used, so a process compiles only the families its expression names.
 
-At run time this module imports neither `array` nor `group_core`, so a
+At run time this module does not import `group_core`, so a
 process that works on class data alone compiles no table code.
 `group_core` turns a rule into a table (`_tabulate`), and `atom_group`
 reaches it only for a binary polyhedral atom.  `ResourceLimitError`, the one

@@ -21,25 +21,23 @@ def literal_class_of(group: FiniteGroup) -> list[int]:
     """The class of each element, by conjugating every element by every x:
     x g x^-1.  Classes are numbered by their smallest member, in increasing
     order, as in `ClassData`."""
-    n = group.order
-    mul = group._mul
-    inv = group.inverses
+    rows, inv = group.rows, group.inverses
+    n = len(rows)
     class_of = [-1] * n
     c = 0
     for g in range(n):
         if class_of[g] >= 0:
             continue
         for x in range(n):
-            class_of[mul[mul[x * n + g] * n + inv[x]]] = c
+            class_of[rows[rows[x][g]][inv[x]]] = c
         c += 1
     return class_of
 
 
 def literal_classes(group: FiniteGroup) -> ClassData:
     """Class data read off `literal_class_of`."""
-    n = group.order
-    mul = group._mul
-    inv = group.inverses
+    rows, inv = group.rows, group.inverses
+    n = len(rows)
     class_of = literal_class_of(group)
     representatives: list[int] = []
     sizes = [0] * (max(class_of) + 1)
@@ -51,9 +49,9 @@ def literal_classes(group: FiniteGroup) -> ClassData:
     cube_class = []
     inverse_class = []
     for r in representatives:
-        r2 = mul[r * n + r]
+        r2 = rows[r][r]
         square_class.append(class_of[r2])
-        cube_class.append(class_of[mul[r2 * n + r]])
+        cube_class.append(class_of[rows[r2][r]])
         inverse_class.append(class_of[inv[r]])
     return ClassData(
         order=n,
@@ -75,8 +73,8 @@ def pair_class_sums(group: FiniteGroup, cd: ClassData) -> tuple[int, int, int, i
 
     Square-root counts are read off the table element by element.
     """
-    n = group.order
-    mul = group._mul
+    rows = group.rows
+    n = len(rows)
     k = cd.num_classes
     sizes = cd.sizes
     cent = [n // s for s in sizes]
@@ -97,7 +95,7 @@ def pair_class_sums(group: FiniteGroup, cd: ClassData) -> tuple[int, int, int, i
 
     root_count = [0] * n
     for y in range(n):
-        root_count[mul[y * n + y]] += 1
+        root_count[rows[y][y]] += 1
 
     twist_sum = twist_ker = 0
     for c in range(k):

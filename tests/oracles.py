@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -193,13 +192,13 @@ def power(group: FiniteGroup, i: int, e: int) -> int:
 
 def check_associativity(group: FiniteGroup) -> None:
     """Full O(order^3) associativity check."""
-    n = group.order
-    mul = group._mul
+    rows = group.rows
+    n = len(rows)
     for i in range(n):
         for j in range(n):
-            ij = mul[i * n + j]
+            ij = rows[i][j]
             for k in range(n):
-                if mul[ij * n + k] != mul[i * n + mul[j * n + k]]:
+                if rows[ij][k] != rows[i][rows[j][k]]:
                     raise AssertionError(f"associativity fails at {(i, j, k)}")
 
 
@@ -207,27 +206,24 @@ def direct_product_literal(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """The product table filled loop by loop from the two factor tables."""
     n1, n2 = g1.order, g2.order
     n = n1 * n2
-    flat = [0] * (n * n)
-    m1, m2 = g1._mul, g2._mul
+    rows = [[0] * n for _ in range(n)]
+    r1, r2 = g1.rows, g2.rows
     for i1 in range(n1):
         for i2 in range(n2):
-            i = i1 * n2 + i2
-            base = i * n
-            row1 = i1 * n1
-            row2 = i2 * n2
+            row = rows[i1 * n2 + i2]
             for j1 in range(n1):
-                k1 = m1[row1 + j1] * n2
+                k1 = r1[i1][j1] * n2
                 col = j1 * n2
                 for j2 in range(n2):
-                    flat[base + col + j2] = k1 + m2[row2 + j2]
+                    row[col + j2] = k1 + r2[i2][j2]
     labels = [
-        f"({a},{b})" for a in g1.labels for b in g2.labels
+        f"({g1.label(a)},{g2.label(b)})" for a in range(n1) for b in range(n2)
     ]
     gens = [i1 * n2 for i1 in g1.generators] + list(g2.generators)
     tag1 = g1.family_tag or "?"
     tag2 = g2.family_tag or "?"
     return FiniteGroup(
-        n, flat, labels=labels, family_tag=f"{tag1}x{tag2}", generators=gens
+        rows, labels.__getitem__, family_tag=f"{tag1}x{tag2}", generators=gens
     )
 
 
@@ -238,9 +234,8 @@ def unbudgeted_table(expr: str) -> FiniteGroup:
     rule = reduce(product_rule, map(atom_group, parse_group_expr(expr).atoms))
     n, mul = rule.order, rule.mul
     return FiniteGroup(
-        n,
-        array("i", [mul(i, j) for i in range(n) for j in range(n)]),
-        labels=[rule.label(i) for i in range(n)],
+        [[mul(i, j) for j in range(n)] for i in range(n)],
+        rule.label,
         family_tag=rule.family_tag,
         generators=rule.generators,
     )
@@ -270,8 +265,7 @@ def _reduce(d: ThetaDecoration, group: FiniteGroup) -> tuple[int, int]:
 
 def _pair_moves(group: FiniteGroup):
     """Neighbor function on the slice: all images of (e, u, v) re-normalized."""
-    n = group.order
-    mul = group._mul
+    rows = group.rows
     inv = group.inverses
     gen_pairs = [(s, inv[s]) for s in group.generators]
 
@@ -279,13 +273,13 @@ def _pair_moves(group: FiniteGroup):
         ui = inv[u]
         vi = inv[v]
         out = [
-            (ui, mul[ui * n + v]),  # swap first two labels, then renormalize
+            (ui, rows[ui][v]),  # swap first two labels, then renormalize
             (v, u),  # swap last two labels
-            (mul[vi * n + u], vi),  # swap outer labels, then renormalize
+            (rows[vi][u], vi),  # swap outer labels, then renormalize
             (ui, vi),  # invert all labels
         ]
         for s, si in gen_pairs:
-            out.append((mul[mul[si * n + u] * n + s], mul[mul[si * n + v] * n + s]))
+            out.append((rows[rows[si][u]][s], rows[rows[si][v]][s]))
         return out
 
     return neighbors
@@ -545,10 +539,8 @@ def orbit_count_per_move(group: FiniteGroup) -> int:
     """`orbit_count_dims`'s walk with inversion applied as a move: every
     state applies both re-centres, each non-central conjugation and
     inversion, and marks only itself, in both orders."""
-    n = group.order
-    mul = group._mul
-    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
-    inv = list(group.inverses)
+    rows, inv = group.rows, group.inverses
+    n = len(rows)
     identity = list(range(n))
     perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
     # a central generator conjugates trivially, so its move is no move at all
@@ -590,10 +582,8 @@ def diagram_count_per_move(group: FiniteGroup) -> int:
     """`dim_A2`'s walk with the label transpositions applied as moves: every
     state applies the three transpositions, each non-central conjugation and
     inversion, and marks only itself."""
-    n = group.order
-    mul = group._mul
-    rows = [mul[g * n : (g + 1) * n].tolist() for g in range(n)]
-    inv = list(group.inverses)
+    rows, inv = group.rows, group.inverses
+    n = len(rows)
     # moves that act on each label alone, as element permutations: the
     # re-normalised right translation x -> s^-1*x*s by each generator s that
     # is not central (a central one fixes every pair), and inversion

@@ -184,7 +184,7 @@ def test_naive_mode_refuses_a_table_whose_centralizers_do_not_add_up():
         [4, 3, 5, 2, 1, 0],
         [5, 2, 3, 4, 0, 1],
     ]
-    loop = FiniteGroup(6, [x for row in rows for x in row], generators=[1])
+    loop = FiniteGroup(rows, str, generators=[1])
     with pytest.raises(AssertionError, match="centralizer sizes"):
         burnside_dims(loop, mode="naive")
 
@@ -307,23 +307,35 @@ def test_orbit_walk_with_extra_generators_matches_literal_closure(expr, extra):
 
 
 def test_budget_error_suggests_cheaper_route():
-    # past the class-data cap the chars route refuses too, so only the closed
-    # form is named; under an explicit cap both are
-    with pytest.raises(ResourceLimitError) as err:
-        burnside_dims("Z(10000001)")
-    assert str(err.value).endswith("; use the closed-form route instead")
-    with pytest.raises(ResourceLimitError) as err:
-        burnside_dims("Z(5000)", max_order=2000)
-    assert str(err.value).endswith("; use the character or closed-form route instead")
+    cases = [
+        # past the class-data cap the chars route refuses too, so only the
+        # closed form is named; under an explicit cap both are
+        ("Z(10000001)", None, "order 10000001 exceeds the class-data budget 10000000"
+         "; use the closed-form route instead"),
+        ("Z(10000001)", 5, "order 10000001 exceeds the pair-counting budget 5"
+         "; use the closed-form route instead"),
+        ("Z(5000)", 2000, "order 5000 exceeds the pair-counting budget 2000"
+         "; use the character or closed-form route instead"),
+        # the closed form does not apply to a group that is not spherical
+        ("Z(2) x Z(2)", 3, "order 4 exceeds the pair-counting budget 3"
+         "; use the character route instead"),
+        ("Z(2)xZ(20000000)", None, "order 40000000 exceeds the class-data budget 10000000"),
+        # a table names no expression, so no route is suggested
+        (group_from_expr("Z(12)"), 5, "order 12 exceeds the pair-counting budget 5"),
+    ]
+    for group, max_order, message in cases:
+        with pytest.raises(ResourceLimitError) as err:
+            burnside_dims(group, max_order=max_order)
+        assert str(err.value) == message, group
 
 
 def _refuse_tables_above(monkeypatch, max_order):
     real_init = FiniteGroup.__init__
 
-    def guarded(self, order, *args, **kwargs):
-        if order > max_order:
-            raise AssertionError(f"built a multiplication table of order {order}")
-        real_init(self, order, *args, **kwargs)
+    def guarded(self, rows, *args, **kwargs):
+        if len(rows) > max_order:
+            raise AssertionError(f"built a multiplication table of order {len(rows)}")
+        real_init(self, rows, *args, **kwargs)
 
     monkeypatch.setattr(FiniteGroup, "__init__", guarded)
 

@@ -14,7 +14,6 @@ import pytest
 
 import thetadim.characters as characters
 import thetadim.cli as cli
-import thetadim.commands as commands
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
@@ -256,9 +255,9 @@ def test_verify_builds_one_table(capsys, monkeypatch):
     built = []
     real_init = FiniteGroup.__init__
 
-    def counting(self, order, *args, **kwargs):
-        built.append(order)
-        real_init(self, order, *args, **kwargs)
+    def counting(self, rows, *args, **kwargs):
+        built.append(len(rows))
+        real_init(self, rows, *args, **kwargs)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counting)
     rc, out, _ = run(capsys, "verify", "Dstar(6)")
@@ -279,9 +278,9 @@ def test_verify_shares_a_table_whenever_it_fits_the_entries_budget(
     built = []
     real_init = FiniteGroup.__init__
 
-    def counting(self, order, *args, **kwargs):
-        built.append(order)
-        real_init(self, order, *args, **kwargs)
+    def counting(self, rows, *args, **kwargs):
+        built.append(len(rows))
+        real_init(self, rows, *args, **kwargs)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counting)
     rc, out, _ = run(capsys, "verify", expr)
@@ -369,7 +368,7 @@ def test_classes_holds_no_label_per_class(monkeypatch):
     # Z(50000) has a class per element; a list of their labels would hold
     # about 3 MB while the rows print
     cd = conjugacy.class_data_for("Z(50000)")
-    monkeypatch.setattr(commands, "class_data_for", lambda expr: cd)
+    monkeypatch.setattr(conjugacy, "class_data_for", lambda expr: cd)
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:

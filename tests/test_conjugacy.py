@@ -139,7 +139,7 @@ def test_product_class_data_matches_direct_computation(e1, e2):
     literal = direct_product_literal(G1, G2)
     expr = parse_group_expr(f"{e1} x {e2}")
     reps = pcd.representatives
-    assert list(map(_class_label(expr), reps)) == [literal.labels[r] for r in reps]
+    assert list(map(_class_label(expr), reps)) == [literal.label(r) for r in reps]
 
 
 def test_inversion_orbit_count_against_direct_orbits():

@@ -171,7 +171,7 @@ def test_extra_central_generators_change_neither_walk(expr):
     center = [z for z in range(n) if all(G.mul(z, g) == G.mul(g, z) for g in range(n))]
     # the identity, every central element, and each given generator twice
     padded = FiniteGroup(
-        n, G._mul, G.labels, G.family_tag, generators=[0] + center + G.generators * 2
+        G.rows, G.label, G.family_tag, generators=[0] + center + G.generators * 2
     )
     want = dim_A2(G)
     assert orbit_count_dims(G) == want

@@ -186,8 +186,8 @@ def _loaded_after_start(code: str) -> set[str]:
     return set(out.split())
 
 
-def _cli_call(*argv: str) -> str:
-    return f"import thetadim.cli\nassert thetadim.cli.main({list(argv)!r}) == 0"
+def _cli_call(*argv: str, code: int = 0) -> str:
+    return f"import thetadim.cli\nassert thetadim.cli.main({list(argv)!r}) == {code}"
 
 
 def test_a_process_loads_only_the_modules_its_route_runs():
@@ -214,6 +214,12 @@ def test_a_process_loads_only_the_modules_its_route_runs():
 
     loaded = _loaded_after_start(_cli_call("verify", "Dstar(3)"))
     assert "thetadim.characters" in loaded and "thetadim.cyclo" not in loaded
+
+    # help and a usage error load the module of the help text, and no route
+    common = {f"thetadim.{m}" for m in ("cli", "commands", "expr", "normal_form", "report")}
+    for argv, code in [(("-h",), 0), (("compute", "-h"), 0), (("no-such-command",), 1)]:
+        loaded = _loaded_after_start(_cli_call(*argv, code=code))
+        assert {m for m in loaded if m.startswith("thetadim.")} == common, argv
 
     # every dimension is an integer, found by checked integer division
     methods = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
@@ -244,14 +250,16 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     ]
     for argv in class_level:
         assert table_layer.isdisjoint(_loaded_after_start(_cli_call(*argv))), argv
-    # a binary polyhedral atom, an enumeration route and verify build tables
+    # a binary polyhedral atom, an enumeration route and verify build tables,
+    # as lists of rows
     table_level = [
         ("compute", "--method", "chars", "Z(7) x Istar"),
         ("compute", "--method", "orbits", "Z(12)"),
         ("verify", "Dstar(3)"),
     ]
     for argv in table_level:
-        assert "thetadim.group_core" in _loaded_after_start(_cli_call(*argv)), argv
+        loaded = _loaded_after_start(_cli_call(*argv))
+        assert "thetadim.group_core" in loaded and "array" not in loaded, argv
 
     # the closed form needs no class data: closed, and auto before any fallback
     for argv in [("compute", "--method", "closed", "Z(12)"), ("compute", "Dstar(3)")]:
