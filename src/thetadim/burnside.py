@@ -7,11 +7,11 @@ d1 (plain) and d2 (twisted); the target dimension is their mean.  The kernel
 variant replaces every power trace t_k by t_k - 1, since the trivial summand
 contributes exactly 1 to each.
 
-Two evaluation modes: "naive" iterates all |G|^2 pairs reading fixed-point
-counts from two literally-counted tables, and is the trusted reference;
-"class" reduces both sums to O(k) sums over the k conjugacy classes with
-`conjugacy`'s trace evaluator, the one the chars route also uses, and needs
-only class data, so it builds no multiplication table for an expression.
+The argument picks the evaluation.  A table is counted in mode "naive", the
+trusted reference: all |G|^2 pairs, reading fixed-point counts from two
+literally-counted tables.  An expression is reduced in mode "class" to O(k)
+sums over its k conjugacy classes by `conjugacy`'s trace evaluator, the one
+the chars route also uses, and builds no multiplication table.
 Orbit enumeration on sorted monomial triples provides a third, lemma-free
 count of the same dimension.  Every orbit meets the triples that
 contain the identity, so it walks only those, as sorted pairs {e, u, v}:
@@ -28,13 +28,11 @@ by the budget that bounds its memory, and `max_order` is an optional cap.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .conjugacy import (
     CLASS_DATA_MAX_ORDER,
-    ClassData,
     class_data_for,
-    compute_classes,
     pair_average,
     plain_trace_sums,
     square_root_counts,
@@ -47,9 +45,6 @@ if TYPE_CHECKING:
     from .group_core import FiniteGroup
 
 __all__ = ["BurnsideResult", "burnside_dims", "orbit_count_dims"]
-
-# naive mode switches to class reduction above this order when mode="auto"
-_AUTO_NAIVE_MAX_ORDER = 300
 
 
 class BurnsideResult(
@@ -165,20 +160,14 @@ def _as_group(group: FiniteGroup | GroupExpr | str) -> FiniteGroup:
 
 
 def burnside_dims(
-    group: FiniteGroup | GroupExpr | str,
-    mode: str = "auto",
-    max_order: int | None = None,
-    classes_of: Callable[[FiniteGroup], ClassData] | None = None,
+    group: FiniteGroup | GroupExpr | str, max_order: int | None = None
 ) -> BurnsideResult:
     """Both dimensions by pair-averaged symmetric-cube traces.
 
-    mode "naive" sums all |G|^2 pairs, "class" uses the conjugacy reduction,
-    "auto" picks naive for small orders and class otherwise.  An optional
-    `max_order` caps the order before anything is built.  Naive mode's table
-    is held to TABLE_MAX_ENTRIES before any product, and class mode, which
-    builds no table for an expression, to CLASS_DATA_MAX_ORDER before any class.
-    Class mode finds a table's classes with `classes_of`, `compute_classes` by
-    default, so that a caller holding them already does not find them again.
+    A table is counted pair by pair (mode "naive"); an expression or its
+    string is reduced by classes (mode "class"), held to CLASS_DATA_MAX_ORDER
+    before any class is built.  An optional `max_order` caps the order before
+    anything is built.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
@@ -188,26 +177,18 @@ def burnside_dims(
             f"order {n} exceeds the pair-counting budget {max_order}"
             + _other_routes(group, n)
         )
-    name = expr_to_string(group) if isinstance(group, GroupExpr) else group.family_tag
-    if mode == "auto":
-        mode = "naive" if n <= _AUTO_NAIVE_MAX_ORDER else "class"
-    if mode == "naive":
-        plain_sum, plain_ker, twist_sum, twist_ker, num_classes = _naive_sums(
-            _as_group(group)
-        )
-    elif mode == "class":
-        if not isinstance(group, GroupExpr):
-            cd = (classes_of or compute_classes)(group)
-        else:
-            try:
-                cd = class_data_for(group)
-            except ResourceLimitError as exc:
-                raise ResourceLimitError(f"{exc}{_other_routes(group, n)}") from None
+    if isinstance(group, GroupExpr):
+        name, mode = expr_to_string(group), "class"
+        try:
+            cd = class_data_for(group)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"{exc}{_other_routes(group, n)}") from None
         plain_sum, plain_ker = plain_trace_sums(cd)
         twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
         num_classes = cd.num_classes
     else:
-        raise ValueError(f"mode must be auto, naive or class, got {mode!r}.")
+        name, mode = group.family_tag, "naive"
+        plain_sum, plain_ker, twist_sum, twist_ker, num_classes = _naive_sums(group)
 
     d1 = pair_average(plain_sum, n, f"d1 for {name}")
     d2 = pair_average(twist_sum, n, f"d2 for {name}")

@@ -28,16 +28,18 @@ did not hold; this is a bug, reported as one line instead of a traceback),
 141 standard output closed by its reader (as in `thetadim classes ... | head`;
 128 + SIGPIPE, the status a shell reports for a writer ended by a closed pipe).
 Each route is bounded by the budget that bounds its memory.
-group_core.TABLE_MAX_ENTRIES (10^6, so order 1000) bounds naive burnside and
-the orbits and diagrams routes: a multiplication table beyond it, a single
-atom's included, exits with code 3 before any product is taken.
-conjugacy.CLASS_DATA_MAX_ORDER (10^7) bounds class-mode burnside, the chars
-route and `classes`: a larger order exits with code 3 before any class data
-is built.  That is the chars route's only budget: it takes the class data
-and d2 from characters.d2_char_formula, which sums the real characters in
-integers at the class representatives (characters.real_character_sums) and
-builds no table.  chartab, which builds the character table, refuses one of
-more than characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
+group_core.TABLE_MAX_ENTRIES (10^6, so order 1000) bounds the orbits and
+diagrams routes and verify's shared table, on which burnside counts pairs: a
+multiplication table beyond it, a single atom's included, exits with code 3
+before any product is taken.  conjugacy.CLASS_DATA_MAX_ORDER (10^7) bounds
+class-mode burnside (on an expression, which `compute` always passes, and
+verify's past the table budget), the chars route and `classes`: a larger
+order exits with code 3 before any class data is built.  That is the chars
+route's only budget: it takes the class data and d2 from
+characters.d2_char_formula, which sums the real characters in integers at
+the class representatives (characters.real_character_sums) and builds no
+table.  chartab, which builds the character table, refuses one of more than
+characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
 --max-order, else THETA_DIM_MAX_ORDER, is an optional order cap on burnside,
 orbits and diagrams (none by default) and lifts no budget.
 """
@@ -101,17 +103,17 @@ def _max_order(args) -> int | None:
 
 # -- computation routes -------------------------------------------------------
 #
-# Each route returns (order, classes, d1, d2, dim, z2); _run times it and
-# builds the report.  The orbits and diagrams routes leave classes and z2 as
-# None for _run to fill from the class data of their table, which verify
-# computes once for them and class-mode burnside.  `max_order` is _max_order's
-# cap, None for none, and `classes_of(table)` gives a table's class data.  A
-# route imports the library functions it calls when it runs, so a process
-# loads only its route's modules, and a tracer that rebinds a function in its
-# defining module sees every call.
+# Each route takes (group, max_order) and returns (order, classes, d1, d2,
+# dim, z2); _run times it and builds the report.  `max_order` is _max_order's
+# cap, None for none.  Burnside counts a table pair by pair and reduces an
+# expression by classes.  The orbits and diagrams routes leave classes and z2
+# as None for _run to fill from the class data of their table, which verify
+# computes once for both.  A route imports the library functions it calls when
+# it runs, so a process loads only its route's modules, and a tracer that
+# rebinds a function in its defining module sees every call.
 
 
-def _closed(expr: GroupExpr, max_order, classes_of):
+def _closed(expr: GroupExpr, max_order):
     from .closed_forms import closed_class_count, closed_dims, closed_order, spec_from_expr
 
     spec = spec_from_expr(expr)
@@ -120,7 +122,7 @@ def _closed(expr: GroupExpr, max_order, classes_of):
     return closed_order(spec), closed_class_count(spec), None, None, dim, dim - ker
 
 
-def _chars(expr: GroupExpr, max_order, classes_of):
+def _chars(expr: GroupExpr, max_order):
     from .characters import d2_char_formula
     from .conjugacy import d1_class_formula, z2_orbit_count
 
@@ -132,10 +134,10 @@ def _chars(expr: GroupExpr, max_order, classes_of):
     return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
 
 
-def _burnside(group: FiniteGroup | GroupExpr, max_order, classes_of):
+def _burnside(group: FiniteGroup | GroupExpr, max_order):
     from .burnside import burnside_dims
 
-    r = burnside_dims(group, mode="auto", max_order=max_order, classes_of=classes_of)
+    r = burnside_dims(group, max_order)
     return r.order, r.num_classes, r.d1, r.d2, r.dim_full, r.dim_full - r.dim_ker
 
 
@@ -143,13 +145,13 @@ def _enumerated(group: FiniteGroup, dim: int):
     return group.order, None, None, None, dim, None
 
 
-def _orbits(group: FiniteGroup | GroupExpr, max_order, classes_of):
+def _orbits(group: FiniteGroup | GroupExpr, max_order):
     from .burnside import orbit_count_dims
 
     return _enumerated(group, orbit_count_dims(group, max_order=max_order))
 
 
-def _diagrams(group: FiniteGroup | GroupExpr, max_order, classes_of):
+def _diagrams(group: FiniteGroup | GroupExpr, max_order):
     from .diagrams import dim_A2
 
     return _enumerated(group, dim_A2(group, max_order=max_order))
@@ -206,10 +208,10 @@ def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | Group
 def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> DimensionReport:
     """Route `name` as a timed report; closed and chars see only `expr`, the others
     `group`, the `_table_within` result verify shares, or else their own.
-    `classes_of(table)` gives the class data that class-mode burnside and an
-    enumeration route's report need; verify passes a memo of `compute_classes`
-    so its table's classes are found once.  Class data never feeds an
-    enumerated dimension.  The clock starts once the modules the route runs
+    `classes_of(table)` gives the class count and z2 that an enumeration
+    route's report needs; verify passes a memo of `compute_classes` so that
+    orbits and diagrams find its table's classes once.  Class data never feeds
+    an enumerated dimension.  The clock starts once the modules the route runs
     are loaded: its own, and for every route but the closed form `conjugacy`
     and the expression's families."""
     _load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
@@ -221,7 +223,7 @@ def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> 
         group = expr
     elif group is None:
         group = expr if name == "burnside" else _table_within(expr, max_order)
-    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order, classes_of)
+    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order)
     if classes is None:
         cd = (classes_of or conjugacy.compute_classes)(group)
         classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)

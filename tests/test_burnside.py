@@ -23,6 +23,7 @@ from thetadim.burnside import ResourceLimitError, burnside_dims, orbit_count_dim
 from thetadim import conjugacy
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2
+from thetadim.expr import parse_group_expr
 from thetadim.group_core import (
     TABLE_MAX_ENTRIES,
     FiniteGroup,
@@ -137,14 +138,15 @@ MODE_CATALOG = ["Z(12)", "Dstar(2)", "Dstar(5)", "Dprime(1,3)", "Tprime(1)", "Ts
 
 @pytest.mark.parametrize("expr", MODE_CATALOG)
 def test_naive_and_class_modes_agree(expr):
-    a = burnside_dims(expr, mode="naive")
-    b = burnside_dims(expr, mode="class")
+    # a table is counted pair by pair, its expression reduced by classes
+    a = burnside_dims(group_from_expr(expr))
+    b = burnside_dims(expr)
     assert a.mode == "naive" and b.mode == "class"
     for field in ("order", "d1", "d2", "dim_full", "dim_ker", "ker_d1", "ker_d2"):
         assert getattr(a, field) == getattr(b, field), (expr, field)
 
 
-# every catalog group the naive mode takes by default (order <= 300)
+# every catalog group of order <= 300
 NAIVE_CATALOG = sorted(
     {
         e
@@ -158,8 +160,8 @@ NAIVE_CATALOG = sorted(
 @pytest.mark.parametrize("expr", NAIVE_CATALOG)
 def test_naive_and_class_modes_agree_on_the_catalog(expr):
     G = group_from_expr(expr)
-    a = burnside_dims(G, mode="naive")
-    b = burnside_dims(G, mode="class")
+    a = burnside_dims(G)
+    b = burnside_dims(expr)
     assert (a.dim_full, a.dim_ker, a.num_classes) == (b.dim_full, b.dim_ker, b.num_classes)
     assert a.num_classes == compute_classes(G).num_classes
 
@@ -168,9 +170,10 @@ def test_naive_mode_counts_classes_from_its_own_table(monkeypatch):
     def no_classes(group):
         raise AssertionError("naive mode looked up class data")
 
-    monkeypatch.setattr(burnside, "compute_classes", no_classes)
+    G = group_from_expr("Dprime(3,3)")
+    monkeypatch.setattr(conjugacy, "compute_classes", no_classes)
     monkeypatch.setattr(burnside, "class_data_for", no_classes)
-    assert burnside_dims("Dprime(3,3)", mode="naive").num_classes == 48
+    assert burnside_dims(G).num_classes == 48
 
 
 def test_naive_mode_refuses_a_table_whose_centralizers_do_not_add_up():
@@ -186,12 +189,16 @@ def test_naive_mode_refuses_a_table_whose_centralizers_do_not_add_up():
     ]
     loop = FiniteGroup(rows, str, generators=[1])
     with pytest.raises(AssertionError, match="centralizer sizes"):
-        burnside_dims(loop, mode="naive")
+        burnside_dims(loop)
 
 
-def test_auto_mode_picks_naive_only_for_small_groups():
-    assert burnside_dims("Dstar(2)").mode == "naive"
-    assert burnside_dims("Dstar(100)").mode == "class"
+def test_the_argument_picks_the_mode():
+    # at every order: a table is counted pair by pair, an expression or its
+    # string reduced by classes
+    for expr in ("Z(4)", "Dstar(100)", "Z(1000)"):
+        assert burnside_dims(group_from_expr(expr)).mode == "naive", expr
+        assert burnside_dims(expr).mode == "class", expr
+        assert burnside_dims(parse_group_expr(expr)).mode == "class", expr
 
 
 def test_results_are_nonnegative_integers():
@@ -216,18 +223,15 @@ def test_orbit_enumeration_agrees_with_averaging(expr):
 
 
 def test_pair_budget():
-    # no order cap by default: naive mode is held to the table's entries
-    # budget, which admits order 1000 ...
-    with pytest.raises(ResourceLimitError, match="Z\\(1001\\) needs 1002001 table entries"):
-        burnside_dims("Z(1001)", mode="naive")
-    # ... and class mode to the class-data cap
+    # no order cap by default: an expression is held to the class-data cap
     assert burnside_dims("Z(2025)").order == 2025
     with pytest.raises(ResourceLimitError, match="class-data budget 10000000"):
         burnside_dims("Z(10000001)")
-    # an explicit cap raises earlier, in either mode
-    for mode in ("naive", "class"):
-        with pytest.raises(ResourceLimitError, match="pair-counting budget 100;"):
-            burnside_dims("Z(150)", mode=mode, max_order=100)
+    # an explicit cap raises earlier, on a table as on an expression
+    with pytest.raises(ResourceLimitError, match="pair-counting budget 100$"):
+        burnside_dims(group_from_expr("Z(150)"), max_order=100)
+    with pytest.raises(ResourceLimitError, match="pair-counting budget 100;"):
+        burnside_dims("Z(150)", max_order=100)
     assert burnside_dims("Z(2025)", max_order=2025).order == 2025
 
 
@@ -347,7 +351,7 @@ def _refuse_tables_above(monkeypatch, max_order):
 def test_class_level_routes_build_no_big_tables(monkeypatch, expr):
     # only the binary polyhedral atoms (order <= 120) may build a table
     _refuse_tables_above(monkeypatch, 120)
-    result = burnside_dims(expr, mode="class")
+    result = burnside_dims(expr)
     assert (result.dim_full, result.dim_ker) == closed_dims(spec_from_expr(expr))
     assert result.num_classes == class_data_for(expr).num_classes
     assert table_for(expr).class_data == class_data_for(expr)
@@ -362,7 +366,6 @@ def test_budgets_are_checked_before_anything_is_built(monkeypatch):
     monkeypatch.setattr(conjugacy, "compute_classes", refuse)
     for refused in (
         lambda: burnside_dims("Z(10000001)"),
-        lambda: burnside_dims("Z(1001)", mode="naive"),
         lambda: burnside_dims("Z(7) x Istar", max_order=100),
         lambda: orbit_count_dims("Dstar(251)"),
         lambda: orbit_count_dims("Z(3) x Dstar(84)"),

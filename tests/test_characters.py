@@ -415,5 +415,5 @@ def test_chars_route_matches_closed_forms_up_to_order_1e5(expr):
 def test_closed_chars_and_class_burnside_agree_up_to_order_1e4(expr):
     want = closed_dims(spec_from_expr(expr))
     assert _chars_dims(expr) == want
-    result = burnside_dims(expr, mode="class", max_order=group_order(expr))
+    result = burnside_dims(expr, max_order=group_order(expr))
     assert (result.dim_full, result.dim_ker) == want

@@ -5,6 +5,7 @@ import importlib.util
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,7 +25,8 @@ from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_int
-from thetadim.group_core import FiniteGroup, ResourceLimitError
+from thetadim.group_core import FiniteGroup, ResourceLimitError, group_from_expr
+from thetadim.normal_form import group_order
 from thetadim.report import CSV_HEADER
 
 
@@ -240,8 +242,8 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     # corrupt one route to prove disagreement is detected and coded 2
     real = cli._ROUTES["orbits"]
 
-    def lying_route(group, max_order, classes_of):
-        order, classes, d1, d2, dim, z2 = real(group, max_order, classes_of)
+    def lying_route(group, max_order):
+        order, classes, d1, d2, dim, z2 = real(group, max_order)
         return order, classes, d1, d2, dim + 1, z2
 
     monkeypatch.setitem(cli._ROUTES, "orbits", lying_route)
@@ -306,12 +308,12 @@ def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
     assert calls == [24]
 
 
-def test_verify_finds_a_class_mode_tables_classes_once(capsys, monkeypatch):
-    # above order 300 burnside reduces by classes, and takes them from the
-    # memo that orbits and diagrams read; the chars route's own call on the
-    # Z(1000) rule stays
+def test_verify_finds_the_classes_of_an_order_1000_table_once(capsys, monkeypatch):
+    # burnside counts the pairs of the largest table and finds no classes;
+    # orbits and diagrams read the table's classes off one computation, and
+    # the chars route's own call on the Z(1000) rule stays
     calls = []
-    for module in (conjugacy, burnside, characters):
+    for module in (conjugacy, characters):
 
         def counting(group, real=module.compute_classes):
             calls.append(type(group).__name__)
@@ -712,13 +714,42 @@ def test_class_routes_answer_below_the_class_data_cap(capsys):
 
 
 def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
-    # a plain sum that |G|^2 does not divide
-    monkeypatch.setattr(burnside, "_naive_sums", lambda group: (1, 0, 0, 0, 3))
-    with pytest.raises(AssertionError, match="d1 for Z\\(3\\) is not a nonnegative integer: 1/54"):
-        burnside.burnside_dims("Z(3)", mode="naive")
-    rc, out, err = run(capsys, "compute", "Z(3)", "--method", "burnside")
-    assert (rc, out) == (cli.EXIT_INTERNAL, "")
-    assert err == "internal check failed: d1 for Z(3) is not a nonnegative integer: 1/54\n"
+    # a plain sum that |G|^2 does not divide, on each path: compute reduces
+    # the expression by classes, verify counts the pairs of its table
+    message = "d1 for Z(3) is not a nonnegative integer: 1/54"
+    for argv, group, name, fake in (
+        (("compute", "--method", "burnside", "Z(3)"), "Z(3)", "plain_trace_sums", lambda cd: (1, 0)),
+        (("verify", "Z(3)"), group_from_expr("Z(3)"), "_naive_sums", lambda g: (1, 0, 0, 0, 3)),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(burnside, name, fake)
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                burnside.burnside_dims(group)
+            rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (cli.EXIT_INTERNAL, ""), argv
+        assert err == f"internal check failed: {message}\n"
+
+
+@pytest.mark.parametrize("expr", ["Z(301)", "Dstar(125)"])
+def test_verify_counts_the_pairs_of_every_table_it_builds(capsys, monkeypatch, expr):
+    # above order 300 as below, burnside counts the table's pairs once and
+    # reduces nothing by classes
+    calls = []
+    real = burnside._naive_sums
+
+    def counting(group):
+        calls.append(group.order)
+        return real(group)
+
+    def no_classes(expr):
+        raise AssertionError("burnside reduced by classes")
+
+    monkeypatch.setattr(burnside, "_naive_sums", counting)
+    monkeypatch.setattr(burnside, "class_data_for", no_classes)
+    rc, out, _ = run(capsys, "verify", expr)
+    assert rc == 0
+    assert out.splitlines()[-1].endswith("(5 methods)")
+    assert calls == [group_order(expr)]
 
 
 # -- route timing -------------------------------------------------------------

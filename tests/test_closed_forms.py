@@ -230,10 +230,10 @@ def test_odd_binary_dihedral_case_is_the_metacyclic_case_at_k_0():
                 assert closed_dims(b) == closed_dims(c), (m, p)
                 assert closed_z2_orbit(b) == closed_z2_orbit(c), (m, p)
     for m, p in [(1, 1), (3, 1), (1, 9), (5, 9), (7, 15)]:
-        r = burnside_dims(f"Z({m}) x Dstar({p})", mode="class")
+        r = burnside_dims(f"Z({m}) x Dstar({p})")
         assert closed_dims(SphericalSpec("b", m=m, p=p)) == (r.dim_full, r.dim_ker)
         if p > 1:
-            r = burnside_dims(f"Z({m}) x Dprime(0,{p})", mode="class")
+            r = burnside_dims(f"Z({m}) x Dprime(0,{p})")
             assert closed_dims(SphericalSpec("b", m=m, p=p)) == (r.dim_full, r.dim_ker)
     assert closed_dims(spec_from_expr("Dstar(9)")) == closed_dims(spec_from_expr("Dprime(0,9)")) == (47, 36)
 

@@ -160,6 +160,67 @@ def test_naive_pair_sums_iterate_every_pair():
     assert "n = group.order" in [ast.unparse(node) for node in tree.body]
 
 
+_INEXACT_MODULES = {"random", "fractions", "decimal", "statistics"}
+
+
+def _inexact(tree: ast.AST) -> list[str]:
+    """Each construct in `tree` through which a float or a sampled value could
+    enter a computed value: a float literal, a true division, a call to
+    `float` or `round`, or an import of a module of inexact or random
+    numbers.  `Fraction` is among them: the library keeps every value an int."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            bad = True
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)):
+            bad = isinstance(node.op, ast.Div)
+        elif isinstance(node, ast.Call):
+            bad = isinstance(node.func, ast.Name) and node.func.id in ("float", "round")
+        elif isinstance(node, ast.Import):
+            bad = any(a.name.partition(".")[0] in _INEXACT_MODULES for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            bad = (node.module or "").partition(".")[0] in _INEXACT_MODULES
+        else:
+            bad = False
+        if bad:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_the_guard_finds_every_inexact_construct():
+    for source in (
+        "x = 0.5",
+        "x = a / b",
+        "x /= 2",
+        "x = float(a)",
+        "x = round(a)",
+        "import random",
+        "import decimal as d",
+        "from fractions import Fraction",
+        "from statistics import mean",
+    ):
+        assert _inexact(ast.parse(source)), source
+    assert _inexact(ast.parse("x = a // b * 1000 - (y := 2)\nimport math")) == []
+
+
+def test_the_library_computes_no_inexact_value():
+    """Exactness is fixed: no float, true division, rounding or sampling
+    anywhere in the library.  The report's `millis` is a `perf_counter`
+    difference times the int 1000."""
+    found = {stem: _inexact(tree) for stem, tree in _library_modules().items()}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_the_library_parses_as_python_3_10():
+    """pyproject and README promise Python 3.10+, so no module may use the
+    syntax of a later version, such as `except*` or a `type` statement."""
+    for path in sorted(Path(thetadim.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+    for later in ("try:\n    pass\nexcept* E:\n    pass\n", "type X = int\n"):
+        with pytest.raises(SyntaxError):
+            ast.parse(later, feature_version=(3, 10))
+
+
 def _child_env(**extra: str) -> dict[str, str]:
     """The environment of a fresh interpreter that imports this thetadim."""
     src = str(Path(thetadim.__file__).resolve().parents[1])
@@ -201,10 +262,13 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     assert "thetadim.cli" in loaded
     assert {"dataclasses", "inspect", "logging", "json"}.isdisjoint(loaded)
 
+    # burnside reduces an expression by classes, at every order: no table
     loaded = _loaded_after_start(_cli_call("compute", "--method", "burnside", "Z(12)"))
     assert "thetadim.burnside" in loaded
     unused = {"argparse", "fractions", "decimal", "json"}
-    unused |= {f"thetadim.{m}" for m in ("characters", "cyclo", "closed_forms", "diagrams")}
+    unused |= {
+        f"thetadim.{m}" for m in ("characters", "cyclo", "closed_forms", "diagrams", "group_core")
+    }
     assert unused.isdisjoint(loaded)
 
     # the chars route sums its real characters in integers: no cyclotomic number
