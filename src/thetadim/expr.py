@@ -106,7 +106,8 @@ def _scan_int(sc: _Scanner) -> int:
     start = sc.pos
     if sc.pos < len(sc.text) and sc.text[sc.pos] == "-":
         sc.pos += 1
-    while sc.pos < len(sc.text) and sc.text[sc.pos].isdigit():
+    # ASCII digits only: str.isdigit also takes "²" and "٣"
+    while sc.pos < len(sc.text) and "0" <= sc.text[sc.pos] <= "9":
         sc.pos += 1
     if sc.pos == start or (sc.pos == start + 1 and sc.text[start] == "-"):
         raise ExprSyntaxError("expected an integer", start)

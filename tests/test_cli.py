@@ -1,6 +1,7 @@
 """Command-line front end: exit codes, output formats, budget plumbing."""
 
 import contextlib
+import gc
 import importlib.util
 import io
 import json
@@ -555,6 +556,20 @@ def test_invalid_parameters_are_a_usage_error(capsys, command):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "expr,message",
+    [
+        ("Z(\u00b2)", "syntax error at byte 2: expected an integer"),
+        ("Z(3\u00b2)", "syntax error at byte 3: expected , or )"),
+        ("Z(\u0663)", "syntax error at byte 2: expected an integer"),
+    ],
+    ids=["superscript", "trailing-superscript", "arabic-indic"],
+)
+def test_a_digit_outside_ascii_is_a_syntax_error(capsys, expr, message):
+    rc, out, err = run(capsys, "compute", expr)
+    assert (rc, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 # -- parser -------------------------------------------------------------------
 
 GOLDEN = Path(__file__).with_name("golden_cli.jsonl")
@@ -678,6 +693,39 @@ def test_a_closed_stdout_pipe_ends_quietly(argv):
     proc.stderr.close()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
     assert "Traceback" not in err and err == ""
+
+
+# runs `python -m thetadim argv` with an atexit probe registered first, which
+# reports whether the process entry froze the collector's objects
+_EXIT_PROBE = """
+import atexit, gc, runpy, sys
+
+atexit.register(lambda: print(f"frozen {gc.get_freeze_count() > 0}", file=sys.stderr))
+sys.argv[0] = "thetadim"
+runpy.run_module("thetadim", run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("argv,code", [(["compute", "Z(5)"], 0), (["compute", "Z(0)"], 1)])
+def test_the_process_entry_freezes_and_exits_through_sys_exit(argv, code):
+    """`run` freezes once `main` returns, and the process still ends through
+    sys.exit: its exit code, its output and the atexit handlers all stand."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("THETA_DIM_MAX_ORDER", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _EXIT_PROBE, *argv], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[-1] == "frozen True"
+    if code == 0:
+        assert "dim full       5" in proc.stdout
+
+
+def test_main_in_process_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["compute", "Z(5)"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
 
 
 @pytest.mark.parametrize("argv", [["classes", "Tprime(14)"], ["classes", "Z(10000001)"]])

@@ -77,6 +77,11 @@ def test_expr_is_hashable_value_object():
         ("Dstar(1,2)", 10, "1 parameter"),
         ("Tstar(3)", 5, "no parameters"),
         ("Z(5) Tstar", 5, "x"),
+        # only ASCII digits: not a superscript, nor another script's digit
+        ("Z(\u00b2)", 2, "expected an integer"),
+        ("Z(3\u00b2)", 3, "expected , or )"),
+        ("Z(\u0663)", 2, "expected an integer"),
+        ("Dprime(1,\uff13)", 9, "expected an integer"),
     ],
 )
 def test_syntax_errors_report_byte_offset(text, offset, fragment):

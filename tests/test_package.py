@@ -221,6 +221,44 @@ def test_the_library_parses_as_python_3_10():
             ast.parse(later, feature_version=(3, 10))
 
 
+def _hard_exits(tree: ast.AST) -> list[str]:
+    """Each use in `tree` of `_exit`, which ends the process without the
+    interpreter's exit: no atexit handler, no flush of the standard streams,
+    so `coverage run -m thetadim` and `python -m cProfile -m thetadim` would
+    lose their output."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            bad = node.attr == "_exit"
+        elif isinstance(node, ast.ImportFrom):
+            bad = any(alias.name == "_exit" for alias in node.names)
+        else:
+            bad = False
+        if bad:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_ends_the_process_without_the_interpreter_exit():
+    for source in ("os._exit(0)", "import os as o\no._exit(1)", "from os import _exit as e"):
+        assert _hard_exits(ast.parse(source)), source
+    assert _hard_exits(ast.parse("import os, sys\nsys.exit(os.EX_OK)")) == []
+    found = {stem: _hard_exits(tree) for stem, tree in _library_modules().items()}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_the_installed_command_and_python_m_share_the_process_entry():
+    """Both `thetadim` and `python -m thetadim` end through `cli.run`.  The
+    scripts table is read as text: Python 3.10 has no tomllib."""
+    text = README.with_name("pyproject.toml").read_text()
+    start = text.index("\n[project.scripts]\n") + 1
+    end = text.find("\n[", start)
+    section = text[start : end if end >= 0 else len(text)]
+    assert re.findall(r'^(\S+) = "(.*)"$', section, re.M) == [("thetadim", "thetadim.cli:run")]
+    nodes = {ast.unparse(node) for node in ast.walk(_library_modules()["__main__"])}
+    assert {"from .cli import run", "sys.exit(run())"} <= nodes
+
+
 def _child_env(**extra: str) -> dict[str, str]:
     """The environment of a fresh interpreter that imports this thetadim."""
     src = str(Path(thetadim.__file__).resolve().parents[1])
