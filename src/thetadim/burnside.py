@@ -13,16 +13,17 @@ literally-counted tables.  An expression is reduced in mode "class" to O(k)
 sums over its k conjugacy classes by `conjugacy`'s trace evaluator, the one
 the chars route also uses, and builds no multiplication table.
 Orbit enumeration on sorted monomial triples provides a third, lemma-free
-count of the same dimension.  Every orbit meets the triples that
-contain the identity, so it walks only those, as sorted pairs {e, u, v}:
-re-centring at u or v, conjugation by the generators and inversion connect
-exactly the pairs whose triples share an orbit.  The walk marks each pair
+count of the same dimension, on a table its caller builds.  Every orbit
+meets the triples that contain the identity, so it walks only those, as
+sorted pairs {e, u, v}: re-centring at u or v, conjugation by the generators
+and inversion connect exactly the pairs whose triples share an orbit.  The walk marks each pair
 together with its inverse pair, so inversion is never applied as a move:
 conjugations commute with inversion, and a re-centre of the inverted pair is
 a conjugate of the inverted re-centre.  So once the re-centres and the
 conjugates by the generators of every walked pair are marked, the marked set
 is closed under every move (see `orbit_count_dims`).  Each route is bounded
-by the budget that bounds its memory, and `max_order` is an optional cap.
+by the budget that bounds its memory: the class-data cap for an expression,
+and for a table the entries budget it was built within.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from collections import namedtuple
 from typing import TYPE_CHECKING
 
 from .conjugacy import (
-    CLASS_DATA_MAX_ORDER,
     class_data_for,
     pair_average,
     plain_trace_sums,
@@ -130,59 +130,34 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
     )
 
 
-def _other_routes(group: FiniteGroup | GroupExpr, n: int) -> str:
-    """The end of a refusal: the routes that answer `group` without its pairs.
-
-    The character route is named within the class-data cap, and the closed
-    form for an expression it accepts; a table gets no hint.  The closed form
-    is imported here, so a route that answers loads none of it.
-    """
-    if not isinstance(group, GroupExpr):
-        return ""
+def _closed_form_hint(expr: GroupExpr) -> str:
+    """The end of a class-data refusal: the closed form, where it answers
+    `expr`, imported here so that a route that answers loads none of it."""
     from .closed_forms import SphericalMatchError, spec_from_expr
 
-    routes = ["character"] if n <= CLASS_DATA_MAX_ORDER else []
     try:
-        spec_from_expr(group)
-        routes.append("closed-form")
+        spec_from_expr(expr)
     except SphericalMatchError:
-        pass
-    return f"; use the {' or '.join(routes)} route instead" if routes else ""
+        return ""
+    return "; use the closed-form route instead"
 
 
-def _as_group(group: FiniteGroup | GroupExpr | str) -> FiniteGroup:
-    """The table of `group`: itself, or the one its expression names."""
-    if not isinstance(group, (GroupExpr, str)):
-        return group
-    from .group_core import group_from_expr
-
-    return group_from_expr(group)
-
-
-def burnside_dims(
-    group: FiniteGroup | GroupExpr | str, max_order: int | None = None
-) -> BurnsideResult:
+def burnside_dims(group: FiniteGroup | GroupExpr | str) -> BurnsideResult:
     """Both dimensions by pair-averaged symmetric-cube traces.
 
     A table is counted pair by pair (mode "naive"); an expression or its
     string is reduced by classes (mode "class"), held to CLASS_DATA_MAX_ORDER
-    before any class is built.  An optional `max_order` caps the order before
-    anything is built.
+    before any class is built.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
     n = group_order(group)
-    if max_order is not None and n > max_order:
-        raise ResourceLimitError(
-            f"order {n} exceeds the pair-counting budget {max_order}"
-            + _other_routes(group, n)
-        )
     if isinstance(group, GroupExpr):
         name, mode = expr_to_string(group), "class"
         try:
             cd = class_data_for(group)
         except ResourceLimitError as exc:
-            raise ResourceLimitError(f"{exc}{_other_routes(group, n)}") from None
+            raise ResourceLimitError(f"{exc}{_closed_form_hint(group)}") from None
         plain_sum, plain_ker = plain_trace_sums(cd)
         twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
         num_classes = cd.num_classes
@@ -210,10 +185,7 @@ def burnside_dims(
     )
 
 
-def orbit_count_dims(
-    group: FiniteGroup | GroupExpr | str,
-    max_order: int | None = None,
-) -> int:
+def orbit_count_dims(group: FiniteGroup) -> int:
     """Number of monomial-triple orbits under both pair actions and inversion.
 
     Equals the full invariant dimension, and cross-checks burnside_dims by
@@ -257,18 +229,10 @@ def orbit_count_dims(
     the union of the orbits started, and the count is the number of orbits.
 
     The visited rows hold n^2 bytes, as many as the group's table has
-    entries, so the table's entries budget bounds the walk: an expression too
-    large to tabulate, order above 1000, is refused with the table's message
-    before any product is taken.  An optional `max_order` caps the order
-    before anything is built.
+    entries, so the table's entries budget bounds the walk too.
     """
-    n = group_order(group)
-    if max_order is not None and n > max_order:
-        raise ResourceLimitError(
-            f"order {n} exceeds the orbit-enumeration budget {max_order}"
-        )
-    group = _as_group(group)
     rows, inv = group.rows, group.inverses
+    n = len(rows)
     identity = list(range(n))
     perms = [[rows[rows[inv[s]][x]][s] for x in range(n)] for s in group.generators]
     # a central generator conjugates trivially, so its move is no move at all

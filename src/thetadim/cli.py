@@ -49,9 +49,12 @@ route's only budget: it takes the class data and d2 from
 characters.d2_char_formula, which sums the real characters in integers at
 the class representatives (characters.real_character_sums) and builds no
 table.  chartab, which builds the character table, refuses one of more than
-characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.
---max-order, else THETA_DIM_MAX_ORDER, is an optional order cap on burnside,
-orbits and diagrams (none by default) and lifts no budget.
+characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  The closed
+form refuses, with exit code 3, an answer of more digits than `str` writes
+(sys.get_int_max_str_digits, 4300 by default).  This module alone turns an
+expression into a table, and alone checks --max-order, an optional order cap
+on burnside, orbits and diagrams (none by default) that lifts no budget:
+`_run` refuses a larger order with exit code 3 before anything is built.
 """
 
 from __future__ import annotations
@@ -65,7 +68,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, family, group_order
+from .normal_form import ResourceLimitError, family, group_order, int_text
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 if TYPE_CHECKING:
@@ -99,42 +102,31 @@ EXIT_BROKEN_PIPE = 141
 METHODS = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
 
 
-def _max_order(args) -> int | None:
-    """The optional order cap of burnside, orbits and diagrams: --max-order,
-    else THETA_DIM_MAX_ORDER, else None for no cap."""
-    override = getattr(args, "max_order", None)
-    if override is None:
-        env = os.environ.get("THETA_DIM_MAX_ORDER")
-        if env is not None:
-            try:
-                override = int(env)
-            except ValueError:
-                print(f"ignoring non-integer THETA_DIM_MAX_ORDER={env!r}", file=sys.stderr)
-    return override
-
-
 # -- computation routes -------------------------------------------------------
 #
-# Each route takes (group, max_order) and returns (order, classes, d1, d2,
-# dim, z2); _run times it and builds the report.  `max_order` is _max_order's
-# cap, None for none.  Burnside counts a table pair by pair and reduces an
-# expression by classes.  The orbits and diagrams routes leave classes and z2
-# as None for _run to fill from the class data of their table, which verify
-# computes once for both.  A route imports the library functions it calls when
-# it runs, so a process loads only its route's modules, and a tracer that
-# rebinds a function in its defining module sees every call.
+# Each route takes one group and returns (order, classes, d1, d2, dim, z2);
+# _run times it and builds the report.  Closed and chars take the expression,
+# orbits and diagrams its table, and burnside either: it counts a table pair
+# by pair and reduces an expression by classes.  The orbits and diagrams
+# routes leave classes and z2 as None for _run to fill from the class data of
+# their table, which verify computes once for both.  A route imports the
+# library functions it calls when it runs, so a process loads only its
+# route's modules, and a tracer that rebinds a function in its defining
+# module sees every call.
 
 
-def _closed(expr: GroupExpr, max_order):
+def _closed(expr: GroupExpr):
     from .closed_forms import closed_class_count, closed_dims, closed_order, spec_from_expr
 
     spec = spec_from_expr(expr)
     # closed_dims has checked dim - ker against the closed inversion-orbit count
     dim, ker = closed_dims(spec)
+    if not (text := int_text(dim)).isdigit():  # a bound, past the digits str writes
+        raise ResourceLimitError(f"the answer is {text}, too long to print")
     return closed_order(spec), closed_class_count(spec), None, None, dim, dim - ker
 
 
-def _chars(expr: GroupExpr, max_order):
+def _chars(expr: GroupExpr):
     from .characters import d2_char_formula
     from .conjugacy import d1_class_formula, z2_orbit_count
 
@@ -146,27 +138,23 @@ def _chars(expr: GroupExpr, max_order):
     return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
 
 
-def _burnside(group: FiniteGroup | GroupExpr, max_order):
+def _burnside(group: FiniteGroup | GroupExpr):
     from .burnside import burnside_dims
 
-    r = burnside_dims(group, max_order)
+    r = burnside_dims(group)
     return r.order, r.num_classes, r.d1, r.d2, r.dim_full, r.dim_full - r.dim_ker
 
 
-def _enumerated(group: FiniteGroup, dim: int):
-    return group.order, None, None, None, dim, None
-
-
-def _orbits(group: FiniteGroup | GroupExpr, max_order):
+def _orbits(group: FiniteGroup):
     from .burnside import orbit_count_dims
 
-    return _enumerated(group, orbit_count_dims(group, max_order=max_order))
+    return group.order, None, None, None, orbit_count_dims(group), None
 
 
-def _diagrams(group: FiniteGroup | GroupExpr, max_order):
+def _diagrams(group: FiniteGroup):
     from .diagrams import dim_A2
 
-    return _enumerated(group, dim_A2(group, max_order=max_order))
+    return group.order, None, None, None, dim_A2(group), None
 
 
 _ROUTES = {
@@ -202,40 +190,35 @@ def _load_families(expr: GroupExpr) -> None:
         family(atom.kind)
 
 
-def _table_within(expr: GroupExpr, max_order: int | None) -> FiniteGroup | GroupExpr:
-    """The table group of `expr`, or `expr` itself when its order exceeds
-    `max_order` or its table would exceed the entries budget.  The routes refuse
-    the bare expression themselves; burnside reduces it by classes.
-    """
-    if max_order is not None and group_order(expr) > max_order:
-        return expr
-    from .group_core import group_from_expr
-
-    try:
-        return group_from_expr(expr)
-    except ResourceLimitError:
-        return expr
-
-
-def _run(name: str, expr: GroupExpr, max_order, group=None, classes_of=None) -> DimensionReport:
-    """Route `name` as a timed report; closed and chars see only `expr`, the others
-    `group`, the `_table_within` result verify shares, or else their own.
+def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> DimensionReport:
+    """Route `name` on `expr` as a timed report.  An order above `max_order`,
+    the --max-order cap, refuses burnside, orbits and diagrams before anything
+    is built.  Closed and chars see `expr`; orbits and diagrams its table, from
+    `table_of` (verify's memo of group_from_expr) or else built here; burnside
+    verify's table, or else `expr`, which it reduces by classes.
     `classes_of(table)` gives the class count and z2 that an enumeration
     route's report needs; verify passes a memo of `compute_classes` so that
     orbits and diagrams find its table's classes once.  Class data never feeds
     an enumerated dimension.  The clock starts once the modules the route runs
     are loaded: its own, and for every route but the closed form `conjugacy`
     and the expression's families."""
+    capped = name in ("burnside", "orbits", "diagrams") and max_order is not None
+    if capped and (n := group_order(expr)) > max_order:
+        raise ResourceLimitError(f"order {int_text(n)} exceeds --max-order {max_order}")
     _load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
     if name != "closed":
         conjugacy = _load("conjugacy")
         _load_families(expr)
     t0 = time.perf_counter()
-    if name in ("closed", "chars"):
-        group = expr
-    elif group is None:
-        group = expr if name == "burnside" else _table_within(expr, max_order)
-    order, classes, d1, d2, dim, z2 = _ROUTES[name](group, max_order)
+    group = expr
+    if name in ("orbits", "diagrams"):
+        group = (table_of or _load("group_core").group_from_expr)(expr)
+    elif name == "burnside" and table_of is not None:
+        try:
+            group = table_of(expr)
+        except ResourceLimitError:
+            pass  # past the entries budget burnside reduces `expr` by classes
+    order, classes, d1, d2, dim, z2 = _ROUTES[name](group)
     if classes is None:
         cd = (classes_of or conjugacy.compute_classes)(group)
         classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
@@ -270,18 +253,17 @@ def _emit(report: DimensionReport, args) -> None:
 
 def _cmd_compute(args) -> int:
     expr = parse_group_expr(args.expr)
-    max_order = _max_order(args)
     _info(args, f"computing {expr_to_string(expr)} (method {args.method})")
     if args.method == "auto":
         from .closed_forms import SphericalMatchError
 
         try:
-            report = _run("closed", expr, max_order)
+            report = _run("closed", expr)
         except SphericalMatchError as exc:
             _info(args, f"closed form not applicable ({exc}); falling back to burnside")
-            report = _run("burnside", expr, max_order)
+            report = _run("burnside", expr, args.max_order)
     else:
-        report = _run(args.method, expr, max_order)
+        report = _run(args.method, expr, args.max_order)
     _emit(report, args)
     return EXIT_OK
 
@@ -289,20 +271,21 @@ def _cmd_compute(args) -> int:
 def _cmd_verify(args) -> int:
     from .closed_forms import SphericalMatchError
     from .conjugacy import compute_classes
+    from .group_core import group_from_expr
 
     expr = parse_group_expr(args.expr)
-    max_order = _max_order(args)
     for name in _ROUTES:
         _load(_ROUTE_MODULES[name])
     _load_families(expr)
-    group = _table_within(expr, max_order)
+    # the first route to need the table builds it; a refusal is met by each
+    table_of = functools.lru_cache(maxsize=1)(group_from_expr)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:
         _info(args, f"running {name} on {expr_to_string(expr)}")
         try:
-            rep = _run(name, expr, max_order, group, classes_of)
+            rep = _run(name, expr, args.max_order, table_of, classes_of)
         except (SphericalMatchError, ResourceLimitError) as exc:
             lines.append(f"  {name:<9} skipped: {exc}")
             continue
@@ -470,8 +453,12 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
         if kind is None:
             arg = True
         elif kind is int:
+            # ASCII digits after an optional -: int() also takes "٣", "1_0", " 3"
+            digits = arg.removeprefix("-")
             try:
-                arg = int(arg)
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError(arg)
+                arg = int(arg)  # refuses more digits than it converts
             except ValueError:
                 raise _UsageError(f"--{name}: invalid int value {arg!r}", command) from None
         elif arg not in kind:

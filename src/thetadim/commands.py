@@ -19,7 +19,6 @@ from .cli import (
     _PROG,
     EXIT_MISMATCH,
     EXIT_OK,
-    _max_order,
     _run,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
@@ -45,14 +44,13 @@ def _table_rows(args):
 
 
 def table(args) -> int:
-    max_order = _max_order(args)
     lines = [CSV_HEADER]
     for param, expr_text in _table_rows(args):
         expr = parse_group_expr(expr_text)
-        closed = _run("closed", expr, max_order)
+        closed = _run("closed", expr)
         dims = (closed.dim_cpi, closed.dim_ker_eps)
         try:
-            check = _run("burnside", expr, max_order)
+            check = _run("burnside", expr, args.max_order)
         except ResourceLimitError:
             method = "closed"
         else:

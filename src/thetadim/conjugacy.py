@@ -16,7 +16,7 @@ from functools import reduce
 from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, parse_group_expr
-from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order
+from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order, int_text
 
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
@@ -132,7 +132,7 @@ def check_class_data_order(expr: GroupExpr) -> None:
     n = group_order(expr)
     if n > CLASS_DATA_MAX_ORDER:
         raise ResourceLimitError(
-            f"order {n} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
+            f"order {int_text(n)} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
         )
 
 

@@ -16,14 +16,14 @@ transposition is the transposition composed with inversion, followed by a
 conjugation.  So once the inverse and the conjugates by the generators of
 every walked pair are marked, the marked set is closed under every move (see
 `dim_A2`).
+
+The walk takes a multiplication table, which its caller builds within the
+table's entries budget, and calls nothing of the library.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
-
-from .expr import GroupExpr
-from .normal_form import ResourceLimitError, group_order
 
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
@@ -31,7 +31,7 @@ if TYPE_CHECKING:
 __all__ = ["dim_A2"]
 
 
-def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -> int:
+def dim_A2(group: FiniteGroup) -> int:
     """Number of decoration orbits; equals the full invariant dimension.
 
     The walk visits the n^2 ordered pairs (u, v) standing for (e, u, v),
@@ -39,8 +39,7 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
     starts at the next unvisited pair, found by `bytearray.find` along its
     row, so the walk takes one Python step per orbit start instead of one
     per pair.  The rows hold as many bytes as the group's table has entries,
-    so the table's entries budget, order 1000, bounds the walk before any
-    product is taken; an optional `max_order` caps the order before anything.
+    so the table's entries budget, order 1000, bounds the walk too.
 
     When the walk reaches an unvisited pair (a, b) it marks the six
     re-normalised orderings of (e, a, b): (a, b), (b, a), (a^-1, a^-1*b),
@@ -66,16 +65,8 @@ def dim_A2(group: FiniteGroup | GroupExpr | str, max_order: int | None = None) -
     Every marked pair is reached from the start by moves, so V is exactly
     the union of the orbits started, and the count is the number of orbits.
     """
-    n = group_order(group)
-    if max_order is not None and n > max_order:
-        raise ResourceLimitError(
-            f"order {n} exceeds the diagram-enumeration budget {max_order}"
-        )
-    if isinstance(group, (GroupExpr, str)):
-        from .group_core import group_from_expr
-
-        group = group_from_expr(group)
     rows, inv = group.rows, group.inverses
+    n = len(rows)
     # moves that act on each label alone, as element permutations: the
     # re-normalised right translation x -> s^-1*x*s by each generator s that
     # is not central (a central one fixes every pair), and inversion

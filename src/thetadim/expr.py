@@ -8,6 +8,7 @@ whitespace; printing always produces the canonical spaceless form, and
 
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 
 __all__ = [
@@ -111,7 +112,11 @@ def _scan_int(sc: _Scanner) -> int:
         sc.pos += 1
     if sc.pos == start or (sc.pos == start + 1 and sc.text[start] == "-"):
         raise ExprSyntaxError("expected an integer", start)
-    return int(sc.text[start : sc.pos])
+    try:
+        return int(sc.text[start : sc.pos])
+    except ValueError:  # more digits than the interpreter converts
+        limit = sys.get_int_max_str_digits()
+        raise ExprSyntaxError(f"an integer of more than {limit} digits", start) from None
 
 
 def _scan_params(sc: _Scanner, name: str) -> tuple[int, ...]:

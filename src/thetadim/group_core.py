@@ -31,7 +31,7 @@ from __future__ import annotations
 from functools import cache, reduce
 
 from .expr import Atom, GroupExpr, parse_group_expr
-from .normal_form import NormalForm, ResourceLimitError, atom_group, product_rule
+from .normal_form import NormalForm, ResourceLimitError, atom_group, int_text, product_rule
 
 __all__ = [
     "FiniteGroup",
@@ -145,7 +145,7 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
     n = rule.order
     if n * n > TABLE_MAX_ENTRIES:
         raise ResourceLimitError(
-            f"{name or rule.family_tag} needs {n * n} table entries, "
+            f"{name or rule.family_tag} needs {int_text(n * n)} table entries, "
             f"budget is {TABLE_MAX_ENTRIES}."
         )
 

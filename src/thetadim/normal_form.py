@@ -44,12 +44,20 @@ __all__ = [
     "atom_group",
     "family",
     "group_order",
+    "int_text",
     "product_rule",
 ]
 
 
 class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured size budget."""
+
+
+def int_text(n: int) -> str:
+    """`n` in decimal, or "10^L or more" past the L digits that `str` writes
+    (sys.get_int_max_str_digits; Python before 3.10.7 has no such limit)."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
 
 
 class NormalForm(

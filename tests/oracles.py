@@ -752,9 +752,19 @@ class _ReferenceParser(argparse.ArgumentParser):
         raise ReferenceUsageError(message)
 
 
+def _ascii_int(text: str) -> int:
+    """An optional - and ASCII digits, as an int; `int` also takes other
+    Unicode digits, underscores and surrounding whitespace."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(text)
+    return int(text)
+
+
 def reference_parser() -> argparse.ArgumentParser:
     """The argparse parser the command line used before its getopt parser:
-    the same commands, options, defaults, choices and exclusions."""
+    the same commands, options, defaults, choices and exclusions.  Its int
+    options take ASCII digits alone, as the command line's do."""
     from thetadim.cli import METHODS
 
     parser = _ReferenceParser(prog="thetadim")
@@ -769,18 +779,18 @@ def reference_parser() -> argparse.ArgumentParser:
     out = p.add_mutually_exclusive_group()
     out.add_argument("--json", action="store_true")
     out.add_argument("--csv", action="store_true")
-    p.add_argument("--max-order", type=int, dest="max_order")
+    p.add_argument("--max-order", type=_ascii_int, dest="max_order")
 
     p = sub.add_parser("verify", help="run every applicable method and compare")
     p.add_argument("expr")
-    p.add_argument("--max-order", type=int, dest="max_order")
+    p.add_argument("--max-order", type=_ascii_int, dest="max_order")
 
     p = sub.add_parser("table", help="emit a parameter sweep as CSV")
     p.add_argument("family", choices=["d4p", "t8_3k", "zn"])
-    p.add_argument("--max-p", type=int, default=15, dest="max_p")
-    p.add_argument("--max-k", type=int, default=9, dest="max_k")
-    p.add_argument("--max-n", type=int, default=60, dest="max_n")
-    p.add_argument("--max-order", type=int, dest="max_order")
+    p.add_argument("--max-p", type=_ascii_int, default=15, dest="max_p")
+    p.add_argument("--max-k", type=_ascii_int, default=9, dest="max_k")
+    p.add_argument("--max-n", type=_ascii_int, default=60, dest="max_n")
+    p.add_argument("--max-order", type=_ascii_int, dest="max_order")
 
     p = sub.add_parser("classes", help="dump conjugacy class data")
     p.add_argument("expr")

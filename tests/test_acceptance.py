@@ -402,8 +402,9 @@ WALKS_TO_THE_ENTRIES_BUDGET = {
 def test_walks_agree_with_the_closed_form_up_to_the_entries_budget():
     for expr, (order, dim, ker) in WALKS_TO_THE_ENTRIES_BUDGET.items():
         assert closed_dims(spec_from_expr(expr)) == (dim, ker), expr
-        assert orbit_count_dims(expr) == dim, expr
-        assert dim_A2(expr) == dim, expr
+        group = group_from_expr(expr)
+        assert orbit_count_dims(group) == dim, expr
+        assert dim_A2(group) == dim, expr
 
 
 def test_verify_runs_every_route_at_order_500(capsys):

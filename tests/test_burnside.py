@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from oracles import (
     twisted_action,
 )
 from thetadim.characters import table_for
+from thetadim.cli import EXIT_RESOURCE, main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 import thetadim.burnside as burnside
 from thetadim.burnside import ResourceLimitError, burnside_dims, orbit_count_dims
@@ -219,31 +221,21 @@ def test_kernel_deficit_is_the_inversion_orbit_count():
 
 @pytest.mark.parametrize("expr", ["Z(30)", "Dstar(7)", "Tprime(1)", "Z(2) x Z(2)"])
 def test_orbit_enumeration_agrees_with_averaging(expr):
-    assert orbit_count_dims(expr) == burnside_dims(expr).dim_full
+    assert orbit_count_dims(group_from_expr(expr)) == burnside_dims(expr).dim_full
 
 
 def test_pair_budget():
-    # no order cap by default: an expression is held to the class-data cap
+    # the library has no order cap: an expression is held to the class-data cap
     assert burnside_dims("Z(2025)").order == 2025
     with pytest.raises(ResourceLimitError, match="class-data budget 10000000"):
         burnside_dims("Z(10000001)")
-    # an explicit cap raises earlier, on a table as on an expression
-    with pytest.raises(ResourceLimitError, match="pair-counting budget 100$"):
-        burnside_dims(group_from_expr("Z(150)"), max_order=100)
-    with pytest.raises(ResourceLimitError, match="pair-counting budget 100;"):
-        burnside_dims("Z(150)", max_order=100)
-    assert burnside_dims("Z(2025)", max_order=2025).order == 2025
 
 
 def test_orbit_budget():
-    # no order cap by default: the walk is held to the table's entries budget
-    assert orbit_count_dims("Z(151)") == burnside_dims("Z(151)").dim_full
+    # the walk takes a table, so the table's entries budget is its budget
+    assert orbit_count_dims(group_from_expr("Z(151)")) == burnside_dims("Z(151)").dim_full
     with pytest.raises(ResourceLimitError, match="Z\\(1001\\) needs 1002001 table entries"):
-        orbit_count_dims("Z(1001)")
-    # an explicit cap raises earlier
-    with pytest.raises(ResourceLimitError, match="orbit-enumeration budget 150"):
-        orbit_count_dims("Z(151)", max_order=150)
-    assert orbit_count_dims("Z(151)", max_order=151) == burnside_dims("Z(151)").dim_full
+        group_from_expr("Z(1001)")
 
 
 # one to three generators; the literal closure takes about 0.5 s at order 120
@@ -311,26 +303,18 @@ def test_orbit_walk_with_extra_generators_matches_literal_closure(expr, extra):
 
 
 def test_budget_error_suggests_cheaper_route():
+    # past the class-data cap the chars route refuses too, so only the closed
+    # form is named, where it applies
     cases = [
-        # past the class-data cap the chars route refuses too, so only the
-        # closed form is named; under an explicit cap both are
-        ("Z(10000001)", None, "order 10000001 exceeds the class-data budget 10000000"
+        ("Z(10000001)", "order 10000001 exceeds the class-data budget 10000000"
          "; use the closed-form route instead"),
-        ("Z(10000001)", 5, "order 10000001 exceeds the pair-counting budget 5"
-         "; use the closed-form route instead"),
-        ("Z(5000)", 2000, "order 5000 exceeds the pair-counting budget 2000"
-         "; use the character or closed-form route instead"),
         # the closed form does not apply to a group that is not spherical
-        ("Z(2) x Z(2)", 3, "order 4 exceeds the pair-counting budget 3"
-         "; use the character route instead"),
-        ("Z(2)xZ(20000000)", None, "order 40000000 exceeds the class-data budget 10000000"),
-        # a table names no expression, so no route is suggested
-        (group_from_expr("Z(12)"), 5, "order 12 exceeds the pair-counting budget 5"),
+        ("Z(2)xZ(20000000)", "order 40000000 exceeds the class-data budget 10000000"),
     ]
-    for group, max_order, message in cases:
+    for expr, message in cases:
         with pytest.raises(ResourceLimitError) as err:
-            burnside_dims(group, max_order=max_order)
-        assert str(err.value) == message, group
+            burnside_dims(expr)
+        assert str(err.value) == message, expr
 
 
 def _refuse_tables_above(monkeypatch, max_order):
@@ -357,43 +341,57 @@ def test_class_level_routes_build_no_big_tables(monkeypatch, expr):
     assert table_for(expr).class_data == class_data_for(expr)
 
 
-def test_budgets_are_checked_before_anything_is_built(monkeypatch):
+def test_budgets_are_checked_before_anything_is_built(monkeypatch, capsys):
+    # the class-data cap in the library, and the entries budget of the table
+    # that the command line builds for the walks
     _refuse_tables_above(monkeypatch, 0)
 
     def refuse(group):
         raise AssertionError(f"computed the classes of order {group.order}")
 
     monkeypatch.setattr(conjugacy, "compute_classes", refuse)
-    for refused in (
-        lambda: burnside_dims("Z(10000001)"),
-        lambda: burnside_dims("Z(7) x Istar", max_order=100),
-        lambda: orbit_count_dims("Dstar(251)"),
-        lambda: orbit_count_dims("Z(3) x Dstar(84)"),
-        lambda: dim_A2("Dprime(2,67)"),
-        lambda: dim_A2("Z(100000)"),
+    with pytest.raises(ResourceLimitError):
+        burnside_dims("Z(10000001)")
+    for method, expr in (
+        ("orbits", "Dstar(251)"),
+        ("orbits", "Z(3) x Dstar(84)"),
+        ("diagrams", "Dprime(2,67)"),
+        ("diagrams", "Z(100000)"),
     ):
-        with pytest.raises(ResourceLimitError):
-            refused()
+        assert main(["compute", "--method", method, expr]) == EXIT_RESOURCE, expr
+        assert "budget is 1000000." in capsys.readouterr().err
     # invalid parameters are still reported as such, whatever the order
     with pytest.raises(ValueError):
         burnside_dims("Dprime(30,4)")
 
 
-@pytest.mark.parametrize("walk", [orbit_count_dims, dim_A2])
+# the command-line route that runs each walk
+_WALK_ROUTES = {orbit_count_dims: "orbits", dim_A2: "diagrams"}
+
+
+@pytest.mark.parametrize("walk", list(_WALK_ROUTES))
 @pytest.mark.parametrize("expr", ["Z(9) x Istar", "Z(21) x Ostar", "Tstar x Ostar"])
-def test_walks_past_the_entries_budget_build_only_a_polyhedral_atom(monkeypatch, walk, expr):
+def test_walks_past_the_entries_budget_build_only_a_polyhedral_atom(
+    monkeypatch, capsys, walk, expr
+):
     # a binary polyhedral atom (order <= 120) is coset-enumerated before the
-    # product's table is refused; nothing larger is built
+    # product's table is refused; nothing larger is built, and the walk never runs
     assert group_order(expr) ** 2 > TABLE_MAX_ENTRIES
     _refuse_tables_above(monkeypatch, 120)
-    with pytest.raises(ResourceLimitError, match="budget is 1000000"):
-        walk(expr)
+
+    def never(group):
+        raise AssertionError(f"walked a table of order {group.order}")
+
+    monkeypatch.setattr(sys.modules[walk.__module__], walk.__name__, never)
+    assert main(["compute", "--method", _WALK_ROUTES[walk], expr]) == EXIT_RESOURCE
+    assert "budget is 1000000." in capsys.readouterr().err
 
 
-def test_orbit_walk_visited_set_is_held_to_the_entries_budget(monkeypatch):
+def test_orbit_walk_visited_set_is_held_to_the_entries_budget(monkeypatch, capsys):
     # the n(n+1)/2 states of the identity slice are fewer than the n^2 table
     # entries, so the table's entries budget is the walk's budget too
     assert 1001 * 1002 // 2 <= TABLE_MAX_ENTRIES < 1001 * 1001
     _refuse_tables_above(monkeypatch, 0)
-    with pytest.raises(ResourceLimitError, match="1002001 table entries"):
-        orbit_count_dims("Z(1001)", max_order=10**4)
+    argv = ["compute", "--method", "orbits", "Z(1001)", "--max-order", "10000"]
+    assert main(argv) == EXIT_RESOURCE
+    assert "1002001 table entries" in capsys.readouterr().err

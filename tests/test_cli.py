@@ -186,22 +186,75 @@ def test_max_order_flag_lifts_budget(capsys):
     assert json.loads(out)["dim_Cpi"] == 1976
 
 
-def test_env_budget_override(capsys, monkeypatch):
-    monkeypatch.setenv("THETA_DIM_MAX_ORDER", "10")
-    rc, _, err = run(capsys, "compute", "Z(20)", "--method", "burnside")
-    assert rc == 3
-    assert "10" in err
-    # an explicit flag wins over the environment
-    rc, out, _ = run(capsys, "compute", "Z(20)", "--method", "burnside", "--json", "--max-order", "50")
-    assert rc == 0
-    assert json.loads(out)["dim_Cpi"] == 44
+# (method, expression, cap): an order above the cap is refused with one
+# message before anything is built, and one at the cap answers
+MAX_ORDER_CASES = [
+    ("burnside", "Z(20)", 10),
+    ("orbits", "Z(20)", 10),
+    ("diagrams", "Z(20)", 10),
+    ("burnside", "Z(150)", 100),
+    ("burnside", "Z(2025)", 2025),
+    ("burnside", "Z(5000)", 2000),
+    ("burnside", "Z(2) x Z(2)", 3),
+    ("burnside", "Z(10000001)", 5),
+    ("burnside", "Z(7) x Istar", 100),
+    ("orbits", "Z(151)", 150),
+    ("orbits", "Z(151)", 151),
+    ("diagrams", "Z(121)", 120),
+    ("diagrams", "Z(121)", 121),
+]
 
 
-def test_env_budget_ignored_when_malformed(capsys, monkeypatch):
-    monkeypatch.setenv("THETA_DIM_MAX_ORDER", "lots")
-    rc, _, err = run(capsys, "compute", "Z(4)", "--method", "burnside")
-    assert rc == 0
-    assert "THETA_DIM_MAX_ORDER" in err
+@pytest.mark.parametrize("method,expr,cap", MAX_ORDER_CASES)
+@pytest.mark.parametrize("command", ["compute", "verify"])
+def test_max_order_caps_burnside_orbits_and_diagrams(capsys, monkeypatch, command, method, expr, cap):
+    n = group_order(expr)
+    if n > cap:
+        _refuse_tables_and_class_data(monkeypatch, n)
+    argv = ["--method", method] if command == "compute" else []
+    rc, out, err = run(capsys, command, *argv, expr, "--max-order", str(cap))
+    message = f"order {n} exceeds --max-order {cap}"
+    if command == "compute" and n > cap:
+        assert (rc, out, err) == (3, "", f"resource limit: {message}\n")
+    elif command == "compute":
+        assert rc == 0 and f"dim full       {burnside.burnside_dims(expr).dim_full}" in out
+    else:
+        line = next(line for line in out.splitlines() if line.startswith(f"  {method} "))
+        assert (line == f"  {method:<9} skipped: {message}") == (n > cap), line
+
+
+def _refuse_tables_and_class_data(monkeypatch, n):
+    """Refuse the multiplication table of order `n`, its class data and
+    class-mode burnside, so that a capped route builds nothing; the chars
+    route may still tabulate a binary polyhedral atom and take its classes."""
+    real_init, real_classes = FiniteGroup.__init__, conjugacy.compute_classes
+
+    def guarded(self, rows, *args, **kwargs):
+        if len(rows) == n:
+            raise AssertionError(f"built a multiplication table of order {n}")
+        real_init(self, rows, *args, **kwargs)
+
+    def no_table_classes(group):
+        if isinstance(group, FiniteGroup) and group.order == n:
+            raise AssertionError(f"computed the classes of a table of order {n}")
+        return real_classes(group)
+
+    def no_classes(expr):
+        raise AssertionError("burnside reduced by classes")
+
+    monkeypatch.setattr(FiniteGroup, "__init__", guarded)
+    monkeypatch.setattr(conjugacy, "compute_classes", no_table_classes)
+    monkeypatch.setattr(burnside, "class_data_for", no_classes)
+
+
+def test_verify_under_the_cap_builds_no_table(capsys, monkeypatch):
+    # closed and chars still answer; the capped routes build nothing
+    _refuse_tables_and_class_data(monkeypatch, 20)
+    rc, out, err = run(capsys, "verify", "Z(20)", "--max-order", "10")
+    assert (rc, err) == (0, "")
+    for name in ("burnside", "orbits", "diagrams"):
+        assert f"  {name:<9} skipped: order 20 exceeds --max-order 10\n" in out
+    assert out.splitlines()[-1] == "agree: dim 44, kernel 33 (2 methods)"
 
 
 def test_compute_auto_falls_back_for_non_spherical(capsys):
@@ -243,8 +296,8 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     # corrupt one route to prove disagreement is detected and coded 2
     real = cli._ROUTES["orbits"]
 
-    def lying_route(group, max_order):
-        order, classes, d1, d2, dim, z2 = real(group, max_order)
+    def lying_route(group):
+        order, classes, d1, d2, dim, z2 = real(group)
         return order, classes, d1, d2, dim + 1, z2
 
     monkeypatch.setitem(cli._ROUTES, "orbits", lying_route)
@@ -549,6 +602,83 @@ def test_alignment_failure_is_an_internal_check(capsys, monkeypatch, command, ex
     assert "do not match" in lines[0]
 
 
+# -- integers past the interpreter's limit on printed digits -----------------
+
+
+@pytest.fixture
+def digit_limit():
+    """A low limit on the digits of a printed integer, 640, the least the
+    interpreter allows, so that the answers past it are quick to compute."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(old)
+
+
+def _last_printable_tprime(limit: int) -> int:
+    """The largest k for which Tprime(k)'s dimension has at most `limit` digits."""
+    k = 1
+    while closed_dims(spec_from_expr(f"Tprime({k + 1})"))[0] < 10**limit:
+        k += 1
+    return k
+
+
+def test_an_answer_too_long_to_print_is_refused(capsys, digit_limit):
+    k = _last_printable_tprime(digit_limit)
+    dim, ker = closed_dims(spec_from_expr(f"Tprime({k})"))
+    rc, out, err = run(capsys, "compute", f"Tprime({k})")
+    assert (rc, err) == (0, "")
+    assert f"dim full       {dim}\n" in out
+    message = f"the answer is 10^{digit_limit} or more, too long to print"
+    rc, out, err = run(capsys, "compute", f"Tprime({k + 1})")
+    assert (rc, out, err) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+    # a sweep ends at the first such answer
+    rc, out, err = run(capsys, "table", "t8_3k", "--max-k", str(k + 1), "--max-order", "10")
+    assert (rc, out, err) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+    rc, out, _ = run(capsys, "table", "t8_3k", "--max-k", str(k), "--max-order", "10")
+    assert rc == 0 and out.splitlines()[-1] == f"{k},{dim},{ker},closed"
+
+
+def test_the_default_limit_refuses_tprime_5000_and_prints_tprime_4000(capsys):
+    limit = sys.get_int_max_str_digits()
+    assert limit == 4300
+    message = f"the answer is 10^{limit} or more, too long to print"
+    rc, out, err = run(capsys, "compute", "Tprime(5000)")
+    assert (rc, out, err) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+    rc, out, _ = run(capsys, "compute", "Tprime(4000)", "--json")
+    assert rc == 0
+    assert json.loads(out)["dim_Cpi"] == closed_dims(spec_from_expr("Tprime(4000)"))[0]
+
+
+def test_verify_skips_every_route_of_an_answer_too_long_to_print(capsys):
+    big = "10^4300 or more"
+    rc, out, err = run(capsys, "verify", "Tprime(5000)")
+    assert (rc, err) == (cli.EXIT_RESOURCE, "no method ran within the configured budgets\n")
+    lines = out.splitlines()
+    assert lines[0] == "group Tprime(5000)"
+    assert lines[1] == f"  closed    skipped: the answer is {big}, too long to print"
+    assert lines[2].startswith("  chars     skipped: order ") and "class-data budget" in lines[2]
+    assert lines[3].endswith("class-data budget 10000000; use the closed-form route instead")
+    for line, name in zip(lines[4:], ("orbits", "diagrams")):
+        assert line == f"  {name:<9} skipped: Tprime(5000) needs {big} table entries, budget is 1000000."
+    # an order itself past the limit is named by the same bound
+    rc, out, err = run(capsys, "verify", "Tprime(10000)", "--max-order", "10")
+    assert rc == cli.EXIT_RESOURCE
+    assert f"  chars     skipped: order {big} exceeds the class-data budget 10000000\n" in out
+    assert f"  burnside  skipped: order {big} exceeds --max-order 10\n" in out
+
+
+def test_a_parameter_past_the_digit_limit_is_a_syntax_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    rc, out, err = run(capsys, "compute", "Z(" + "1" * (limit + 1) + ")")
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: syntax error at byte 2: an integer of more than {limit} digits\n"
+    # a parameter of `limit` digits is an integer, read as such
+    rc, out, err = run(capsys, "compute", "--method", "burnside", "Z(" + "1" * limit + ")")
+    assert (rc, out) == (cli.EXIT_RESOURCE, "")
+    assert "class-data budget" in err
+
+
 @pytest.mark.parametrize("command", [["compute", "--method", "chars"], ["chartab"], ["verify"]])
 def test_invalid_parameters_are_a_usage_error(capsys, command):
     rc, out, err = run(capsys, *command, "Dprime(30,4)")
@@ -608,6 +738,10 @@ PARSER_EDGE_CASES = [
     ["compute", "Z(3)", "--max-order="],
     ["compute", "Z(3)", "--"],
     ["compute", "--", "Z(3)", "--json"],
+    ["compute", "Z(3)", "--max-order", "\u0663"],
+    ["table", "zn", "--max-n", "1_0"],
+    ["table", "t8_3k", "--max-k", " 3"],
+    ["table", "d4p", "--max-p=\u00b2"],
 ]
 
 
@@ -656,6 +790,33 @@ def test_usage_errors_print_a_usage_line_and_exit_1(capsys, argv):
     first, second = err.splitlines()
     assert first.startswith("usage: thetadim")
     assert second.startswith("thetadim") and ": error: " in second
+
+
+@pytest.mark.parametrize("value", ["\u0663", "1_0", " 3", "\u00b2"])
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (["compute", "--method", "burnside", "Z(5)"], "max-order"),
+        (["table", "zn"], "max-n"),
+        (["table", "t8_3k"], "max-k"),
+        (["table", "d4p"], "max-p"),
+    ],
+    ids=["compute", "table-zn", "table-t8_3k", "table-d4p"],
+)
+def test_an_int_option_takes_ascii_digits_only(capsys, argv, option, value):
+    # int() alone takes other Unicode digits, underscores and whitespace
+    rc, out, err = run(capsys, *argv, f"--{option}", value)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines()[1] == (
+        f"thetadim {argv[0]}: error: --{option}: invalid int value {value!r}"
+    )
+
+
+def test_an_int_option_past_the_digit_limit_is_a_usage_error(capsys):
+    value = "1" * (sys.get_int_max_str_digits() + 1)
+    rc, out, err = run(capsys, "compute", "Z(5)", "--max-order", value)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines()[1].startswith("thetadim compute: error: --max-order: invalid int")
 
 
 @pytest.mark.parametrize(
@@ -712,7 +873,6 @@ def test_the_process_entry_freezes_and_exits_through_sys_exit(argv, code):
     sys.exit: its exit code, its output and the atexit handlers all stand."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("THETA_DIM_MAX_ORDER", None)
     proc = subprocess.run(
         [sys.executable, "-c", _EXIT_PROBE, *argv], env=env, capture_output=True, text=True
     )
@@ -836,7 +996,6 @@ def _modules_at_first_clock_read(*argv: str) -> set[str]:
     in a fresh interpreter, so that no earlier test has imported them."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("THETA_DIM_MAX_ORDER", None)
     out = subprocess.run(
         [sys.executable, "-c", _FIRST_CLOCK_READ, *argv],
         env=env, capture_output=True, text=True, check=True,

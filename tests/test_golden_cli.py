@@ -43,8 +43,7 @@ def _records():
 
 
 @pytest.mark.parametrize("record", _records(), ids=lambda r: " ".join(r["argv"]))
-def test_cli_output_matches_golden(capsys, monkeypatch, record):
-    monkeypatch.delenv("THETA_DIM_MAX_ORDER", raising=False)
+def test_cli_output_matches_golden(capsys, record):
     rc = main(list(record["argv"]))
     out = capsys.readouterr().out
     assert (rc, mask(out)) == (record["exit"], record["stdout"])
@@ -79,7 +78,6 @@ def test_golden_records_replay_through_a_process(argv):
     record = next(r for r in _records() if tuple(r["argv"]) == argv)
     src = str(Path(thetadim.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("THETA_DIM_MAX_ORDER", None)
     proc = subprocess.run(
         [sys.executable, "-m", "thetadim", *argv],
         env=env, capture_output=True, text=True, timeout=120,

@@ -322,7 +322,6 @@ def test_a_process_enumerates_each_binary_polyhedral_atom_once(argv):
     # the chars route, the shared table and the printed labels each build the atom
     src = str(Path(group_core.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    env.pop("THETA_DIM_MAX_ORDER", None)
     out = subprocess.run(
         [sys.executable, "-c", _COUNT_ENUMERATIONS, *argv],
         env=env, capture_output=True, text=True, check=True,

@@ -113,9 +113,10 @@ def _function(tree: ast.Module, name: str) -> ast.FunctionDef:
 def test_orbit_and_diagram_walks_share_no_code():
     """verify's orbit and diagram routes must enumerate independently.
 
-    Neither module imports the other, and past group construction neither walk
-    references a library function or method, so no batching helper can be
-    shared through a third module either.
+    Neither module imports the other, and neither walk references a library
+    function or method: each takes a table and reads its rows, inverses and
+    generators, so no batching helper can be shared through a third module
+    either.
     """
     modules = _library_modules()
     assert "diagrams" not in _imported_modules(modules["burnside"])
@@ -127,7 +128,6 @@ def test_orbit_and_diagram_walks_share_no_code():
         for node in [top, *(top.body if isinstance(top, ast.ClassDef) else [])]
         if isinstance(node, ast.FunctionDef)
     }
-    construction = {"group_order", "group_from_expr", "_as_group"}
     for stem, name in (("burnside", "orbit_count_dims"), ("diagrams", "dim_A2")):
         nodes = list(ast.walk(_function(modules[stem], name)))
         # a local such as `inv` or `mul` is no reference to the method so named
@@ -138,7 +138,7 @@ def test_orbit_and_diagram_walks_share_no_code():
         }
         referenced = {node.attr for node in nodes if isinstance(node, ast.Attribute)}
         referenced |= {node.id for node in nodes if isinstance(node, ast.Name)} - local
-        assert referenced & library_functions <= construction, name
+        assert referenced & library_functions == set(), name
 
 
 def test_naive_pair_sums_iterate_every_pair():
@@ -247,6 +247,39 @@ def test_no_module_ends_the_process_without_the_interpreter_exit():
     assert {stem: lines for stem, lines in found.items() if lines} == {}
 
 
+_ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb"}
+
+
+def _environment_reads(tree: ast.AST) -> list[str]:
+    """Each use in `tree` of `os.environ`, `os.getenv` or their bytes forms:
+    the command line's options are the program's only settings."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            bad = node.attr in _ENVIRONMENT_NAMES
+        elif isinstance(node, ast.ImportFrom):
+            bad = any(alias.name in _ENVIRONMENT_NAMES for alias in node.names)
+        else:
+            bad = False
+        if bad:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_no_module_reads_the_environment():
+    for source in (
+        "import os\nos.environ.get('X')",
+        "import os as o\no.getenv('X')",
+        "from os import environ",
+        "from os import getenv as g",
+        "os.environb[b'X']",
+    ):
+        assert _environment_reads(ast.parse(source)), source
+    assert _environment_reads(ast.parse("import os\nos.dup2(os.open(os.devnull, 1), 1)")) == []
+    found = {stem: _environment_reads(tree) for stem, tree in _library_modules().items()}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
 def test_the_installed_command_and_python_m_share_the_process_entry():
     """Both `thetadim` and `python -m thetadim` end through `cli.run`.  The
     scripts table is read as text: Python 3.10 has no tomllib."""
@@ -264,7 +297,6 @@ def _child_env(**extra: str) -> dict[str, str]:
     src = str(Path(thetadim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else ""), **extra}
-    env.pop("THETA_DIM_MAX_ORDER", None)
     return env
 
 
