@@ -38,7 +38,7 @@ from .conjugacy import (
     twisted_trace_sums,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, atom_group, family, group_order
+from .normal_form import ResourceLimitError, atom_group, family, group_order, int_text
 
 if TYPE_CHECKING:
     from .cyclo import CycloNumber
@@ -204,7 +204,7 @@ def _check_cells(expr: GroupExpr) -> int:
     k = _class_count(expr)
     if k * k > CHAR_TABLE_MAX_CELLS:
         raise ResourceLimitError(
-            f"character table of {expr_to_string(expr)} needs {k * k} cells, "
+            f"character table of {expr_to_string(expr)} needs {int_text(k * k)} cells, "
             f"budget is {CHAR_TABLE_MAX_CELLS}"
         )
     return k

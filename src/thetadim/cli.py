@@ -119,11 +119,15 @@ def _closed(expr: GroupExpr):
     from .closed_forms import closed_class_count, closed_dims, closed_order, spec_from_expr
 
     spec = spec_from_expr(expr)
-    # closed_dims has checked dim - ker against the closed inversion-orbit count
-    dim, ker = closed_dims(spec)
+    # every case's answer is at least order^2 / 584, so past order 584 an order
+    # too long to print bounds the answer, before any polynomial is evaluated
+    dim = order = closed_order(spec)
+    if int_text(order).isdigit():
+        # closed_dims has checked dim - ker against the closed inversion-orbit count
+        dim, ker = closed_dims(spec)
     if not (text := int_text(dim)).isdigit():  # a bound, past the digits str writes
         raise ResourceLimitError(f"the answer is {text}, too long to print")
-    return closed_order(spec), closed_class_count(spec), None, None, dim, dim - ker
+    return order, closed_class_count(spec), None, None, dim, dim - ker
 
 
 def _chars(expr: GroupExpr):

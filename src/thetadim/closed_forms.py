@@ -15,6 +15,7 @@ from collections import namedtuple
 from math import gcd
 
 from .expr import Atom, GroupExpr, expr_to_string, parse_group_expr
+from .normal_form import power
 
 __all__ = [
     "SphericalMatchError",
@@ -269,11 +270,11 @@ def closed_order(spec: SphericalSpec) -> int:
     if case == "b":
         return 4 * spec.p * spec.m
     if case == "c":
-        return 2 ** (spec.k + 2) * spec.p * spec.m
+        return power(2, spec.k + 2) * spec.p * spec.m
     if case == "d":
         return 24 * spec.m
     if case == "e":
-        return 8 * 3**spec.k * spec.m
+        return 8 * power(3, spec.k) * spec.m
     if case == "f":
         return 48 * spec.m
     return 120 * spec.m

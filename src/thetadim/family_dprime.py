@@ -10,7 +10,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .expr import Atom
-from .normal_form import NormalForm
+from .normal_form import NormalForm, power
 
 __all__ = ["class_count", "dprime_rule", "model", "rows_and_sums"]
 
@@ -24,7 +24,7 @@ def dprime_rule(k: int, p: int) -> NormalForm:
         raise ValueError(f"k must be non-negative, got {k}.")
     if p < 3 or p % 2 == 0:
         raise ValueError(f"p must be odd and at least 3, got {p}.")
-    big_n = 2 ** (k + 2)
+    big_n = power(2, k + 2)
 
     def mul(i: int, j: int) -> int:
         n1, l1 = divmod(i, p)
@@ -52,7 +52,7 @@ def model(atom: Atom) -> NormalForm:
 
 def class_count(atom: Atom) -> int:
     k, p = atom.params
-    return 2**k * (p + 3)
+    return power(2, k) * (p + 3)
 
 
 def rows_and_sums(atom: Atom, group: NormalForm):

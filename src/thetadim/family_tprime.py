@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cache, partial
 
 from .expr import Atom
-from .normal_form import NormalForm
+from .normal_form import NormalForm, power
 
 __all__ = ["class_count", "model", "rows_and_sums", "tprime_rule"]
 
@@ -55,7 +55,7 @@ def tprime_rule(k: int) -> NormalForm:
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}.")
-    three_k = 3**k
+    three_k = power(3, k)
 
     def mul(i: int, j: int) -> int:
         l1, w1 = divmod(i, 8)
@@ -81,7 +81,7 @@ def model(atom: Atom) -> NormalForm:
 
 
 def class_count(atom: Atom) -> int:
-    return 7 * 3 ** (atom.params[0] - 1)
+    return 7 * power(3, atom.params[0] - 1)
 
 
 # Tprime(k) has seven class families.  The representative w*z^l of a class (w

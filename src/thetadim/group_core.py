@@ -7,23 +7,22 @@ split in two.  `normal_form` holds what class-level work needs: `NormalForm`,
 `product_rule`, `atom_group`, `group_order`, `ResourceLimitError` and the
 kind -> module table of the family modules (`family_z`, `family_dstar`,
 `family_dprime`, `family_tprime`, `family_polyhedral`), which hold each
-family's rule; it does not import this module.  This module
-holds the tables: `FiniteGroup`, the `*_group` builders, `construct_family`,
-`direct_product` and `group_from_expr`, and re-exports the normal-form names
-it uses.  A builder looks its family's rule up through `atom_group` when it
-runs, and no family module is imported here, so a process compiles only the
-families its expression names.  Only a route that builds a table, or a
-binary polyhedral atom, loads this module.
+family's rule; it does not import this module.  This module holds the tables:
+`FiniteGroup`, the `*_group` builders, `construct_family`, `direct_product`
+and `group_from_expr`, and re-exports the normal-form names it uses.  A
+builder looks its family's rule up through `atom_group` when it runs, and no
+family module is imported here, so a process compiles only the families its
+expression names.  Only a route that builds a table, or a binary polyhedral
+atom, loads this module.
 
 The three exceptional binary polyhedral groups (order at most 120) are built
-solely by coset enumeration from their two-generator presentations.
-`_tabulate` is the one place a rule becomes a multiplication table.  It
-refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
-product, a single atom included; no order cap lifts this.  The
-coset-enumerated table (`coset_enum.group_from_coset_table`) checks the same
-budget itself.  The orbit and diagram walks mark their visited pairs in n^2
-bytes, as many as the table they walk has entries, so the table's budget
-bounds them too; they have no other default bound.
+solely by coset enumeration from their presentations, which checks the
+table budget itself.  Every other table is filled by `_tabulate` from a
+rule, an atom's or a product's (whose factor may be such a table), by one
+walk along the rule's generators.  It refuses a table of more than
+TABLE_MAX_ENTRIES entries before taking any product; no order cap lifts
+this.  The orbit and diagram walks mark their visited pairs in n^2 bytes, as
+many as the table they walk has entries, so the budget bounds them too.
 """
 
 from __future__ import annotations
@@ -105,18 +104,27 @@ class FiniteGroup:
         return self.inverses[i]
 
 
-def _atom_products(rule: NormalForm) -> list[list[int]]:
-    """A single atom's rows, filled along a breadth-first search over its
-    generators: row(p*s) = row(p) o row(s), since (p*s)*j = p*(s*j).  The
-    rule is called for the |S| generator rows only, and each further row is
-    composed from a reached row and a generator row, instead of n^2 rule
-    calls.  Generators that do not reach every element are refused: the
-    table would be partial.
+def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
+    """The multiplication table a rule defines, an atom's or a product's.
+
+    A table of more than TABLE_MAX_ENTRIES entries is refused before any
+    product is taken; `name` describes the group in the refusal (default: its
+    tag).  The rows are filled along a breadth-first search over the rule's
+    generators, row(p*s) = row(p) o row(s) since (p*s)*j = p*(s*j): the rule
+    gives the |S| generator rows, and each further row is composed from a
+    reached row and a generator row, instead of n^2 rule calls.  Every entry
+    is read from row 0, so the table holds one int object per element.
+    Generators that do not reach every element are refused: the table would
+    be partial.  Element numbering and labels are the rule's own.
     """
     n, mul = rule.order, rule.mul
+    if n * n > TABLE_MAX_ENTRIES:
+        raise ResourceLimitError(
+            f"{name or rule.family_tag} needs {int_text(n * n)} table entries, "
+            f"budget is {TABLE_MAX_ENTRIES}."
+        )
     gen_rows = [(s, [mul(s, j) for j in range(n)]) for s in rule.generators]
-    rows: list = [None] * n
-    rows[0] = list(range(n))
+    rows: list = [list(range(n))] + [None] * (n - 1)
     reached = [0]
     for p in reached:  # grows while it is read: a breadth-first queue
         row_p = rows[p]
@@ -129,57 +137,7 @@ def _atom_products(rule: NormalForm) -> list[list[int]]:
         raise AssertionError(
             f"{rule.family_tag}: the generators reach {len(reached)} of {n} elements"
         )
-    return rows
-
-
-def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
-    """The multiplication table a rule defines.
-
-    A table of more than TABLE_MAX_ENTRIES entries is refused before any
-    product is taken; `name` describes the group in the refusal (default: its
-    tag).  A single atom's rows are composed from its generators' rows
-    (`_atom_products`), and a product rule's rows are joined block by block
-    from its factors' rows, so the composed `mul` is never called per entry.
-    Element numbering and labels are the rule's own either way.
-    """
-    n = rule.order
-    if n * n > TABLE_MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"{name or rule.family_tag} needs {int_text(n * n)} table entries, "
-            f"budget is {TABLE_MAX_ENTRIES}."
-        )
-
-    def products(g: NormalForm | FiniteGroup) -> list[list[int]]:
-        if isinstance(g, FiniteGroup):
-            return g.rows
-        if not g.factors:
-            return _atom_products(g)
-        g1, g2 = g.factors
-        rows1, rows2 = products(g1), products(g2)
-        n2 = len(rows2)
-        # (i1, i2) * (j1, j2) = (i1*j1, i2*j2) has index (i1*j1)*n2 + i2*j2, so
-        # row (i1, i2) is n1 blocks, and block j1 is row i2 of g2 shifted by
-        # (i1*j1)*n2: shifted[k][i2], built once and joined as a whole.  Shifted
-        # indices are read from one list of them all, so the table holds one
-        # int object per element, not one per entry
-        indices = list(range(len(rows1) * n2))
-        shifted = [
-            [[offset[x] for x in row] for row in rows2]
-            for offset in (indices[k : k + n2] for k in range(0, len(indices), n2))
-        ]
-        rows = []
-        for row1 in rows1:
-            blocks = [shifted[k] for k in row1]
-            for i2 in range(n2):
-                row = []
-                for block in blocks:
-                    row += block[i2]
-                rows.append(row)
-        return rows
-
-    return FiniteGroup(
-        products(rule), rule.label, rule.family_tag, generators=rule.generators
-    )
+    return FiniteGroup(rows, rule.label, rule.family_tag, generators=rule.generators)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -247,9 +205,7 @@ def construct_family(atom: Atom) -> FiniteGroup:
     raise ValueError(f"unknown family {kind!r}")
 
 
-def direct_product(
-    g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup
-) -> FiniteGroup:
+def direct_product(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> FiniteGroup:
     """The multiplication table of `product_rule(g1, g2)`."""
     name = f"product of orders {g1.order} and {g2.order}"
     return _tabulate(product_rule(g1, g2), name)

@@ -20,11 +20,11 @@ coordinates a rule gives its elements are read in the same module that
 writes them.  `family(kind)` imports a family's module when it is first
 used, so a process compiles only the families its expression names.
 
-At run time this module does not import `group_core`, so a
-process that works on class data alone compiles no table code.
-`group_core` turns a rule into a table (`_tabulate`), and `atom_group`
-reaches it only for a binary polyhedral atom.  `ResourceLimitError`, the one
-budget error of every layer, is defined here for the same reason.
+At run time this module does not import `group_core`, which turns rules into
+tables, so a process that works on class data alone compiles no table code;
+`atom_group` reaches it only for a binary polyhedral atom.  The one budget
+error of every layer, `ResourceLimitError`, is defined here for that reason,
+as are `int_text` and `power`, which name numbers past the digits `str` writes.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "family",
     "group_order",
     "int_text",
+    "power",
     "product_rule",
 ]
 
@@ -60,22 +61,26 @@ def int_text(n: int) -> str:
     return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
 
 
-class NormalForm(
-    namedtuple(
-        "NormalForm", "order mul inv label generators family_tag factors", defaults=((),)
-    )
-):
+def power(base: int, exponent: int) -> int:
+    """base ** exponent, base 2 or 3, or 10^L (L as in int_text) once exponent
+    >= 4L, where the power is at least 16^L.  Both exceed every budget, which
+    has at most L digits, and int_text writes both alike, so no exponent-sized
+    power is taken to refuse; a rule of such an order never multiplies."""
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    return 10**limit if limit and exponent >= 4 * limit else base**exponent
+
+
+class NormalForm(namedtuple("NormalForm", "order mul inv label generators family_tag")):
     """A group given by a product rule on normal-form element indices.
 
     Elements are 0..order-1 with 0 the identity, numbered exactly as in the
-    multiplication table the rule fills (`_tabulate`).  `mul`, `inv` and
-    `label` are plain functions of element indices, so class-level work costs
-    O(order) products instead of the order^2 entries of a table.
+    table that `_tabulate` fills from the rule, an atom's or a product's,
+    along its generators.  `mul`, `inv` and `label` are plain functions of
+    element indices, so class-level work costs O(order) products instead of
+    the order^2 entries of a table.
 
     Fields: order (int), mul ((int, int) -> int), inv (int -> int), label
-    (int -> str), generators (list[int]), family_tag (str), and factors,
-    (g1, g2) for a rule made by product_rule, whose table is filled from
-    theirs, else ().
+    (int -> str), generators (list[int], which generate the group), family_tag.
     """
 
     __slots__ = ()
@@ -106,7 +111,6 @@ def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> 
         label,
         [i1 * n2 for i1 in g1.generators] + list(g2.generators),
         f"{g1.family_tag or '?'}x{g2.family_tag or '?'}",
-        (g1, g2),
     )
 
 

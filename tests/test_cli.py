@@ -27,7 +27,7 @@ from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_int
 from thetadim.group_core import FiniteGroup, ResourceLimitError, group_from_expr
-from thetadim.normal_form import group_order
+from thetadim.normal_form import group_order, int_text, power
 from thetadim.report import CSV_HEADER
 
 
@@ -677,6 +677,88 @@ def test_a_parameter_past_the_digit_limit_is_a_syntax_error(capsys):
     rc, out, err = run(capsys, "compute", "--method", "burnside", "Z(" + "1" * limit + ")")
     assert (rc, out) == (cli.EXIT_RESOURCE, "")
     assert "class-data budget" in err
+
+
+def test_an_exponent_sized_power_is_named_by_its_bound():
+    limit = sys.get_int_max_str_digits()
+    big = f"10^{limit} or more"
+    assert power(3, 4 * limit - 1) == 3 ** (4 * limit - 1)
+    # past exponent 4L the power has more than L digits and is not taken
+    assert power(2, 4 * limit) == 10**limit
+    assert int_text(power(2, 4 * limit)) == int_text(2 ** (4 * limit)) == big
+    assert int_text(group_order("Dprime(1000000000000,3) x Z(5)")) == big
+
+
+# a child that runs the command line under a 1 GB address-space limit and 3 s
+# of CPU time, so that a power taken from an exponent-sized parameter (2^k is
+# 125 GB at k = 10^12) ends the child at once instead of exhausting memory
+_LIMITED = """
+import resource, runpy, sys
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+sys.argv[0] = "thetadim"
+runpy.run_module("thetadim", run_name="__main__")
+"""
+
+
+def _run_limited(*argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIMITED, *argv], env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+_BIG = "10^4300 or more"
+_CLASS_DATA = f"order {_BIG} exceeds the class-data budget 10000000"
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["compute", "Dprime(100000000,3)"], f"the answer is {_BIG}, too long to print"),
+        (
+            ["compute", "--method", "burnside", "Dprime(1000000000,3)"],
+            f"{_CLASS_DATA}; use the closed-form route instead",
+        ),
+        (["compute", "--method", "chars", "Tprime(10000000)"], _CLASS_DATA),
+    ],
+)
+def test_an_exponent_sized_parameter_is_refused_before_its_power_is_taken(argv, message):
+    assert _run_limited(*argv) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+
+
+def _refusals(expr: str) -> dict[str, str]:
+    tables = f"{expr} needs {_BIG} table entries, budget is 1000000."
+    return {
+        "closed": f"the answer is {_BIG}, too long to print",
+        "chars": _CLASS_DATA,
+        "burnside": f"{_CLASS_DATA}; use the closed-form route instead",
+        "orbits": tables,
+        "diagrams": tables,
+    }
+
+
+@pytest.mark.parametrize("expr", ["Tprime(3000000)", "Dprime(1000000000000,3)", "Tprime(1000000000000)"])
+def test_verify_skips_every_route_of_an_exponent_sized_parameter(expr):
+    lines = [f"group {expr}"]
+    lines += [f"  {name:<9} skipped: {why}" for name, why in _refusals(expr).items()]
+    out = "\n".join(lines) + "\n"
+    err = "no method ran within the configured budgets\n"
+    assert _run_limited("verify", expr) == (cli.EXIT_RESOURCE, out, err)
+
+
+@pytest.mark.parametrize("expr", ["Dprime(1000000000000,3)", "Tprime(1000000000000)"])
+@pytest.mark.parametrize("route", ["closed", "chars", "burnside", "orbits", "diagrams", "classes", "chartab"])
+def test_every_route_refuses_an_exponent_sized_parameter_at_once(expr, route):
+    refusals = _refusals(expr) | {
+        "classes": _CLASS_DATA,
+        "chartab": f"character table of {expr} needs {_BIG} cells, budget is 10000000",
+    }
+    argv = [route, expr] if route in ("classes", "chartab") else ["compute", "--method", route, expr]
+    assert _run_limited(*argv) == (cli.EXIT_RESOURCE, "", f"resource limit: {refusals[route]}\n")
 
 
 @pytest.mark.parametrize("command", [["compute", "--method", "chars"], ["chartab"], ["verify"]])

@@ -187,6 +187,13 @@ def test_closed_dims_integrality_across_grid():
         assert dim - ker == closed_z2_orbit(spec), spec
 
 
+def test_every_answer_is_at_least_its_order_squared_over_584():
+    # so past order 584 an order too long to print bounds the answer, and the
+    # closed route refuses it before evaluating any polynomial
+    for spec in spherical_spec_grid():
+        assert 584 * closed_dims(spec)[0] >= closed_order(spec) ** 2, spec
+
+
 def test_divisibility_branches_against_averaging():
     # both residue branches of every case, kept within the averaging budget
     branch_cases = [
@@ -289,3 +296,4 @@ def _large_specs(draw):
 @given(_large_specs())
 def test_integer_closed_forms_match_the_fraction_forms_on_large_specs(spec):
     _assert_integer_forms_match_fractions(spec)
+    assert 584 * closed_dims(spec)[0] >= closed_order(spec) ** 2, spec

@@ -457,7 +457,32 @@ def test_generators_that_miss_part_of_the_group_are_refused():
         group_core._tabulate(cyclic_rule(6)._replace(generators=[2]))
     with pytest.raises(AssertionError, match="reach 1 of 4 elements"):
         group_core._tabulate(binary_dihedral_rule(1)._replace(generators=[]))
-    # a product's rows come from its factors' tables, so a factor is checked too
+    # a product's rows are filled along its own generators, which take one
+    # factor's generators and so miss the same share of the product
     bad = product_rule(cyclic_rule(3), binary_dihedral_rule(2)._replace(generators=[1]))
-    with pytest.raises(AssertionError, match="reach 4 of 8 elements"):
+    message = r"^Z\(3\)xDstar\(2\): the generators reach 12 of 24 elements$"
+    with pytest.raises(AssertionError, match=message):
         group_core._tabulate(bad)
+
+
+@pytest.mark.parametrize(
+    "expr", ["Dstar(6)", "Z(3) x Dprime(1,5)", "Z(5) x Tstar", "Tstar x Z(5)", "Z(2) x Z(3) x Z(5)"]
+)
+def test_a_table_holds_one_int_object_per_element(expr):
+    # every entry is read from row 0, so equal entries are one object
+    group = group_from_expr(expr)
+    assert len({id(x) for row in group.rows for x in row}) == group.order
+
+
+def test_a_product_rule_is_called_at_most_once_per_generator_and_element():
+    rule = product_rule(product_rule(cyclic_rule(3), binary_dihedral_rule(2)), tstar_group())
+    calls = []
+
+    def counted(i, j):
+        calls.append((i, j))
+        return rule.mul(i, j)
+
+    group = group_core._tabulate(rule._replace(mul=counted))
+    assert group.order == 576
+    assert 0 < len(calls) <= len(rule.generators) * rule.order
+    assert all(group.rows[i][j] == rule.mul(i, j) for i, j in calls)
