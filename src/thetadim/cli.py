@@ -51,10 +51,11 @@ the class representatives (characters.real_character_sums) and builds no
 table.  chartab, which builds the character table, refuses one of more than
 characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  The closed
 form refuses, with exit code 3, an answer of more digits than `str` writes
-(sys.get_int_max_str_digits, 4300 by default).  This module alone turns an
-expression into a table, and alone checks --max-order, an optional order cap
-on burnside, orbits and diagrams (none by default) that lifts no budget:
-`_run` refuses a larger order with exit code 3 before anything is built.
+(sys.get_int_max_str_digits, 4300 by default and where the interpreter sets
+no limit).  This module alone turns an expression into a table, and alone
+checks --max-order, an optional order cap on burnside, orbits and diagrams
+(none by default) that lifts no budget: `_run` refuses a larger order with
+exit code 3 before anything is built.
 """
 
 from __future__ import annotations

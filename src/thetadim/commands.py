@@ -36,16 +36,24 @@ _DESCRIPTION = (
 
 
 def _table_rows(args):
+    """The sweep's parameters, a range, and its expression template."""
     if args.family == "d4p":
-        return [(p, f"Dstar({p})") for p in range(1, args.max_p + 1)]
+        return range(1, args.max_p + 1), "Dstar({})"
     if args.family == "t8_3k":
-        return [(k, f"Tprime({k})") for k in range(1, args.max_k + 1)]
-    return [(n, f"Z({n})") for n in range(1, args.max_n + 1)]
+        return range(1, args.max_k + 1), "Tprime({})"
+    return range(1, args.max_n + 1), "Z({})"
 
 
 def table(args) -> int:
+    params, template = _table_rows(args)
+    if params:
+        # every family's answer grows with its parameter: if the last one is
+        # short enough to print, so is every earlier one, and a sweep that
+        # cannot finish is refused before its first row
+        _run("closed", parse_group_expr(template.format(params[-1])))
     lines = [CSV_HEADER]
-    for param, expr_text in _table_rows(args):
+    for param in params:
+        expr_text = template.format(param)
         expr = parse_group_expr(expr_text)
         closed = _run("closed", expr)
         dims = (closed.dim_cpi, closed.dim_ker_eps)

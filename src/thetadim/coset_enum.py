@@ -1,10 +1,10 @@
 """Coset enumeration for finitely presented groups.
 
-Presentations are written as ``<a,b | (a*b)^2 = a^3 = b^3>``: single-letter
-generators, `*` optional between factors, integer exponents (negative allowed),
-parenthesised subwords, and chains u = v = w that abbreviate the relators
-u v^-1 and v w^-1.  A bare word is a relator equal to the identity; `1` (or
-`e`, when not a generator) denotes the empty word.
+A presentation is its generator names and its relators, each a word of
+columns: column 2g is generator g and column 2g+1 its inverse, so the word
+(0, 2, 0, 2) is (ab)^2 in the generators a and b.  The library enumerates the
+binary polyhedral presentations <a,b | (ab)^2 = a^3 = b^k> (`group_core`);
+the tests write presentations as text and parse them into such words.
 
 Enumeration runs over the trivial subgroup, so the final coset table is the
 regular right action and the group multiplication table can be reconstructed
@@ -25,15 +25,12 @@ __all__ = [
     "Presentation",
     "enumerate_cosets",
     "group_from_presentation",
-    "parse_presentation",
 ]
 
-DEFAULT_MAX_COSETS = 10**5
 
-
-class Presentation(namedtuple("Presentation", "generators relators text")):
-    """The generator names (tuple[str, ...]) and relators (tuple of column-index
-    sequences, tuple[tuple[int, ...], ...]) of a presentation's text (str)."""
+class Presentation(namedtuple("Presentation", "generators relators")):
+    """The generator names (tuple[str, ...]) and the relators, words of
+    column indices (tuple[tuple[int, ...], ...]), of a presentation."""
 
     __slots__ = ()
 
@@ -45,125 +42,11 @@ class CosetTable(namedtuple("CosetTable", "presentation size action")):
     __slots__ = ()
 
 
-def _invert_word(word: list[int]) -> list[int]:
-    out = [c ^ 1 for c in word]
-    out.reverse()
-    return out
-
-
-class _WordScanner:
-    def __init__(self, text: str, pos: int, gens: dict[str, int]) -> None:
-        self.text = text
-        self.pos = pos
-        self.gens = gens
-
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def parse_word(self, stop: str) -> list[int]:
-        out: list[int] = []
-        while True:
-            ch = self.peek()
-            if ch == "" or ch in stop:
-                return out
-            if ch == "*":
-                self.pos += 1
-                continue
-            if ch == "(":
-                self.pos += 1
-                factor = self.parse_word(")")
-                if self.peek() != ")":
-                    raise ValueError(f"unbalanced ( in word at byte {self.pos}")
-                self.pos += 1
-            elif ch in self.gens:
-                factor = [2 * self.gens[ch]]
-                self.pos += 1
-            elif ch == "1" or ch == "e":
-                factor = []
-                self.pos += 1
-            else:
-                raise ValueError(
-                    f"unexpected character {ch!r} in word at byte {self.pos}"
-                )
-            if self.peek() == "^":
-                self.pos += 1
-                factor = self._apply_exponent(factor)
-            out.extend(factor)
-
-    def _apply_exponent(self, factor: list[int]) -> list[int]:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start or self.text[start:self.pos] == "-":
-            raise ValueError(f"expected an integer exponent at byte {start}")
-        exp = int(self.text[start : self.pos])
-        if exp < 0:
-            factor = _invert_word(factor)
-            exp = -exp
-        return factor * exp
-
-
-def parse_presentation(text: str) -> Presentation:
-    s = text.strip()
-    if not s.startswith("<") or not s.endswith(">"):
-        raise ValueError("presentation must be enclosed in < >")
-    body = s[1:-1]
-    if "|" not in body:
-        raise ValueError("presentation must contain | between generators and relations")
-    gen_part, rel_part = body.split("|", 1)
-    names = []
-    for tok in gen_part.split(","):
-        tok = tok.strip()
-        if len(tok) != 1 or not tok.isalpha():
-            raise ValueError(f"generator names must be single letters, got {tok!r}")
-        if tok in names:
-            raise ValueError(f"duplicate generator {tok!r}")
-        names.append(tok)
-    gens = {}
-    for g in names:
-        gens[g] = len(gens)
-    relators: list[tuple[int, ...]] = []
-    for rel in rel_part.split(","):
-        rel = rel.strip()
-        if not rel:
-            continue
-        words = []
-        for part in rel.split("="):
-            sc = _WordScanner(part, 0, gens)
-            word = sc.parse_word("")
-            if sc.peek() != "":
-                raise ValueError(f"trailing junk in relation {part!r}")
-            words.append(word)
-        if len(words) == 1:
-            if words[0]:
-                relators.append(tuple(words[0]))
-        else:
-            for i in range(len(words) - 1):
-                combined = words[i] + _invert_word(words[i + 1])
-                if combined:
-                    relators.append(tuple(combined))
-    return Presentation(tuple(names), tuple(relators), text)
-
-
-def enumerate_cosets(presentation, max_cosets: int | None = None) -> CosetTable:
-    """Run coset enumeration over the trivial subgroup until the table closes."""
-    pres = (
-        parse_presentation(presentation)
-        if isinstance(presentation, str)
-        else presentation
-    )
-    if max_cosets is None:
-        max_cosets = DEFAULT_MAX_COSETS
-    ncols = 2 * len(pres.generators)
-    relators = [list(r) for r in pres.relators]
+def enumerate_cosets(presentation: Presentation, max_cosets: int) -> CosetTable:
+    """Run coset enumeration over the trivial subgroup until the table closes;
+    defining more than `max_cosets` cosets is refused."""
+    ncols = 2 * len(presentation.generators)
+    relators = [list(r) for r in presentation.relators]
 
     table: list[list[int] | None] = [[-1] * ncols]
     parent = [0]
@@ -291,7 +174,7 @@ def enumerate_cosets(presentation, max_cosets: int | None = None) -> CosetTable:
             new_row.append(renumber[find(img)])
         action.append(new_row)
 
-    result = CosetTable(pres, len(live), action)
+    result = CosetTable(presentation, len(live), action)
     _check_relations(result)
     return result
 
@@ -306,23 +189,25 @@ def _check_relations(ct: CosetTable) -> None:
                 raise AssertionError("coset table does not satisfy the relators")
 
 
-def group_from_coset_table(
-    ct: CosetTable,
-    family_tag: str = "",
-    expected_order: int | None = None,
+def group_from_presentation(
+    presentation: Presentation, expected_order: int, family_tag: str
 ) -> FiniteGroup:
-    """Rebuild the abstract group from the regular action on cosets.
+    """The group of a presentation of order `expected_order`, rebuilt from
+    its regular action on cosets.
 
-    Coset 0 is the trivial subgroup, so cosets are in bijection with group
-    elements.  Multiplication columns are grown along a breadth-first search:
+    The enumeration may define max(20 * expected_order, 1000) cosets, and
+    any other count of cosets than `expected_order` is refused.  Coset 0 is
+    the trivial subgroup, so cosets are in bijection with group elements.
+    Multiplication columns are grown along a breadth-first search:
     if element j is reached from element j' by one generator column c, then
     mul(-, j) is mul(-, j') followed by c.  The table is held to
     TABLE_MAX_ENTRIES before any column is grown; its rows are the columns
     transposed, and each element is labelled by the word that reached it.
     """
+    ct = enumerate_cosets(presentation, max(20 * expected_order, 1000))
     n = ct.size
-    ncols = 2 * len(ct.presentation.generators)
-    if expected_order is not None and n != expected_order:
+    ncols = 2 * len(presentation.generators)
+    if n != expected_order:
         raise ValueError(
             f"enumeration produced {n} cosets, expected order {expected_order}"
         )
@@ -354,8 +239,8 @@ def group_from_coset_table(
 
     # row x of the table is entry x of every column
     rows = [list(row) for row in zip(*columns)]
-    spelled = [_word_label(ct.presentation.generators, word) for word in words]
-    gens = [ct.action[0][2 * g] for g in range(len(ct.presentation.generators))]
+    spelled = [_word_label(presentation.generators, word) for word in words]
+    gens = [ct.action[0][2 * g] for g in range(len(presentation.generators))]
     return FiniteGroup(rows, spelled.__getitem__, family_tag, generators=gens)
 
 
@@ -375,15 +260,3 @@ def _word_label(names: tuple[str, ...], letters: list[tuple[int, int]]) -> str:
         else:
             parts.append(f"{names[g]}^{e}")
     return "*".join(parts)
-
-
-def group_from_presentation(
-    text: str,
-    expected_order: int | None = None,
-    max_cosets: int | None = None,
-    family_tag: str = "",
-) -> FiniteGroup:
-    if max_cosets is None and expected_order is not None:
-        max_cosets = max(20 * expected_order, 1000)
-    ct = enumerate_cosets(text, max_cosets=max_cosets)
-    return group_from_coset_table(ct, family_tag=family_tag, expected_order=expected_order)

@@ -2,10 +2,11 @@
 characters and class counts.
 
 They have no normal form.  Each is the table that coset enumeration builds
-from its presentation (`group_core.construct_family`), so its rows and sums
-are constants at a list of representative words in the generators a and b,
-used only once the words' class sizes and power maps agree with the class
-data; any failure of that alignment raises instead of guessing.
+from its presentation <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5
+(`group_core.construct_family`), so its rows and sums are constants at a
+list of representative words in the generators a and b, used only once the
+words' class sizes and power maps agree with the class data; any failure of
+that alignment raises instead of guessing.
 """
 
 from __future__ import annotations

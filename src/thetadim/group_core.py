@@ -16,13 +16,15 @@ expression names.  Only a route that builds a table, or a binary polyhedral
 atom, loads this module.
 
 The three exceptional binary polyhedral groups (order at most 120) are built
-solely by coset enumeration from their presentations, which checks the
-table budget itself.  Every other table is filled by `_tabulate` from a
-rule, an atom's or a product's (whose factor may be such a table), by one
-walk along the rule's generators.  It refuses a table of more than
-TABLE_MAX_ENTRIES entries before taking any product; no order cap lifts
-this.  The orbit and diagram walks mark their visited pairs in n^2 bytes, as
-many as the table they walk has entries, so the budget bounds them too.
+solely by coset enumeration of <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, whose
+relators `_enumerated` writes as words of generator columns and whose order
+it reads from `normal_form`; the enumeration checks the table budget itself.
+Every other table is filled by `_tabulate` from a rule, an atom's or a
+product's (whose factor may be such a table), by one walk along the rule's
+generators.  It refuses a table of more than TABLE_MAX_ENTRIES entries
+before taking any product; no order cap lifts this.  The orbit and diagram
+walks mark their visited pairs in n^2 bytes, as many as the table they walk
+has entries, so the budget bounds them too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,9 @@ from __future__ import annotations
 from functools import cache, reduce
 
 from .expr import Atom, GroupExpr, parse_group_expr
-from .normal_form import NormalForm, ResourceLimitError, atom_group, int_text, product_rule
+from .normal_form import (
+    _POLYHEDRAL_ORDERS, NormalForm, ResourceLimitError, atom_group, int_text, product_rule,
+)
 
 __all__ = [
     "FiniteGroup",
@@ -157,32 +161,35 @@ def tprime_group(k: int) -> FiniteGroup:
 
 
 @cache
-def _enumerated(b_order: int, expected: int, tag: str) -> FiniteGroup:
-    """The group of one coset enumeration, run once per process; its rows and
-    label are shared by every group built from it, and nothing writes them."""
-    from .coset_enum import group_from_presentation
+def _enumerated(tag: str, b_order: int) -> FiniteGroup:
+    """The group <a,b | (ab)^2 = a^3 = b^k>, k = b_order, of one coset
+    enumeration, run once per process; its rows and label are shared by every
+    group built from it, and nothing writes them."""
+    from .coset_enum import Presentation, group_from_presentation
 
-    text = f"<a,b | (a*b)^2 = a^3 = b^{b_order}>"
-    return group_from_presentation(text, expected_order=expected, family_tag=tag)
+    # (ab)^2 a^-3 and a^3 b^-k, in the columns a, a^-1, b, b^-1 = 0, 1, 2, 3
+    relators = ((0, 2, 0, 2, 1, 1, 1), (0, 0, 0) + (3,) * b_order)
+    presentation = Presentation(("a", "b"), relators)
+    return group_from_presentation(presentation, _POLYHEDRAL_ORDERS[tag], tag)
 
 
-def _polyhedral(b_order: int, expected: int, tag: str) -> FiniteGroup:
+def _polyhedral(tag: str, b_order: int) -> FiniteGroup:
     # a fresh group on each call: it shares the cached rows and label, and its
     # generators are its own
-    group = _enumerated(b_order, expected, tag)
+    group = _enumerated(tag, b_order)
     return FiniteGroup(group.rows, group.label, tag, generators=group.generators)
 
 
 def tstar_group() -> FiniteGroup:
-    return _polyhedral(3, 24, "Tstar")
+    return _polyhedral("Tstar", 3)
 
 
 def ostar_group() -> FiniteGroup:
-    return _polyhedral(4, 48, "Ostar")
+    return _polyhedral("Ostar", 4)
 
 
 def istar_group() -> FiniteGroup:
-    return _polyhedral(5, 120, "Istar")
+    return _polyhedral("Istar", 5)
 
 
 def construct_family(atom: Atom) -> FiniteGroup:

@@ -54,11 +54,17 @@ class ResourceLimitError(RuntimeError):
     """A computation would exceed its configured size budget."""
 
 
+def _digit_limit() -> int:
+    """The most decimal digits `str` writes: the interpreter's limit
+    (sys.get_int_max_str_digits), or CPython's default 4300 where it sets
+    none (a limit of 0, or Python before 3.10.7), so a bound always stands."""
+    return getattr(sys, "get_int_max_str_digits", int)() or 4300
+
+
 def int_text(n: int) -> str:
-    """`n` in decimal, or "10^L or more" past the L digits that `str` writes
-    (sys.get_int_max_str_digits; Python before 3.10.7 has no such limit)."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    return f"10^{limit} or more" if limit and n >= 10**limit else str(n)
+    """`n` in decimal, or "10^L or more" past the L digits of `_digit_limit`."""
+    limit = _digit_limit()
+    return f"10^{limit} or more" if n >= 10**limit else str(n)
 
 
 def power(base: int, exponent: int) -> int:
@@ -66,8 +72,8 @@ def power(base: int, exponent: int) -> int:
     >= 4L, where the power is at least 16^L.  Both exceed every budget, which
     has at most L digits, and int_text writes both alike, so no exponent-sized
     power is taken to refuse; a rule of such an order never multiplies."""
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    return 10**limit if limit and exponent >= 4 * limit else base**exponent
+    limit = _digit_limit()
+    return 10**limit if exponent >= 4 * limit else base**exponent
 
 
 class NormalForm(namedtuple("NormalForm", "order mul inv label generators family_tag")):

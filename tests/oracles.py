@@ -1,9 +1,9 @@
 """Test-only oracles and helpers: the closed forms in Fractions, literal
-actions, per-family closed forms, family presentations, table-group element
-helpers, the literal product table, decoration canonical forms, the orbit
-and diagram walks one move at a time, character-table identities, the
-complex embedding of cyclotomic numbers and the argparse reference parser of
-the command line.
+actions, per-family closed forms, the presentation parser and family
+presentations, table-group element helpers, the literal product table,
+decoration canonical forms, the orbit and diagram walks one move at a time,
+character-table identities, the complex embedding of cyclotomic numbers and
+the argparse reference parser of the command line.
 
 None of these is on a computation route.  The pair-action oracles build each
 permutation literally, the per-family closed forms check the class and
@@ -22,6 +22,7 @@ from functools import reduce
 
 from thetadim.characters import CharacterTable
 from thetadim.closed_forms import SphericalMatchError, SphericalSpec, p2, spec_from_expr
+from thetadim.coset_enum import Presentation
 from thetadim.cyclo import CycloNumber, _canonical, from_int
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import FiniteGroup, atom_group, product_rule
@@ -713,6 +714,122 @@ def closed_family_d2(atom: Atom) -> Fraction:
 
 
 # -- family presentations ----------------------------------------------------
+#
+# Presentations are written as ``<a,b | (a*b)^2 = a^3 = b^3>``: single-letter
+# generators, `*` optional between factors, integer exponents (negative
+# allowed), parenthesised subwords, and chains u = v = w that abbreviate the
+# relators u v^-1 and v w^-1.  A bare word is a relator equal to the identity;
+# `1` (or `e`, when not a generator) denotes the empty word.  The parser gives
+# the library's `Presentation`, whose relators are words of columns: 2g is
+# generator g and 2g+1 its inverse.
+
+
+def _invert_word(word: list[int]) -> list[int]:
+    out = [c ^ 1 for c in word]
+    out.reverse()
+    return out
+
+
+class _WordScanner:
+    def __init__(self, text: str, pos: int, gens: dict[str, int]) -> None:
+        self.text = text
+        self.pos = pos
+        self.gens = gens
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse_word(self, stop: str) -> list[int]:
+        out: list[int] = []
+        while True:
+            ch = self.peek()
+            if ch == "" or ch in stop:
+                return out
+            if ch == "*":
+                self.pos += 1
+                continue
+            if ch == "(":
+                self.pos += 1
+                factor = self.parse_word(")")
+                if self.peek() != ")":
+                    raise ValueError(f"unbalanced ( in word at byte {self.pos}")
+                self.pos += 1
+            elif ch in self.gens:
+                factor = [2 * self.gens[ch]]
+                self.pos += 1
+            elif ch == "1" or ch == "e":
+                factor = []
+                self.pos += 1
+            else:
+                raise ValueError(
+                    f"unexpected character {ch!r} in word at byte {self.pos}"
+                )
+            if self.peek() == "^":
+                self.pos += 1
+                factor = self._apply_exponent(factor)
+            out.extend(factor)
+
+    def _apply_exponent(self, factor: list[int]) -> list[int]:
+        self.skip_ws()
+        start = self.pos
+        if self.pos < len(self.text) and self.text[self.pos] == "-":
+            self.pos += 1
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        if self.pos == start or self.text[start:self.pos] == "-":
+            raise ValueError(f"expected an integer exponent at byte {start}")
+        exp = int(self.text[start : self.pos])
+        if exp < 0:
+            factor = _invert_word(factor)
+            exp = -exp
+        return factor * exp
+
+
+def parse_presentation(text: str) -> Presentation:
+    s = text.strip()
+    if not s.startswith("<") or not s.endswith(">"):
+        raise ValueError("presentation must be enclosed in < >")
+    body = s[1:-1]
+    if "|" not in body:
+        raise ValueError("presentation must contain | between generators and relations")
+    gen_part, rel_part = body.split("|", 1)
+    names = []
+    for tok in gen_part.split(","):
+        tok = tok.strip()
+        if len(tok) != 1 or not tok.isalpha():
+            raise ValueError(f"generator names must be single letters, got {tok!r}")
+        if tok in names:
+            raise ValueError(f"duplicate generator {tok!r}")
+        names.append(tok)
+    gens = {}
+    for g in names:
+        gens[g] = len(gens)
+    relators: list[tuple[int, ...]] = []
+    for rel in rel_part.split(","):
+        rel = rel.strip()
+        if not rel:
+            continue
+        words = []
+        for part in rel.split("="):
+            sc = _WordScanner(part, 0, gens)
+            word = sc.parse_word("")
+            if sc.peek() != "":
+                raise ValueError(f"trailing junk in relation {part!r}")
+            words.append(word)
+        if len(words) == 1:
+            if words[0]:
+                relators.append(tuple(words[0]))
+        else:
+            for i in range(len(words) - 1):
+                combined = words[i] + _invert_word(words[i + 1])
+                if combined:
+                    relators.append(tuple(combined))
+    return Presentation(tuple(names), tuple(relators))
 
 
 def presentation_for_family(atom: Atom) -> str:

@@ -20,6 +20,7 @@ from oracles import (
     check_column_orthogonality,
     check_degree_sum,
     check_row_orthogonality,
+    parse_presentation,
     presentation_for_family,
 )
 from thetadim.burnside import burnside_dims, orbit_count_dims
@@ -231,7 +232,7 @@ def test_presentation_orders():
 
     for atom, order in cases:
         assert construct_family(atom).order == order
-        table = enumerate_cosets(presentation_for_family(atom))
+        table = enumerate_cosets(parse_presentation(presentation_for_family(atom)), 10**5)
         assert table.size == order, f"{atom} enumerated to {table.size}"
 
     elapsed = time.perf_counter() - start

@@ -702,9 +702,9 @@ runpy.run_module("thetadim", run_name="__main__")
 """
 
 
-def _run_limited(*argv):
+def _run_limited(*argv, **env):
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
+    env = {**os.environ, "PYTHONPATH": src, **env}
     proc = subprocess.run(
         [sys.executable, "-c", _LIMITED, *argv], env=env, capture_output=True, text=True
     )
@@ -724,10 +724,39 @@ _CLASS_DATA = f"order {_BIG} exceeds the class-data budget 10000000"
             f"{_CLASS_DATA}; use the closed-form route instead",
         ),
         (["compute", "--method", "chars", "Tprime(10000000)"], _CLASS_DATA),
+        # a sweep is refused at its last parameter, before its first row
+        (["table", "t8_3k", "--max-k", "30000"], f"the answer is {_BIG}, too long to print"),
+        (["table", "t8_3k", "--max-k", "1000000000000"], f"the answer is {_BIG}, too long to print"),
     ],
 )
 def test_an_exponent_sized_parameter_is_refused_before_its_power_is_taken(argv, message):
     assert _run_limited(*argv) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+
+
+@pytest.fixture
+def no_digit_limit():
+    """No interpreter limit on the digits of a printed integer."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_with_no_interpreter_limit_the_default_bound_stands(capsys, no_digit_limit):
+    assert int_text(10**4300 - 1) == "9" * 4300
+    assert int_text(10**4300) == _BIG
+    assert power(3, 4 * 4300) == 10**4300
+    message = f"resource limit: the answer is {_BIG}, too long to print\n"
+    assert run(capsys, "compute", "Tprime(5000)") == (cli.EXIT_RESOURCE, "", message)
+    rc, out, _ = run(capsys, "compute", "Tprime(4000)", "--json")
+    assert rc == 0
+    assert json.loads(out)["dim_Cpi"] == closed_dims(spec_from_expr("Tprime(4000)"))[0]
+
+
+def test_with_no_interpreter_limit_an_exponent_sized_parameter_is_refused_at_once():
+    argv = ["compute", "--method", "chars", "Tprime(1000000000000)"]
+    got = _run_limited(*argv, PYTHONINTMAXSTRDIGITS="0")
+    assert got == (cli.EXIT_RESOURCE, "", f"resource limit: {_CLASS_DATA}\n")
 
 
 def _refusals(expr: str) -> dict[str, str]:

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_associativity, element_order, power, presentation_for_family
-from thetadim.conjugacy import compute_classes
-from thetadim.coset_enum import (
-    DEFAULT_MAX_COSETS,
-    ResourceLimitError,
-    enumerate_cosets,
-    group_from_presentation,
+from oracles import (
+    check_associativity,
+    element_order,
     parse_presentation,
+    power,
+    presentation_for_family,
 )
+from thetadim.conjugacy import compute_classes
+from thetadim.coset_enum import ResourceLimitError, enumerate_cosets, group_from_presentation
 from thetadim.expr import Atom
 from thetadim.group_core import construct_family
 
@@ -107,16 +107,20 @@ def test_relation_chain_gives_consecutive_relators():
     assert p.relators == ((0, 0, 3), (2, 3, 1))
 
 
+def _enumerate(text, max_cosets=1000):
+    return enumerate_cosets(parse_presentation(text), max_cosets)
+
+
 def test_enumeration_of_small_presentations():
-    assert enumerate_cosets("<a | a^5>").size == 5
-    assert enumerate_cosets("<a | a>").size == 1
-    assert enumerate_cosets("<a,b | a^2, b^2, (a*b)^3>").size == 6
-    assert enumerate_cosets("<a,b | a^2, b^2, (a*b)^2>").size == 4
-    assert enumerate_cosets("<x,y | x^3, y^3, x*y=y*x>").size == 9
+    assert _enumerate("<a | a^5>").size == 5
+    assert _enumerate("<a | a>").size == 1
+    assert _enumerate("<a,b | a^2, b^2, (a*b)^3>").size == 6
+    assert _enumerate("<a,b | a^2, b^2, (a*b)^2>").size == 4
+    assert _enumerate("<x,y | x^3, y^3, x*y=y*x>").size == 9
 
 
 def test_coset_table_action_is_consistent():
-    t = enumerate_cosets("<a,b | a^2, b^2, (a*b)^3>")
+    t = _enumerate("<a,b | a^2, b^2, (a*b)^3>")
     k = len(t.presentation.generators)
     for row in t.action:
         assert len(row) == 2 * k
@@ -130,25 +134,24 @@ def test_coset_table_action_is_consistent():
 
 def test_expected_order_mismatch_raises():
     with pytest.raises(ValueError):
-        group_from_presentation("<a | a^5>", expected_order=6)
+        group_from_presentation(parse_presentation("<a | a^5>"), 6, "")
 
 
 def test_infinite_presentation_hits_budget():
     # the (2,3,6) triangle-type presentation has no finite quotient table
     with pytest.raises(ResourceLimitError):
-        group_from_presentation("<a,b | (a*b)^2=a^3=b^6>", max_cosets=2000)
-    assert DEFAULT_MAX_COSETS >= 2000
+        _enumerate("<a,b | (a*b)^2=a^3=b^6>", max_cosets=2000)
 
 
 def test_coset_table_is_held_to_the_entries_budget():
     # 1001 cosets enumerate within the coset budget, but their table would not fit
     with pytest.raises(ResourceLimitError) as err:
-        group_from_presentation("<a | a^1001>")
+        group_from_presentation(parse_presentation("<a | a^1001>"), 1001, "")
     assert str(err.value) == "1001 cosets need 1002001 table entries, budget is 1000000."
 
 
 def test_group_from_presentation_satisfies_relations():
-    G = group_from_presentation("<a,b | a^2, b^2, (a*b)^3>", family_tag="S3")
+    G = group_from_presentation(parse_presentation("<a,b | a^2, b^2, (a*b)^3>"), 6, "S3")
     assert G.order == 6
     assert G.family_tag == "S3"
     check_associativity(G)
@@ -183,17 +186,16 @@ def invariants(G):
 @pytest.mark.parametrize("atom", FAMILY_GRID, ids=str)
 def test_enumerated_group_matches_direct_constructor(atom):
     direct = construct_family(atom)
-    text = presentation_for_family(atom)
-    enumerated = group_from_presentation(text, expected_order=direct.order)
+    pres = parse_presentation(presentation_for_family(atom))
+    enumerated = group_from_presentation(pres, direct.order, "")
     assert invariants(enumerated) == invariants(direct)
 
 
 def test_presentation_relators_hold_in_direct_constructions():
     # evaluate every relator word on the enumerated group's own generators
     for atom in FAMILY_GRID:
-        text = presentation_for_family(atom)
-        pres = parse_presentation(text)
-        G = group_from_presentation(text)
+        pres = parse_presentation(presentation_for_family(atom))
+        G = group_from_presentation(pres, construct_family(atom).order, "")
         gens = G.generators
         assert len(gens) == len(pres.generators)
         for rel in pres.relators:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import catalogs
+import thetadim.coset_enum as coset_enum
 import thetadim.family_z as family_z
 import thetadim.group_core as group_core
 from catalogs import NON_SPHERICAL, RANDOM_PRODUCTS_500, ROUTE_120, ROUTE_500, SPHERICAL
@@ -18,11 +19,12 @@ from oracles import (
     conjugate,
     direct_product_literal,
     element_order,
+    parse_presentation,
     power,
     unbudgeted_table,
     validate_spherical,
 )
-from thetadim.expr import parse_group_expr
+from thetadim.expr import Atom, parse_group_expr
 from thetadim.group_core import (
     TABLE_MAX_ENTRIES,
     FiniteGroup,
@@ -327,6 +329,23 @@ def test_a_process_enumerates_each_binary_polyhedral_atom_once(argv):
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert out.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("kind, k", [("Tstar", 3), ("Ostar", 4), ("Istar", 5)])
+def test_polyhedral_relators_are_the_parsed_presentation(monkeypatch, kind, k):
+    # the library writes <a,b | (a*b)^2 = a^3 = b^k> as column words itself
+    seen = []
+    real = coset_enum.group_from_presentation
+
+    def recorded(presentation, expected_order, family_tag):
+        seen.append((presentation, expected_order, family_tag))
+        return real(presentation, expected_order, family_tag)
+
+    monkeypatch.setattr(coset_enum, "group_from_presentation", recorded)
+    monkeypatch.setattr(group_core, "_enumerated", group_core._enumerated.__wrapped__)
+    construct_family(Atom(kind))
+    parsed = parse_presentation(f"<a,b | (a*b)^2 = a^3 = b^{k}>")
+    assert seen == [(parsed, group_order(kind), kind)]
 
 
 def test_binary_polyhedral_groups_are_fresh_on_every_call():

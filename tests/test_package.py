@@ -34,6 +34,23 @@ def test_every_exported_name_is_documented_in_readme_library():
     assert undocumented == []
 
 
+def test_readme_module_map_names_every_module():
+    """Each bullet of README's module map starts with the modules it describes,
+    up to its dash; together they are the package's modules, apart from
+    `__init__` and `__main__`, and no others."""
+    text = README.read_text()
+    start = text.index("Module map (`src/thetadim/`):")
+    block = text[start : text.index("\n\n", text.index("\n- ", start))]
+    heads = re.findall(r"^- (.*?) —", block, re.M | re.S)
+    named = [name for head in heads for name in re.findall(r"`(\w+)`", head)]
+    modules = [
+        path.stem
+        for path in Path(thetadim.__file__).parent.glob("*.py")
+        if not path.stem.startswith("__")
+    ]
+    assert sorted(named) == sorted(modules)
+
+
 def _library_modules() -> dict[str, ast.Module]:
     return {
         path.stem: ast.parse(path.read_text())
