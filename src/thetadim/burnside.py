@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING
 
 from .conjugacy import (
     class_data_for,
+    half_sum,
     pair_average,
     plain_trace_sums,
     square_root_counts,
@@ -57,14 +58,6 @@ class BurnsideResult(
     ("naive" or "class") are strs, every other field an int."""
 
     __slots__ = ()
-
-
-def _half(what: str, total: int) -> int:
-    """total / 2, the mean of two pair averages, which must be an integer."""
-    q, rem = divmod(total, 2)
-    if rem:
-        raise AssertionError(f"{what} is not an integer: {total}/2")
-    return q
 
 
 def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
@@ -169,8 +162,8 @@ def burnside_dims(group: FiniteGroup | GroupExpr | str) -> BurnsideResult:
     d2 = pair_average(twist_sum, n, f"d2 for {name}")
     ker_d1 = pair_average(plain_ker, n, f"kernel d1 for {name}")
     ker_d2 = pair_average(twist_ker, n, f"kernel d2 for {name}")
-    dim_full = _half(f"dim for {name}", d1 + d2)
-    dim_ker = _half(f"kernel dim for {name}", ker_d1 + ker_d2)
+    dim_full = half_sum(d1, d2, f"dim for {name}")
+    dim_ker = half_sum(ker_d1, ker_d2, f"kernel dim for {name}")
     return BurnsideResult(
         group_name=name,
         order=n,

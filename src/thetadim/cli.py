@@ -69,7 +69,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, family, group_order, int_text
+from .normal_form import ResourceLimitError, family, group_order, int_text, load
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 if TYPE_CHECKING:
@@ -133,13 +133,11 @@ def _closed(expr: GroupExpr):
 
 def _chars(expr: GroupExpr):
     from .characters import d2_char_formula
-    from .conjugacy import d1_class_formula, z2_orbit_count
+    from .conjugacy import d1_class_formula, half_sum, z2_orbit_count
 
     cd, d2 = d2_char_formula(expr)
     d1 = d1_class_formula(cd)
-    dim, rem = divmod(d1 + d2, 2)
-    if rem:
-        raise AssertionError(f"(d1+d2)/2 is not an integer for {expr_to_string(expr)}")
+    dim = half_sum(d1, d2, f"dim for {expr_to_string(expr)}")
     return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
 
 
@@ -179,15 +177,6 @@ _ROUTE_MODULES = {
 }
 
 
-def _load(name: str):
-    """thetadim's submodule `name`, imported on first use.  The import goes
-    through `__import__`, as an import statement's does, so that
-    `python -X importtime` lists it."""
-    module = f"{__package__}.{name}"
-    __import__(module)
-    return sys.modules[module]
-
-
 def _load_families(expr: GroupExpr) -> None:
     """Import the family module of each atom of `expr`, which every route but
     the closed form reads, so that its loading is not timed as a route's work."""
@@ -210,14 +199,14 @@ def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> Dimensio
     capped = name in ("burnside", "orbits", "diagrams") and max_order is not None
     if capped and (n := group_order(expr)) > max_order:
         raise ResourceLimitError(f"order {int_text(n)} exceeds --max-order {max_order}")
-    _load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
+    load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
     if name != "closed":
-        conjugacy = _load("conjugacy")
+        conjugacy = load("conjugacy")
         _load_families(expr)
     t0 = time.perf_counter()
     group = expr
     if name in ("orbits", "diagrams"):
-        group = (table_of or _load("group_core").group_from_expr)(expr)
+        group = (table_of or load("group_core").group_from_expr)(expr)
     elif name == "burnside" and table_of is not None:
         try:
             group = table_of(expr)
@@ -273,6 +262,11 @@ def _cmd_compute(args) -> int:
     return EXIT_OK
 
 
+# the report fields that verify compares over the routes that give them (d1
+# and d2 only chars and burnside give), in the order a mismatch names them
+_COMPARED = ("dim_cpi", "dim_ker_eps", "order", "num_classes", "d1", "d2", "dim_classhat_z2")
+
+
 def _cmd_verify(args) -> int:
     from .closed_forms import SphericalMatchError
     from .conjugacy import compute_classes
@@ -280,7 +274,7 @@ def _cmd_verify(args) -> int:
 
     expr = parse_group_expr(args.expr)
     for name in _ROUTES:
-        _load(_ROUTE_MODULES[name])
+        load(_ROUTE_MODULES[name])
     _load_families(expr)
     # the first route to need the table builds it; a refusal is met by each
     table_of = functools.lru_cache(maxsize=1)(group_from_expr)
@@ -302,15 +296,18 @@ def _cmd_verify(args) -> int:
     if not computed:
         print("no method ran within the configured budgets", file=sys.stderr)
         return EXIT_RESOURCE
-    values = {(rep.dim_cpi, rep.dim_ker_eps) for rep in computed}
-    if len(values) == 1:
-        dim, ker = values.pop()
-        print(f"agree: dim {dim}, kernel {ker} ({len(computed)} methods)")
-        return EXIT_OK
-    print("MISMATCH:")
-    for rep in computed:
-        print(f"  {rep.method}: dim {rep.dim_cpi}, kernel {rep.dim_ker_eps}")
-    return EXIT_MISMATCH
+    code = EXIT_OK
+    for field in _COMPARED:
+        reported = [(rep.method, v) for rep in computed if (v := getattr(rep, field)) is not None]
+        if len({value for _, value in reported}) > 1:
+            code = EXIT_MISMATCH
+            print(f"MISMATCH: {field}")
+            for method, value in reported:
+                print(f"  {method}: {value}")
+    if code == EXIT_OK:
+        rep = computed[0]
+        print(f"agree: dim {rep.dim_cpi}, kernel {rep.dim_ker_eps} ({len(computed)} methods)")
+    return code
 
 
 # -- parser -------------------------------------------------------------------
@@ -342,7 +339,7 @@ _COMMANDS = {
     ),
     "table": (
         "commands",
-        "emit a parameter sweep as CSV",
+        "emit a CSV sweep row by row; a mismatch follows the rows printed",
         ("family", ("d4p", "t8_3k", "zn")),
         {
             "max-p": ("max_p", int, 15, "largest p of the d4p sweep"),
@@ -366,7 +363,7 @@ _EXCLUSIVE = ("json", "csv")
 def _handler(command: str):
     """The function that runs `command`, loading the module that defines it."""
     handler = _COMMANDS[command][0]
-    return getattr(_load(handler), command) if isinstance(handler, str) else handler
+    return getattr(load(handler), command) if isinstance(handler, str) else handler
 
 
 class _UsageError(Exception):
@@ -425,7 +422,7 @@ def _scan(args: list[str], flags: dict[str, str], longs: dict[str, bool], comman
 
 
 def _print_help(command: str | None) -> None:
-    print(_load("commands").help_text(command))
+    print(load("commands").help_text(command))
 
 
 def _parse_args(argv: list[str]) -> SimpleNamespace | None:
@@ -493,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except _UsageError as exc:
         prog = _PROG if exc.command is None else f"{_PROG} {exc.command}"
-        print(_load("commands").usage(exc.command), file=sys.stderr)
+        print(load("commands").usage(exc.command), file=sys.stderr)
         print(f"{prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:

@@ -51,7 +51,8 @@ def table(args) -> int:
         # short enough to print, so is every earlier one, and a sweep that
         # cannot finish is refused before its first row
         _run("closed", parse_group_expr(template.format(params[-1])))
-    lines = [CSV_HEADER]
+    # each row is written once computed, so a mismatch follows the rows before it
+    print(CSV_HEADER)
     for param in params:
         expr_text = template.format(param)
         expr = parse_group_expr(expr_text)
@@ -67,8 +68,7 @@ def table(args) -> int:
                 print(f"mismatch at {expr_text}: closed {dims} vs burnside {got}", file=sys.stderr)
                 return EXIT_MISMATCH
             method = "closed+burnside"
-        lines.append(f"{param},{dims[0]},{dims[1]},{method}")
-    print("\n".join(lines))
+        print(f"{param},{dims[0]},{dims[1]},{method}")
     return EXIT_OK
 
 

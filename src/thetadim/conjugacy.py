@@ -27,6 +27,7 @@ __all__ = [
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
+    "half_sum",
     "pair_average",
     "plain_trace_sums",
     "power_class_weights",
@@ -261,6 +262,15 @@ def pair_average(total: int, order: int, what: str) -> int:
     q, rem = divmod(total, den)
     if rem or q < 0:
         raise AssertionError(f"{what} is not a nonnegative integer: {total}/{den}")
+    return q
+
+
+def half_sum(d1: int, d2: int, what: str) -> int:
+    """(d1 + d2) / 2, a dimension as the mean of its two pair averages, which
+    must be an integer; anything else is a bug."""
+    q, rem = divmod(d1 + d2, 2)
+    if rem:
+        raise AssertionError(f"{what} is not an integer: {d1 + d2}/2")
     return q
 
 

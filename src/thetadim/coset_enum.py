@@ -7,18 +7,25 @@ binary polyhedral presentations <a,b | (ab)^2 = a^3 = b^k> (`group_core`);
 the tests write presentations as text and parse them into such words.
 
 Enumeration runs over the trivial subgroup, so the final coset table is the
-regular right action and the group multiplication table can be reconstructed
-from it column by column.  The strategy is relator scanning with immediate
-gap filling, in-place coincidence handling through a union-find keeping the
-smallest representative, and row filling so every live coset gets a complete
-row.
+regular right action and its cosets are the group's elements.
+`group_from_presentation` turns the action into a product rule on coset
+numbers, and `group_core._tabulate` fills the table from it as it fills every
+other; this module builds no table.  The strategy is relator scanning with
+immediate gap filling, in-place coincidence handling through a union-find
+keeping the smallest representative, and row filling so every live coset
+gets a complete row.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
-from .group_core import TABLE_MAX_ENTRIES, FiniteGroup, ResourceLimitError
+from .group_core import _tabulate
+from .normal_form import NormalForm, ResourceLimitError
+
+if TYPE_CHECKING:
+    from .group_core import FiniteGroup
 
 __all__ = [
     "CosetTable",
@@ -192,71 +199,54 @@ def _check_relations(ct: CosetTable) -> None:
 def group_from_presentation(
     presentation: Presentation, expected_order: int, family_tag: str
 ) -> FiniteGroup:
-    """The group of a presentation of order `expected_order`, rebuilt from
+    """The group of a presentation of order `expected_order`, tabulated from
     its regular action on cosets.
 
     The enumeration may define max(20 * expected_order, 1000) cosets, and
     any other count of cosets than `expected_order` is refused.  Coset 0 is
     the trivial subgroup, so cosets are in bijection with group elements.
-    Multiplication columns are grown along a breadth-first search:
-    if element j is reached from element j' by one generator column c, then
-    mul(-, j) is mul(-, j') followed by c.  The table is held to
-    TABLE_MAX_ENTRIES before any column is grown; its rows are the columns
-    transposed, and each element is labelled by the word that reached it.
+    Each coset is labelled by the word of columns that first reaches it from
+    coset 0 in a breadth-first search, and the rule's product i*j carries
+    coset i along j's word.  `_tabulate` fills the table from that rule in
+    the cosets' numbering, and holds it to the entries budget.
     """
     ct = enumerate_cosets(presentation, max(20 * expected_order, 1000))
-    n = ct.size
-    ncols = 2 * len(presentation.generators)
+    n, action, names = ct.size, ct.action, presentation.generators
     if n != expected_order:
         raise ValueError(
             f"enumeration produced {n} cosets, expected order {expected_order}"
         )
-    if n * n > TABLE_MAX_ENTRIES:
-        raise ResourceLimitError(
-            f"{n} cosets need {n * n} table entries, budget is {TABLE_MAX_ENTRIES}."
-        )
-    # action_cols[col][x] is the coset that column col sends x to
-    action_cols = list(zip(*ct.action))
-    columns: list[list[int] | None] = [None] * n
-    columns[0] = list(range(n))
-    words: list[list[tuple[int, int]] | None] = [None] * n
-    words[0] = []
-    queue = [0]
-    qi = 0
-    while qi < len(queue):
-        j = queue[qi]
-        qi += 1
-        col_j = columns[j]
-        for col in range(ncols):
-            target = ct.action[j][col]
-            if columns[target] is None:
-                image = action_cols[col]
-                columns[target] = [image[x] for x in col_j]
-                words[target] = words[j] + [(col >> 1, 1 if col % 2 == 0 else -1)]
-                queue.append(target)
-    if qi != n:
-        raise AssertionError("coset action is not transitive")
+    words: list[tuple[int, ...] | None] = [()] + [None] * (n - 1)
+    reached = [0]
+    for j in reached:  # grows while it is read: a breadth-first queue
+        for col, target in enumerate(action[j]):
+            if words[target] is None:
+                words[target] = words[j] + (col,)
+                reached.append(target)
 
-    # row x of the table is entry x of every column
-    rows = [list(row) for row in zip(*columns)]
-    spelled = [_word_label(presentation.generators, word) for word in words]
-    gens = [ct.action[0][2 * g] for g in range(len(presentation.generators))]
-    return FiniteGroup(rows, spelled.__getitem__, family_tag, generators=gens)
+    def mul(i: int, j: int) -> int:
+        for col in words[j]:
+            i = action[i][col]
+        return i
+
+    def inv(i: int) -> int:
+        j = 0
+        for col in reversed(words[i]):
+            j = action[j][col ^ 1]
+        return j
+
+    gens = [action[0][2 * g] for g in range(len(names))]
+    rule = NormalForm(n, mul, inv, lambda i: _word_label(names, words[i]), gens, family_tag)
+    return _tabulate(rule, f"group of {n} cosets")
 
 
-def _word_label(names: tuple[str, ...], letters: list[tuple[int, int]]) -> str:
-    if not letters:
-        return "e"
+def _word_label(names: tuple[str, ...], word: tuple[int, ...]) -> str:
+    """A word of columns in the generator names, each run a power: a^2*b^-1."""
     runs: list[list[int]] = []
-    for g, s in letters:
+    for col in word:
+        g, s = col >> 1, -1 if col & 1 else 1
         if runs and runs[-1][0] == g and (runs[-1][1] > 0) == (s > 0):
             runs[-1][1] += s
         else:
             runs.append([g, s])
-    parts = []
-    for g, e in runs:
-        if e == 1:
-            parts.append(names[g])
-        else:
-            parts.append(f"{names[g]}^{e}")
-    return "*".join(parts)
+    return "*".join(names[g] if e == 1 else f"{names[g]}^{e}" for g, e in runs) or "e"

@@ -1,5 +1,5 @@
 """The split metacyclic family Dprime(k, p) of order 2^(k+2) * p: its product
-rule, characters and class count.
+rule (`model`, which checks the parameters), characters and class count.
 
 x has order N = 2^(k+2) and inverts y of odd order p; x^a y^b has index
 a*p + b, so the rule, the rows and the sums read the same coordinates (a, b).
@@ -12,14 +12,16 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm, power
 
-__all__ = ["class_count", "dprime_rule", "model", "rows_and_sums"]
+__all__ = ["class_count", "model", "rows_and_sums"]
 
 
-def dprime_rule(k: int, p: int) -> NormalForm:
-    """Order 2^(k+2) * p group with x of 2-power order inverting y of order p.
+def model(atom: Atom) -> NormalForm:
+    """Dprime(k, p), of order 2^(k+2) * p, with x of 2-power order inverting
+    y of order p.
 
     x^a y^b has index a*p + b.
     """
+    k, p = atom.params
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}.")
     if p < 3 or p % 2 == 0:
@@ -44,10 +46,6 @@ def dprime_rule(k: int, p: int) -> NormalForm:
         return f"{xs}*{ys}" if xs and ys else (xs or ys or "e")
 
     return NormalForm(big_n * p, mul, inv, label, [p, 1], f"Dprime({k},{p})")
-
-
-def model(atom: Atom) -> NormalForm:
-    return dprime_rule(*atom.params)
 
 
 def class_count(atom: Atom) -> int:

@@ -1,5 +1,5 @@
-"""The binary dihedral family Dstar(p) of order 4p: its product rule,
-characters and class count.
+"""The binary dihedral family Dstar(p) of order 4p: its product rule
+(`model`, which checks the parameter), characters and class count.
 
 a has order 2p, x^2 = a^p and x a x^-1 = a^-1; a^k x^l has index k + 2p*l,
 so the rule, the rows and the sums read the same coordinates (k, l).
@@ -12,14 +12,15 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm
 
-__all__ = ["binary_dihedral_rule", "class_count", "model", "rows_and_sums"]
+__all__ = ["class_count", "model", "rows_and_sums"]
 
 
-def binary_dihedral_rule(p: int) -> NormalForm:
-    """Order 4p group with a of order 2p, x^2 = a^p, and x a x^-1 = a^-1.
+def model(atom: Atom) -> NormalForm:
+    """Dstar(p), of order 4p, with a of order 2p, x^2 = a^p, and x a x^-1 = a^-1.
 
     a^k x^l has index k + 2p*l.
     """
+    (p,) = atom.params
     if p < 1:
         raise ValueError(f"p must be positive, got {p}.")
     two_p = 2 * p
@@ -44,10 +45,6 @@ def binary_dihedral_rule(p: int) -> NormalForm:
         return "x" if k == 0 else ("a*x" if k == 1 else f"a^{k}*x")
 
     return NormalForm(4 * p, mul, inv, label, [1, two_p], f"Dstar({p})")
-
-
-def model(atom: Atom) -> NormalForm:
-    return binary_dihedral_rule(*atom.params)
 
 
 def class_count(atom: Atom) -> int:

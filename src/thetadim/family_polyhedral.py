@@ -1,12 +1,12 @@
 """The binary polyhedral atoms Tstar, Ostar and Istar: their model,
 characters and class counts.
 
-They have no normal form.  Each is the table that coset enumeration builds
-from its presentation <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5
-(`group_core.construct_family`), so its rows and sums are constants at a
-list of representative words in the generators a and b, used only once the
-words' class sizes and power maps agree with the class data; any failure of
-that alignment raises instead of guessing.
+They have no normal form.  Each is the table `group_core._tabulate` fills
+from the coset action of its presentation <a,b | (ab)^2 = a^3 = b^k>,
+k = 3, 4, 5 (`group_core.construct_family`), so its rows and sums are
+constants at a list of representative words in the generators a and b, one
+per class, used only once the words' class sizes and power maps agree with
+the class data; any failure of that alignment raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -62,11 +62,10 @@ _POLYHEDRAL = {
         "real": 9,
     },
 }
-_CLASS_COUNTS = {"Tstar": 7, "Ostar": 8, "Istar": 9}
 
 
 def class_count(atom: Atom) -> int:
-    return _CLASS_COUNTS[atom.kind]
+    return len(_POLYHEDRAL[atom.kind]["words"])
 
 
 def _polyhedral_rows(kind: str) -> list[tuple[str, list]]:

@@ -1,5 +1,6 @@
-"""The twisted quaternion tower Tprime(k) of order 8 * 3^k: its product rule,
-characters and class count, and the quaternion unit tables they share.
+"""The twisted quaternion tower Tprime(k) of order 8 * 3^k: its product rule
+(`model`, which checks the parameter), characters and class count, and the
+quaternion unit tables they share.
 
 z of order 3^k acts on the quaternion units by the order-3 automorphism
 x -> y -> x*y; (unit w)*z^l has index w + 8*l, so the rule, the rows and the
@@ -13,7 +14,7 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm, power
 
-__all__ = ["class_count", "model", "rows_and_sums", "tprime_rule"]
+__all__ = ["class_count", "model", "rows_and_sums"]
 
 # Unit group of the quaternions, indexed 0..7 in the order
 # e, x, y, x^2, x*y, y*x, x^3, y^3, which is 1, i, j, -1, k, -k, -i, -j.
@@ -48,11 +49,13 @@ _QSIGMA = [0, 2, 4, 3, 1, 6, 7, 5]
 _QSIGMA_POWERS = [list(range(8)), _QSIGMA, [_QSIGMA[w] for w in _QSIGMA]]
 
 
-def tprime_rule(k: int) -> NormalForm:
-    """Order 8*3^k group: quaternion units extended by z of order 3^k acting by _QSIGMA.
+def model(atom: Atom) -> NormalForm:
+    """Tprime(k), of order 8*3^k: quaternion units extended by z of order 3^k
+    acting by _QSIGMA.
 
     (unit w)*z^l has index w + 8*l.
     """
+    (k,) = atom.params
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}.")
     three_k = power(3, k)
@@ -74,10 +77,6 @@ def tprime_rule(k: int) -> NormalForm:
         return zs if w == 0 else f"{_QLABELS[w]}*{zs}"
 
     return NormalForm(8 * three_k, mul, inv, label, [1, 8], f"Tprime({k})")
-
-
-def model(atom: Atom) -> NormalForm:
-    return tprime_rule(*atom.params)
 
 
 def class_count(atom: Atom) -> int:

@@ -1,4 +1,5 @@
-"""The cyclic family Z(n): its product rule, characters and class count.
+"""The cyclic family Z(n): its product rule (`model`, which checks the
+parameter), characters and class count.
 
 g^k has index k, so the rule, the rows and the sums read the same coordinate.
 Z(n) is abelian: n classes, each a single element, and n linear characters.
@@ -11,11 +12,12 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm
 
-__all__ = ["class_count", "cyclic_rule", "model", "rows_and_sums"]
+__all__ = ["class_count", "model", "rows_and_sums"]
 
 
-def cyclic_rule(n: int) -> NormalForm:
+def model(atom: Atom) -> NormalForm:
     """Z(n): g^k has index k."""
+    (n,) = atom.params
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
     return NormalForm(
@@ -26,10 +28,6 @@ def cyclic_rule(n: int) -> NormalForm:
         generators=[1] if n > 1 else [],
         family_tag=f"Z({n})",
     )
-
-
-def model(atom: Atom) -> NormalForm:
-    return cyclic_rule(*atom.params)
 
 
 def class_count(atom: Atom) -> int:

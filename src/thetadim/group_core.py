@@ -18,11 +18,12 @@ atom, loads this module.
 The three exceptional binary polyhedral groups (order at most 120) are built
 solely by coset enumeration of <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, whose
 relators `_enumerated` writes as words of generator columns and whose order
-it reads from `normal_form`; the enumeration checks the table budget itself.
-Every other table is filled by `_tabulate` from a rule, an atom's or a
-product's (whose factor may be such a table), by one walk along the rule's
-generators.  It refuses a table of more than TABLE_MAX_ENTRIES entries
-before taking any product; no order cap lifts this.  The orbit and diagram
+it reads from `normal_form`; `coset_enum` turns the coset action into a rule.
+Every table is filled by `_tabulate` from a rule, an atom's, a product's
+(whose factor may be a polyhedral table) or a coset action's, by one walk
+along the rule's generators, and only this module constructs a
+`FiniteGroup`.  `_tabulate` refuses a table of more than TABLE_MAX_ENTRIES
+entries before taking any product; no order cap lifts this.  The orbit and diagram
 walks mark their visited pairs in n^2 bytes, as many as the table they walk
 has entries, so the budget bounds them too.
 """
@@ -109,7 +110,8 @@ class FiniteGroup:
 
 
 def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
-    """The multiplication table a rule defines, an atom's or a product's.
+    """The multiplication table a rule defines: an atom's, a product's or a
+    coset action's.
 
     A table of more than TABLE_MAX_ENTRIES entries is refused before any
     product is taken; `name` describes the group in the refusal (default: its

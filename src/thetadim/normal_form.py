@@ -18,7 +18,8 @@ its kind in `_FAMILY_MODULES`: `family_z`, `family_dstar`, `family_dprime`,
 group)`) and its closed-form class count (`class_count(atom)`), so the
 coordinates a rule gives its elements are read in the same module that
 writes them.  `family(kind)` imports a family's module when it is first
-used, so a process compiles only the families its expression names.
+used, through `load`, which the command line shares, so a process compiles
+only the families its expression names.
 
 At run time this module does not import `group_core`, which turns rules into
 tables, so a process that works on class data alone compiles no table code;
@@ -45,6 +46,7 @@ __all__ = [
     "family",
     "group_order",
     "int_text",
+    "load",
     "power",
     "product_rule",
 ]
@@ -133,16 +135,21 @@ _FAMILY_MODULES = {
 _POLYHEDRAL_ORDERS = {"Tstar": 24, "Ostar": 48, "Istar": 120}
 
 
-def family(kind: str):
-    """The module of family `kind`, imported on first use.  The import goes
+def load(name: str):
+    """thetadim's submodule `name`, imported on first use.  The import goes
     through `__import__`, as an import statement's does, so that
     `python -X importtime` lists it."""
-    name = _FAMILY_MODULES.get(kind)
-    if name is None:
-        raise ValueError(f"unknown family {kind!r}")
     module = f"{__package__}.{name}"
     __import__(module)
     return sys.modules[module]
+
+
+def family(kind: str):
+    """The module of family `kind`, imported on first use by `load`."""
+    name = _FAMILY_MODULES.get(kind)
+    if name is None:
+        raise ValueError(f"unknown family {kind!r}")
+    return load(name)
 
 
 def atom_group(atom: Atom) -> NormalForm | FiniteGroup:

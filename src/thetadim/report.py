@@ -10,7 +10,6 @@ __all__ = [
     "csv_row",
     "render_text",
     "to_json",
-    "to_json_dict",
 ]
 
 CSV_HEADER = "param,dim_Cpi,dim_ker_eps,method"
@@ -29,25 +28,23 @@ class DimensionReport(
     __slots__ = ()
 
 
-def to_json_dict(report: DimensionReport) -> dict:
-    return {
-        "group": report.group,
-        "order": report.order,
-        "num_classes": report.num_classes,
-        "d1": report.d1,
-        "d2": report.d2,
-        "dim_Cpi": report.dim_cpi,
-        "dim_ker_eps": report.dim_ker_eps,
-        "dim_classhat_Z2": report.dim_classhat_z2,
-        "method": report.method,
-        "millis": report.millis,
-    }
-
-
 def to_json(report: DimensionReport) -> str:
     import json  # only --json output pays for the import
 
-    return json.dumps(to_json_dict(report))
+    return json.dumps(
+        {
+            "group": report.group,
+            "order": report.order,
+            "num_classes": report.num_classes,
+            "d1": report.d1,
+            "d2": report.d2,
+            "dim_Cpi": report.dim_cpi,
+            "dim_ker_eps": report.dim_ker_eps,
+            "dim_classhat_Z2": report.dim_classhat_z2,
+            "method": report.method,
+            "millis": report.millis,
+        }
+    )
 
 
 def csv_row(param: int | str, report: DimensionReport) -> str:

@@ -16,6 +16,7 @@ import pytest
 
 import thetadim.characters as characters
 import thetadim.cli as cli
+import thetadim.commands as commands
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
@@ -26,6 +27,7 @@ from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_int
+from thetadim.expr import expr_to_string
 from thetadim.group_core import FiniteGroup, ResourceLimitError, group_from_expr
 from thetadim.normal_form import group_order, int_text, power
 from thetadim.report import CSV_HEADER
@@ -306,6 +308,32 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
+@pytest.mark.parametrize(
+    "index,field",
+    [(0, "order"), (1, "num_classes"), (2, "d1"), (3, "d2"), (4, "dim_cpi"), (5, "dim_classhat_z2")],
+)
+def test_verify_names_each_field_that_one_route_misreports(capsys, monkeypatch, index, field):
+    # the chars route reports every field; one of its answers is off by one
+    real = cli._ROUTES["chars"]
+
+    def lying_route(group):
+        answer = list(real(group))
+        answer[index] += 1
+        return tuple(answer)
+
+    monkeypatch.setitem(cli._ROUTES, "chars", lying_route)
+    rc, out, _ = run(capsys, "verify", "Dstar(2)")
+    assert rc == cli.EXIT_MISMATCH
+    assert f"\nMISMATCH: {field}\n" in out
+    assert "agree:" not in out
+    if field == "num_classes":
+        routes = "".join(f"  {name}: {6 if name == 'chars' else 5}\n" for name in cli._ROUTES)
+        assert f"MISMATCH: num_classes\n{routes}" in out
+    if field == "d1":
+        # only chars and burnside report d1
+        assert "MISMATCH: d1\n  chars: 10\n  burnside: 9\n" in out
+
+
 def test_verify_builds_one_table(capsys, monkeypatch):
     # burnside, orbits and diagrams share one table; closed and chars build none
     built = []
@@ -399,6 +427,22 @@ def test_table_tower_prefix(capsys):
         "1,15,10,closed+burnside",
         "2,78,66,closed+burnside",
     ]
+
+
+def test_a_table_mismatch_follows_the_rows_already_printed(capsys, monkeypatch):
+    real = commands._run
+
+    def lying_run(name, expr, *args):
+        report = real(name, expr, *args)
+        if name == "burnside" and expr_to_string(expr) == "Dstar(3)":
+            report = report._replace(dim_cpi=report.dim_cpi + 1)
+        return report
+
+    monkeypatch.setattr(commands, "_run", lying_run)
+    rc, out, err = run(capsys, "table", "d4p", "--max-p", "5")
+    assert rc == cli.EXIT_MISMATCH
+    assert out.splitlines() == [CSV_HEADER, "1,4,1,closed+burnside", "2,9,4,closed+burnside"]
+    assert err == "mismatch at Dstar(3): closed (11, 6) vs burnside (12, 6)\n"
 
 
 def test_table_cyclic_prefix(capsys):
@@ -1047,6 +1091,15 @@ def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
             rc, out, err = run(capsys, *argv)
         assert (rc, out) == (cli.EXIT_INTERNAL, ""), argv
         assert err == f"internal check failed: {message}\n"
+
+
+def test_chars_dimension_integrality_check_exits_4(capsys, monkeypatch):
+    # the chars route checks (d1 + d2)/2 with burnside's helper and message
+    real = conjugacy.d1_class_formula
+    monkeypatch.setattr(conjugacy, "d1_class_formula", lambda cd: real(cd) + 1)
+    rc, out, err = run(capsys, "compute", "--method", "chars", "Z(3)")
+    assert (rc, out) == (cli.EXIT_INTERNAL, "")
+    assert err == "internal check failed: dim for Z(3) is not an integer: 7/2\n"
 
 
 @pytest.mark.parametrize("expr", ["Z(301)", "Dstar(125)"])

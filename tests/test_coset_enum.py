@@ -144,10 +144,11 @@ def test_infinite_presentation_hits_budget():
 
 
 def test_coset_table_is_held_to_the_entries_budget():
-    # 1001 cosets enumerate within the coset budget, but their table would not fit
+    # 1001 cosets enumerate within the coset budget, but their table would
+    # not fit: _tabulate refuses it, as it refuses every other table
     with pytest.raises(ResourceLimitError) as err:
         group_from_presentation(parse_presentation("<a | a^1001>"), 1001, "")
-    assert str(err.value) == "1001 cosets need 1002001 table entries, budget is 1000000."
+    assert str(err.value) == "group of 1001 cosets needs 1002001 table entries, budget is 1000000."
 
 
 def test_group_from_presentation_satisfies_relations():

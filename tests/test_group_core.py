@@ -42,9 +42,13 @@ from thetadim.group_core import (
     tprime_group,
     tstar_group,
 )
-from thetadim.family_dstar import binary_dihedral_rule
-from thetadim.family_z import cyclic_rule
 from thetadim.normal_form import group_order
+
+
+def model(kind, *params):
+    """The model of one atom, through its family's `model`."""
+    return atom_group(Atom(kind, params))
+
 
 AXIOM_CATALOG = [
     "Z(1)",
@@ -267,7 +271,7 @@ def test_product_table_matches_the_literal_fill(expr):
 def test_product_fill_agrees_with_the_composed_rule():
     # a table factor on the left and a product rule on the right, which
     # group_from_expr's left fold never makes
-    inner = product_rule(cyclic_rule(3), binary_dihedral_rule(1))
+    inner = product_rule(model("Z", 3), model("Dstar", 1))
     rule = product_rule(tstar_group(), inner)
     got = direct_product(tstar_group(), inner)
     n = rule.order
@@ -363,13 +367,13 @@ def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
     def no_products(i, j):
         raise AssertionError("a product was taken")
 
-    real_rule = family_z.cyclic_rule
+    real_model = family_z.model
 
-    def productless_rule(n):
-        return real_rule(n)._replace(mul=no_products)
+    def productless_model(atom):
+        return real_model(atom)._replace(mul=no_products)
 
     # the table builders and atom_group both reach the rule through family_z
-    monkeypatch.setattr(family_z, "cyclic_rule", productless_rule)
+    monkeypatch.setattr(family_z, "model", productless_model)
     with pytest.raises(AssertionError, match="a product was taken"):
         group_from_expr("Z(5)")
     # a single atom is held to the same budget as a product of the same order
@@ -473,12 +477,12 @@ def test_row_composed_atom_tables_match_the_entry_by_entry_fill(expr):
 def test_generators_that_miss_part_of_the_group_are_refused():
     # 2 generates only the even residues of Z(6)
     with pytest.raises(AssertionError, match="reach 3 of 6 elements"):
-        group_core._tabulate(cyclic_rule(6)._replace(generators=[2]))
+        group_core._tabulate(model("Z", 6)._replace(generators=[2]))
     with pytest.raises(AssertionError, match="reach 1 of 4 elements"):
-        group_core._tabulate(binary_dihedral_rule(1)._replace(generators=[]))
+        group_core._tabulate(model("Dstar", 1)._replace(generators=[]))
     # a product's rows are filled along its own generators, which take one
     # factor's generators and so miss the same share of the product
-    bad = product_rule(cyclic_rule(3), binary_dihedral_rule(2)._replace(generators=[1]))
+    bad = product_rule(model("Z", 3), model("Dstar", 2)._replace(generators=[1]))
     message = r"^Z\(3\)xDstar\(2\): the generators reach 12 of 24 elements$"
     with pytest.raises(AssertionError, match=message):
         group_core._tabulate(bad)
@@ -494,7 +498,7 @@ def test_a_table_holds_one_int_object_per_element(expr):
 
 
 def test_a_product_rule_is_called_at_most_once_per_generator_and_element():
-    rule = product_rule(product_rule(cyclic_rule(3), binary_dihedral_rule(2)), tstar_group())
+    rule = product_rule(product_rule(model("Z", 3), model("Dstar", 2)), tstar_group())
     calls = []
 
     def counted(i, j):

@@ -220,6 +220,19 @@ def test_the_guard_finds_every_inexact_construct():
     assert _inexact(ast.parse("x = a // b * 1000 - (y := 2)\nimport math")) == []
 
 
+def test_only_group_core_constructs_a_finite_group():
+    """Every table is filled by `group_core._tabulate`, coset enumeration's
+    too, so no other module calls `FiniteGroup`."""
+    builders = {
+        stem
+        for stem, tree in _library_modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert builders == {"group_core"}
+
+
 def test_the_library_computes_no_inexact_value():
     """Exactness is fixed: no float, true division, rounding or sampling
     anywhere in the library.  The report's `millis` is a `perf_counter`
