@@ -9,33 +9,16 @@ cross-checked.
 
 Each exported name is imported from its submodule on first access (PEP 562),
 so `import thetadim` loads no submodule and a command line process loads only
-the modules its route runs.
+the modules its route runs.  `_EXPORTS` lists the names by submodule, once;
+`__all__` is read off it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-# the documented library API; README's "Library" section names every entry
-__all__ = [
-    "BurnsideResult",
-    "ResourceLimitError",
-    "burnside_dims",
-    "class_data_for",
-    "closed_dims",
-    "d1_class_formula",
-    "d2_char_formula",
-    "dim_A2",
-    "group_from_expr",
-    "orbit_count_dims",
-    "parse_group_expr",
-    "real_character_sums",
-    "spec_from_expr",
-    "table_for",
-    "z2_orbit_count",
-]
-
-# the submodule that defines each exported name
+# the submodule that defines each exported name; the exports are the
+# documented library API, and README's "Library" section names every one
 _EXPORTS = {
     "burnside": ("BurnsideResult", "burnside_dims", "orbit_count_dims"),
     "characters": ("d2_char_formula", "real_character_sums", "table_for"),
@@ -47,6 +30,7 @@ _EXPORTS = {
     "normal_form": ("ResourceLimitError",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
 
 
 def __getattr__(name: str):

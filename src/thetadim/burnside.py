@@ -29,7 +29,6 @@ and for a table the entries budget it was built within.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .conjugacy import (
     class_data_for,
@@ -42,6 +41,7 @@ from .conjugacy import (
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .normal_form import ResourceLimitError, group_order
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from math import prod
-from typing import TYPE_CHECKING
 
 from .conjugacy import (
     ClassData,
@@ -40,6 +39,7 @@ from .conjugacy import (
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .normal_form import ResourceLimitError, atom_group, family, group_order, int_text
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .cyclo import CycloNumber
 

@@ -9,10 +9,11 @@ before or after its argument, and `--` ends the options.
 
 Module layout: this module parses every command line (`_scan`,
 `_parse_args`) and runs `compute` and `verify`.  Each route lives in the
-module that `_ROUTE_MODULES` names and is imported when it runs.  `table`,
+module that its row of `_ROUTES` names and is imported when it runs.  `table`,
 `classes` and `chartab`, and the help and usage text, live in `commands`,
 which the dispatch table `_COMMANDS` names; it is loaded only for those
-commands, -h and a usage error.  `conjugacy` is imported by the routes that
+commands, -h and a usage error.  `_SWEEPS` holds `table`'s families, for the
+parser and for `commands.table`.  `conjugacy` is imported by the routes that
 read class data, when they run, and each atom family's module by the first
 layer that meets the atom (`normal_form.family`).  So a process compiles the
 code of its own command, route and families alone: the closed form loads no
@@ -32,9 +33,11 @@ the exit codes are those below.
 
 Standard output carries data only; diagnostics go to standard error.  Exit
 codes: 0 success, 1 usage or constraint error, 2 cross-check mismatch,
-3 resource budget exceeded, 4 internal check failed (an integrality,
-alignment or character invariant such as the Brauer or Frobenius-Schur count
-did not hold; this is a bug, reported as one line instead of a traceback),
+3 resource budget exceeded, or memory ran out (a `MemoryError` anywhere ends
+in the one line `resource limit: out of memory`), 4 internal check failed
+(an integrality, alignment or character invariant such as the Brauer or
+Frobenius-Schur count did not hold; this is a bug, reported as one line
+instead of a traceback),
 141 standard output closed by its reader (as in `thetadim classes ... | head`;
 128 + SIGPIPE, the status a shell reports for a writer ended by a closed pipe).
 Each route is bounded by the budget that bounds its memory.
@@ -66,12 +69,12 @@ import os
 import sys
 import time
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .normal_form import ResourceLimitError, family, group_order, int_text, load
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 
@@ -99,9 +102,6 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 EXIT_BROKEN_PIPE = 141
-
-METHODS = ("auto", "closed", "chars", "burnside", "orbits", "diagrams")
-
 
 # -- computation routes -------------------------------------------------------
 #
@@ -160,21 +160,15 @@ def _diagrams(group: FiniteGroup):
     return group.order, None, None, None, dim_A2(group), None
 
 
+# each route: the module it imports when it runs, and its function
 _ROUTES = {
-    "closed": _closed,
-    "chars": _chars,
-    "burnside": _burnside,
-    "orbits": _orbits,
-    "diagrams": _diagrams,
+    "closed": ("closed_forms", _closed),
+    "chars": ("characters", _chars),
+    "burnside": ("burnside", _burnside),
+    "orbits": ("burnside", _orbits),
+    "diagrams": ("diagrams", _diagrams),
 }
-# the module each route imports when it runs
-_ROUTE_MODULES = {
-    "closed": "closed_forms",
-    "chars": "characters",
-    "burnside": "burnside",
-    "orbits": "burnside",
-    "diagrams": "diagrams",
-}
+METHODS = ("auto", *_ROUTES)
 
 
 def _load_families(expr: GroupExpr) -> None:
@@ -191,15 +185,16 @@ def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> Dimensio
     `table_of` (verify's memo of group_from_expr) or else built here; burnside
     verify's table, or else `expr`, which it reduces by classes.
     `classes_of(table)` gives the class count and z2 that an enumeration
-    route's report needs; verify passes a memo of `compute_classes` so that
-    orbits and diagrams find its table's classes once.  Class data never feeds
-    an enumerated dimension.  The clock starts once the modules the route runs
-    are loaded: its own, and for every route but the closed form `conjugacy`
-    and the expression's families."""
+    route's report needs; verify passes a memo of `compute_classes`, and fills
+    both memos before any route runs, so that no route's time counts them.
+    Class data never feeds an enumerated dimension.  The clock starts once the
+    modules the route runs are loaded: its own, and for every route but the
+    closed form `conjugacy` and the expression's families."""
     capped = name in ("burnside", "orbits", "diagrams") and max_order is not None
     if capped and (n := group_order(expr)) > max_order:
         raise ResourceLimitError(f"order {int_text(n)} exceeds --max-order {max_order}")
-    load(_ROUTE_MODULES[name])  # loading the route is not timed as its work
+    module, route = _ROUTES[name]
+    load(module)  # loading the route is not timed as its work
     if name != "closed":
         conjugacy = load("conjugacy")
         _load_families(expr)
@@ -212,7 +207,7 @@ def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> Dimensio
             group = table_of(expr)
         except ResourceLimitError:
             pass  # past the entries budget burnside reduces `expr` by classes
-    order, classes, d1, d2, dim, z2 = _ROUTES[name](group)
+    order, classes, d1, d2, dim, z2 = route(group)
     if classes is None:
         cd = (classes_of or conjugacy.compute_classes)(group)
         classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
@@ -273,12 +268,18 @@ def _cmd_verify(args) -> int:
     from .group_core import group_from_expr
 
     expr = parse_group_expr(args.expr)
-    for name in _ROUTES:
-        load(_ROUTE_MODULES[name])
+    for module, _ in _ROUTES.values():
+        load(module)
     _load_families(expr)
-    # the first route to need the table builds it; a refusal is met by each
+    # the shared table and its class data are built before any route's clock
+    # starts; a memo keeps no refusal, so each route meets it in turn
     table_of = functools.lru_cache(maxsize=1)(group_from_expr)
     classes_of = functools.lru_cache(maxsize=1)(compute_classes)
+    if args.max_order is None or group_order(expr) <= args.max_order:
+        try:
+            classes_of(table_of(expr))
+        except ResourceLimitError:
+            pass
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:
@@ -319,6 +320,13 @@ def _cmd_verify(args) -> int:
 
 _PROG = "thetadim"
 _MAX_ORDER = ("max_order", int, None, "order cap of the burnside, orbits and diagrams routes")
+# each table sweep: the parameter that its --max-<letter> option bounds, that
+# option's default, and the expression of one row
+_SWEEPS = {
+    "d4p": ("p", 15, "Dstar({})"),
+    "t8_3k": ("k", 9, "Tprime({})"),
+    "zn": ("n", 60, "Z({})"),
+}
 _COMMANDS = {
     "compute": (
         _cmd_compute,
@@ -340,13 +348,12 @@ _COMMANDS = {
     "table": (
         "commands",
         "emit a CSV sweep row by row; a mismatch follows the rows printed",
-        ("family", ("d4p", "t8_3k", "zn")),
+        ("family", tuple(_SWEEPS)),
         {
-            "max-p": ("max_p", int, 15, "largest p of the d4p sweep"),
-            "max-k": ("max_k", int, 9, "largest k of the t8_3k sweep"),
-            "max-n": ("max_n", int, 60, "largest n of the zn sweep"),
-            "max-order": _MAX_ORDER,
-        },
+            f"max-{x}": (f"max_{x}", int, default, f"largest {x} of the {family} sweep")
+            for family, (x, default, _) in _SWEEPS.items()
+        }
+        | {"max-order": _MAX_ORDER},
     ),
     "classes": ("commands", "dump conjugacy class data", ("expr", None), {}),
     "chartab": (
@@ -500,6 +507,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except MemoryError:
+        print("resource limit: out of memory", file=sys.stderr)
         return EXIT_RESOURCE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

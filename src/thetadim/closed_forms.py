@@ -86,8 +86,8 @@ def _check_spec(case: str, m: int, n: int, p: int, k: int) -> None:
     if m < 1:
         raise SphericalMatchError(f"case ({case}) requires m >= 1, got {m}.")
     if case == "b":
-        if p < 1:
-            raise SphericalMatchError(f"case (b) requires p >= 1, got {p}.")
+        if p < 1 or k:  # k stays 0, so that case (b) is case (c) at k = 0
+            raise SphericalMatchError(f"case (b) requires p >= 1 and k = 0, got p={p}, k={k}.")
         if gcd(m, 2 * p) != 1:
             raise SphericalMatchError(
                 f"case (b) requires gcd(m, 2p) = 1; got m={m}, p={p}."
@@ -224,12 +224,10 @@ def closed_dims(spec: SphericalSpec) -> tuple[int, int]:
         den = 3
         dim = 34 * m * m + 36 * m + 35
         ker = 34 * m * m + 24 * m + 23
-    elif case == "g":
+    else:  # case (g)
         den = 6
         dim = 148 * m * m + 114 * m + 128
         ker = 148 * m * m + 87 * m + 101
-    else:
-        raise SphericalMatchError(f"unknown case tag {case!r}.")
     dim = _whole(dim, den, f"case ({case}) dimension")
     ker = _whole(ker, den, f"case ({case}) kernel dimension")
     if dim - ker != closed_z2_orbit(spec):
@@ -256,10 +254,8 @@ def closed_z2_orbit(spec: SphericalSpec) -> int:
         den, value = 6, 7 * 3**k * m + 9
     elif case == "f":
         den, value = 1, 4 * m + 4
-    elif case == "g":
+    else:  # case (g)
         den, value = 2, 9 * m + 9
-    else:
-        raise SphericalMatchError(f"unknown case tag {case!r}.")
     return _whole(value, den, f"case ({case}) inversion-orbit count")
 
 
@@ -267,9 +263,7 @@ def closed_order(spec: SphericalSpec) -> int:
     case = spec.case
     if case == "a":
         return spec.n
-    if case == "b":
-        return 4 * spec.p * spec.m
-    if case == "c":
+    if case in ("b", "c"):  # case (b) is case (c) at k = 0
         return power(2, spec.k + 2) * spec.p * spec.m
     if case == "d":
         return 24 * spec.m
@@ -284,9 +278,7 @@ def closed_class_count(spec: SphericalSpec) -> int:
     case = spec.case
     if case == "a":
         return spec.n
-    if case == "b":
-        return spec.m * (spec.p + 3)
-    if case == "c":
+    if case in ("b", "c"):  # case (b) is case (c) at k = 0
         return spec.m * 2**spec.k * (spec.p + 3)
     if case == "d":
         return 7 * spec.m

@@ -17,6 +17,7 @@ from .cli import (
     _COMMANDS,
     _EXCLUSIVE,
     _PROG,
+    _SWEEPS,
     EXIT_MISMATCH,
     EXIT_OK,
     _run,
@@ -35,17 +36,9 @@ _DESCRIPTION = (
 # -- commands -----------------------------------------------------------------
 
 
-def _table_rows(args):
-    """The sweep's parameters, a range, and its expression template."""
-    if args.family == "d4p":
-        return range(1, args.max_p + 1), "Dstar({})"
-    if args.family == "t8_3k":
-        return range(1, args.max_k + 1), "Tprime({})"
-    return range(1, args.max_n + 1), "Z({})"
-
-
 def table(args) -> int:
-    params, template = _table_rows(args)
+    x, _, template = _SWEEPS[args.family]
+    params = range(1, getattr(args, f"max_{x}") + 1)
     if params:
         # every family's answer grows with its parameter: if the last one is
         # short enough to print, so is every earlier one, and a sweep that

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
-from typing import TYPE_CHECKING
 
 from .expr import GroupExpr, parse_group_expr
 from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order, int_text
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 

@@ -19,11 +19,11 @@ gets a complete row.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 from .group_core import _tabulate
 from .normal_form import NormalForm, ResourceLimitError
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 

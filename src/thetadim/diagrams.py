@@ -23,8 +23,7 @@ table's entries budget, and calls nothing of the library.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 

@@ -4,6 +4,8 @@ An expression is a product of family atoms separated by `x`, for example
 ``Z(5)xDstar(3)`` or ``Tprime(2)``.  Parsing is case-insensitive and ignores
 whitespace; printing always produces the canonical spaceless form, and
 ``parse(print(expr))`` round-trips.
+
+`ATOMS` lists each atom kind once, with its arity and its family's module.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import sys
 from collections import namedtuple
 
 __all__ = [
+    "ATOMS",
     "Atom",
     "ExprSyntaxError",
     "GroupExpr",
@@ -19,18 +22,18 @@ __all__ = [
     "parse_group_expr",
 ]
 
-# canonical atom name -> number of integer parameters
-_ATOM_ARITY = {
-    "Z": 1,
-    "Dstar": 1,
-    "Dprime": 2,
-    "Tstar": 0,
-    "Tprime": 1,
-    "Ostar": 0,
-    "Istar": 0,
+# canonical atom name -> (number of integer parameters, module of its family)
+ATOMS = {
+    "Z": (1, "family_z"),
+    "Dstar": (1, "family_dstar"),
+    "Dprime": (2, "family_dprime"),
+    "Tstar": (0, "family_polyhedral"),
+    "Tprime": (1, "family_tprime"),
+    "Ostar": (0, "family_polyhedral"),
+    "Istar": (0, "family_polyhedral"),
 }
 
-_NAMES_BY_LOWER = {name.lower(): name for name in _ATOM_ARITY}
+_NAMES_BY_LOWER = {name.lower(): name for name in ATOMS}
 
 
 class ExprSyntaxError(ValueError):
@@ -120,7 +123,7 @@ def _scan_int(sc: _Scanner) -> int:
 
 
 def _scan_params(sc: _Scanner, name: str) -> tuple[int, ...]:
-    arity = _ATOM_ARITY[name]
+    arity = ATOMS[name][0]
     if arity == 0:
         if sc.peek() == "(":
             raise sc.error(f"{name} takes no parameters")

@@ -11,10 +11,9 @@ the class data; any failure of that alignment raises instead of guessing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .expr import Atom
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 

@@ -11,8 +11,8 @@ three binary polyhedral atoms, which have no normal form, their
 coset-enumerated table.  `group_order` reads an expression's order off its
 atoms without building anything.
 
-Everything specific to one family lives in that family's module, named for
-its kind in `_FAMILY_MODULES`: `family_z`, `family_dstar`, `family_dprime`,
+Everything specific to one family lives in that family's module, which its
+kind's row of `expr.ATOMS` names: `family_z`, `family_dstar`, `family_dprime`,
 `family_tprime` and `family_polyhedral`.  Each holds the family's model
 (`model(atom)`, its rule or table), its characters (`rows_and_sums(atom,
 group)`) and its closed-form class count (`class_count(atom)`), so the
@@ -32,10 +32,10 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
-from .expr import Atom, GroupExpr, parse_group_expr
+from .expr import ATOMS, Atom, GroupExpr, parse_group_expr
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
 
@@ -122,16 +122,6 @@ def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> 
     )
 
 
-# the module that holds each kind's rule, characters and class count
-_FAMILY_MODULES = {
-    "Z": "family_z",
-    "Dstar": "family_dstar",
-    "Dprime": "family_dprime",
-    "Tprime": "family_tprime",
-    "Tstar": "family_polyhedral",
-    "Ostar": "family_polyhedral",
-    "Istar": "family_polyhedral",
-}
 _POLYHEDRAL_ORDERS = {"Tstar": 24, "Ostar": 48, "Istar": 120}
 
 
@@ -145,11 +135,10 @@ def load(name: str):
 
 
 def family(kind: str):
-    """The module of family `kind`, imported on first use by `load`."""
-    name = _FAMILY_MODULES.get(kind)
-    if name is None:
+    """The module of family `kind`, named in `expr.ATOMS`, imported by `load`."""
+    if kind not in ATOMS:
         raise ValueError(f"unknown family {kind!r}")
-    return load(name)
+    return load(ATOMS[kind][1])
 
 
 def atom_group(atom: Atom) -> NormalForm | FiniteGroup:

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
 import thetadim.family_polyhedral as family_polyhedral
 import thetadim.family_tprime as family_tprime
+import thetadim.group_core as group_core
 from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
 from thetadim.cli import main
@@ -296,13 +298,13 @@ def test_verify_skips_closed_form_for_non_spherical(capsys):
 
 def test_verify_reports_mismatch(capsys, monkeypatch):
     # corrupt one route to prove disagreement is detected and coded 2
-    real = cli._ROUTES["orbits"]
+    module, real = cli._ROUTES["orbits"]
 
     def lying_route(group):
         order, classes, d1, d2, dim, z2 = real(group)
         return order, classes, d1, d2, dim + 1, z2
 
-    monkeypatch.setitem(cli._ROUTES, "orbits", lying_route)
+    monkeypatch.setitem(cli._ROUTES, "orbits", (module, lying_route))
     rc, out, _ = run(capsys, "verify", "Dstar(2)")
     assert rc == 2
     assert "MISMATCH" in out
@@ -314,14 +316,14 @@ def test_verify_reports_mismatch(capsys, monkeypatch):
 )
 def test_verify_names_each_field_that_one_route_misreports(capsys, monkeypatch, index, field):
     # the chars route reports every field; one of its answers is off by one
-    real = cli._ROUTES["chars"]
+    module, real = cli._ROUTES["chars"]
 
     def lying_route(group):
         answer = list(real(group))
         answer[index] += 1
         return tuple(answer)
 
-    monkeypatch.setitem(cli._ROUTES, "chars", lying_route)
+    monkeypatch.setitem(cli._ROUTES, "chars", (module, lying_route))
     rc, out, _ = run(capsys, "verify", "Dstar(2)")
     assert rc == cli.EXIT_MISMATCH
     assert f"\nMISMATCH: {field}\n" in out
@@ -371,6 +373,22 @@ def test_verify_shares_a_table_whenever_it_fits_the_entries_budget(
     assert rc == 0
     assert out.splitlines()[-1].endswith(f"({methods} methods)")
     assert built == built_orders
+
+
+def test_verify_times_no_route_for_the_shared_table(capsys, monkeypatch):
+    # verify builds its table and the table's class data before the first
+    # route's clock starts, so a slow table build shows in no route line
+    real = group_core._tabulate
+
+    def slow(*args, **kwargs):
+        time.sleep(0.1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(group_core, "_tabulate", slow)
+    rc, out, _ = run(capsys, "verify", "Z(12)")
+    assert rc == 0
+    millis = [float(line.split()[-2]) for line in out.splitlines() if line.endswith(" ms")]
+    assert len(millis) == 5 and max(millis) < 100, out
 
 
 def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
@@ -710,6 +728,16 @@ def test_verify_skips_every_route_of_an_answer_too_long_to_print(capsys):
     assert rc == cli.EXIT_RESOURCE
     assert f"  chars     skipped: order {big} exceeds the class-data budget 10000000\n" in out
     assert f"  burnside  skipped: order {big} exceeds --max-order 10\n" in out
+
+
+def test_running_out_of_memory_is_a_resource_refusal(capsys, monkeypatch):
+    # an allocation that fails inside a route ends in one typed line, not a traceback
+    def exhausted(expr):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._ROUTES, "chars", ("characters", exhausted))
+    rc, out, err = run(capsys, "compute", "--method", "chars", "Z(5)")
+    assert (rc, out, err) == (cli.EXIT_RESOURCE, "", "resource limit: out of memory\n")
 
 
 def test_a_parameter_past_the_digit_limit_is_a_syntax_error(capsys):

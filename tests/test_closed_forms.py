@@ -85,6 +85,7 @@ def test_spec_constraint_validation():
         lambda: SphericalSpec("a", n=0),
         lambda: SphericalSpec("b", m=2, p=3),
         lambda: SphericalSpec("b", p=0),
+        lambda: SphericalSpec("b", p=3, k=2),
         lambda: SphericalSpec("c", k=-1, p=3),
         lambda: SphericalSpec("c", k=1, p=4),
         lambda: SphericalSpec("d", m=3),

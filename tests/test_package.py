@@ -63,7 +63,10 @@ def _exports(tree: ast.Module) -> list[str]:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
         ):
-            return ast.literal_eval(node.value)
+            try:
+                return ast.literal_eval(node.value)
+            except ValueError:  # computed, as thetadim.__all__ is
+                return []
     return []
 
 
@@ -330,9 +333,10 @@ def _child_env(**extra: str) -> dict[str, str]:
     return env
 
 
-def _loaded_after_start(code: str) -> set[str]:
-    """Modules that `code` loads in a fresh interpreter, past the interpreter's
-    own start-up; `code` runs with standard output captured."""
+def _loaded_after_start(code: str, *flags: str) -> set[str]:
+    """Modules that `code` loads in a fresh interpreter started with `flags`,
+    past the interpreter's own start-up; `code` runs with standard output
+    captured."""
     env = _child_env()
     script = (
         "import contextlib, io, sys\n"
@@ -342,7 +346,7 @@ def _loaded_after_start(code: str) -> set[str]:
         + "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
     ).stdout
     return set(out.split())
 
@@ -429,6 +433,17 @@ def test_a_process_loads_only_the_modules_its_route_runs():
     for argv in [("compute", "--method", "closed", "Z(12)"), ("compute", "Dstar(3)")]:
         assert "thetadim.conjugacy" not in _loaded_after_start(_cli_call(*argv)), argv
 
+    # without `site` (python -S) a call pays for each standard module it
+    # loads, and none of these loads typing, re or enum
+    shunned = {"typing", "re", "enum"}
+    assert shunned <= _loaded_after_start("import typing", "-S")
+    for argv in [
+        ("compute", "Z(5)"),
+        ("verify", "Z(120)"),
+        ("compute", "--method", "chars", "Z(7) x Istar"),
+    ]:
+        assert shunned.isdisjoint(_loaded_after_start(_cli_call(*argv), "-S")), argv
+
     # a process compiles only the family modules its expression names
     family_calls = {
         ("compute", "--method", "chars", "Z(12)"): {"family_z"},
@@ -500,21 +515,22 @@ def test_every_lazily_named_module_and_handler_resolves():
     assert ("group_core", "group_from_expr") in lazy
     for module, name in lazy:
         assert hasattr(importlib.import_module(f"thetadim.{module}"), name), (module, name)
-    assert set(cli._ROUTE_MODULES) == set(cli._ROUTES)
-    for module in cli._ROUTE_MODULES.values():
+    for module, route in cli._ROUTES.values():
         importlib.import_module(f"thetadim.{module}")
+        assert callable(route), module
     for command in cli._COMMANDS:
         assert callable(cli._handler(command)), command
     # each family module, looked up by kind when its atom is first met
     import thetadim.expr as expr
     import thetadim.normal_form as normal_form
 
-    assert set(normal_form._FAMILY_MODULES) == set(expr._ATOM_ARITY)
-    for kind, module in normal_form._FAMILY_MODULES.items():
+    for kind, (_, module) in expr.ATOMS.items():
         family = normal_form.family(kind)
         assert family is importlib.import_module(f"thetadim.{module}"), kind
         for name in ("model", "class_count", "rows_and_sums"):
             assert callable(getattr(family, name, None)), (module, name)
+    with pytest.raises(ValueError, match="unknown family 'Nope'"):
+        normal_form.family("Nope")
 
     env = _child_env(PYTHONDONTWRITEBYTECODE="1")
     out = subprocess.run(
