@@ -13,7 +13,7 @@ the modules its route runs.  `_EXPORTS` lists the names by submodule, once;
 `__all__` is read off it.
 """
 
-from importlib import import_module
+import sys
 
 __version__ = "0.1.0"
 
@@ -37,7 +37,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
+    __import__(f"{__name__}.{module}")  # as `normal_form.load` does: no importlib
+    value = getattr(sys.modules[f"{__name__}.{module}"], name)
     globals()[name] = value
     return value
 

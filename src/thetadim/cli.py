@@ -13,13 +13,14 @@ module that its row of `_ROUTES` names and is imported when it runs.  `table`,
 `classes` and `chartab`, and the help and usage text, live in `commands`,
 which the dispatch table `_COMMANDS` names; it is loaded only for those
 commands, -h and a usage error.  `_SWEEPS` holds `table`'s families, for the
-parser and for `commands.table`.  `conjugacy` is imported by the routes that
-read class data, when they run, and each atom family's module by the first
-layer that meets the atom (`normal_form.family`).  So a process compiles the
-code of its own command, route and families alone: the closed form loads no
-class code, and a class-level route (class-mode burnside, chars, `classes`,
-and `chartab` on normal-form atoms) never loads the table layer
-`group_core`.
+parser and for `commands.table`.  `verify` builds its one multiplication
+table and that table's class data before any route runs, and hands both to
+each route by value.  `conjugacy` is imported by the routes that read class
+data, when they run, and each atom family's module by the first layer that
+meets the atom (`normal_form.family`).  So a process compiles the code of
+its own command, route and families alone: the closed form loads no class
+code, and a class-level route (class-mode burnside, chars, `classes`, and
+`chartab` on normal-form atoms) never loads the table layer `group_core`.
 
 Entries: `run` is the process entry, which the `thetadim` command and
 `python -m thetadim` call; `main(argv)` is the in-process one, for tests and
@@ -52,20 +53,21 @@ route's only budget: it takes the class data and d2 from
 characters.d2_char_formula, which sums the real characters in integers at
 the class representatives (characters.real_character_sums) and builds no
 table.  chartab, which builds the character table, refuses one of more than
-characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  The closed
-form refuses, with exit code 3, an answer of more digits than `str` writes
-(sys.get_int_max_str_digits, 4300 by default and where the interpreter sets
-no limit).  This module alone turns an expression into a table, and alone
-checks --max-order, an optional order cap on burnside, orbits and diagrams
-(none by default) that lifts no budget: `_run` refuses a larger order with
-exit code 3 before anything is built.
+characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  `table`
+refuses a sweep of more than commands.TABLE_MAX_ROWS (10^5) rows with exit
+code 3 before its header, and prints a row by its closed form alone once the
+orders of its burnside checks would sum past commands.TABLE_MAX_CHECKED_ORDER
+(5*10^6).  The closed form refuses, with exit code 3, an answer of more
+digits than `str` writes (sys.get_int_max_str_digits, 4300 by default and
+where the interpreter sets no limit).  This module alone turns an expression
+into a table, and alone checks --max-order, an optional order cap on
+burnside, orbits and diagrams (none by default) that lifts no budget: `_run`
+refuses a larger order with exit code 3 before anything is built.
 """
 
 from __future__ import annotations
 
-import functools
 import gc
-import os
 import sys
 import time
 from types import SimpleNamespace
@@ -178,18 +180,18 @@ def _load_families(expr: GroupExpr) -> None:
         family(atom.kind)
 
 
-def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> DimensionReport:
+def _run(name, expr, max_order=None, table=None, classes=None) -> DimensionReport:
     """Route `name` on `expr` as a timed report.  An order above `max_order`,
     the --max-order cap, refuses burnside, orbits and diagrams before anything
-    is built.  Closed and chars see `expr`; orbits and diagrams its table, from
-    `table_of` (verify's memo of group_from_expr) or else built here; burnside
-    verify's table, or else `expr`, which it reduces by classes.
-    `classes_of(table)` gives the class count and z2 that an enumeration
-    route's report needs; verify passes a memo of `compute_classes`, and fills
-    both memos before any route runs, so that no route's time counts them.
-    Class data never feeds an enumerated dimension.  The clock starts once the
-    modules the route runs are loaded: its own, and for every route but the
-    closed form `conjugacy` and the expression's families."""
+    is built.  Closed and chars see `expr`; orbits and diagrams `table`, or
+    one built here (whose refusal is the route's); burnside counts `table`
+    pair by pair, or else reduces `expr` by classes.  `classes`, the class
+    data of `table` or else computed here, gives the class count and z2 of an
+    enumeration route's report; it never feeds an enumerated dimension.
+    verify passes the table and class data it built before any route ran, so
+    that no route's time counts them.  The clock starts once the modules the
+    route runs are loaded: its own, and for every route but the closed form
+    `conjugacy` and the expression's families."""
     capped = name in ("burnside", "orbits", "diagrams") and max_order is not None
     if capped and (n := group_order(expr)) > max_order:
         raise ResourceLimitError(f"order {int_text(n)} exceeds --max-order {max_order}")
@@ -199,22 +201,17 @@ def _run(name, expr, max_order=None, table_of=None, classes_of=None) -> Dimensio
         conjugacy = load("conjugacy")
         _load_families(expr)
     t0 = time.perf_counter()
-    group = expr
-    if name in ("orbits", "diagrams"):
-        group = (table_of or load("group_core").group_from_expr)(expr)
-    elif name == "burnside" and table_of is not None:
-        try:
-            group = table_of(expr)
-        except ResourceLimitError:
-            pass  # past the entries budget burnside reduces `expr` by classes
-    order, classes, d1, d2, dim, z2 = route(group)
-    if classes is None:
-        cd = (classes_of or conjugacy.compute_classes)(group)
-        classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
+    group = expr if name in ("closed", "chars") else table
+    if group is None:  # burnside reduces `expr` by classes; a walk builds its table
+        group = expr if name == "burnside" else load("group_core").group_from_expr(expr)
+    order, num_classes, d1, d2, dim, z2 = route(group)
+    if num_classes is None:
+        cd = conjugacy.compute_classes(group) if classes is None else classes
+        num_classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
     return DimensionReport(
         group=expr_to_string(expr),
         order=order,
-        num_classes=classes,
+        num_classes=num_classes,
         d1=d1,
         d2=d2,
         dim_cpi=dim,
@@ -272,12 +269,13 @@ def _cmd_verify(args) -> int:
         load(module)
     _load_families(expr)
     # the shared table and its class data are built before any route's clock
-    # starts; a memo keeps no refusal, so each route meets it in turn
-    table_of = functools.lru_cache(maxsize=1)(group_from_expr)
-    classes_of = functools.lru_cache(maxsize=1)(compute_classes)
+    # starts; past the entries budget `table` stays None, and each route that
+    # needs one meets the refusal itself
+    table = classes = None
     if args.max_order is None or group_order(expr) <= args.max_order:
         try:
-            classes_of(table_of(expr))
+            table = group_from_expr(expr)
+            classes = compute_classes(table)
         except ResourceLimitError:
             pass
     lines = [f"group {expr_to_string(expr)}"]
@@ -285,7 +283,7 @@ def _cmd_verify(args) -> int:
     for name in _ROUTES:
         _info(args, f"running {name} on {expr_to_string(expr)}")
         try:
-            rep = _run(name, expr, args.max_order, table_of, classes_of)
+            rep = _run(name, expr, args.max_order, table, classes)
         except (SphericalMatchError, ResourceLimitError) as exc:
             lines.append(f"  {name:<9} skipped: {exc}")
             continue
@@ -503,6 +501,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # the reader closed standard output: send what is still buffered to
         # devnull so that the interpreter's final flush stays quiet
+        import os
+
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
     except ResourceLimitError as exc:

@@ -36,6 +36,17 @@ _DESCRIPTION = (
 # -- commands -----------------------------------------------------------------
 
 
+# table's budgets, read off its arguments before the first row.  On a 2-CPU
+# machine (Python 3.11) a row costs about 110 us for its closed form, and its
+# class-mode burnside check 1.8-2.5 us per element of its group (d4p to
+# t8_3k).  So 10^5 rows take about 11 s, and checks whose orders sum to
+# 5*10^6 at most 12.5 s: the largest accepted sweep of each family ends
+# within 30 s (measured: zn --max-n 100000 in 23 s, d4p --max-p 100000 in
+# 19 s, and t8_3k, whose rows the digit limit bounds, 8 s at --max-k 4500).
+TABLE_MAX_ROWS = 100_000
+TABLE_MAX_CHECKED_ORDER = 5_000_000
+
+
 def table(args) -> int:
     x, _, template = _SWEEPS[args.family]
     params = range(1, getattr(args, f"max_{x}") + 1)
@@ -44,22 +55,33 @@ def table(args) -> int:
         # short enough to print, so is every earlier one, and a sweep that
         # cannot finish is refused before its first row
         _run("closed", parse_group_expr(template.format(params[-1])))
-    # each row is written once computed, so a mismatch follows the rows before it
+        if params[-1] > TABLE_MAX_ROWS:
+            raise ResourceLimitError(
+                f"a sweep of {params[-1]} rows exceeds the row budget {TABLE_MAX_ROWS}"
+            )
+    # each row is written once computed, so a mismatch follows the rows before
+    # it; from the row at which the orders so far sum past their budget, every
+    # row is its closed form alone
     print(CSV_HEADER)
+    checked = 0
     for param in params:
         expr_text = template.format(param)
         expr = parse_group_expr(expr_text)
         closed = _run("closed", expr)
         dims = (closed.dim_cpi, closed.dim_ker_eps)
-        try:
-            check = _run("burnside", expr, args.max_order)
-        except ResourceLimitError:
+        checked += closed.order
+        check = None
+        if checked <= TABLE_MAX_CHECKED_ORDER:
+            try:
+                check = _run("burnside", expr, args.max_order)
+            except ResourceLimitError:
+                pass  # past the class-data budget or --max-order
+        if check is None:
             method = "closed"
+        elif (got := (check.dim_cpi, check.dim_ker_eps)) != dims:
+            print(f"mismatch at {expr_text}: closed {dims} vs burnside {got}", file=sys.stderr)
+            return EXIT_MISMATCH
         else:
-            got = (check.dim_cpi, check.dim_ker_eps)
-            if got != dims:
-                print(f"mismatch at {expr_text}: closed {dims} vs burnside {got}", file=sys.stderr)
-                return EXIT_MISMATCH
             method = "closed+burnside"
         print(f"{param},{dims[0]},{dims[1]},{method}")
     return EXIT_OK

@@ -36,8 +36,9 @@ from thetadim.conjugacy import (
 from thetadim.coset_enum import enumerate_cosets
 from thetadim.cyclo import from_int, zeta
 from thetadim.diagrams import dim_A2
-from thetadim.expr import Atom, parse_group_expr
+from thetadim.expr import ATOMS, Atom, GroupExpr, parse_group_expr
 from thetadim.group_core import construct_family, group_from_expr
+from thetadim.normal_form import _POLYHEDRAL_ORDERS, group_order
 
 
 @lru_cache(maxsize=None)
@@ -230,8 +231,14 @@ def test_presentation_orders():
     cases.append((Atom("Ostar"), 48))
     cases.append((Atom("Istar"), 120))
 
+    # every kind has a case, and the kinds that expr.ATOMS gives the
+    # polyhedral family are the ones whose orders normal_form lists
+    assert {atom.kind for atom, _ in cases} == set(ATOMS)
+    polyhedral = {kind for kind, (_, module) in ATOMS.items() if module == "family_polyhedral"}
+    assert polyhedral == set(_POLYHEDRAL_ORDERS)
     for atom, order in cases:
         assert construct_family(atom).order == order
+        assert group_order(GroupExpr((atom,))) == order, atom
         table = enumerate_cosets(parse_presentation(presentation_for_family(atom)), 10**5)
         assert table.size == order, f"{atom} enumerated to {table.size}"
 

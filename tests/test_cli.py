@@ -463,6 +463,41 @@ def test_a_table_mismatch_follows_the_rows_already_printed(capsys, monkeypatch):
     assert err == "mismatch at Dstar(3): closed (11, 6) vs burnside (12, 6)\n"
 
 
+def test_a_sweep_past_the_row_budget_is_refused_before_its_header():
+    # the child that would run the sweep instead is stopped by the timeout
+    message = "a sweep of 1000000000000 rows exceeds the row budget 100000"
+    argv = ("table", "zn", "--max-n", "1000000000000")
+    assert _run_limited(*argv, timeout=2) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
+
+
+def test_the_row_budget_edge(capsys, monkeypatch):
+    monkeypatch.setattr(commands, "TABLE_MAX_ROWS", 3)
+    rc, out, err = run(capsys, "table", "d4p", "--max-p", "4")
+    assert (rc, out, err) == (
+        cli.EXIT_RESOURCE,
+        "",
+        "resource limit: a sweep of 4 rows exceeds the row budget 3\n",
+    )
+    rc, out, _ = run(capsys, "table", "d4p", "--max-p", "3")
+    assert rc == 0 and len(out.splitlines()) == 4
+
+
+def test_rows_past_the_summed_order_budget_are_closed(capsys, monkeypatch):
+    # Dstar(1..3) have orders 4, 8 and 12: a budget of 24 checks them, and
+    # the first row past it, Dstar(4), is printed as its closed form alone
+    monkeypatch.setattr(commands, "TABLE_MAX_CHECKED_ORDER", 24)
+    rc, out, _ = run(capsys, "table", "d4p", "--max-p", "5")
+    assert rc == 0
+    assert out.splitlines() == [
+        CSV_HEADER,
+        "1,4,1,closed+burnside",
+        "2,9,4,closed+burnside",
+        "3,11,6,closed+burnside",
+        "4,18,11,closed",
+        "5,20,13,closed",
+    ]
+
+
 def test_table_cyclic_prefix(capsys):
     rc, out, _ = run(capsys, "table", "zn", "--max-n", "4")
     assert rc == 0
@@ -774,11 +809,15 @@ runpy.run_module("thetadim", run_name="__main__")
 """
 
 
-def _run_limited(*argv, **env):
+def _run_limited(*argv, timeout=None, **env):
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, **env}
     proc = subprocess.run(
-        [sys.executable, "-c", _LIMITED, *argv], env=env, capture_output=True, text=True
+        [sys.executable, "-c", _LIMITED, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
     return proc.returncode, proc.stdout, proc.stderr
 

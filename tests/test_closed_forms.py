@@ -298,3 +298,54 @@ def _large_specs(draw):
 def test_integer_closed_forms_match_the_fraction_forms_on_large_specs(spec):
     _assert_integer_forms_match_fractions(spec)
     assert 584 * closed_dims(spec)[0] >= closed_order(spec) ** 2, spec
+
+
+# ---------------------------------------------------------------------------
+# each closed case is a quadratic in m on each residue class it branches on
+# ---------------------------------------------------------------------------
+
+# each atom G of Z(m) x G: the modulus that m must be prime to, and the p of
+# the branch (m*p) % 3 of cases (b) and (c); 0 where the case does not branch
+_QUADRATIC_ATOMS = [
+    ("Tstar", 6, 0),
+    ("Ostar", 6, 0),
+    ("Istar", 30, 0),
+    *((f"Tprime({k})", 6, 0) for k in (2, 3, 4)),
+    *((f"Dstar({p})", 2 * p, p) for p in (2, 3, 4, 5, 6, 7)),
+    *((f"Dprime({k},{p})", 2 * p, p) for k, p in ((1, 3), (1, 5), (2, 5), (1, 9), (3, 7))),
+]
+
+
+def _quadratic(points, x):
+    """The value at x of the polynomial of degree at most 2 through three
+    (m, value) points, by Lagrange's formula in exact fractions."""
+    value = Fraction(0)
+    for xi, yi in points:
+        term = Fraction(yi)
+        for xj, _ in points:
+            if xj != xi:
+                term *= Fraction(x - xj, xi - xj)
+        value += term
+    return value
+
+
+@pytest.mark.parametrize("atom,modulus,p", _QUADRATIC_ATOMS, ids=[a for a, *_ in _QUADRATIC_ATOMS])
+def test_closed_dims_are_the_quadratic_in_m_through_class_burnside(atom, modulus, p):
+    """On each residue class, the class-burnside values of Z(m) x G at three
+    admissible m fix a quadratic in m; closed_dims must be that quadratic,
+    at those three m, the next admissible one and one near 10^9."""
+    classes: dict[bool, list[int]] = {}
+    for m in range(1, 100):
+        if gcd(m, modulus) == 1:
+            classes.setdefault((m * p) % 3 == 0, []).append(m)
+    for branch, ms in classes.items():
+        counted = [burnside_dims(f"Z({m}) x {atom}") for m in ms[:3]]
+        dims = [(m, r.dim_full) for m, r in zip(ms, counted)]
+        kers = [(m, r.dim_ker) for m, r in zip(ms, counted)]
+        far = next(
+            m for m in range(10**9, 10**9 + 100)
+            if gcd(m, modulus) == 1 and ((m * p) % 3 == 0) == branch
+        )
+        for m in ms[:4] + [far]:
+            expected = (_quadratic(dims, m), _quadratic(kers, m))
+            assert closed_dims(spec_from_expr(f"Z({m}) x {atom}")) == expected, (atom, m)

@@ -336,14 +336,17 @@ def _child_env(**extra: str) -> dict[str, str]:
 def _loaded_after_start(code: str, *flags: str) -> set[str]:
     """Modules that `code` loads in a fresh interpreter started with `flags`,
     past the interpreter's own start-up; `code` runs with standard output
-    captured."""
+    captured.  The harness imports only `sys` and `io`, which every
+    interpreter loads at start (`contextlib` would load `os`, `functools`,
+    `collections` and `types` before `before` is taken)."""
     env = _child_env()
     script = (
-        "import contextlib, io, sys\n"
+        "import io, sys\n"
         "before = set(sys.modules)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        + "".join(f"    {line}\n" for line in code.splitlines())
-        + "print(' '.join(sorted(set(sys.modules) - before)))\n"
+        "sys.stdout = io.StringIO()\n"
+        f"{code}\n"
+        "sys.stdout = sys.__stdout__\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
     )
     out = subprocess.run(
         [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
@@ -434,15 +437,17 @@ def test_a_process_loads_only_the_modules_its_route_runs():
         assert "thetadim.conjugacy" not in _loaded_after_start(_cli_call(*argv)), argv
 
     # without `site` (python -S) a call pays for each standard module it
-    # loads, and none of these loads typing, re or enum
-    shunned = {"typing", "re", "enum"}
-    assert shunned <= _loaded_after_start("import typing", "-S")
-    for argv in [
-        ("compute", "Z(5)"),
-        ("verify", "Z(120)"),
-        ("compute", "--method", "chars", "Z(7) x Istar"),
+    # loads: none of these loads typing, re or enum, nor importlib (with
+    # warnings) or os, and the closed form no functools
+    shunned = {"typing", "re", "enum", "importlib", "warnings", "os"}
+    assert shunned <= _loaded_after_start("import typing, importlib, os", "-S")
+    for argv, also in [
+        (("compute", "Z(5)"), {"functools"}),
+        (("verify", "Z(120)"), set()),
+        (("compute", "--method", "chars", "Z(7) x Istar"), set()),
     ]:
-        assert shunned.isdisjoint(_loaded_after_start(_cli_call(*argv), "-S")), argv
+        assert (shunned | also).isdisjoint(_loaded_after_start(_cli_call(*argv), "-S")), argv
+    assert "functools" in _loaded_after_start("import functools", "-S")
 
     # a process compiles only the family modules its expression names
     family_calls = {
