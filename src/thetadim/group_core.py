@@ -9,11 +9,10 @@ kind -> module table of the family modules (`family_z`, `family_dstar`,
 `family_dprime`, `family_tprime`, `family_polyhedral`), which hold each
 family's rule; it does not import this module.  This module holds the tables:
 `FiniteGroup`, the `*_group` builders, `construct_family`, `direct_product`
-and `group_from_expr`, and re-exports the normal-form names it uses.  A
-builder looks its family's rule up through `atom_group` when it runs, and no
-family module is imported here, so a process compiles only the families its
-expression names.  Only a route that builds a table, or a binary polyhedral
-atom, loads this module.
+and `group_from_expr`.  A builder looks its family's rule up through
+`atom_group` when it runs, and no family module is imported here, so a
+process compiles only the families its expression names.  Only a route that
+builds a table, or a binary polyhedral atom, loads this module.
 
 The three exceptional binary polyhedral groups (order at most 120) are built
 solely by coset enumeration of <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, whose
@@ -39,10 +38,7 @@ from .normal_form import (
 
 __all__ = [
     "FiniteGroup",
-    "NormalForm",
-    "ResourceLimitError",
     "TABLE_MAX_ENTRIES",
-    "atom_group",
     "binary_dihedral_group",
     "construct_family",
     "cyclic_group",
@@ -51,7 +47,6 @@ __all__ = [
     "group_from_expr",
     "istar_group",
     "ostar_group",
-    "product_rule",
     "tprime_group",
     "tstar_group",
 ]

@@ -64,9 +64,12 @@ def _digit_limit() -> int:
 
 
 def int_text(n: int) -> str:
-    """`n` in decimal, or "10^L or more" past the L digits of `_digit_limit`."""
+    """`n` in decimal, or "10^L or more" past the L digits of `_digit_limit`.
+    Below 2^(3L) = 8^L, n has at most L digits, and 10^L is not computed."""
     limit = _digit_limit()
-    return f"10^{limit} or more" if n >= 10**limit else str(n)
+    if n.bit_length() > 3 * limit and n >= 10**limit:
+        return f"10^{limit} or more"
+    return str(n)
 
 
 def power(base: int, exponent: int) -> int:

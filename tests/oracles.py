@@ -25,7 +25,8 @@ from thetadim.closed_forms import SphericalMatchError, SphericalSpec, p2, spec_f
 from thetadim.coset_enum import Presentation
 from thetadim.cyclo import CycloNumber, _canonical, from_int
 from thetadim.expr import Atom, GroupExpr, parse_group_expr
-from thetadim.group_core import FiniteGroup, atom_group, product_rule
+from thetadim.group_core import FiniteGroup
+from thetadim.normal_form import atom_group, product_rule
 
 # -- closed forms in Fractions -------------------------------------------------
 #

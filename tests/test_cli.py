@@ -30,8 +30,8 @@ from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_int
 from thetadim.expr import expr_to_string
-from thetadim.group_core import FiniteGroup, ResourceLimitError, group_from_expr
-from thetadim.normal_form import group_order, int_text, power
+from thetadim.group_core import FiniteGroup, group_from_expr
+from thetadim.normal_form import ResourceLimitError, group_order, int_text, power
 from thetadim.report import CSV_HEADER
 
 
@@ -734,6 +734,24 @@ def test_an_answer_too_long_to_print_is_refused(capsys, digit_limit):
     assert (rc, out, err) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
     rc, out, _ = run(capsys, "table", "t8_3k", "--max-k", str(k), "--max-order", "10")
     assert rc == 0 and out.splitlines()[-1] == f"{k},{dim},{ker},closed"
+
+
+def _assert_int_text_edges(limit: int) -> None:
+    # below 2^(3L) = 8^L < 10^L a number prints without 10^L being computed;
+    # from there to 10^L it is compared with 10^L, and prints up to 10^L - 1
+    assert (2 ** (3 * limit) - 1).bit_length() == 3 * limit
+    for n in (2 ** (3 * limit) - 1, 2 ** (3 * limit), 10**limit - 1):
+        assert int_text(n) == str(n)
+    assert int_text(10**limit - 1) == "9" * limit
+    assert int_text(10**limit) == f"10^{limit} or more"
+
+
+def test_int_text_edges_under_the_default_limit():
+    _assert_int_text_edges(sys.get_int_max_str_digits())
+
+
+def test_int_text_edges_under_a_lowered_limit(digit_limit):
+    _assert_int_text_edges(digit_limit)
 
 
 def test_the_default_limit_refuses_tprime_5000_and_prints_tprime_4000(capsys):

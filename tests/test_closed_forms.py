@@ -22,6 +22,7 @@ from thetadim.characters import d2_char_formula
 from thetadim.closed_forms import (
     SphericalMatchError,
     SphericalSpec,
+    _factor,
     closed_class_count,
     closed_dims,
     closed_order,
@@ -31,6 +32,7 @@ from thetadim.closed_forms import (
     spec_from_expr,
 )
 from thetadim.conjugacy import (
+    class_data_for,
     compute_classes,
     d1_class_formula,
     z2_orbit_count,
@@ -316,24 +318,30 @@ _QUADRATIC_ATOMS = [
 ]
 
 
-def _quadratic(points, x):
-    """The value at x of the polynomial of degree at most 2 through three
-    (m, value) points, by Lagrange's formula in exact fractions."""
-    value = Fraction(0)
+def _coefficients(points):
+    """The exact coefficients (c2, c1, c0) of the polynomial of degree at most
+    2 through three (m, value) points, by Lagrange's formula in fractions."""
+    coefficients = [Fraction(0)] * 3
     for xi, yi in points:
-        term = Fraction(yi)
-        for xj, _ in points:
-            if xj != xi:
-                term *= Fraction(x - xj, xi - xj)
-        value += term
-    return value
+        a, b = (xj for xj, _ in points if xj != xi)
+        scale = Fraction(yi, (xi - a) * (xi - b))
+        # (m - a)(m - b) = m^2 - (a + b) m + ab
+        for i, c in enumerate((1, -(a + b), a * b)):
+            coefficients[i] += scale * c
+    return tuple(coefficients)
+
+
+def _row(atom: str, m: int) -> tuple:
+    return _factor(spec_from_expr(f"Z({m}) x {atom}"))
 
 
 @pytest.mark.parametrize("atom,modulus,p", _QUADRATIC_ATOMS, ids=[a for a, *_ in _QUADRATIC_ATOMS])
 def test_closed_dims_are_the_quadratic_in_m_through_class_burnside(atom, modulus, p):
     """On each residue class, the class-burnside values of Z(m) x G at three
-    admissible m fix a quadratic in m; closed_dims must be that quadratic,
-    at those three m, the next admissible one and one near 10^9."""
+    admissible m fix a quadratic in m.  Its exact coefficients must be the
+    row's (c2, c1, c0) / den, the row must be the same at every m of the
+    class, and closed_dims must take the quadratic's value at those three m,
+    the next admissible one and one near 10^9."""
     classes: dict[bool, list[int]] = {}
     for m in range(1, 100):
         if gcd(m, modulus) == 1:
@@ -346,6 +354,22 @@ def test_closed_dims_are_the_quadratic_in_m_through_class_burnside(atom, modulus
             m for m in range(10**9, 10**9 + 100)
             if gcd(m, modulus) == 1 and ((m * p) % 3 == 0) == branch
         )
+        quadratics = _coefficients(dims), _coefficients(kers)
+        den, dim_row, ker_row, _, _ = row = _row(atom, ms[0])
+        assert quadratics == tuple(
+            tuple(Fraction(c, den) for c in numerator) for numerator in (dim_row, ker_row)
+        ), (atom, branch)
         for m in ms[:4] + [far]:
-            expected = (_quadratic(dims, m), _quadratic(kers, m))
+            assert _row(atom, m) == row, (atom, m)
+            expected = tuple(c2 * m * m + c1 * m + c0 for c2, c1, c0 in quadratics)
             assert closed_dims(spec_from_expr(f"Z({m}) x {atom}")) == expected, (atom, m)
+
+
+@pytest.mark.parametrize("atom", [a for a, *_ in _QUADRATIC_ATOMS])
+def test_the_row_reads_the_class_numbers_of_its_atom(atom):
+    """k_G is G's class count and f_G its number of self-inverse classes, so
+    Z(m) x G has m * k_G classes and (m * k_G + f_G) / 2 inversion orbits."""
+    cd = class_data_for(atom)
+    _, _, _, classes, self_inverse = _row(atom, 1)
+    assert classes == cd.num_classes
+    assert self_inverse == sum(1 for c, ic in enumerate(cd.inverse_class) if ic == c)

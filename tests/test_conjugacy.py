@@ -27,7 +27,8 @@ from thetadim.conjugacy import (
     z2_orbit_count,
 )
 from thetadim.expr import parse_group_expr
-from thetadim.group_core import atom_group, cyclic_group, direct_product, group_from_expr
+from thetadim.group_core import cyclic_group, direct_product, group_from_expr
+from thetadim.normal_form import atom_group
 
 ORACLE_CATALOG = [
     "Z(1)",

@@ -17,8 +17,8 @@ from oracles import (
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.diagrams import dim_A2
-from thetadim.group_core import TABLE_MAX_ENTRIES, FiniteGroup, ResourceLimitError, group_from_expr
-from thetadim.normal_form import group_order
+from thetadim.group_core import TABLE_MAX_ENTRIES, FiniteGroup, group_from_expr
+from thetadim.normal_form import ResourceLimitError, group_order
 
 WALK_CATALOG = ["Z(2)", "Z(6)", "Dstar(2)", "Dstar(3)", "Dprime(0,3)", "Tstar"]
 

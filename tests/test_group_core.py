@@ -28,8 +28,6 @@ from thetadim.expr import Atom, parse_group_expr
 from thetadim.group_core import (
     TABLE_MAX_ENTRIES,
     FiniteGroup,
-    ResourceLimitError,
-    atom_group,
     binary_dihedral_group,
     construct_family,
     cyclic_group,
@@ -38,11 +36,10 @@ from thetadim.group_core import (
     group_from_expr,
     istar_group,
     ostar_group,
-    product_rule,
     tprime_group,
     tstar_group,
 )
-from thetadim.normal_form import group_order
+from thetadim.normal_form import ResourceLimitError, atom_group, group_order, product_rule
 
 
 def model(kind, *params):

@@ -70,6 +70,35 @@ def _exports(tree: ast.Module) -> list[str]:
     return []
 
 
+def _top_level_names(tree: ast.Module) -> tuple[set[str], set[str]]:
+    """The names a module binds at top level by def, class or assignment,
+    and those it binds by import."""
+    defined, imported = set(), set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+    return defined, imported
+
+
+def test_every_submodule_export_is_defined_where_it_is_exported():
+    """A submodule's `__all__` lists only names the module itself defines, so
+    each name has one home; a name it imports is exported by its own module."""
+    misplaced = []
+    for stem, tree in _library_modules().items():
+        defined, imported = _top_level_names(tree)
+        misplaced += [
+            f"{stem}.{name}"
+            for name in _exports(tree)
+            if name in imported or name not in defined
+        ]
+    assert misplaced == []
+
+
 def _attribute_counts(tree: ast.AST) -> Counter:
     return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
 
@@ -466,10 +495,10 @@ def test_a_process_loads_only_the_modules_its_route_runs():
 
 def test_lazy_exports_resolve_to_the_submodule_objects():
     import thetadim.burnside
-    import thetadim.group_core
+    import thetadim.normal_form
 
     assert thetadim.burnside_dims is thetadim.burnside.burnside_dims
-    assert thetadim.ResourceLimitError is thetadim.group_core.ResourceLimitError
+    assert thetadim.ResourceLimitError is thetadim.normal_form.ResourceLimitError
     assert set(thetadim.__all__) <= set(dir(thetadim))
     for name in thetadim.__all__:
         assert getattr(thetadim, name) is getattr(
