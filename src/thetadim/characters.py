@@ -8,9 +8,9 @@ number of real rows, for the chars route.  A family reads each class at the
 normal-form coordinates of the representative that `compute_classes` finds
 on `normal_form.atom_group(atom)`, or, for a binary polyhedral atom, at
 representative words whose class sizes and power maps are checked first, so
-no column is located and no atom but a binary polyhedral one builds a
-multiplication table.  Only the row builders import `cyclo`, so the chars
-route never loads it.  This module holds what no family owns.
+no column is located and no atom builds a multiplication table.  Only the
+row builders import `cyclo`, so the chars route never loads it.  This module
+holds what no family owns.
 
 `table_for` composes product tables as outer products of the factor tables, in
 the same factor order as group construction, so indices agree with the

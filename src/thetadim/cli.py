@@ -15,12 +15,14 @@ which the dispatch table `_COMMANDS` names; it is loaded only for those
 commands, -h and a usage error.  `_SWEEPS` holds `table`'s families, for the
 parser and for `commands.table`.  `verify` builds its one multiplication
 table and that table's class data before any route runs, and hands both to
-each route by value.  `conjugacy` is imported by the routes that read class
-data, when they run, and each atom family's module by the first layer that
-meets the atom (`normal_form.family`).  So a process compiles the code of
-its own command, route and families alone: the closed form loads no class
-code, and a class-level route (class-mode burnside, chars, `classes`, and
-`chartab` on normal-form atoms) never loads the table layer `group_core`.
+each route by value; under -v it logs their build time, or their refusal.
+`conjugacy` is imported by the routes that read class data, when they run,
+and each atom family's module by the first layer that meets the atom
+(`normal_form.family`).  So a process compiles the code of its own command,
+route and families alone: the closed form loads no class code, and a
+class-level route (class-mode burnside, chars, `classes` and `chartab`)
+builds no table; it loads the table layer `group_core` only for a binary
+polyhedral atom, whose rule that layer keeps.
 
 Entries: `run` is the process entry, which the `thetadim` command and
 `python -m thetadim` call; `main(argv)` is the in-process one, for tests and
@@ -269,15 +271,20 @@ def _cmd_verify(args) -> int:
         load(module)
     _load_families(expr)
     # the shared table and its class data are built before any route's clock
-    # starts; past the entries budget `table` stays None, and each route that
-    # needs one meets the refusal itself
+    # starts, and timed under -v; past the entries budget `table` stays None,
+    # and each route that needs one meets the refusal itself
     table = classes = None
     if args.max_order is None or group_order(expr) <= args.max_order:
+        t0 = time.perf_counter()
         try:
             table = group_from_expr(expr)
             classes = compute_classes(table)
-        except ResourceLimitError:
-            pass
+        except ResourceLimitError as exc:
+            _info(args, f"shared table refused: {exc}")
+        else:
+            ms = (time.perf_counter() - t0) * 1000
+            k = classes.num_classes
+            _info(args, f"shared table: order {table.order}, {k} classes, {ms:.1f} ms")
     lines = [f"group {expr_to_string(expr)}"]
     computed: list[DimensionReport] = []
     for name in _ROUTES:

@@ -125,7 +125,8 @@ def chartab(args) -> int:
     sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
     cells = [[str(v) for v in row] for row in table.values]
     if args.csv:
-        print("name," + ",".join(labels))
+        # keep the CSV free of quoting: a product's label commas become semicolons
+        print("name," + ",".join(label.replace(",", ";") for label in labels))
         print("size," + ",".join(sizes))
         for name, row in zip(table.row_names, cells):
             print(name + "," + ",".join(row))

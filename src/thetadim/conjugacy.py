@@ -55,7 +55,7 @@ class ClassData(
     order, so class 0 is always the identity class.  `square_class[c]` is the
     class of g^2 for g in class c, and similarly for cubes and inverses; these
     maps are well defined because power maps commute with conjugation.
-    Every list has one entry per class; the group's `label` names a
+    Every list has one entry per class; the rule's `label` names a
     representative when one is printed.  `order` is an int and every other
     field a list[int].
     """
@@ -112,8 +112,7 @@ def compute_classes(group: FiniteGroup | NormalForm) -> ClassData:
 def class_data_for(expr: GroupExpr | str) -> ClassData:
     """Class data of a group expression, built from its atoms without a table.
 
-    Normal-form atoms are conjugated through their product rule, the binary
-    polyhedral atoms through their coset-enumerated tables, and products are
+    Each atom is conjugated through its product rule, and products are
     composed with `product_class_data`.  The numbering equals that of
     `compute_classes` on the full `group_from_expr` table.  An order above
     CLASS_DATA_MAX_ORDER, read off the expression, is refused before anything

@@ -9,8 +9,8 @@ the tests write presentations as text and parse them into such words.
 Enumeration runs over the trivial subgroup, so the final coset table is the
 regular right action and its cosets are the group's elements.
 `group_from_presentation` turns the action into a product rule on coset
-numbers, and `group_core._tabulate` fills the table from it as it fills every
-other; this module builds no table.  The strategy is relator scanning with
+numbers, a `NormalForm` like every family's; this module builds no table and
+imports nothing from `group_core`.  The strategy is relator scanning with
 immediate gap filling, in-place coincidence handling through a union-find
 keeping the smallest representative, and row filling so every live coset
 gets a complete row.
@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .group_core import _tabulate
 from .normal_form import NormalForm, ResourceLimitError
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .group_core import FiniteGroup
 
 __all__ = [
     "CosetTable",
@@ -198,17 +193,17 @@ def _check_relations(ct: CosetTable) -> None:
 
 def group_from_presentation(
     presentation: Presentation, expected_order: int, family_tag: str
-) -> FiniteGroup:
-    """The group of a presentation of order `expected_order`, tabulated from
-    its regular action on cosets.
+) -> NormalForm:
+    """The group of a presentation of order `expected_order`, as the product
+    rule of its regular action on cosets.
 
     The enumeration may define max(20 * expected_order, 1000) cosets, and
     any other count of cosets than `expected_order` is refused.  Coset 0 is
     the trivial subgroup, so cosets are in bijection with group elements.
     Each coset is labelled by the word of columns that first reaches it from
     coset 0 in a breadth-first search, and the rule's product i*j carries
-    coset i along j's word.  `_tabulate` fills the table from that rule in
-    the cosets' numbering, and holds it to the entries budget.
+    coset i along j's word, so a product costs that word's length.  Its
+    generators, the cosets of the presentation's generators, are a tuple.
     """
     ct = enumerate_cosets(presentation, max(20 * expected_order, 1000))
     n, action, names = ct.size, ct.action, presentation.generators
@@ -235,9 +230,8 @@ def group_from_presentation(
             j = action[j][col ^ 1]
         return j
 
-    gens = [action[0][2 * g] for g in range(len(names))]
-    rule = NormalForm(n, mul, inv, lambda i: _word_label(names, words[i]), gens, family_tag)
-    return _tabulate(rule, f"group of {n} cosets")
+    gens = tuple(action[0][2 * g] for g in range(len(names)))
+    return NormalForm(n, mul, inv, lambda i: _word_label(names, words[i]), gens, family_tag)
 
 
 def _word_label(names: tuple[str, ...], word: tuple[int, ...]) -> str:

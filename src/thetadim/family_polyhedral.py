@@ -1,29 +1,28 @@
 """The binary polyhedral atoms Tstar, Ostar and Istar: their model,
 characters and class counts.
 
-They have no normal form.  Each is the table `group_core._tabulate` fills
-from the coset action of its presentation <a,b | (ab)^2 = a^3 = b^k>,
-k = 3, 4, 5 (`group_core.construct_family`), so its rows and sums are
-constants at a list of representative words in the generators a and b, one
-per class, used only once the words' class sizes and power maps agree with
-the class data; any failure of that alignment raises instead of guessing.
+They have no closed normal form.  Each is the rule of the coset action of
+its presentation <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, which
+`group_core._enumerated` builds once per process: its elements are the
+cosets, and a product walks a word.  So its rows and sums are constants at a
+list of representative words in the generators a and b, one per class, used
+only once the words' class sizes and power maps agree with the class data;
+any failure of that alignment raises instead of guessing.
 """
 
 from __future__ import annotations
 
 from .expr import Atom
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .group_core import FiniteGroup
+from .normal_form import NormalForm
 
 __all__ = ["class_count", "model", "rows_and_sums"]
 
 
-def model(atom: Atom) -> FiniteGroup:
-    from .group_core import construct_family
+def model(atom: Atom) -> NormalForm:
+    # imported when called: only these atoms load the table layer
+    from .group_core import istar_group, ostar_group, tstar_group
 
-    return construct_family(atom)
+    return {"Tstar": tstar_group, "Ostar": ostar_group, "Istar": istar_group}[atom.kind]()
 
 
 # each binary polyhedral atom at its representative words in the generators a
@@ -110,8 +109,8 @@ def _polyhedral_rows(kind: str) -> list[tuple[str, list]]:
     ]
 
 
-def rows_and_sums(atom: Atom, group: FiniteGroup):
-    # a coset-enumerated table has no normal form: its classes are located by
+def rows_and_sums(atom: Atom, group: NormalForm):
+    # a coset action has no closed normal form: its classes are located by
     # the words, and the layout is used only once every class agrees with it
     kind = atom.kind
     data = _POLYHEDRAL[kind]

@@ -1,30 +1,31 @@
 """Finite groups as the rows of their multiplication tables: the table layer.
 
 Elements are integers 0..order-1 and 0 is always the identity.  A table is
-its rows, `rows[i][j]` the product of i and j: every builder hands
-`FiniteGroup` rows, and the routes that walk a table read them.  The layer is
-split in two.  `normal_form` holds what class-level work needs: `NormalForm`,
-`product_rule`, `atom_group`, `group_order`, `ResourceLimitError` and the
-kind -> module table of the family modules (`family_z`, `family_dstar`,
-`family_dprime`, `family_tprime`, `family_polyhedral`), which hold each
-family's rule; it does not import this module.  This module holds the tables:
-`FiniteGroup`, the `*_group` builders, `construct_family`, `direct_product`
-and `group_from_expr`.  A builder looks its family's rule up through
-`atom_group` when it runs, and no family module is imported here, so a
-process compiles only the families its expression names.  Only a route that
-builds a table, or a binary polyhedral atom, loads this module.
+its rows, `rows[i][j]` the product of i and j, and the routes that walk a
+table read them.  The layer is split in two.  `normal_form` holds what
+class-level work needs: `NormalForm`, `product_rule`, `atom_group`,
+`group_order`, `ResourceLimitError` and the kind -> module table of the
+family modules (`family_z`, `family_dstar`, `family_dprime`, `family_tprime`,
+`family_polyhedral`), which hold each family's rule; it does not import this
+module.  This module holds `FiniteGroup`, `construct_family`,
+`direct_product`, `group_from_expr` and the `*_group` builders, each of which
+returns its atom's rule.  The normal-form builders look their family's rule
+up through `atom_group` when they run, so a process compiles only the
+families its expression names.
 
-The three exceptional binary polyhedral groups (order at most 120) are built
-solely by coset enumeration of <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, whose
-relators `_enumerated` writes as words of generator columns and whose order
-it reads from `normal_form`; `coset_enum` turns the coset action into a rule.
-Every table is filled by `_tabulate` from a rule, an atom's, a product's
-(whose factor may be a polyhedral table) or a coset action's, by one walk
-along the rule's generators, and only this module constructs a
-`FiniteGroup`.  `_tabulate` refuses a table of more than TABLE_MAX_ENTRIES
-entries before taking any product; no order cap lifts this.  The orbit and diagram
-walks mark their visited pairs in n^2 bytes, as many as the table they walk
-has entries, so the budget bounds them too.
+The three binary polyhedral groups (order at most 120) are the coset action
+of <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, which `coset_enum` turns into a
+rule; `_enumerated` writes the relators as words of generator columns, reads
+the order from `normal_form` and keeps the rule for the process.
+
+Only the walks build tables.  `group_from_expr` tabulates an expression once,
+through `construct_family` for one atom and `direct_product` for a product,
+and `_tabulate` fills every table from its rule by one walk along the rule's
+generators; only this module constructs a `FiniteGroup`.  `_tabulate`
+refuses a table of more than TABLE_MAX_ENTRIES entries before taking any
+product; no order cap lifts this.  The orbit and diagram walks mark their
+visited pairs in n^2 bytes, as many as the table they walk has entries, so
+the budget bounds them too.
 """
 
 from __future__ import annotations
@@ -62,14 +63,15 @@ class FiniteGroup:
 
     `rows[i][j]` is the product of i and j, and the order is len(rows).
     Element 0 must be a two-sided identity; inverses are computed and checked
-    at construction time.  `label(i)` names element i.  `generators` must
-    generate the group: the orbit and diagram walks move along them.  Rows
-    may be shared between groups, so nothing writes them.
+    at construction time.  `generators` must generate the group: the orbit
+    and diagram walks move along them.  Rows may be shared between groups, so
+    nothing writes them.  A table names no element: the rule it was filled
+    from does (`NormalForm.label`).
     """
 
-    __slots__ = ("rows", "inverses", "label", "family_tag", "generators")
+    __slots__ = ("rows", "inverses", "family_tag", "generators")
 
-    def __init__(self, rows, label, family_tag: str = "", *, generators) -> None:
+    def __init__(self, rows, family_tag: str = "", *, generators) -> None:
         n = len(rows)
         if n < 1:
             raise ValueError("a group has at least one element")
@@ -89,7 +91,6 @@ class FiniteGroup:
             inv.append(j)
         self.rows = rows
         self.inverses = inv
-        self.label = label
         self.family_tag = family_tag
         self.generators = list(generators)
 
@@ -105,8 +106,7 @@ class FiniteGroup:
 
 
 def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
-    """The multiplication table a rule defines: an atom's, a product's or a
-    coset action's.
+    """The multiplication table a rule defines: an atom's or a product's.
 
     A table of more than TABLE_MAX_ENTRIES entries is refused before any
     product is taken; `name` describes the group in the refusal (default: its
@@ -116,7 +116,7 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
     reached row and a generator row, instead of n^2 rule calls.  Every entry
     is read from row 0, so the table holds one int object per element.
     Generators that do not reach every element are refused: the table would
-    be partial.  Element numbering and labels are the rule's own.
+    be partial.  Element numbering is the rule's own.
     """
     n, mul = rule.order, rule.mul
     if n * n > TABLE_MAX_ENTRIES:
@@ -138,30 +138,30 @@ def _tabulate(rule: NormalForm, name: str = "") -> FiniteGroup:
         raise AssertionError(
             f"{rule.family_tag}: the generators reach {len(reached)} of {n} elements"
         )
-    return FiniteGroup(rows, rule.label, rule.family_tag, generators=rule.generators)
+    return FiniteGroup(rows, rule.family_tag, generators=rule.generators)
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    return _tabulate(atom_group(Atom("Z", (n,))))
+def cyclic_group(n: int) -> NormalForm:
+    return atom_group(Atom("Z", (n,)))
 
 
-def binary_dihedral_group(p: int) -> FiniteGroup:
-    return _tabulate(atom_group(Atom("Dstar", (p,))))
+def binary_dihedral_group(p: int) -> NormalForm:
+    return atom_group(Atom("Dstar", (p,)))
 
 
-def dprime_group(k: int, p: int) -> FiniteGroup:
-    return _tabulate(atom_group(Atom("Dprime", (k, p))))
+def dprime_group(k: int, p: int) -> NormalForm:
+    return atom_group(Atom("Dprime", (k, p)))
 
 
-def tprime_group(k: int) -> FiniteGroup:
-    return _tabulate(atom_group(Atom("Tprime", (k,))))
+def tprime_group(k: int) -> NormalForm:
+    return atom_group(Atom("Tprime", (k,)))
 
 
 @cache
-def _enumerated(tag: str, b_order: int) -> FiniteGroup:
-    """The group <a,b | (ab)^2 = a^3 = b^k>, k = b_order, of one coset
-    enumeration, run once per process; its rows and label are shared by every
-    group built from it, and nothing writes them."""
+def _enumerated(tag: str, b_order: int) -> NormalForm:
+    """The coset action of <a,b | (ab)^2 = a^3 = b^k>, k = b_order, as a rule,
+    enumerated once per process; its generators are a tuple, so no caller
+    that shares the rule can change them."""
     from .coset_enum import Presentation, group_from_presentation
 
     # (ab)^2 a^-3 and a^3 b^-k, in the columns a, a^-1, b, b^-1 = 0, 1, 2, 3
@@ -170,46 +170,32 @@ def _enumerated(tag: str, b_order: int) -> FiniteGroup:
     return group_from_presentation(presentation, _POLYHEDRAL_ORDERS[tag], tag)
 
 
-def _polyhedral(tag: str, b_order: int) -> FiniteGroup:
-    # a fresh group on each call: it shares the cached rows and label, and its
-    # generators are its own
-    group = _enumerated(tag, b_order)
-    return FiniteGroup(group.rows, group.label, tag, generators=group.generators)
+def tstar_group() -> NormalForm:
+    return _enumerated("Tstar", 3)
 
 
-def tstar_group() -> FiniteGroup:
-    return _polyhedral("Tstar", 3)
+def ostar_group() -> NormalForm:
+    return _enumerated("Ostar", 4)
 
 
-def ostar_group() -> FiniteGroup:
-    return _polyhedral("Ostar", 4)
-
-
-def istar_group() -> FiniteGroup:
-    return _polyhedral("Istar", 5)
+def istar_group() -> NormalForm:
+    return _enumerated("Istar", 5)
 
 
 def construct_family(atom: Atom) -> FiniteGroup:
-    """Build the group for one expression atom."""
-    kind, params = atom.kind, atom.params
-    if kind == "Z":
-        return cyclic_group(params[0])
-    if kind == "Dstar":
-        return binary_dihedral_group(params[0])
-    if kind == "Dprime":
-        return dprime_group(params[0], params[1])
-    if kind == "Tstar":
-        return tstar_group()
-    if kind == "Tprime":
-        return tprime_group(params[0])
-    if kind == "Ostar":
-        return ostar_group()
-    if kind == "Istar":
-        return istar_group()
-    raise ValueError(f"unknown family {kind!r}")
+    """The multiplication table of one expression atom, the one place a single
+    atom is tabulated: its kind's builder gives the rule."""
+    # the builders are read when called, so that a rebound builder is seen
+    builders = {
+        "Z": cyclic_group, "Dstar": binary_dihedral_group, "Dprime": dprime_group,
+        "Tstar": tstar_group, "Tprime": tprime_group, "Ostar": ostar_group, "Istar": istar_group,
+    }
+    if atom.kind not in builders:
+        raise ValueError(f"unknown family {atom.kind!r}")
+    return _tabulate(builders[atom.kind](*atom.params))
 
 
-def direct_product(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> FiniteGroup:
+def direct_product(g1: NormalForm, g2: NormalForm) -> FiniteGroup:
     """The multiplication table of `product_rule(g1, g2)`."""
     name = f"product of orders {g1.order} and {g2.order}"
     return _tabulate(product_rule(g1, g2), name)
@@ -219,7 +205,7 @@ def group_from_expr(expr: GroupExpr | str) -> FiniteGroup:
     """The multiplication table of an expression, the only table it builds.
 
     A product folds its atoms' rules and tabulates the result once, so no
-    factor `FiniteGroup` is built beyond a binary polyhedral atom's own.
+    factor `FiniteGroup` is built.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)

@@ -1,31 +1,32 @@
 """Groups as normal-form product rules: the class-level model of a group expression.
 
+Every atom has a `NormalForm` product rule on its element indices: elements
+are integers 0..order-1, 0 is the identity, and `mul`, `inv` and `label` are
+plain functions of indices, so class-level work costs O(order) products.
 The cyclic, binary dihedral, split metacyclic and twisted quaternion-tower
-families each have a `NormalForm` product rule on their element indices:
-elements are integers 0..order-1, 0 is the identity, and `mul`, `inv` and
-`label` are plain functions of indices, so class-level work costs O(order)
-products.  `product_rule` composes two groups of either kind, a rule or a
-multiplication table, so an expression's atoms fold into one rule.
-`atom_group` gives each atom its cheapest exact model: its rule, or, for the
-three binary polyhedral atoms, which have no normal form, their
-coset-enumerated table.  `group_order` reads an expression's order off its
-atoms without building anything.
+families compute a product in closed form; the three binary polyhedral atoms
+have no closed normal form, and their rule is the coset action that
+`coset_enum` finds once per process.  `atom_group` gives each atom its rule,
+`product_rule` composes two rules, so an expression's atoms fold into one,
+and `group_order` reads an expression's order off its atoms without building
+anything.
 
 Everything specific to one family lives in that family's module, which its
 kind's row of `expr.ATOMS` names: `family_z`, `family_dstar`, `family_dprime`,
 `family_tprime` and `family_polyhedral`.  Each holds the family's model
-(`model(atom)`, its rule or table), its characters (`rows_and_sums(atom,
-group)`) and its closed-form class count (`class_count(atom)`), so the
-coordinates a rule gives its elements are read in the same module that
-writes them.  `family(kind)` imports a family's module when it is first
-used, through `load`, which the command line shares, so a process compiles
-only the families its expression names.
+(`model(atom)`, its rule), its characters (`rows_and_sums(atom, group)`) and
+its closed-form class count (`class_count(atom)`), so the coordinates a rule
+gives its elements are read in the same module that writes them.
+`family(kind)` imports a family's module when it is first used, through
+`load`, which the command line shares, so a process compiles only the
+families its expression names.
 
 At run time this module does not import `group_core`, which turns rules into
-tables, so a process that works on class data alone compiles no table code;
-`atom_group` reaches it only for a binary polyhedral atom.  The one budget
-error of every layer, `ResourceLimitError`, is defined here for that reason,
-as are `int_text` and `power`, which name numbers past the digits `str` writes.
+tables, so a process that works on normal-form atoms alone compiles no table
+code; `atom_group` reaches it only for a binary polyhedral atom, whose rule
+it caches, and builds no table.  The one budget error of every layer,
+`ResourceLimitError`, is defined here for that reason, as are `int_text` and
+`power`, which name numbers past the digits `str` writes.
 """
 
 from __future__ import annotations
@@ -88,17 +89,18 @@ class NormalForm(namedtuple("NormalForm", "order mul inv label generators family
     table that `_tabulate` fills from the rule, an atom's or a product's,
     along its generators.  `mul`, `inv` and `label` are plain functions of
     element indices, so class-level work costs O(order) products instead of
-    the order^2 entries of a table.
+    the order^2 entries of a table.  `label` is the one name of an element.
 
     Fields: order (int), mul ((int, int) -> int), inv (int -> int), label
-    (int -> str), generators (list[int], which generate the group), family_tag.
+    (int -> str), generators (a sequence of ints that generate the group),
+    family_tag.
     """
 
     __slots__ = ()
 
 
-def product_rule(g1: NormalForm | FiniteGroup, g2: NormalForm | FiniteGroup) -> NormalForm:
-    """g1 x g2 as a rule on either kind of factor: (i1, i2) has index i1*|g2| + i2."""
+def product_rule(g1: NormalForm, g2: NormalForm) -> NormalForm:
+    """g1 x g2 as a rule: (i1, i2) has index i1*|g2| + i2."""
     n2 = g2.order
     mul1, mul2, inv1, inv2 = g1.mul, g2.mul, g1.inv, g2.inv
 
@@ -144,13 +146,8 @@ def family(kind: str):
     return load(ATOMS[kind][1])
 
 
-def atom_group(atom: Atom) -> NormalForm | FiniteGroup:
-    """The cheapest exact model of one atom, for class-level work.
-
-    Normal-form families give their product rule and build no table; the
-    binary polyhedral atoms give their coset-enumerated table, the only
-    case that loads the table layer.
-    """
+def atom_group(atom: Atom) -> NormalForm:
+    """The product rule of one atom, for class-level work; it builds no table."""
     return family(atom.kind).model(atom)
 
 

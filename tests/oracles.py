@@ -175,13 +175,13 @@ def element_order(group: FiniteGroup, i: int) -> int:
 
 def conjugate(group: FiniteGroup, x: int, g: int) -> int:
     """x g x^-1."""
-    return group.mul(group.mul(x, g), group.inverses[x])
+    return group.mul(group.mul(x, g), group.inv(x))
 
 
 def power(group: FiniteGroup, i: int, e: int) -> int:
     """i^e by repeated squaring; a negative e raises the inverse."""
     if e < 0:
-        i = group.inverses[i]
+        i = group.inv(i)
         e = -e
     result = 0
     while e:
@@ -218,15 +218,10 @@ def direct_product_literal(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
                 col = j1 * n2
                 for j2 in range(n2):
                     row[col + j2] = k1 + r2[i2][j2]
-    labels = [
-        f"({g1.label(a)},{g2.label(b)})" for a in range(n1) for b in range(n2)
-    ]
     gens = [i1 * n2 for i1 in g1.generators] + list(g2.generators)
     tag1 = g1.family_tag or "?"
     tag2 = g2.family_tag or "?"
-    return FiniteGroup(
-        rows, labels.__getitem__, family_tag=f"{tag1}x{tag2}", generators=gens
-    )
+    return FiniteGroup(rows, family_tag=f"{tag1}x{tag2}", generators=gens)
 
 
 def unbudgeted_table(expr: str) -> FiniteGroup:
@@ -237,7 +232,6 @@ def unbudgeted_table(expr: str) -> FiniteGroup:
     n, mul = rule.order, rule.mul
     return FiniteGroup(
         [[mul(i, j) for j in range(n)] for i in range(n)],
-        rule.label,
         family_tag=rule.family_tag,
         generators=rule.generators,
     )

@@ -189,7 +189,7 @@ def test_naive_mode_refuses_a_table_whose_centralizers_do_not_add_up():
         [4, 3, 5, 2, 1, 0],
         [5, 2, 3, 4, 0, 1],
     ]
-    loop = FiniteGroup(rows, str, generators=[1])
+    loop = FiniteGroup(rows, generators=[1])
     with pytest.raises(AssertionError, match="centralizer sizes"):
         burnside_dims(loop)
 
@@ -333,8 +333,8 @@ def _refuse_tables_above(monkeypatch, max_order):
     ["Z(2000)", "Dstar(250)", "Dprime(2,27)", "Tprime(4)", "Z(7) x Istar", "Z(13) x Istar"],
 )
 def test_class_level_routes_build_no_big_tables(monkeypatch, expr):
-    # only the binary polyhedral atoms (order <= 120) may build a table
-    _refuse_tables_above(monkeypatch, 120)
+    # no atom builds a table, a binary polyhedral one included
+    _refuse_tables_above(monkeypatch, 0)
     result = burnside_dims(expr)
     assert (result.dim_full, result.dim_ker) == closed_dims(spec_from_expr(expr))
     assert result.num_classes == class_data_for(expr).num_classes
@@ -374,10 +374,10 @@ _WALK_ROUTES = {orbit_count_dims: "orbits", dim_A2: "diagrams"}
 def test_walks_past_the_entries_budget_build_only_a_polyhedral_atom(
     monkeypatch, capsys, walk, expr
 ):
-    # a binary polyhedral atom (order <= 120) is coset-enumerated before the
-    # product's table is refused; nothing larger is built, and the walk never runs
+    # a binary polyhedral atom is its coset action's rule, so the product's
+    # table is refused before any table is built, and the walk never runs
     assert group_order(expr) ** 2 > TABLE_MAX_ENTRIES
-    _refuse_tables_above(monkeypatch, 120)
+    _refuse_tables_above(monkeypatch, 0)
 
     def never(group):
         raise AssertionError(f"walked a table of order {group.order}")

@@ -26,6 +26,7 @@ import thetadim.family_tprime as family_tprime
 import thetadim.group_core as group_core
 from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
+from test_golden_cli import mask
 from thetadim.cli import main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 from thetadim.cyclo import from_int
@@ -353,6 +354,35 @@ def test_verify_builds_one_table(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv, tables",
+    [
+        (["compute", "--method", "chars", "Z(7) x Istar"], 0),
+        (["compute", "--method", "burnside", "Z(5) x Tstar"], 0),
+        (["classes", "Istar"], 0),
+        (["chartab", "Ostar"], 0),
+        (["verify", "Z(5) x Tstar"], 1),
+    ],
+)
+def test_only_the_walks_tabulate_a_polyhedral_atom(capsys, monkeypatch, argv, tables):
+    # a polyhedral atom is the rule of its coset action: class-level work
+    # builds no table of it, and verify builds only the one its walks share
+    group_core._enumerated.cache_clear()
+    calls = []
+    real = group_core._tabulate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].family_tag)
+        return real(*args, **kwargs)
+
+    # counted wherever a library module binds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("thetadim.") and getattr(module, "_tabulate", None) is real:
+            monkeypatch.setattr(module, "_tabulate", counting)
+    assert run(capsys, *argv)[0] == 0
+    assert len(calls) == tables, calls
+
+
+@pytest.mark.parametrize(
     "expr, built_orders, methods",
     [("Z(1000)", [1000], 5), ("Z(1001)", [], 3)],
 )
@@ -549,6 +579,27 @@ def test_verbose_logs_to_stderr(capsys):
     assert rc == 0
     assert err != ""
     assert "15" in out
+
+
+@pytest.mark.parametrize(
+    "expr, logged",
+    [
+        ("Z(12)", r"shared table: order 12, 12 classes, [0-9]+\.[0-9] ms"),
+        (
+            "Z(13) x Istar",
+            r"shared table refused: product of orders 13 and 120 needs 2433600 table "
+            r"entries, budget is 1000000\.",
+        ),
+    ],
+)
+def test_verbose_verify_reports_its_shared_build(capsys, expr, logged):
+    # the shared table is built before any route's clock, so -v times it once;
+    # standard output is the same but for the route timings
+    quiet = run(capsys, "verify", expr)
+    rc, out, err = run(capsys, "-v", "verify", expr)
+    assert (rc, mask(out)) == (quiet[0], mask(quiet[1]))
+    builds = [line for line in err.splitlines() if line.startswith("shared table")]
+    assert len(builds) == 1 and re.fullmatch(logged, builds[0]), err
 
 
 def _verify_sweep_exprs():

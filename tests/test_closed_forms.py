@@ -312,7 +312,7 @@ _QUADRATIC_ATOMS = [
     ("Tstar", 6, 0),
     ("Ostar", 6, 0),
     ("Istar", 30, 0),
-    *((f"Tprime({k})", 6, 0) for k in (2, 3, 4)),
+    *((f"Tprime({k})", 6, 0) for k in (2, 3, 4, 5, 6)),
     *((f"Dstar({p})", 2 * p, p) for p in (2, 3, 4, 5, 6, 7)),
     *((f"Dprime({k},{p})", 2 * p, p) for k, p in ((1, 3), (1, 5), (2, 5), (1, 9), (3, 7))),
 ]

@@ -108,7 +108,8 @@ def test_class_bookkeeping_is_internally_consistent(expr):
 )
 def test_product_class_data_matches_direct_computation(e1, e2):
     G1, G2 = group_from_expr(e1), group_from_expr(e2)
-    P = direct_product(G1, G2)
+    rule1, rule2 = (atom_group(parse_group_expr(e).atoms[0]) for e in (e1, e2))
+    P = direct_product(rule1, rule2)
     cd1, cd2 = compute_classes(G1), compute_classes(G2)
     pcd = product_class_data(cd1, cd2)
     direct = compute_classes(P)
@@ -136,11 +137,12 @@ def test_product_class_data_matches_direct_computation(e1, e2):
         assert relabel[pcd.square_class[c]] == direct.square_class[relabel[c]]
         assert relabel[pcd.cube_class[c]] == direct.cube_class[relabel[c]]
         assert relabel[pcd.inverse_class[c]] == direct.inverse_class[relabel[c]]
+    assert P.rows == direct_product_literal(G1, G2).rows
     # the printed names come from the composed rule and read "(l1,l2)"
-    literal = direct_product_literal(G1, G2)
     expr = parse_group_expr(f"{e1} x {e2}")
     reps = pcd.representatives
-    assert list(map(_class_label(expr), reps)) == [literal.label(r) for r in reps]
+    literal = [f"({rule1.label(r // n2)},{rule2.label(r % n2)})" for r in reps]
+    assert list(map(_class_label(expr), reps)) == literal
 
 
 def test_inversion_orbit_count_against_direct_orbits():

@@ -17,7 +17,7 @@ from oracles import (
 from thetadim.conjugacy import compute_classes
 from thetadim.coset_enum import ResourceLimitError, enumerate_cosets, group_from_presentation
 from thetadim.expr import Atom
-from thetadim.group_core import construct_family
+from thetadim.group_core import _tabulate, construct_family
 
 
 def test_parse_presentation_structure():
@@ -144,18 +144,20 @@ def test_infinite_presentation_hits_budget():
 
 
 def test_coset_table_is_held_to_the_entries_budget():
-    # 1001 cosets enumerate within the coset budget, but their table would
-    # not fit: _tabulate refuses it, as it refuses every other table
+    # 1001 cosets enumerate within the coset budget and give a rule, but its
+    # table would not fit: _tabulate refuses it, as it refuses every other table
+    rule = group_from_presentation(parse_presentation("<a | a^1001>"), 1001, "C1001")
+    assert rule.order == 1001
     with pytest.raises(ResourceLimitError) as err:
-        group_from_presentation(parse_presentation("<a | a^1001>"), 1001, "")
-    assert str(err.value) == "group of 1001 cosets needs 1002001 table entries, budget is 1000000."
+        _tabulate(rule)
+    assert str(err.value) == "C1001 needs 1002001 table entries, budget is 1000000."
 
 
 def test_group_from_presentation_satisfies_relations():
     G = group_from_presentation(parse_presentation("<a,b | a^2, b^2, (a*b)^3>"), 6, "S3")
     assert G.order == 6
     assert G.family_tag == "S3"
-    check_associativity(G)
+    check_associativity(_tabulate(G))
     a, b = G.generators
     assert power(G, a, 2) == 0 and power(G, b, 2) == 0
     assert element_order(G, G.mul(a, b)) == 3

@@ -8,6 +8,8 @@ them as well.  To add a call, append its record as produced by the code
 before the change.
 """
 
+import csv
+import io
 import json
 import os
 import re
@@ -47,6 +49,15 @@ def test_cli_output_matches_golden(capsys, record):
     rc = main(list(record["argv"]))
     out = capsys.readouterr().out
     assert (rc, mask(out)) == (record["exit"], record["stdout"])
+
+
+def test_every_csv_record_has_one_width():
+    # a field that holds a comma would split: CSV output is written unquoted
+    records = [r for r in _records() if "--csv" in r["argv"] or r["argv"][:1] == ["table"]]
+    assert len(records) > 20
+    for record in records:
+        widths = {len(row) for row in csv.reader(io.StringIO(record["stdout"]))}
+        assert len(widths) <= 1, record["argv"]
 
 
 # records replayed in a fresh process: every exit code, both output formats,

@@ -39,7 +39,9 @@ from thetadim.group_core import (
     tprime_group,
     tstar_group,
 )
-from thetadim.normal_form import ResourceLimitError, atom_group, group_order, product_rule
+from thetadim.normal_form import (
+    NormalForm, ResourceLimitError, atom_group, group_order, product_rule,
+)
 
 
 def model(kind, *params):
@@ -226,7 +228,9 @@ def test_direct_product_is_componentwise():
     n2 = G2.order
     for i1, i2, j1, j2 in itertools.product(range(3), range(n2), range(3), range(n2)):
         assert P.mul(i1 * n2 + i2, j1 * n2 + j2) == G1.mul(i1, j1) * n2 + G2.mul(i2, j2)
-    assert P.label(1) == "(e,a)"
+    # a table names no element: its rule does
+    assert not hasattr(P, "label")
+    assert product_rule(G1, G2).label(1) == "(e,a)"
     check_associativity(P)
 
 
@@ -250,12 +254,10 @@ PRODUCTS = list(
 
 
 def assert_same_group(got: FiniteGroup, want: FiniteGroup) -> None:
-    """Every field of the two groups agrees; labels are compared by the names
-    they give each element."""
-    assert set(FiniteGroup.__slots__) == {"rows", "inverses", "label", "family_tag", "generators"}
-    for field in ("rows", "inverses", "family_tag", "generators"):
+    """Every field of the two groups agrees."""
+    assert FiniteGroup.__slots__ == ("rows", "inverses", "family_tag", "generators")
+    for field in FiniteGroup.__slots__:
         assert getattr(got, field) == getattr(want, field), field
-    assert [got.label(i) for i in range(got.order)] == [want.label(i) for i in range(want.order)]
 
 
 @pytest.mark.parametrize("expr", PRODUCTS)
@@ -266,14 +268,13 @@ def test_product_table_matches_the_literal_fill(expr):
 
 
 def test_product_fill_agrees_with_the_composed_rule():
-    # a table factor on the left and a product rule on the right, which
-    # group_from_expr's left fold never makes
+    # a product rule on the right, which group_from_expr's left fold never makes
     inner = product_rule(model("Z", 3), model("Dstar", 1))
     rule = product_rule(tstar_group(), inner)
     got = direct_product(tstar_group(), inner)
     n = rule.order
     assert got.rows == [[rule.mul(i, j) for j in range(n)] for i in range(n)]
-    assert [got.label(i) for i in range(n)] == [rule.label(i) for i in range(n)]
+    assert got.generators == list(rule.generators) and got.family_tag == rule.family_tag
     check_associativity(got)
 
 
@@ -322,7 +323,7 @@ print(code, len(calls))
     ],
 )
 def test_a_process_enumerates_each_binary_polyhedral_atom_once(argv):
-    # the chars route, the shared table and the printed labels each build the atom
+    # the chars route, the shared table and the printed labels each read the atom's rule
     src = str(Path(group_core.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
@@ -349,13 +350,14 @@ def test_polyhedral_relators_are_the_parsed_presentation(monkeypatch, kind, k):
     assert seen == [(parsed, group_order(kind), kind)]
 
 
-def test_binary_polyhedral_groups_are_fresh_on_every_call():
+def test_binary_polyhedral_rules_are_shared_and_fixed():
+    # one rule per process, so no caller may change what the others read
     first = tstar_group()
-    first.generators = [0]
-    second = tstar_group()
-    assert second is not first
-    assert second.generators != [0]
-    assert second.rows == first.rows
+    assert tstar_group() is first is atom_group(Atom("Tstar"))
+    with pytest.raises(AttributeError):
+        first.generators = [0]
+    with pytest.raises(TypeError):
+        first.generators[0] = 0
 
 
 def test_tables_are_refused_before_any_product_is_taken(monkeypatch):
@@ -392,19 +394,19 @@ def test_group_from_expr_accepts_strings_and_folds_products():
 
 def test_table_constructor_rejects_malformed_tables():
     with pytest.raises(ValueError):
-        FiniteGroup([], str, generators=[])  # no elements
+        FiniteGroup([], generators=[])  # no elements
     with pytest.raises(ValueError):
-        FiniteGroup([[0, 1], [1]], str, generators=[1])  # not square
+        FiniteGroup([[0, 1], [1]], generators=[1])  # not square
     with pytest.raises(ValueError):
-        FiniteGroup([[1, 0], [0, 1]], str, generators=[1])  # 0 not an identity
+        FiniteGroup([[1, 0], [0, 1]], generators=[1])  # 0 not an identity
     with pytest.raises(ValueError):
-        FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 2, 2]], str, generators=[1])  # no inverses
+        FiniteGroup([[0, 1, 2], [1, 1, 1], [2, 2, 2]], generators=[1])  # no inverses
 
 
 def test_associativity_check_catches_corruption():
     rows = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     rows[1][2] = 4  # cell not used by identity or inverse checks
-    bad = FiniteGroup(rows, str, generators=[1])
+    bad = FiniteGroup(rows, generators=[1])
     with pytest.raises(AssertionError):
         check_associativity(bad)
 
@@ -428,18 +430,22 @@ def test_route_catalog_orders_fit_budget():
 
 
 @pytest.mark.parametrize(
-    "expr", ["Z(1)", "Z(9)", "Dstar(1)", "Dstar(6)", "Dprime(0,3)", "Dprime(2,5)", "Tprime(1)", "Tprime(2)"]
+    "expr",
+    [
+        "Z(1)", "Z(9)", "Dstar(1)", "Dstar(6)", "Dprime(0,3)", "Dprime(2,5)", "Tprime(1)",
+        "Tprime(2)", "Tstar", "Ostar", "Istar",
+    ],
 )
 def test_normal_form_rules_match_their_tables(expr):
     (atom,) = parse_group_expr(expr).atoms
     rule = atom_group(atom)
     G = group_from_expr(expr)
     n = G.order
+    assert isinstance(rule, NormalForm)
     assert rule.order == n and rule.family_tag == G.family_tag
-    assert rule.generators == G.generators
-    # inverses and labels are written separately from the product rule
+    assert list(rule.generators) == G.generators
+    # inverses are written separately from the product rule
     assert [rule.inv(i) for i in range(n)] == G.inverses
-    assert [rule.label(i) for i in range(n)] == [G.label(i) for i in range(n)]
     assert all(rule.mul(i, j) == G.mul(i, j) for i in range(n) for j in range(n))
 
 

@@ -253,16 +253,20 @@ def test_the_guard_finds_every_inexact_construct():
 
 
 def test_only_group_core_constructs_a_finite_group():
-    """Every table is filled by `group_core._tabulate`, coset enumeration's
-    too, so no other module calls `FiniteGroup`."""
+    """Every table is filled by `group_core._tabulate`, so no other module
+    calls `FiniteGroup` or `_tabulate`; coset enumeration hands back a rule
+    and imports nothing from `group_core`."""
+    modules = _library_modules()
     builders = {
         stem
-        for stem, tree in _library_modules().items()
+        for stem, tree in modules.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call)
-        and "FiniteGroup" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and {"FiniteGroup", "_tabulate"}
+        & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
     }
     assert builders == {"group_core"}
+    assert "group_core" not in _imported_modules(modules["coset_enum"])
 
 
 def test_the_library_computes_no_inexact_value():
