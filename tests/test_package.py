@@ -209,6 +209,141 @@ def test_naive_pair_sums_iterate_every_pair():
     assert "n = group.order" in [ast.unparse(node) for node in tree.body]
 
 
+def _module_aliases(nodes) -> tuple[dict[str, str], dict[str, str]]:
+    """(name -> "module.name", variable -> module) for the imports among
+    `nodes`: `from .m import f` binds f, and `from . import m` or
+    `v = load("m")` binds a module, whose attributes are then resolved."""
+    names, modules = {}, {}
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Assign) and _loaded_module(node.value):
+            modules.update((t.id, _loaded_module(node.value)) for t in node.targets)
+    return names, modules
+
+
+def _loaded_module(node: ast.AST) -> str | None:
+    """"m" for the expression `load("m")`, "family_*" for `family(...)`."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id == "load" and isinstance(node.args[0], ast.Constant):
+            return node.args[0].value
+        if node.func.id == "family":
+            return "family_*"
+    return None
+
+
+def _call_graph() -> dict[str, set[str]]:
+    """Each library function, class, method and module constant, as
+    "module.name" or "module.Class.method", mapped to the library names its
+    body references.
+
+    A name resolves within its module or through an import, at top level or
+    at call time; an attribute of a module, imported or loaded, resolves in
+    that module, and one of `family(kind)` in every family module.  A class
+    references its bases and methods.  Annotations are not followed, and
+    neither is a method called on an object, which is data the caller built.
+    """
+    modules = _library_modules()
+    graph: dict[str, set[str]] = {}
+    for stem, tree in modules.items():
+        outside = [s for s in tree.body if not isinstance(s, (ast.FunctionDef, ast.ClassDef))]
+        top_names, top_modules = _module_aliases(n for s in outside for n in ast.walk(s))
+        defined, _ = _top_level_names(tree)
+
+        def references(body: list[ast.AST], args: ast.arguments | None = None) -> set[str]:
+            nodes = [n for part in body for n in ast.walk(part)]
+            names, loaded = _module_aliases(nodes)
+            names, loaded = top_names | names, top_modules | loaded
+            local = {n.arg for n in ([*ast.walk(args)] if args else []) + nodes if isinstance(n, ast.arg)}
+            local |= {n.name for n in nodes if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+            local |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            found = set()
+            for n in nodes:
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id not in local:
+                    if n.id in names:
+                        found.add(names[n.id])
+                    elif n.id in defined:
+                        found.add(f"{stem}.{n.id}")
+                elif isinstance(n, ast.Attribute):
+                    module = _loaded_module(n.value)
+                    if isinstance(n.value, ast.Name) and n.value.id in loaded:
+                        module = loaded[n.value.id]
+                    if module == "family_*":
+                        found.update(f"{m}.{n.attr}" for m in modules if m.startswith("family_"))
+                    elif module is not None:
+                        found.add(f"{module}.{n.attr}")
+            return found
+
+        for top in tree.body:
+            if isinstance(top, ast.FunctionDef):
+                graph[f"{stem}.{top.name}"] = references(top.body, top.args)
+            elif isinstance(top, ast.ClassDef):
+                methods = [n for n in top.body if isinstance(n, ast.FunctionDef)]
+                graph[f"{stem}.{top.name}"] = references(top.bases) | {
+                    f"{stem}.{top.name}.{m.name}" for m in methods
+                }
+                for m in methods:
+                    graph[f"{stem}.{top.name}.{m.name}"] = references(m.body, m.args)
+            elif isinstance(top, ast.Assign):
+                for target in top.targets:
+                    if isinstance(target, ast.Name) and target.id != "__all__":
+                        graph[f"{stem}.{target.id}"] = references([top.value])
+    return graph
+
+
+def _closure(graph: dict[str, set[str]], entries: list[str]) -> set[str]:
+    seen, stack = set(), list(entries)
+    while stack:
+        name = stack.pop()
+        if name in graph and name not in seen:
+            seen.add(name)
+            stack.extend(graph[name])
+    return seen
+
+
+# what the independent routes may share, each with why it cannot carry a wrong count
+_SHARED = {
+    "conjugacy.pair_average": "divides a sum by 6|G|^2 and checks the remainder",
+    "conjugacy.half_sum": "halves d1 + d2 and checks the remainder",
+    "normal_form.int_text": "formats a value, or names the bound past the digit limit",
+    "normal_form.power": "takes 2^k or 3^k, or the bound past the digit limit",
+    "normal_form.ResourceLimitError": "the record of a refusal, which carries no count",
+    "burnside.BurnsideResult": "the record of a result, which computes nothing",
+    "report.DimensionReport": "the record of a report, which computes nothing",
+}
+# the class-level layer and the table builder, which no independent route reaches
+_CLASS_LAYER = ("conjugacy", "characters", "group_core", "coset_enum", "family_")
+_INDEPENDENT = {
+    "closed form": ["cli._closed"],
+    "naive pair counting": ["burnside._naive_sums"],
+    "orbit and diagram walks": ["burnside.orbit_count_dims", "diagrams.dim_A2"],
+}
+
+
+def test_the_independent_routes_share_no_code_past_group_construction():
+    """The closed form, naive pair counting and the two walks check each other
+    in verify, so what each computes must come from its own code.  Their
+    closures in the static call graph are pairwise disjoint apart from
+    `_SHARED`, and none reaches the class-level layer, whose class data and
+    moment sums the character and class-mode burnside routes compute."""
+    graph = _call_graph()
+    assert set(_SHARED) <= set(graph)
+    closures = {side: _closure(graph, entries) for side, entries in _INDEPENDENT.items()}
+    assert {"closed_forms.closed_dims", "closed_forms.spec_from_expr"} <= closures["closed form"]
+    for side, closure in closures.items():
+        reached = sorted(name for name in closure - set(_SHARED) if name.startswith(_CLASS_LAYER))
+        assert reached == [], side
+    sides = list(closures)
+    for i, first in enumerate(sides):
+        for second in sides[i + 1 :]:
+            shared = closures[first] & closures[second] - set(_SHARED)
+            assert shared == set(), (first, second)
+
+
 _INEXACT_MODULES = {"random", "fractions", "decimal", "statistics"}
 
 
