@@ -9,9 +9,10 @@ contributes exactly 1 to each.
 
 The argument picks the evaluation.  A table is counted in mode "naive", the
 trusted reference: all |G|^2 pairs, reading fixed-point counts from two
-literally-counted tables.  An expression is reduced in mode "class" to O(k)
-sums over its k conjugacy classes by `conjugacy`'s trace evaluator, the one
-the chars route also uses, and builds no multiplication table.
+literally-counted tables.  An expression is reduced in mode "class" to the
+product of its atoms' moment vectors, O(k) class sums per atom, by
+`conjugacy`'s evaluator, the one the chars route also uses; it builds no
+multiplication table and composes no product's classes.
 Orbit enumeration on sorted monomial triples provides a third, lemma-free
 count of the same dimension, on a table its caller builds.  Every orbit
 meets the triples that contain the identity, so it walks only those, as
@@ -22,8 +23,8 @@ conjugations commute with inversion, and a re-centre of the inverted pair is
 a conjugate of the inverted re-centre.  So once the re-centres and the
 conjugates by the generators of every walked pair are marked, the marked set
 is closed under every move (see `orbit_count_dims`).  Each route is bounded
-by the budget that bounds its memory: the class-data cap for an expression,
-and for a table the entries budget it was built within.
+by the budget that bounds its memory: the class-data cap on each atom of an
+expression, and for a table the entries budget it was built within.
 """
 
 from __future__ import annotations
@@ -31,15 +32,15 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .conjugacy import (
-    class_data_for,
+    atom_classes,
     half_sum,
+    moment_dims,
+    moments,
     pair_average,
-    plain_trace_sums,
     square_root_counts,
-    twisted_trace_sums,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, group_order
+from .normal_form import ResourceLimitError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -49,10 +50,7 @@ __all__ = ["BurnsideResult", "burnside_dims", "orbit_count_dims"]
 
 
 class BurnsideResult(
-    namedtuple(
-        "BurnsideResult",
-        "group_name order d1 d2 dim_full dim_ker ker_d1 ker_d2 mode num_classes",
-    )
+    namedtuple("BurnsideResult", "group_name order d1 d2 dim_full dim_ker mode num_classes")
 ):
     """Both dimensions of one group by pair averaging: group_name and mode
     ("naive" or "class") are strs, every other field an int."""
@@ -139,43 +137,29 @@ def burnside_dims(group: FiniteGroup | GroupExpr | str) -> BurnsideResult:
     """Both dimensions by pair-averaged symmetric-cube traces.
 
     A table is counted pair by pair (mode "naive"); an expression or its
-    string is reduced by classes (mode "class"), held to CLASS_DATA_MAX_ORDER
-    before any class is built.
+    string is reduced by classes (mode "class"), multiplying its atoms'
+    moment vectors with the square-root counts as first twisted trace, each
+    atom held to CLASS_DATA_MAX_ORDER before any class is built.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
-    n = group_order(group)
     if isinstance(group, GroupExpr):
         name, mode = expr_to_string(group), "class"
         try:
-            cd = class_data_for(group)
+            vectors = [moments(cd, square_root_counts(cd)) for _, _, cd in atom_classes(group)]
         except ResourceLimitError as exc:
             raise ResourceLimitError(f"{exc}{_closed_form_hint(group)}") from None
-        plain_sum, plain_ker = plain_trace_sums(cd)
-        twist_sum, twist_ker = twisted_trace_sums(cd, square_root_counts(cd))
-        num_classes = cd.num_classes
+        n, num_classes, d1, d2, dim_full, dim_ker, _ = moment_dims(vectors, name)
     else:
-        name, mode = group.family_tag, "naive"
+        name, mode, n = group.family_tag, "naive", group.order
         plain_sum, plain_ker, twist_sum, twist_ker, num_classes = _naive_sums(group)
-
-    d1 = pair_average(plain_sum, n, f"d1 for {name}")
-    d2 = pair_average(twist_sum, n, f"d2 for {name}")
-    ker_d1 = pair_average(plain_ker, n, f"kernel d1 for {name}")
-    ker_d2 = pair_average(twist_ker, n, f"kernel d2 for {name}")
-    dim_full = half_sum(d1, d2, f"dim for {name}")
-    dim_ker = half_sum(ker_d1, ker_d2, f"kernel dim for {name}")
-    return BurnsideResult(
-        group_name=name,
-        order=n,
-        d1=d1,
-        d2=d2,
-        dim_full=dim_full,
-        dim_ker=dim_ker,
-        ker_d1=ker_d1,
-        ker_d2=ker_d2,
-        mode=mode,
-        num_classes=num_classes,
-    )
+        d1 = pair_average(plain_sum, n, f"d1 for {name}")
+        d2 = pair_average(twist_sum, n, f"d2 for {name}")
+        ker_d1 = pair_average(plain_ker, n, f"kernel d1 for {name}")
+        ker_d2 = pair_average(twist_ker, n, f"kernel d2 for {name}")
+        dim_full = half_sum(d1, d2, f"dim for {name}")
+        dim_ker = half_sum(ker_d1, ker_d2, f"kernel dim for {name}")
+    return BurnsideResult(name, n, d1, d2, dim_full, dim_ker, mode, num_classes)
 
 
 def orbit_count_dims(group: FiniteGroup) -> int:

@@ -15,11 +15,13 @@ holds what no family owns.
 `table_for` composes product tables as outer products of the factor tables, in
 the same factor order as group construction, so indices agree with the
 composed class data by construction.  `real_character_sums` checks each
-atom's sums against its class data (Brauer's count of real characters, the
-Frobenius-Schur count of square roots and the norm of the real rows) and
-composes a product's S = S+ + S- as S1 (x) S2, since the real irreducibles of
-G1 x G2 are exactly the products of a real irreducible of each factor.  No
-product table is built.
+atom's sums S = S+ + S- against its class data (Brauer's count of real
+characters, the Frobenius-Schur count of square roots and the norm of the
+real rows).  The chars route composes nothing: `d2_char_formula` takes each
+atom's S as the first twisted trace of its moment vector
+(`conjugacy.moments`), and the product of the vectors is the product's,
+since the real irreducibles of G1 x G2 are exactly the products of a real
+irreducible of each factor.  No product table or class data is built.
 """
 
 from __future__ import annotations
@@ -29,15 +31,14 @@ from math import prod
 
 from .conjugacy import (
     ClassData,
-    check_class_data_order,
-    compute_classes,
-    pair_average,
+    atom_classes,
+    moment_dims,
+    moments,
     product_class_data,
     square_root_counts,
-    twisted_trace_sums,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, atom_group, family, group_order, int_text
+from .normal_form import ResourceLimitError, family, group_order, int_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -143,29 +144,32 @@ def _real_sums(group, cd: ClassData, pairs: list[tuple[int, int]], count: int) -
     return total
 
 
-def d2_char_formula(expr: GroupExpr | str) -> tuple[ClassData, int]:
-    """Class data of `expr` and d2, the invariant dimension of the twisted cube action.
+def d2_char_formula(expr: GroupExpr | str) -> tuple[int, int, int, int, int, int, int]:
+    """(order, k, d1, d2, dim, kernel dim, z2) of `expr` by the chars route.
 
-    Takes S = `real_character_sums(expr)` and evaluates, in O(k),
-    (1/(6|G|)) * sum over classes |C| * (S^3 + 3*(|G|/|C|)*S + 2*S3)
-    where S = S[C] is the real character sum at the class and S3 the sum at
-    its cube class: the twisted trace sum of `conjugacy.twisted_trace_sums`
-    with S as the first twisted trace.  The class data is returned with d2 so
-    that the chars route computes it once.
+    Each atom's real character sums S (`real_character_sums`) are the first
+    twisted trace of its moment vector, and `moment_dims` evaluates their
+    product: d2 is (1/(6|G|)) * sum over classes |C| * (S^3 + 3*(|G|/|C|)*S + 2*S3),
+    with S = S[C] and S3 the sum at its cube class.
     """
-    cd, sums = real_character_sums(expr)
-    return cd, pair_average(twisted_trace_sums(cd, sums)[0], cd.order, "d2")
+    if isinstance(expr, str):
+        expr = parse_group_expr(expr)
+    vectors = [moments(cd, sums) for cd, sums in real_character_sums(expr)]
+    return moment_dims(vectors, expr_to_string(expr))
 
 
 def _atoms(expr: GroupExpr):
     """(group, class data, rows, sums) of each atom of `expr`, in factor order.
 
     `group` is `atom_group(atom)`, the classes are those `compute_classes`
-    finds on it, and rows and sums are its family's functions of them.
+    finds on it (`conjugacy.atom_classes`), and rows and sums are its
+    family's functions of them, once its class count is the closed one.
     """
-    for atom in expr.atoms:
-        group = atom_group(atom)
-        yield (group, compute_classes(group), *family(atom.kind).rows_and_sums(atom, group))
+    for atom, group, cd in atom_classes(expr):
+        module = family(atom.kind)
+        if cd.num_classes != (k := module.class_count(atom)):
+            raise AssertionError(f"{group.family_tag}: {cd.num_classes} classes, expected {k}")
+        yield (group, cd, *module.rows_and_sums(atom, group))
 
 
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
@@ -190,29 +194,19 @@ def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     return _finish(f"{t1.group_name}x{t2.group_name}", cd, names, values)
 
 
-def _class_count(expr: GroupExpr) -> int:
-    return prod(family(atom.kind).class_count(atom) for atom in expr.atoms)
-
-
-def _check_cells(expr: GroupExpr) -> int:
-    """The class count k of `expr`, once k x k is known to be within the cell budget.
+def _check_cells(expr: GroupExpr) -> None:
+    """Refuse a table of `expr` past the cell budget.
 
     k comes from the closed-form class count, so nothing is computed before a
     refusal; invalid parameters raise ValueError before the budget check.
     """
     group_order(expr)
-    k = _class_count(expr)
+    k = prod(family(atom.kind).class_count(atom) for atom in expr.atoms)
     if k * k > CHAR_TABLE_MAX_CELLS:
         raise ResourceLimitError(
             f"character table of {expr_to_string(expr)} needs {int_text(k * k)} cells, "
             f"budget is {CHAR_TABLE_MAX_CELLS}"
         )
-    return k
-
-
-def _check_class_count(name: str, cd: ClassData, k: int) -> None:
-    if cd.num_classes != k:
-        raise AssertionError(f"{name}: {cd.num_classes} classes, expected {k}")
 
 
 def table_for(expr: GroupExpr | str) -> CharacterTable:
@@ -223,33 +217,23 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    k = _check_cells(expr)
+    _check_cells(expr)
     table = None
     for group, cd, rows, _ in _atoms(expr):
         atom_table = _finish(group.family_tag, cd, *rows(cd))
         table = atom_table if table is None else _product_table(table, atom_table)
-    _check_class_count(table.group_name, table.class_data, k)
     return table
 
 
-def real_character_sums(expr: GroupExpr | str) -> tuple[ClassData, list[int]]:
-    """Class data of `expr` and S(C), the sum of its real irreducible characters per class.
+def real_character_sums(expr: GroupExpr | str):
+    """(class data, S) of each atom of `expr` in factor order, S(C) the sum of
+    its real irreducible characters at each class, built as it is read.
 
-    Each atom's sums come from its family in integers and are checked by
-    `_real_sums`; a product's sums are the outer product of its atoms' sums,
-    on the numbering of `product_class_data`.  The order is held to the
-    class-data budget before any class is computed; no row is built.
+    The sums come from the atom's family in integers and are checked by
+    `_real_sums`; no row is built, and no product is composed: a product's S
+    is the outer product of its atoms'.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    check_class_data_order(expr)
-    cd = sums = None
-    for group, atom_cd, _, atom_sums in _atoms(expr):
-        atom_total = _real_sums(group, atom_cd, *atom_sums(atom_cd))
-        if cd is None:
-            cd, sums = atom_cd, atom_total
-        else:
-            cd = product_class_data(cd, atom_cd)
-            sums = [s1 * s2 for s1 in sums for s2 in atom_total]
-    _check_class_count(expr_to_string(expr), cd, _class_count(expr))
-    return cd, sums
+    for group, cd, _, sums in _atoms(expr):
+        yield cd, _real_sums(group, cd, *sums(cd))

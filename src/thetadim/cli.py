@@ -48,13 +48,18 @@ group_core.TABLE_MAX_ENTRIES (10^6, so order 1000) bounds the orbits and
 diagrams routes and verify's shared table, on which burnside counts pairs: a
 multiplication table beyond it, a single atom's included, exits with code 3
 before any product is taken.  conjugacy.CLASS_DATA_MAX_ORDER (10^7) bounds
+the whole order on `classes` and each atom's order on the class-level routes,
 class-mode burnside (on an expression, which `compute` always passes, and
-verify's past the table budget), the chars route and `classes`: a larger
-order exits with code 3 before any class data is built.  That is the chars
-route's only budget: it takes the class data and d2 from
-characters.d2_char_formula, which sums the real characters in integers at
-the class representatives (characters.real_character_sums) and builds no
-table.  chartab, which builds the character table, refuses one of more than
+verify's past the table budget) and chars: past it, exit code 3 comes before
+any class data is built.  Those routes multiply their atoms' moment vectors
+(conjugacy.moments, conjugacy.moment_dims) and compose no product's classes,
+so a product costs the sum of its atoms.  They refuse with exit code 3 an
+order of 12 * 10^L or more, whose answer is past the L digits `str` writes,
+before any class data is built, and `_run` any report with a number past
+them.  The chars route's first twisted trace is the sum of the real
+characters, in integers at the class representatives
+(characters.real_character_sums); it builds no table.  chartab, which builds
+the character table, refuses one of more than
 characters.CHAR_TABLE_MAX_CELLS (10^7) cells with exit code 3.  `table`
 refuses a sweep of more than commands.TABLE_MAX_ROWS (10^5) rows with exit
 code 3 before its header, and prints a row by its closed form alone once the
@@ -137,12 +142,9 @@ def _closed(expr: GroupExpr):
 
 def _chars(expr: GroupExpr):
     from .characters import d2_char_formula
-    from .conjugacy import d1_class_formula, half_sum, z2_orbit_count
 
-    cd, d2 = d2_char_formula(expr)
-    d1 = d1_class_formula(cd)
-    dim = half_sum(d1, d2, f"dim for {expr_to_string(expr)}")
-    return cd.order, cd.num_classes, d1, d2, dim, z2_orbit_count(cd)
+    order, num_classes, d1, d2, dim, _, z2 = d2_char_formula(expr)
+    return order, num_classes, d1, d2, dim, z2
 
 
 def _burnside(group: FiniteGroup | GroupExpr):
@@ -207,6 +209,9 @@ def _run(name, expr, max_order=None, table=None, classes=None) -> DimensionRepor
     if group is None:  # burnside reduces `expr` by classes; a walk builds its table
         group = expr if name == "burnside" else load("group_core").group_from_expr(expr)
     order, num_classes, d1, d2, dim, z2 = route(group)
+    # the class-level routes answer products of any order their atoms allow
+    if not (text := int_text(max(order, dim, d1 or 0, d2 or 0))).isdigit():
+        raise ResourceLimitError(f"the answer is {text}, too long to print")
     if num_classes is None:
         cd = conjugacy.compute_classes(group) if classes is None else classes
         num_classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)

@@ -123,7 +123,9 @@ def chartab(args) -> int:
     cd = table.class_data
     labels = list(map(_class_label(expr), cd.representatives))
     sizes = [str(cd.sizes[c]) for c in range(cd.num_classes)]
-    cells = [[str(v) for v in row] for row in table.values]
+    # values are shared objects (`_product_table`), so each is written once, keyed by id
+    texts = {id(v): str(v) for v in {id(v): v for row in table.values for v in row}.values()}
+    cells = [[texts[id(v)] for v in row] for row in table.values]
     if args.csv:
         # keep the CSV free of quoting: a product's label commas become semicolons
         print("name," + ",".join(label.replace(",", ";") for label in labels))

@@ -1,18 +1,20 @@
-"""Conjugacy classes, power maps on classes, and class-level counting sums.
+"""Conjugacy classes, power maps on classes, and the class-level evaluator.
 
 Class data comes from orbits of conjugation by the generators, on either a
 multiplication table or a normal-form product rule, so a group expression's
-classes are found without building any O(|G|^2) table (`class_data_for`).
-`plain_trace_sums` and `twisted_trace_sums` are the one O(k) evaluator of the
-pair-averaged cube traces: class-mode burnside and the chars route both call
-it, and differ only in the first twisted trace they pass, the square-root
-counts of the classes or their real character sums.
+classes are found without building any O(|G|^2) table (`class_data_for`,
+which composes a product's classes for `classes` and `chartab`).  Class-mode
+burnside and the chars route compose none: `moments` turns each atom's class
+data (`atom_classes`) and a first twisted trace t, the square-root counts or
+the real character sums, into a vector of multiplicative class sums, and
+`moment_dims` reads every report field off the product of the vectors.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import reduce
+from math import prod
 
 from .expr import GroupExpr, parse_group_expr
 from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order, int_text
@@ -23,24 +25,26 @@ if TYPE_CHECKING:
 
 __all__ = [
     "ClassData",
+    "atom_classes",
     "check_class_data_order",
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
     "half_sum",
+    "moment_dims",
+    "moments",
     "pair_average",
-    "plain_trace_sums",
     "power_class_weights",
     "product_class_data",
     "square_root_counts",
-    "twisted_trace_sums",
     "z2_orbit_count",
 ]
 
 # class data holds several ints per class, as many as elements in a cyclic
 # group: class_data_for("Z(1000000)") peaks at about 122 MB, and `classes
 # "Z(3000000)"`, which names every class too, at about 336 MB.
-# class_data_for refuses a larger order, and no budget lifts it
+# class_data_for refuses a larger order, and the class-level routes a larger
+# atom, since they build the class data of atoms alone; no budget lifts it
 CLASS_DATA_MAX_ORDER = 10**7
 
 
@@ -136,6 +140,24 @@ def check_class_data_order(expr: GroupExpr) -> None:
         )
 
 
+def atom_classes(expr: GroupExpr):
+    """(atom, its product rule, its class data) for each atom of `expr`, in
+    factor order, each built as it is read.
+
+    Before anything is built, each atom is held to CLASS_DATA_MAX_ORDER, and
+    a product whose answer is too long to print is refused: the C(n+2, 3)
+    multisets of three elements of a group of order n fall into orbits of at
+    most 2n^2 elements, so every dimension exceeds n/12.
+    """
+    for atom in expr.atoms:
+        check_class_data_order(GroupExpr((atom,)))
+    if not (text := int_text(group_order(expr) // 12)).isdigit():
+        raise ResourceLimitError(f"the answer is {text}, too long to print")
+    for atom in expr.atoms:
+        group = atom_group(atom)
+        yield atom, group, compute_classes(group)
+
+
 def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
     """Class data of a direct product, composed without building the product group.
 
@@ -144,29 +166,23 @@ def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:
     by (c1, c2) therefore reproduces exactly the smallest-element numbering
     that `compute_classes` would use on the product group.
     """
-    n2 = cd2.order
-    k2 = cd2.num_classes
-    representatives = []
-    sizes = []
-    square_class = []
-    cube_class = []
-    inverse_class = []
-    for c1 in range(cd1.num_classes):
-        for c2 in range(k2):
-            representatives.append(cd1.representatives[c1] * n2 + cd2.representatives[c2])
-            sizes.append(cd1.sizes[c1] * cd2.sizes[c2])
-            square_class.append(cd1.square_class[c1] * k2 + cd2.square_class[c2])
-            cube_class.append(cd1.cube_class[c1] * k2 + cd2.cube_class[c2])
-            inverse_class.append(cd1.inverse_class[c1] * k2 + cd2.inverse_class[c2])
-    return ClassData(
-        cd1.order * n2, representatives, sizes, square_class, cube_class, inverse_class
-    )
+    n2, k2 = cd2.order, cd2.num_classes
+
+    def pairs(field: str, scale: int) -> list[int]:
+        return [x1 * scale + x2 for x1 in getattr(cd1, field) for x2 in getattr(cd2, field)]
+
+    sizes = [s1 * s2 for s1 in cd1.sizes for s2 in cd2.sizes]
+    classes = [pairs(field, k2) for field in ("square_class", "cube_class", "inverse_class")]
+    return ClassData(cd1.order * n2, pairs("representatives", n2), sizes, *classes)
 
 
 def z2_orbit_count(cd: ClassData) -> int:
     """Number of orbits of classes under inversion."""
-    fixed = sum(1 for c, ic in zip(range(cd.num_classes), cd.inverse_class) if ic == c)
-    moved = cd.num_classes - fixed
+    return _inversion_orbits(cd.num_classes, sum(ic == c for c, ic in enumerate(cd.inverse_class)))
+
+
+def _inversion_orbits(k: int, fixed: int) -> int:
+    moved = k - fixed
     if moved % 2:
         raise AssertionError("inversion must pair up the non-fixed classes")
     return fixed + moved // 2
@@ -196,62 +212,70 @@ def square_root_counts(cd: ClassData) -> list[int]:
     return roots
 
 
-# Both pair actions are averaged through the symmetric-cube trace polynomial
-# t1^3 + 3 t1 t2 + 2 t3 and its kernel form, with every power trace t_k replaced
-# by t_k - 1, which is the full polynomial minus 3 (t1^2 + t2).  Each evaluator
-# returns the pair sums of both: 6|G|^2 times the dimension (d1 or d2) and its
-# kernel variant.
+def moments(cd: ClassData, t: list[int]) -> tuple[int, ...]:
+    """The moment vector of one atom: eleven class sums, each multiplicative.
 
-
-def plain_trace_sums(cd: ClassData) -> tuple[int, int]:
-    """Pair sums of the plain cube traces and of their kernel form, in O(k).
-
-    Plain traces are class functions of the pair: for g in class i and h in
-    class j, t1 = |C_G(g)| if i == j, t2 = |C_G(g^2)| if g^2 ~ h^2 and
-    t3 = |C_G(g^3)| if g^3 ~ h^3, each 0 otherwise.  Summing |i||j| times the
-    polynomial over class pairs, the t1 terms live on the diagonal and the
-    lone t2 and t3 terms on pairs with a common square or cube class C, whose
-    total weight is the power-class weight W2[C] or W3[C].
+    With s the class size, c = |G|/s the centralizer order, sq and cu the
+    square and cube classes, W2 and W3 the power-class weights and t the
+    first twisted trace, the vector is |G|, the class count k, the number of
+    self-inverse classes, and the sums over classes of s^2 c^3, s^2 c c(sq),
+    s c(cu) W3(cu), s c(sq) W2(sq), s t^3, s t c, s t(cu) and s t^2.  t is
+    the square-root count (`square_root_counts`) for class-mode burnside, or
+    the real character sum S = S+ + S- for the chars route; the root count is
+    S+ - S- by Frobenius-Schur, and both give the same dimensions.  Power
+    maps and inversion act componentwise on G1 x G2, so each term is
+    multiplicative and a product's vector is the elementwise product of its
+    atoms' vectors.
     """
-    n = cd.order
-    sizes = cd.sizes
+    n, sizes = cd.order, cd.sizes
     cent = [n // s for s in sizes]
-    sq_cls = cd.square_class
-    cu_cls = cd.cube_class
+    sq_cls, cu_cls = cd.square_class, cd.cube_class
     w2 = power_class_weights(sq_cls, sizes)
     w3 = power_class_weights(cu_cls, sizes)
-    total = ker = 0
-    for i, size in enumerate(sizes):
-        c1, c2, c3 = cent[i], cent[sq_cls[i]], cent[cu_cls[i]]
-        diagonal = size * size * c1
-        same_cube = 2 * size * c3 * w3[cu_cls[i]]
-        total += diagonal * (c1 * c1 + 3 * c2) + same_cube
-        ker += diagonal * (c1 * c1 - 3 * c1 + 3 * c2) - 3 * size * c2 * w2[sq_cls[i]] + same_cube
-    return total, ker
+    fixed = a = b = c = d = e = f = g = h = 0
+    for i, s in enumerate(sizes):
+        ci, sq, cu, ti = cent[i], sq_cls[i], cu_cls[i], t[i]
+        fixed += cd.inverse_class[i] == i
+        a += s * s * ci**3
+        b += s * s * ci * cent[sq]
+        c += s * cent[cu] * w3[cu]
+        d += s * cent[sq] * w2[sq]
+        e += s * ti**3
+        f += s * ti * ci
+        g += s * t[cu]
+        h += s * ti * ti
+    return n, len(sizes), fixed, a, b, c, d, e, f, g, h
 
 
-def twisted_trace_sums(cd: ClassData, t: list[int]) -> tuple[int, int]:
-    """Pair sums of the twisted cube traces and of their kernel form, in O(k).
+def moment_dims(vectors, name: str) -> tuple[int, int, int, int, int, int, int]:
+    """(order, k, d1, d2, dim, kernel dim, z2) from the product of atoms' moment vectors.
 
-    Twisted traces are functions of the product h*g alone, and summing over
-    pairs with a fixed product gives |G| times a single sum over classes,
-    with t2 the centralizer size of the class and t1, t3 read from `t` at the
-    class and at its cube class.  `t` is the first twisted trace per class:
-    the square-root count (`square_root_counts`) by its definition, or the
-    real character sum S(C) = S+ + S-.  By Frobenius-Schur the root count is
-    S+ - S-, so the two differ where a quaternionic character is nonzero,
-    yet both give the same two sums.
+    Both pair actions are averaged through the symmetric-cube trace
+    polynomial t1^3 + 3 t1 t2 + 2 t3; its kernel form, with each t_j
+    replaced by t_j - 1, is that less 3 (t1^2 + t2).  Plain traces are class
+    functions of the pair: for g in class i and h in class j, t1 = c(i) if
+    i == j, and t2 = c(sq i) or t3 = c(cu i) if g and h share their square
+    or cube class, of total weight W2 or W3.  Twisted traces depend on h*g
+    alone, so their pair sum is |G| times one class sum, with t2 = c and t1,
+    t3 read from t at the class and its cube class.  Each pair sum is 6|G|^2
+    times its dimension, and the kernel dimension must be the full one less
+    z2, the number of inversion orbits of the classes.
     """
-    n = cd.order
-    cu_cls = cd.cube_class
-    total = ker = 0
-    for i, size in enumerate(cd.sizes):
-        t1, t2, t3 = t[i], n // size, t[cu_cls[i]]
-        full = t1 * (t1 * t1 + 3 * t2) + 2 * t3
-        total += size * full
-        ker += size * (full - 3 * (t1 * t1 + t2))
-    # pair sums carry one more factor of |G| than the class-collapsed sum
-    return n * total, n * ker
+    n, k, fixed, a, b, c, d, e, f, g, h = (prod(column) for column in zip(*vectors))
+    plain, twisted = a + 3 * b + 2 * c, n * (e + 3 * f + 2 * g)
+    d1 = pair_average(plain, n, f"d1 for {name}")
+    d2 = pair_average(twisted, n, f"d2 for {name}")
+    dim = half_sum(d1, d2, f"dim for {name}")
+    ker = half_sum(
+        # the kernel corrections: sum s^2 c^2 is k |G|^2 and sum s c is k |G|
+        pair_average(plain - 3 * (n * n * k + d), n, f"kernel d1 for {name}"),
+        pair_average(twisted - 3 * n * (h + n * k), n, f"kernel d2 for {name}"),
+        f"kernel dim for {name}",
+    )
+    z2 = _inversion_orbits(k, fixed)
+    if dim - ker != z2:
+        raise AssertionError(f"{name}: dimension gap {dim - ker}, but {z2} inversion orbits")
+    return n, k, d1, d2, dim, ker, z2
 
 
 def pair_average(total: int, order: int, what: str) -> int:
@@ -275,4 +299,4 @@ def half_sum(d1: int, d2: int, what: str) -> int:
 
 def d1_class_formula(cd: ClassData) -> int:
     """d1, the dimension of the invariant part of the cube of the plain pair action."""
-    return pair_average(plain_trace_sums(cd)[0], cd.order, "d1")
+    return moment_dims([moments(cd, square_root_counts(cd))], f"order {cd.order}")[2]

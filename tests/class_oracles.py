@@ -4,8 +4,8 @@ These are the straightforward versions that the library replaced: classes
 found by conjugating each element by every group element, and the class-mode
 pair sums and cube-matched weighted sum as double loops over class pairs.
 They need a full multiplication table and are kept only as test references.
-`cube_matched_sum` reads the cube-matched sum off the library's evaluator, so
-the tests can pin that part of it on its own.
+`cube_matched_sum` reads the cube-matched sum off the library's moment
+vector, so the tests can pin that part of it on its own.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from oracles import power
-from thetadim.conjugacy import ClassData, plain_trace_sums
+from thetadim.conjugacy import ClassData, moments, square_root_counts
 from thetadim.group_core import FiniteGroup
 
 
@@ -108,20 +108,14 @@ def pair_class_sums(group: FiniteGroup, cd: ClassData) -> tuple[int, int, int, i
 
 
 def cube_matched_sum(cd: ClassData) -> Fraction:
-    """The cube-matched pair sum as the library's plain trace sum holds it.
+    """The cube-matched pair sum as the library's moment vector holds it.
 
-    `plain_trace_sums(cd)[0]` is a diagonal part, the sum over classes C of
-    |C|^2 c(C) (c(C)^2 + 3 c(C^2)) with c the centralizer size, plus 2|G|
-    times the sum over class pairs with a common cube class of
-    |C(g)| |C(h)| / |C(g^3)|.  This takes the diagonal part off and divides.
+    Entry 5 of `moments(cd, t)` is the sum over classes C of
+    |C| c(C^3) W3(C^3), with c the centralizer size and W3 the cube-class
+    weight: |G| times the sum over class pairs with a common cube class of
+    |C(g)| |C(h)| / |C(g^3)|.
     """
-    n = cd.order
-    cent = [n // s for s in cd.sizes]
-    diagonal = sum(
-        size * size * cent[c] * (cent[c] ** 2 + 3 * cent[cd.square_class[c]])
-        for c, size in enumerate(cd.sizes)
-    )
-    return Fraction(plain_trace_sums(cd)[0] - diagonal, 2 * n)
+    return Fraction(moments(cd, square_root_counts(cd))[5], cd.order)
 
 
 def pair_delta3_sum(cd: ClassData) -> Fraction:

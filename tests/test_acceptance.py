@@ -89,7 +89,7 @@ def test_binary_polyhedral_constants_all_routes():
 
         cd = _classes(expr)
         z2 = z2_orbit_count(cd)
-        char_dim = (d1_class_formula(cd) + d2_char_formula(expr)[1]) / 2
+        char_dim = (d1_class_formula(cd) + d2_char_formula(expr)[3]) / 2
         assert char_dim == dim
         assert dim - z2 == ker
 
@@ -195,7 +195,7 @@ def test_cyclic_sweep_all_routes():
 
         cd = _classes(expr)
         z2 = z2_orbit_count(cd)
-        char_dim = (d1_class_formula(cd) + d2_char_formula(expr)[1]) / 2
+        char_dim = (d1_class_formula(cd) + d2_char_formula(expr)[3]) / 2
         assert (char_dim, char_dim - z2) == expected
 
         res = _burnside(expr)
@@ -389,7 +389,7 @@ def test_route_agreement():
     for expr in ROUTE_500:
         res = _burnside(expr)
         assert d1_class_formula(_classes(expr)) == res.d1, expr
-        assert d2_char_formula(expr)[1] == res.d2, expr
+        assert d2_char_formula(expr)[3] == res.d2, expr
 
     for expr in ROUTE_120:
         res = _burnside(expr)

@@ -6,6 +6,7 @@ trusted as the oracle.  Complex conjugation, which the library's cyclotomic
 integers do not offer, is the test-side `complex_conjugate`.
 """
 
+from functools import reduce
 from math import gcd
 
 import pytest
@@ -33,12 +34,7 @@ from thetadim.characters import (
     table_for,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
-from thetadim.conjugacy import (
-    d1_class_formula,
-    square_root_counts,
-    twisted_trace_sums,
-    z2_orbit_count,
-)
+from thetadim.conjugacy import moment_dims, moments, product_class_data, square_root_counts
 from thetadim.cyclo import from_int
 from thetadim.expr import parse_group_expr
 from thetadim.normal_form import ResourceLimitError, group_order
@@ -239,7 +235,7 @@ KNOWN_D2 = {
 
 @pytest.mark.parametrize("expr,value", sorted(KNOWN_D2.items()))
 def test_real_summand_dimension_known_values(expr, value):
-    got = d2_char_formula(expr)[1]
+    got = d2_char_formula(expr)[3]
     assert isinstance(got, int)
     assert got == value
 
@@ -260,11 +256,7 @@ SLOW_CONDUCTORS = ["Z(1995)", "Dstar(245)", "Dstar(247)", "Dprime(1,55)"]
 
 @pytest.mark.parametrize("expr", SLOW_CONDUCTORS)
 def test_chars_route_matches_closed_form_on_slow_conductors(expr):
-    cd, d2 = d2_char_formula(expr)
-    dim, rem = divmod(d1_class_formula(cd) + d2, 2)
-    assert rem == 0
-    want_dim, want_ker = closed_dims(spec_from_expr(expr))
-    assert (dim, dim - z2_orbit_count(cd)) == (want_dim, want_ker)
+    assert d2_char_formula(expr)[4:6] == closed_dims(spec_from_expr(expr))
 
 
 @pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
@@ -272,7 +264,7 @@ def test_cell_budget_is_checked_before_classes_are_computed(monkeypatch, expr):
     def refuse(*args):
         raise AssertionError("computed classes for a table over the cell budget")
 
-    monkeypatch.setattr(characters, "compute_classes", refuse)
+    monkeypatch.setattr(conjugacy, "compute_classes", refuse)
     with pytest.raises(ResourceLimitError) as err:
         table_for(expr)
     assert str(CHAR_TABLE_MAX_CELLS) in str(err.value)
@@ -284,31 +276,33 @@ def test_cell_budget_admits_z2000_and_still_reports_bad_parameters():
     with pytest.raises(ValueError):
         table_for("Dprime(30,4)")
     with pytest.raises(ValueError):
-        real_character_sums("Dprime(30,4)")
+        list(real_character_sums("Dprime(30,4)"))
 
 
 @pytest.mark.parametrize("expr", ["Z(100000)", "Z(400) x Z(400)", "Z(3000) x Z(2)"])
 def test_route_keeps_the_cell_budget_and_checks_it_before_classes(monkeypatch, expr):
-    """The route's one budget is the class-data order cap, checked before any class.
+    """The route's one budget is the class-data order cap on each atom,
+    checked before any class.
 
     These tables are over the cell budget, which `table_for` keeps, while the
-    route sums them in integers: its sums give the same twisted trace sums as
-    the square-root counts.
+    route sums them in integers: its sums give the same dimensions as the
+    square-root counts.
     """
 
     def refuse(*args):
         raise AssertionError("computed classes for a route over the class-data budget")
 
-    n = group_order(expr)
+    n = max(group_order(str(atom)) for atom in parse_group_expr(expr).atoms)
     with monkeypatch.context() as patch:
-        patch.setattr(characters, "compute_classes", refuse)
+        patch.setattr(conjugacy, "compute_classes", refuse)
         patch.setattr(conjugacy, "CLASS_DATA_MAX_ORDER", n - 1)
         with pytest.raises(ResourceLimitError, match=f"order {n} exceeds the class-data budget"):
-            real_character_sums(expr)
+            list(real_character_sums(expr))
         with pytest.raises(ResourceLimitError, match="cells"):
             table_for(expr)
-    cd, sums = real_character_sums(expr)
-    assert twisted_trace_sums(cd, sums) == twisted_trace_sums(cd, square_root_counts(cd))
+    atoms = list(real_character_sums(expr))
+    by_roots = [moments(cd, square_root_counts(cd)) for cd, _ in atoms]
+    assert moment_dims([moments(cd, s) for cd, s in atoms], expr) == moment_dims(by_roots, expr)
 
 
 # every family and product shape of the catalogs, the slow conductors, and a
@@ -322,7 +316,10 @@ ROUTE_CATALOG = sorted(
 @pytest.mark.parametrize("expr", ROUTE_CATALOG)
 def test_real_character_sums_match_the_full_table(expr):
     table = table_for(expr)
-    cd, sums = real_character_sums(expr)
+    atoms = list(real_character_sums(expr))
+    cd = reduce(product_class_data, [atom_cd for atom_cd, _ in atoms])
+    # the real irreducibles of a product are the products of the factors'
+    sums = reduce(lambda s1, s2: [a * b for a in s1 for b in s2], [s for _, s in atoms])
     assert cd == table.class_data
     assert sums == [real_char_sum(table, c) for c in range(cd.num_classes)]
 
@@ -398,10 +395,7 @@ def spherical_exprs(draw, max_order: int) -> str:
 
 
 def _chars_dims(expr: str) -> tuple[int, int]:
-    cd, d2 = d2_char_formula(expr)
-    dim, rem = divmod(d1_class_formula(cd) + d2, 2)
-    assert rem == 0
-    return dim, dim - z2_orbit_count(cd)
+    return d2_char_formula(expr)[4:6]
 
 
 @settings(max_examples=25, deadline=10000)

@@ -158,7 +158,7 @@ def test_chars_cell_budget_exit_code_and_verify_skip(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("computed classes over the class-data budget")
 
-    monkeypatch.setattr(characters, "compute_classes", refuse)
+    monkeypatch.setattr(conjugacy, "compute_classes", refuse)
     rc, out, err = run(capsys, "compute", "Z(10000001)", "--method", "chars")
     assert (rc, out) == (3, "")
     assert "class-data budget 10000000" in err
@@ -249,7 +249,7 @@ def _refuse_tables_and_class_data(monkeypatch, n):
 
     monkeypatch.setattr(FiniteGroup, "__init__", guarded)
     monkeypatch.setattr(conjugacy, "compute_classes", no_table_classes)
-    monkeypatch.setattr(burnside, "class_data_for", no_classes)
+    monkeypatch.setattr(burnside, "atom_classes", no_classes)
 
 
 def test_verify_under_the_cap_builds_no_table(capsys, monkeypatch):
@@ -422,12 +422,13 @@ def test_verify_times_no_route_for_the_shared_table(capsys, monkeypatch):
 
 
 def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
-    # orbits and diagrams read the class count and z2 off one computation
+    # orbits and diagrams read the class count and z2 off one computation of
+    # the table's classes; the chars route takes those of the atom's rule
     calls = []
     real = conjugacy.compute_classes
 
     def counting(group):
-        calls.append(group.order)
+        calls.append((type(group).__name__, group.order))
         return real(group)
 
     # cli imports compute_classes from conjugacy when verify runs
@@ -435,7 +436,7 @@ def test_verify_finds_the_classes_of_its_table_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "verify", "Dstar(6)")
     assert rc == 0
     assert "agree: dim 30, kernel 21 (5 methods)" in out
-    assert calls == [24]
+    assert sorted(calls) == [("FiniteGroup", 24), ("NormalForm", 24)]
 
 
 def test_verify_finds_the_classes_of_an_order_1000_table_once(capsys, monkeypatch):
@@ -443,13 +444,13 @@ def test_verify_finds_the_classes_of_an_order_1000_table_once(capsys, monkeypatc
     # orbits and diagrams read the table's classes off one computation, and
     # the chars route's own call on the Z(1000) rule stays
     calls = []
-    for module in (conjugacy, characters):
+    real = conjugacy.compute_classes
 
-        def counting(group, real=module.compute_classes):
-            calls.append(type(group).__name__)
-            return real(group)
+    def counting(group):
+        calls.append(type(group).__name__)
+        return real(group)
 
-        monkeypatch.setattr(module, "compute_classes", counting)
+    monkeypatch.setattr(conjugacy, "compute_classes", counting)
     rc, out, _ = run(capsys, "verify", "Z(1000)")
     assert rc == 0
     assert out.splitlines()[-1] == "agree: dim 83834, kernel 83333 (5 methods)"
@@ -785,6 +786,28 @@ def test_an_answer_too_long_to_print_is_refused(capsys, digit_limit):
     assert (rc, out, err) == (cli.EXIT_RESOURCE, "", f"resource limit: {message}\n")
     rc, out, _ = run(capsys, "table", "t8_3k", "--max-k", str(k), "--max-order", "10")
     assert rc == 0 and out.splitlines()[-1] == f"{k},{dim},{ker},closed"
+
+
+@pytest.mark.parametrize("method", ["burnside", "chars"])
+def test_class_level_routes_refuse_a_product_answer_too_long_to_print(
+    capsys, monkeypatch, method, digit_limit
+):
+    message = f"resource limit: the answer is 10^{digit_limit} or more, too long to print\n"
+
+    def refuse(*args):
+        raise AssertionError("computed classes of a product whose answer is too long to print")
+
+    # an order of 12 * 10^640 or more bounds the answer, read off the expression
+    expr = " x ".join(["Z(10000000)"] * 93)
+    with monkeypatch.context() as patch:
+        patch.setattr(conjugacy, "compute_classes", refuse)
+        assert run(capsys, "compute", "--method", method, expr) == (cli.EXIT_RESOURCE, "", message)
+    # an order of 2^1100, about 10^331, gives an answer of about 10^661
+    expr = " x ".join(["Z(2)"] * 1100)
+    assert run(capsys, "compute", "--method", method, expr) == (cli.EXIT_RESOURCE, "", message)
+    expr = " x ".join(["Z(2)"] * 500)
+    rc, out, err = run(capsys, "compute", "--method", method, expr, "--json")
+    assert (rc, err) == (0, "") and json.loads(out)["order"] == 2**500
 
 
 def _assert_int_text_edges(limit: int) -> None:
@@ -1203,7 +1226,7 @@ def test_the_class_data_cap_is_read_off_the_order_and_no_budget_lifts_it(capsys,
 
 def test_class_routes_answer_below_the_class_data_cap(capsys):
     # order 1,728,000: chars and class-mode burnside under an explicit order
-    # cap compose the class data per atom and agree
+    # cap multiply their atoms' moment vectors and agree
     expr = "Istar x Istar x Istar"
     for argv in (("--method", "chars"), ("--method", "burnside", "--max-order", "2000000")):
         rc, out, _ = run(capsys, "compute", expr, *argv, "--json")
@@ -1212,12 +1235,54 @@ def test_class_routes_answer_below_the_class_data_cap(capsys):
         assert (data["order"], data["dim_Cpi"], data["dim_ker_eps"]) == (1728000, 3176448, 3175719)
 
 
+@pytest.mark.parametrize("expr", ["Z(7) x Istar", "Z(11) x Dstar(9)"])
+def test_class_level_routes_compose_no_product_class_data(capsys, monkeypatch, expr):
+    # the routes multiply their atoms' moment vectors; `classes` and
+    # `chartab`, which print the product's classes, still compose them
+    calls = []
+    for module in (conjugacy, characters):
+
+        def counting(cd1, cd2, real=module.product_class_data):
+            calls.append(cd1.order * cd2.order)
+            return real(cd1, cd2)
+
+        monkeypatch.setattr(module, "product_class_data", counting)
+    for method in ("burnside", "chars"):
+        assert run(capsys, "compute", "--method", method, expr)[0] == 0
+    assert calls == []
+    for command in ("classes", "chartab"):
+        assert run(capsys, command, expr)[0] == 0
+    assert calls == [group_order(expr)] * 2
+
+
+@pytest.mark.parametrize("expr", ["Z(9973) x Dstar(5000)", "Z(1000) x Z(1000) x Z(10)"])
+@pytest.mark.parametrize("method", ["burnside", "chars"])
+def test_class_level_routes_answer_past_the_class_data_cap_of_a_product(capsys, method, expr):
+    # orders 199,460,000 and 10^7: each atom is within the cap, and the
+    # product costs the sum of its atoms
+    start = time.perf_counter()
+    rc, out, err = run(capsys, "compute", "--method", method, expr, "--json")
+    assert (rc, err) == (0, "")
+    assert time.perf_counter() - start < 1
+    data = json.loads(out)
+    assert data["order"] == group_order(expr)
+    if expr.startswith("Z(9973)"):
+        assert (data["dim_Cpi"], data["dim_ker_eps"]) == closed_dims(spec_from_expr(expr))
+        assert (data["dim_Cpi"], data["dim_ker_eps"]) == (414668501272960, 414668476322999)
+    else:  # not spherical: the other class-level route is the check
+        other = "chars" if method == "burnside" else "burnside"
+        rc, out, _ = run(capsys, "compute", "--method", other, expr, "--json")
+        fields = ("num_classes", "d1", "d2", "dim_Cpi", "dim_ker_eps", "dim_classhat_Z2")
+        assert rc == 0 and [json.loads(out)[f] for f in fields] == [data[f] for f in fields]
+
+
 def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
     # a plain sum that |G|^2 does not divide, on each path: compute reduces
     # the expression by classes, verify counts the pairs of its table
     message = "d1 for Z(3) is not a nonnegative integer: 1/54"
     for argv, group, name, fake in (
-        (("compute", "--method", "burnside", "Z(3)"), "Z(3)", "plain_trace_sums", lambda cd: (1, 0)),
+        # a moment vector whose plain sum is 1
+        (("compute", "--method", "burnside", "Z(3)"), "Z(3)", "moments", lambda cd, t: (3, 3, 1, 1) + (0,) * 7),
         (("verify", "Z(3)"), group_from_expr("Z(3)"), "_naive_sums", lambda g: (1, 0, 0, 0, 3)),
     ):
         with monkeypatch.context() as patch:
@@ -1230,9 +1295,12 @@ def test_burnside_integrality_check_exits_4(capsys, monkeypatch):
 
 
 def test_chars_dimension_integrality_check_exits_4(capsys, monkeypatch):
-    # the chars route checks (d1 + d2)/2 with burnside's helper and message
-    real = conjugacy.d1_class_formula
-    monkeypatch.setattr(conjugacy, "d1_class_formula", lambda cd: real(cd) + 1)
+    # the chars route checks (d1 + d2)/2 with burnside's helper and message:
+    # 6|G|^2 = 54 more in the plain sum is one more in d1
+    real = characters.moments
+    monkeypatch.setattr(
+        characters, "moments", lambda cd, t: (*real(cd, t)[:3], real(cd, t)[3] + 54, *real(cd, t)[4:])
+    )
     rc, out, err = run(capsys, "compute", "--method", "chars", "Z(3)")
     assert (rc, out) == (cli.EXIT_INTERNAL, "")
     assert err == "internal check failed: dim for Z(3) is not an integer: 7/2\n"
@@ -1253,7 +1321,7 @@ def test_verify_counts_the_pairs_of_every_table_it_builds(capsys, monkeypatch, e
         raise AssertionError("burnside reduced by classes")
 
     monkeypatch.setattr(burnside, "_naive_sums", counting)
-    monkeypatch.setattr(burnside, "class_data_for", no_classes)
+    monkeypatch.setattr(burnside, "atom_classes", no_classes)
     rc, out, _ = run(capsys, "verify", expr)
     assert rc == 0
     assert out.splitlines()[-1].endswith("(5 methods)")

@@ -146,7 +146,7 @@ def test_family_polynomials_match_class_and_character_data(atom):
     cd = compute_classes(group_from_expr(expr))
     assert closed_delta3(atom) == cube_matched_sum(cd)
     assert closed_family_d1(atom) == d1_class_formula(cd)
-    assert closed_family_d2(atom) == d2_char_formula(expr)[1]
+    assert closed_family_d2(atom) == d2_char_formula(expr)[3]
 
 
 def test_tower_polynomials_require_level_two():

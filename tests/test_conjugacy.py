@@ -2,8 +2,12 @@
 
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
+from math import prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catalogs import NON_SPHERICAL, ROUTE_120, ROUTE_500, SPHERICAL
 from class_oracles import (
@@ -20,15 +24,15 @@ from thetadim.conjugacy import (
     class_data_for,
     compute_classes,
     d1_class_formula,
-    plain_trace_sums,
+    moment_dims,
+    moments,
     product_class_data,
     square_root_counts,
-    twisted_trace_sums,
     z2_orbit_count,
 )
 from thetadim.expr import parse_group_expr
 from thetadim.group_core import cyclic_group, direct_product, group_from_expr
-from thetadim.normal_form import atom_group
+from thetadim.normal_form import atom_group, group_order
 
 ORACLE_CATALOG = [
     "Z(1)",
@@ -215,9 +219,12 @@ def test_table_free_class_layer_matches_literal_oracles(expr):
     cd = class_data_for(expr)
     # field for field: numbering, sizes and power maps
     assert cd == literal
-    plain = plain_trace_sums(cd)
-    twisted = twisted_trace_sums(cd, square_root_counts(cd))
-    assert plain + twisted == pair_class_sums(G, literal)
+    plain, plain_ker, twisted, twisted_ker = pair_class_sums(G, literal)
+    den = 6 * G.order**2
+    want = [Fraction(plain, den), Fraction(twisted, den)]
+    want += [(want[0] + want[1]) / 2, Fraction(plain_ker + twisted_ker, 2 * den)]
+    got = moment_dims([moments(cd, square_root_counts(cd))], expr)
+    assert list(got[2:6]) == want
     assert cube_matched_sum(cd) == pair_delta3_sum(literal)
 
 
@@ -228,18 +235,58 @@ QUATERNIONIC_PRODUCTS = ["Ostar x Istar", "Dprime(1,5) x Tstar"]
 
 @pytest.mark.parametrize("expr", sorted(set(SPHERICAL + NON_SPHERICAL)) + QUATERNIONIC_PRODUCTS)
 def test_real_character_sums_and_root_counts_give_the_same_twisted_sums(expr):
-    """The chars route and class burnside share twisted_trace_sums.
+    """The chars route and class burnside share the moment evaluator.
 
     The route passes S(C), the sum of the real characters at C; burnside
     passes the square-root count, sum nu(chi) chi(C) by Frobenius-Schur.  The
-    two differ wherever a quaternionic character is nonzero, but both sums,
-    the full and the kernel one, agree.
+    two differ wherever a quaternionic character is nonzero, but every field
+    the evaluator gives, the full and the kernel dimensions among them, agrees.
     """
-    cd, sums = real_character_sums(expr)
-    roots = square_root_counts(cd)
-    assert twisted_trace_sums(cd, sums) == twisted_trace_sums(cd, roots)
+    atoms = list(real_character_sums(expr))
+    roots = [square_root_counts(cd) for cd, _ in atoms]
+    by_sums = moment_dims([moments(cd, sums) for cd, sums in atoms], expr)
+    assert by_sums == moment_dims([moments(cd, r) for (cd, _), r in zip(atoms, roots)], expr)
     if expr in QUATERNIONIC_PRODUCTS:
-        assert sums != roots
+        assert [sums for _, sums in atoms] != roots
+
+
+_MOMENT_ATOMS = (
+    [f"Z({n})" for n in range(1, 31)]
+    + [f"Dstar({p})" for p in range(1, 13)]
+    + ["Dprime(0,3)", "Dprime(1,3)", "Dprime(1,5)", "Dprime(2,3)"]
+    + ["Tprime(1)", "Tprime(2)", "Tstar", "Ostar", "Istar"]
+)
+
+
+@st.composite
+def _small_products(draw) -> str:
+    """One to three atoms of `_MOMENT_ATOMS` whose product has order at most 10^4."""
+    atoms = [draw(st.sampled_from(_MOMENT_ATOMS))]
+    for _ in range(draw(st.integers(0, 2))):
+        atom = draw(st.sampled_from(_MOMENT_ATOMS))
+        if group_order(" x ".join(atoms + [atom])) <= 10**4:
+            atoms.append(atom)
+    return " x ".join(atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_small_products())
+def test_moment_vectors_multiply_to_the_composed_class_sums(expr):
+    """The product of the atoms' moment vectors equals the vector of the
+    composed product class data, field for field, with either first twisted
+    trace: the square-root counts, found anew on the composed classes, or
+    the real character sums, composed as the outer product of the atoms'."""
+    atoms = list(real_character_sums(expr))
+    composed = reduce(product_class_data, [cd for cd, _ in atoms])
+    outer = reduce(lambda s1, s2: [a * b for a in s1 for b in s2], [sums for _, sums in atoms])
+    for t, atom_t in (
+        (square_root_counts(composed), [square_root_counts(cd) for cd, _ in atoms]),
+        (outer, [sums for _, sums in atoms]),
+    ):
+        vectors = [moments(cd, ti) for (cd, _), ti in zip(atoms, atom_t)]
+        assert tuple(map(prod, zip(*vectors))) == moments(composed, t)
+        assert moment_dims(vectors, expr) == moment_dims([moments(composed, t)], expr)
+    assert moment_dims(vectors, expr)[6] == z2_orbit_count(composed)
 
 
 @pytest.mark.parametrize("expr", ["Z(12)", "Dstar(5)", "Dprime(1,5)", "Tprime(2)", "Ostar"])
