@@ -1298,9 +1298,12 @@ def test_chars_dimension_integrality_check_exits_4(capsys, monkeypatch):
     # the chars route checks (d1 + d2)/2 with burnside's helper and message:
     # 6|G|^2 = 54 more in the plain sum is one more in d1
     real = characters.moments
-    monkeypatch.setattr(
-        characters, "moments", lambda cd, t: (*real(cd, t)[:3], real(cd, t)[3] + 54, *real(cd, t)[4:])
-    )
+
+    def one_more_d1(cd, t):
+        vector = real(cd, t)
+        return (*vector[:3], vector[3] + 54, *vector[4:])
+
+    monkeypatch.setattr(characters, "moments", one_more_d1)
     rc, out, err = run(capsys, "compute", "--method", "chars", "Z(3)")
     assert (rc, out) == (cli.EXIT_INTERNAL, "")
     assert err == "internal check failed: dim for Z(3) is not an integer: 7/2\n"
