@@ -11,8 +11,8 @@ The argument picks the evaluation.  A table is counted in mode "naive", the
 trusted reference: all |G|^2 pairs, reading fixed-point counts from two
 literally-counted tables.  An expression is reduced in mode "class" to the
 product of its atoms' moment vectors, O(k) class sums per atom, by
-`conjugacy`'s evaluator, the one the chars route also uses; it builds no
-multiplication table and composes no product's classes.
+`conjugacy`'s evaluator and per-atom pass, as on the chars route; it builds
+no multiplication table and composes no product's classes.
 Orbit enumeration on sorted monomial triples provides a third, lemma-free
 count of the same dimension, on a table its caller builds.  Every orbit
 meets the triples that contain the identity, so it walks only those, as
@@ -40,7 +40,6 @@ from .conjugacy import (
     square_root_counts,
 )
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
@@ -121,34 +120,19 @@ def _naive_sums(group: FiniteGroup) -> tuple[int, int, int, int, int]:
     )
 
 
-def _closed_form_hint(expr: GroupExpr) -> str:
-    """The end of a class-data refusal: the closed form, where it answers
-    `expr`, imported here so that a route that answers loads none of it."""
-    from .closed_forms import SphericalMatchError, spec_from_expr
-
-    try:
-        spec_from_expr(expr)
-    except SphericalMatchError:
-        return ""
-    return "; use the closed-form route instead"
-
-
 def burnside_dims(group: FiniteGroup | GroupExpr | str) -> BurnsideResult:
     """Both dimensions by pair-averaged symmetric-cube traces.
 
     A table is counted pair by pair (mode "naive"); an expression or its
     string is reduced by classes (mode "class"), multiplying its atoms'
-    moment vectors with the square-root counts as first twisted trace, each
-    atom held to CLASS_DATA_MAX_ORDER before any class is built.
+    moment vectors with the square-root counts as first twisted trace; its
+    atoms and refusals are `conjugacy.atom_classes`'s, as on the chars route.
     """
     if isinstance(group, str):
         group = parse_group_expr(group)
     if isinstance(group, GroupExpr):
         name, mode = expr_to_string(group), "class"
-        try:
-            vectors = [moments(cd, square_root_counts(cd)) for _, _, cd in atom_classes(group)]
-        except ResourceLimitError as exc:
-            raise ResourceLimitError(f"{exc}{_closed_form_hint(group)}") from None
+        vectors = [moments(cd, square_root_counts(cd)) for _, _, cd in atom_classes(group)]
         n, num_classes, d1, d2, dim_full, dim_ker, _ = moment_dims(vectors, name)
     else:
         name, mode, n = group.family_tag, "naive", group.order

@@ -4,9 +4,10 @@ Each family's characters live in its own module (`normal_form.family`):
 `rows_and_sums(atom, group)` gives two functions of the atom's class data,
 its cyclotomic rows, for `table_for`, and the integer sums S+ and S- of its
 real rows of Frobenius-Schur indicator 1 and -1 at every class, with the
-number of real rows, for the chars route.  A family reads each class at the
-normal-form coordinates of the representative that `compute_classes` finds
-on `normal_form.atom_group(atom)`, or, for a binary polyhedral atom, at
+number of real rows, for the chars route; both take the atoms, rules and
+class data that `conjugacy.atom_classes` yields.  A family reads each class
+at the normal-form coordinates of the representative that `compute_classes`
+finds on the atom's rule, or, for a binary polyhedral atom, at
 representative words whose class sizes and power maps are checked first, so
 no column is located and no atom builds a multiplication table.  Only the
 row builders import `cyclo`, so the chars route never loads it.  This module
@@ -158,20 +159,6 @@ def d2_char_formula(expr: GroupExpr | str) -> tuple[int, int, int, int, int, int
     return moment_dims(vectors, expr_to_string(expr))
 
 
-def _atoms(expr: GroupExpr):
-    """(group, class data, rows, sums) of each atom of `expr`, in factor order.
-
-    `group` is `atom_group(atom)`, the classes are those `compute_classes`
-    finds on it (`conjugacy.atom_classes`), and rows and sums are its
-    family's functions of them, once its class count is the closed one.
-    """
-    for atom, group, cd in atom_classes(expr):
-        module = family(atom.kind)
-        if cd.num_classes != (k := module.class_count(atom)):
-            raise AssertionError(f"{group.family_tag}: {cd.num_classes} classes, expected {k}")
-        yield (group, cd, *module.rows_and_sums(atom, group))
-
-
 def _product_table(t1: CharacterTable, t2: CharacterTable) -> CharacterTable:
     cd = product_class_data(t1.class_data, t2.class_data)
     names = [f"{n1}(x){n2}" for n1 in t1.row_names for n2 in t2.row_names]
@@ -219,7 +206,8 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
         expr = parse_group_expr(expr)
     _check_cells(expr)
     table = None
-    for group, cd, rows, _ in _atoms(expr):
+    for atom, group, cd in atom_classes(expr):
+        rows, _ = family(atom.kind).rows_and_sums(atom, group)
         atom_table = _finish(group.family_tag, cd, *rows(cd))
         table = atom_table if table is None else _product_table(table, atom_table)
     return table
@@ -235,5 +223,6 @@ def real_character_sums(expr: GroupExpr | str):
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    for group, cd, _, sums in _atoms(expr):
+    for atom, group, cd in atom_classes(expr):
+        _, sums = family(atom.kind).rows_and_sums(atom, group)
         yield cd, _real_sums(group, cd, *sums(cd))

@@ -80,7 +80,7 @@ import time
 from types import SimpleNamespace
 
 from .expr import GroupExpr, expr_to_string, parse_group_expr
-from .normal_form import ResourceLimitError, family, group_order, int_text, load
+from .normal_form import ResourceLimitError, check_printable, family, group_order, int_text, load
 from .report import CSV_HEADER, DimensionReport, csv_row, render_text, to_json
 
 TYPE_CHECKING = False
@@ -135,8 +135,7 @@ def _closed(expr: GroupExpr):
     if int_text(order).isdigit():
         # closed_dims has checked dim - ker against the closed inversion-orbit count
         dim, ker = closed_dims(spec)
-    if not (text := int_text(dim)).isdigit():  # a bound, past the digits str writes
-        raise ResourceLimitError(f"the answer is {text}, too long to print")
+    check_printable(dim)  # or the order, a bound past the digits str writes
     return order, closed_class_count(spec), None, None, dim, dim - ker
 
 
@@ -210,8 +209,7 @@ def _run(name, expr, max_order=None, table=None, classes=None) -> DimensionRepor
         group = expr if name == "burnside" else load("group_core").group_from_expr(expr)
     order, num_classes, d1, d2, dim, z2 = route(group)
     # the class-level routes answer products of any order their atoms allow
-    if not (text := int_text(max(order, dim, d1 or 0, d2 or 0))).isdigit():
-        raise ResourceLimitError(f"the answer is {text}, too long to print")
+    check_printable(max(order, dim, d1 or 0, d2 or 0))
     if num_classes is None:
         cd = conjugacy.compute_classes(group) if classes is None else classes
         num_classes, z2 = cd.num_classes, conjugacy.z2_orbit_count(cd)
@@ -337,6 +335,8 @@ _SWEEPS = {
     "t8_3k": ("k", 9, "Tprime({})"),
     "zn": ("n", 60, "Z({})"),
 }
+# the sweep that each table option --max-<letter> bounds
+_SWEEP_OF = {f"max-{x}": family for family, (x, _, _) in _SWEEPS.items()}
 _COMMANDS = {
     "compute": (
         _cmd_compute,
@@ -495,6 +495,9 @@ def _parse_args(argv: list[str]) -> SimpleNamespace | None:
         raise _UsageError(
             f"invalid {positional} {positionals[0]!r} (choose from {', '.join(choices)})", command
         )
+    for name, _ in sub_opts:  # a table option bounds one sweep, and no other
+        if _SWEEP_OF.get(name, positionals[0]) != positionals[0]:
+            raise _UsageError(f"--{name} bounds the {_SWEEP_OF[name]} sweep", command)
     values[positional] = positionals[0]
     return SimpleNamespace(**values)
 

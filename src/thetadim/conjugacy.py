@@ -2,12 +2,14 @@
 
 Class data comes from orbits of conjugation by the generators, on either a
 multiplication table or a normal-form product rule, so a group expression's
-classes are found without building any O(|G|^2) table (`class_data_for`,
-which composes a product's classes for `classes` and `chartab`).  Class-mode
-burnside and the chars route compose none: `moments` turns each atom's class
-data (`atom_classes`) and a first twisted trace t, the square-root counts or
-the real character sums, into a vector of multiplicative class sums, and
-`moment_dims` reads every report field off the product of the vectors.
+classes are found without building any O(|G|^2) table.  Every class-level
+command reads its atoms through one pass, `atom_classes`, which also holds
+them to the budgets and checks their class counts; `class_data_for` composes
+a product's classes for `classes` and `chartab`.  Class-mode burnside and
+the chars route compose none: `moments` turns each atom's class data and a
+first twisted trace t, the square-root counts or the real character sums,
+into a vector of multiplicative class sums, and `moment_dims` reads every
+report field off the product of the vectors.
 """
 
 from __future__ import annotations
@@ -17,16 +19,16 @@ from functools import reduce
 from math import prod
 
 from .expr import GroupExpr, parse_group_expr
-from .normal_form import NormalForm, ResourceLimitError, atom_group, group_order, int_text
+from .normal_form import ResourceLimitError, check_printable, family, group_order, int_text
 
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .group_core import FiniteGroup
+    from .normal_form import NormalForm
 
 __all__ = [
     "ClassData",
     "atom_classes",
-    "check_class_data_order",
     "class_data_for",
     "compute_classes",
     "d1_class_formula",
@@ -116,46 +118,58 @@ def compute_classes(group: FiniteGroup | NormalForm) -> ClassData:
 def class_data_for(expr: GroupExpr | str) -> ClassData:
     """Class data of a group expression, built from its atoms without a table.
 
-    Each atom is conjugated through its product rule, and products are
-    composed with `product_class_data`.  The numbering equals that of
-    `compute_classes` on the full `group_from_expr` table.  An order above
-    CLASS_DATA_MAX_ORDER, read off the expression, is refused before anything
-    is built.
+    An order above CLASS_DATA_MAX_ORDER, read off the expression, is refused
+    before anything is built; then the classes of each atom (`atom_classes`)
+    are composed with `product_class_data`.  The numbering equals that of
+    `compute_classes` on the full `group_from_expr` table.
     """
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
-    check_class_data_order(expr)
-    return reduce(product_class_data, (compute_classes(atom_group(a)) for a in expr.atoms))
+    _hold_to_budget(group_order(expr))
+    return reduce(product_class_data, (cd for _, _, cd in atom_classes(expr)))
 
 
-def check_class_data_order(expr: GroupExpr) -> None:
-    """Refuse an order above CLASS_DATA_MAX_ORDER, read off the expression.
-
-    Nothing is built first; invalid parameters raise ValueError instead.
-    """
-    n = group_order(expr)
-    if n > CLASS_DATA_MAX_ORDER:
+def _hold_to_budget(order: int) -> None:
+    if order > CLASS_DATA_MAX_ORDER:
         raise ResourceLimitError(
-            f"order {int_text(n)} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
+            f"order {int_text(order)} exceeds the class-data budget {CLASS_DATA_MAX_ORDER}"
         )
 
 
 def atom_classes(expr: GroupExpr):
     """(atom, its product rule, its class data) for each atom of `expr`, in
-    factor order, each built as it is read.
+    factor order, each rule built once and its class data as it is read.
 
-    Before anything is built, each atom is held to CLASS_DATA_MAX_ORDER, and
+    Before any class is built, each atom is held to CLASS_DATA_MAX_ORDER, and
     a product whose answer is too long to print is refused: the C(n+2, 3)
     multisets of three elements of a group of order n fall into orbits of at
-    most 2n^2 elements, so every dimension exceeds n/12.
+    most 2n^2 elements, so every dimension exceeds n/12.  Either refusal names
+    the closed form where it answers.  Each class count must be the family's.
     """
-    for atom in expr.atoms:
-        check_class_data_order(GroupExpr((atom,)))
-    if not (text := int_text(group_order(expr) // 12)).isdigit():
-        raise ResourceLimitError(f"the answer is {text}, too long to print")
-    for atom in expr.atoms:
-        group = atom_group(atom)
-        yield atom, group, compute_classes(group)
+    rules = [(atom, family(atom.kind).model(atom)) for atom in expr.atoms]
+    try:
+        for _, group in rules:
+            _hold_to_budget(group.order)
+        check_printable(prod(group.order for _, group in rules) // 12)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"{exc}{_closed_form_hint(expr)}") from None
+    for atom, group in rules:
+        cd = compute_classes(group)
+        if cd.num_classes != (k := family(atom.kind).class_count(atom)):
+            raise AssertionError(f"{group.family_tag}: {cd.num_classes} classes, expected {k}")
+        yield atom, group, cd
+
+
+def _closed_form_hint(expr: GroupExpr) -> str:
+    """The end of a class-data refusal: the closed form, where it answers
+    `expr`, imported here so that a route that answers loads none of it."""
+    from .closed_forms import SphericalMatchError, spec_from_expr
+
+    try:
+        spec_from_expr(expr)
+    except SphericalMatchError:
+        return ""
+    return "; use the closed-form route instead"
 
 
 def product_class_data(cd1: ClassData, cd2: ClassData) -> ClassData:

@@ -26,7 +26,8 @@ tables, so a process that works on normal-form atoms alone compiles no table
 code; `atom_group` reaches it only for a binary polyhedral atom, whose rule
 it caches, and builds no table.  The one budget error of every layer,
 `ResourceLimitError`, is defined here for that reason, as are `int_text` and
-`power`, which name numbers past the digits `str` writes.
+`power`, which name numbers past the digits `str` writes, and
+`check_printable`, the one refusal of an answer past them.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "NormalForm",
     "ResourceLimitError",
     "atom_group",
+    "check_printable",
     "family",
     "group_order",
     "int_text",
@@ -71,6 +73,12 @@ def int_text(n: int) -> str:
     if n.bit_length() > 3 * limit and n >= 10**limit:
         return f"10^{limit} or more"
     return str(n)
+
+
+def check_printable(n: int) -> None:
+    """Refuse an answer `n`, or one that `n` bounds, past the digits `str` writes."""
+    if not (text := int_text(n)).isdigit():
+        raise ResourceLimitError(f"the answer is {text}, too long to print")
 
 
 def power(base: int, exponent: int) -> int:

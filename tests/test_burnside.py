@@ -21,7 +21,7 @@ from thetadim.characters import table_for
 from thetadim.cli import EXIT_RESOURCE, main
 from thetadim.closed_forms import closed_dims, spec_from_expr
 import thetadim.burnside as burnside
-from thetadim.burnside import ResourceLimitError, burnside_dims, orbit_count_dims
+from thetadim.burnside import burnside_dims, orbit_count_dims
 from thetadim import conjugacy
 from thetadim.conjugacy import class_data_for, compute_classes, z2_orbit_count
 from thetadim.diagrams import dim_A2
@@ -32,7 +32,7 @@ from thetadim.group_core import (
     cyclic_group,
     group_from_expr,
 )
-from thetadim.normal_form import group_order
+from thetadim.normal_form import ResourceLimitError, group_order
 
 
 def test_action_permutations_are_literal():

@@ -27,17 +27,22 @@ from thetadim.burnside import burnside_dims
 from thetadim.characters import (
     CHAR_TABLE_MAX_CELLS,
     CharacterTable,
-    _atoms,
     _finish,
     d2_char_formula,
     real_character_sums,
     table_for,
 )
 from thetadim.closed_forms import closed_dims, spec_from_expr
-from thetadim.conjugacy import moment_dims, moments, product_class_data, square_root_counts
+from thetadim.conjugacy import (
+    atom_classes,
+    moment_dims,
+    moments,
+    product_class_data,
+    square_root_counts,
+)
 from thetadim.cyclo import from_int
 from thetadim.expr import parse_group_expr
-from thetadim.normal_form import ResourceLimitError, group_order
+from thetadim.normal_form import ResourceLimitError, family, group_order
 
 TABLE_CATALOG = [
     "Z(1)",
@@ -354,7 +359,8 @@ def test_real_rows_are_the_layout_rows_with_their_frobenius_schur_indicators(exp
     row; the rows of nu = 1 and of nu = -1, summed per class, must give the
     family's S+ and S-, and the rows of nu != 0 its count of real rows.
     """
-    [(_, cd, rows, sums)] = _atoms(parse_group_expr(expr))
+    [(atom, group, cd)] = atom_classes(parse_group_expr(expr))
+    rows, sums = family(atom.kind).rows_and_sums(atom, group)
     k = cd.num_classes
     by_indicator = {1: [from_int(0)] * k, -1: [from_int(0)] * k}
     count = 0

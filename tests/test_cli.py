@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,10 @@ import thetadim.commands as commands
 import thetadim.burnside as burnside
 import thetadim.conjugacy as conjugacy
 import thetadim.cyclo as cyclo
+import thetadim.family_dstar as family_dstar
 import thetadim.family_polyhedral as family_polyhedral
 import thetadim.family_tprime as family_tprime
+import thetadim.family_z as family_z
 import thetadim.group_core as group_core
 from catalogs import RANDOM_PRODUCTS_500
 from oracles import ReferenceUsageError, reference_parser
@@ -541,6 +544,20 @@ def test_table_cyclic_prefix(capsys):
     ]
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["zn", "--max-p", "3", "--max-n", "4"], "--max-p bounds the d4p sweep"),
+        (["d4p", "--max-k=2"], "--max-k bounds the t8_3k sweep"),
+        (["--max-n", "5", "t8_3k", "--max-order", "10"], "--max-n bounds the zn sweep"),
+    ],
+)
+def test_a_table_option_of_another_sweep_is_a_usage_error(capsys, argv, message):
+    rc, out, err = run(capsys, "table", *argv)
+    assert (rc, out) == (cli.EXIT_USAGE, "")
+    assert err.splitlines() == [commands.usage("table"), f"thetadim table: error: {message}"]
+
+
 def test_classes_dump(capsys):
     rc, out, _ = run(capsys, "classes", "Dstar(2)")
     assert rc == 0
@@ -751,6 +768,53 @@ def test_alignment_failure_is_an_internal_check(capsys, monkeypatch, command, ex
     assert "do not match" in lines[0]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["compute", "--method", "burnside"], ["compute", "--method", "chars"], ["classes"], ["chartab"]],
+)
+def test_every_class_level_command_checks_each_atom_class_count(capsys, monkeypatch, argv):
+    # one class more than Z(5) has: chartab's cell budget reads the doctored
+    # count, and every command meets the check once the classes are found
+    monkeypatch.setattr(family_z, "class_count", lambda atom: atom.params[0] + 1)
+    rc, out, err = run(capsys, *argv, "Z(5)")
+    assert (rc, out, err) == (
+        cli.EXIT_INTERNAL,
+        "",
+        "internal check failed: Z(5): 5 classes, expected 6\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "expr,spherical",
+    [("Tprime(10000000)", True), ("Dprime(1000000000,3)", True), ("Z(2) x Z(20000000)", False)],
+)
+def test_both_class_level_routes_refuse_alike(capsys, expr, spherical):
+    refusal = run(capsys, "compute", "--method", "burnside", expr)
+    assert run(capsys, "compute", "--method", "chars", expr) == refusal
+    rc, out, err = refusal
+    assert (rc, out) == (cli.EXIT_RESOURCE, "") and len(err.splitlines()) == 1
+    assert "exceeds the class-data budget 10000000" in err
+    # the closed form is named where it answers
+    assert err.endswith("; use the closed-form route instead\n") == spherical
+
+
+@pytest.mark.parametrize("method", ["burnside", "chars"])
+@pytest.mark.parametrize(
+    "expr,kinds", [("Z(7) x Istar", ["Z", "Istar"]), ("Z(11) x Dstar(9)", ["Z", "Dstar"])]
+)
+def test_each_atom_rule_is_built_once_per_call(capsys, monkeypatch, method, expr, kinds):
+    built = Counter()
+    for module in (family_z, family_dstar, family_polyhedral):
+
+        def counted(atom, model=module.model):
+            built[atom.kind] += 1
+            return model(atom)
+
+        monkeypatch.setattr(module, "model", counted)
+    assert run(capsys, "compute", "--method", method, expr)[0] == 0
+    assert built == Counter(kinds)
+
+
 # -- integers past the interpreter's limit on printed digits -----------------
 
 
@@ -853,7 +917,8 @@ def test_verify_skips_every_route_of_an_answer_too_long_to_print(capsys):
     # an order itself past the limit is named by the same bound
     rc, out, err = run(capsys, "verify", "Tprime(10000)", "--max-order", "10")
     assert rc == cli.EXIT_RESOURCE
-    assert f"  chars     skipped: order {big} exceeds the class-data budget 10000000\n" in out
+    hint = "; use the closed-form route instead"
+    assert f"  chars     skipped: order {big} exceeds the class-data budget 10000000{hint}\n" in out
     assert f"  burnside  skipped: order {big} exceeds --max-order 10\n" in out
 
 
@@ -916,17 +981,16 @@ def _run_limited(*argv, timeout=None, **env):
 
 _BIG = "10^4300 or more"
 _CLASS_DATA = f"order {_BIG} exceeds the class-data budget 10000000"
+# the class-level routes' refusal of a spherical expression names the closed form
+_HINTED = f"{_CLASS_DATA}; use the closed-form route instead"
 
 
 @pytest.mark.parametrize(
     "argv,message",
     [
         (["compute", "Dprime(100000000,3)"], f"the answer is {_BIG}, too long to print"),
-        (
-            ["compute", "--method", "burnside", "Dprime(1000000000,3)"],
-            f"{_CLASS_DATA}; use the closed-form route instead",
-        ),
-        (["compute", "--method", "chars", "Tprime(10000000)"], _CLASS_DATA),
+        (["compute", "--method", "burnside", "Dprime(1000000000,3)"], _HINTED),
+        (["compute", "--method", "chars", "Tprime(10000000)"], _HINTED),
         # a sweep is refused at its last parameter, before its first row
         (["table", "t8_3k", "--max-k", "30000"], f"the answer is {_BIG}, too long to print"),
         (["table", "t8_3k", "--max-k", "1000000000000"], f"the answer is {_BIG}, too long to print"),
@@ -959,15 +1023,15 @@ def test_with_no_interpreter_limit_the_default_bound_stands(capsys, no_digit_lim
 def test_with_no_interpreter_limit_an_exponent_sized_parameter_is_refused_at_once():
     argv = ["compute", "--method", "chars", "Tprime(1000000000000)"]
     got = _run_limited(*argv, PYTHONINTMAXSTRDIGITS="0")
-    assert got == (cli.EXIT_RESOURCE, "", f"resource limit: {_CLASS_DATA}\n")
+    assert got == (cli.EXIT_RESOURCE, "", f"resource limit: {_HINTED}\n")
 
 
 def _refusals(expr: str) -> dict[str, str]:
     tables = f"{expr} needs {_BIG} table entries, budget is 1000000."
     return {
         "closed": f"the answer is {_BIG}, too long to print",
-        "chars": _CLASS_DATA,
-        "burnside": f"{_CLASS_DATA}; use the closed-form route instead",
+        "chars": _HINTED,
+        "burnside": _HINTED,
         "orbits": tables,
         "diagrams": tables,
     }
