@@ -1,33 +1,37 @@
 """Exact irreducible characters of group expressions, composed from their atoms.
 
 Each family's characters live in its own module (`normal_form.family`):
-`rows_and_sums(atom, group)` gives two functions of the atom's class data,
-its cyclotomic rows, for `table_for`, and the integer sums S+ and S- of its
-real rows of Frobenius-Schur indicator 1 and -1 at every class, with the
-number of real rows, for the chars route; both take the atoms, rules and
-class data that `conjugacy.atom_classes` yields.  A family reads each class
-at the normal-form coordinates of the representative that `compute_classes`
-finds on the atom's rule, or, for a binary polyhedral atom, at
-representative words whose class sizes and power maps are checked first, so
-no column is located and no atom builds a multiplication table.  Only the
-row builders import `cyclo`, so the chars route never loads it.  This module
-holds what no family owns.
+`character_rows(atom, group, cd)` gives the atom's named cyclotomic rows at
+its classes, for `table_for`, and `real_sums(atom, group, cd)` the integer
+sums S+ and S- of its real rows of Frobenius-Schur indicator 1 and -1 at
+every class, with the number of real rows, for the chars route; both read
+the atoms, rules and class data that `conjugacy.atom_classes` yields.  A
+family reads each class at the normal-form coordinates of the representative
+that `compute_classes` finds on the atom's rule, or, for a binary polyhedral
+atom, at representative words whose class sizes and power maps are checked
+first, so no column is located and no atom builds a multiplication table.
+Only `character_rows` imports `cyclo`, so the chars route never loads it.
+This module holds what no family owns.
 
-`table_for` composes product tables as outer products of the factor tables, in
-the same factor order as group construction, so indices agree with the
-composed class data by construction.  `real_character_sums` checks each
-atom's sums S = S+ + S- against its class data (Brauer's count of real
-characters, the Frobenius-Schur count of square roots and the norm of the
-real rows).  The chars route composes nothing: `d2_char_formula` takes each
-atom's S as the first twisted trace of its moment vector
-(`conjugacy.moments`), and the product of the vectors is the product's,
-since the real irreducibles of G1 x G2 are exactly the products of a real
-irreducible of each factor.  No product table or class data is built.
+`table_for` folds the atom tables into outer products, in the same factor
+order as group construction, so indices agree with the composed class data
+by construction.  Each table, an atom's or a product's, is checked as it is
+made (`_finish`): its rows are square, its degrees positive integers whose
+squares sum to |G|, and it has as many real rows as self-inverse classes;
+what the checks read is not kept.  `real_character_sums` checks each atom's
+sums S = S+ + S- against its class data (Brauer's count of real characters,
+the Frobenius-Schur count of square roots and the norm of the real rows).
+The chars route composes nothing: `d2_char_formula` takes each atom's S as
+the first twisted trace of its moment vector (`conjugacy.moments`), and the
+product of the vectors is the product's, since the real irreducibles of
+G1 x G2 are exactly the products of a real irreducible of each factor.
+No product table or class data is built.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import reduce
 from math import prod
 
 from .conjugacy import (
@@ -58,16 +62,12 @@ __all__ = [
 CHAR_TABLE_MAX_CELLS = 10**7
 
 
-class CharacterTable(
-    namedtuple(
-        "CharacterTable", "group_name class_data row_names values degrees real_rows"
-    )
-):
+class CharacterTable(namedtuple("CharacterTable", "group_name class_data row_names values")):
     """A character table aligned with its class data.
 
-    Fields: group_name (str), class_data (ClassData), row_names (list[str]),
-    values (list[list[CycloNumber]], one row per irreducible character and
-    one entry per class), degrees (list[int]) and real_rows (list[bool]).
+    Fields: group_name (str), class_data (ClassData), row_names (list[str])
+    and values (list[list[CycloNumber]], one row per irreducible character
+    and one entry per class).
     """
 
     __slots__ = ()
@@ -99,25 +99,24 @@ def _finish(
         raise AssertionError(
             f"{name}: {len(values)} irreducible rows for {k} classes"
         )
-    degrees = []
-    for row in values:
+    square_sum = 0
+    for r, row in enumerate(values):
         if len(row) != k:
             raise AssertionError(f"{name}: ragged character table row")
-        degrees.append(row[0].as_int())
-        if degrees[-1] < 1:
+        try:
+            degree = row[0].as_int()
+        except ValueError:
+            raise AssertionError(
+                f"{name}: row {row_names[r]} has degree {row[0]}, not an integer"
+            ) from None
+        if degree < 1:
             raise AssertionError(f"{name}: non-positive character degree")
-    if sum(d * d for d in degrees) != cd.order:
+        square_sum += degree * degree
+    if square_sum != cd.order:
         raise AssertionError(f"{name}: degrees are inconsistent with the group order")
-    real_rows = [_is_real(row, cd.inverse_class) for row in values]
-    _brauer_check(name, sum(real_rows), cd.inverse_class)
-    return CharacterTable(
-        group_name=name,
-        class_data=cd,
-        row_names=row_names,
-        values=values,
-        degrees=degrees,
-        real_rows=real_rows,
-    )
+    inverse = cd.inverse_class
+    _brauer_check(name, sum(_is_real(row, inverse) for row in values), inverse)
+    return CharacterTable(name, cd, row_names, values)
 
 
 def _real_sums(group, cd: ClassData, pairs: list[tuple[int, int]], count: int) -> list[int]:
@@ -205,12 +204,13 @@ def table_for(expr: GroupExpr | str) -> CharacterTable:
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
     _check_cells(expr)
-    table = None
-    for atom, group, cd in atom_classes(expr):
-        rows, _ = family(atom.kind).rows_and_sums(atom, group)
-        atom_table = _finish(group.family_tag, cd, *rows(cd))
-        table = atom_table if table is None else _product_table(table, atom_table)
-    return table
+    return reduce(
+        _product_table,
+        (
+            _finish(group.family_tag, cd, *family(atom.kind).character_rows(atom, group, cd))
+            for atom, group, cd in atom_classes(expr)
+        ),
+    )
 
 
 def real_character_sums(expr: GroupExpr | str):
@@ -224,5 +224,4 @@ def real_character_sums(expr: GroupExpr | str):
     if isinstance(expr, str):
         expr = parse_group_expr(expr)
     for atom, group, cd in atom_classes(expr):
-        _, sums = family(atom.kind).rows_and_sums(atom, group)
-        yield cd, _real_sums(group, cd, *sums(cd))
+        yield cd, _real_sums(group, cd, *family(atom.kind).real_sums(atom, group, cd))

@@ -7,12 +7,15 @@ polynomial is monic, so reduction keeps every coefficient an `int`; every
 character value in the package is an algebraic integer, so the ring (sums,
 negatives, products) is all the package needs.  Every comparison is exact and
 no value passes through floating point; complex conjugation and the complex
-embedding the tests compare against live in the tests.
+embedding the tests compare against live in the tests.  Each conductor's
+cyclotomic polynomial and reduction rows are computed once per process
+(`functools.cache`).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 
 __all__ = [
     "CycloNumber",
@@ -24,10 +27,6 @@ __all__ = [
     "sqrt_minus_one",
     "zeta",
 ]
-
-
-_POLY_CACHE: dict[int, list[int]] = {}
-_ROW_CACHE: dict[int, list[dict[int, int]]] = {}
 
 
 def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
@@ -45,26 +44,21 @@ def _poly_div_exact(num: list[int], den: list[int]) -> list[int]:
     return out
 
 
+@cache
 def cyclotomic_polynomial(n: int) -> list[int]:
     """Integer coefficients of the n-th cyclotomic polynomial, constant term first."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}.")
-    cached = _POLY_CACHE.get(n)
-    if cached is not None:
-        return cached
     poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
             poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    _POLY_CACHE[n] = poly
     return poly
 
 
+@cache
 def _reduction_rows(n: int) -> list[dict[int, int]]:
     """For each exponent e in 0..n-1, the basis expansion of z^e at conductor n."""
-    rows = _ROW_CACHE.get(n)
-    if rows is not None:
-        return rows
     poly = cyclotomic_polynomial(n)
     phi = len(poly) - 1
     top = {b: -poly[b] for b in range(phi) if poly[b]}
@@ -78,7 +72,6 @@ def _reduction_rows(n: int) -> list[dict[int, int]]:
                 for tb, tc in top.items():
                     nxt[tb] = nxt.get(tb, 0) + c * tc
         rows.append({b: c for b, c in nxt.items() if c})
-    _ROW_CACHE[n] = rows
     return rows
 
 

@@ -1,5 +1,6 @@
 """The split metacyclic family Dprime(k, p) of order 2^(k+2) * p: its product
-rule (`model`, which checks the parameters), characters and class count.
+rule (`model`, which checks the parameters), characters (`character_rows`,
+`real_sums`) and class count.
 
 x has order N = 2^(k+2) and inverts y of odd order p; x^a y^b has index
 a*p + b, so the rule, the rows and the sums read the same coordinates (a, b).
@@ -12,7 +13,7 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm, power
 
-__all__ = ["class_count", "model", "rows_and_sums"]
+__all__ = ["class_count", "character_rows", "model", "real_sums"]
 
 
 def model(atom: Atom) -> NormalForm:
@@ -53,47 +54,46 @@ def class_count(atom: Atom) -> int:
     return power(2, k) * (p + 3)
 
 
-def rows_and_sums(atom: Atom, group: NormalForm):
+def character_rows(atom: Atom, group: NormalForm, cd):
     # V1_j is z_N^(aj); V2_s_t (s = 1..(p-1)/2, t < N/2) is 0 at odd a,
-    # 2 z_N^(at) at b = 0 and z_N^(at) (z_p^(sb) + z_p^(-sb)) otherwise.  The
-    # real rows are V1_0, V1_(N/2) and V2_s_0 of indicator 1, and V2_s_(N/4)
-    # of indicator -1
+    # 2 z_N^(at) at b = 0 and z_N^(at) (z_p^(sb) + z_p^(-sb)) otherwise
+    from .cyclo import from_int, zeta
+
     k, p = atom.params
     big_n = 2 ** (k + 2)
+    zn = cache(partial(zeta, big_n))
+    cosp = cache(lambda t: zeta(p, t) + zeta(p, -t))
+    # every degree-2 entry is one of these products, each built once
+    two_zn = cache(lambda e: 2 * zn(e))
+    zn_cosp = cache(lambda e, t: zn(e) * cosp(t))
+    zero = from_int(0)
+    def v2(s, t, a, b):
+        if a % 2:
+            return zero
+        return zn_cosp(a * t % big_n, s * b % p) if b else two_zn(a * t % big_n)
 
-    def rows(cd):
-        from .cyclo import from_int, zeta
+    ab = [divmod(r, p) for r in cd.representatives]
+    names = [f"V1_{j}" for j in range(big_n)]
+    values = [[zn(a * j % big_n) for a, _ in ab] for j in range(big_n)]
+    for s in range(1, (p - 1) // 2 + 1):
+        for t in range(big_n // 2):
+            names.append(f"V2_{s}_{t}")
+            values.append([v2(s, t, a, b) for a, b in ab])
+    return names, values
 
-        zn = cache(partial(zeta, big_n))
-        cosp = cache(lambda t: zeta(p, t) + zeta(p, -t))
-        # every degree-2 entry is one of these products, each built once
-        two_zn = cache(lambda e: 2 * zn(e))
-        zn_cosp = cache(lambda e, t: zn(e) * cosp(t))
-        zero = from_int(0)
-        def v2(s, t, a, b):
-            if a % 2:
-                return zero
-            return zn_cosp(a * t % big_n, s * b % p) if b else two_zn(a * t % big_n)
 
-        ab = [divmod(r, p) for r in cd.representatives]
-        names = [f"V1_{j}" for j in range(big_n)]
-        values = [[zn(a * j % big_n) for a, _ in ab] for j in range(big_n)]
-        for s in range(1, (p - 1) // 2 + 1):
-            for t in range(big_n // 2):
-                names.append(f"V2_{s}_{t}")
-                values.append([v2(s, t, a, b) for a, b in ab])
-        return names, values
+def real_sums(atom: Atom, group: NormalForm, cd):
+    # The real rows are V1_0, V1_(N/2) and V2_s_0 of indicator 1, and
+    # V2_s_(N/4) of indicator -1.  At x^(2m) y^b the cosines sum to c = p - 1
+    # at b = 0 and to -1 otherwise, and z_N^(2m N/4) = (-1)^m; at odd a every
+    # real row cancels
+    _, p = atom.params
 
-    def sums(cd):
-        # at x^(2m) y^b the cosines sum to c = p - 1 at b = 0 and to -1
-        # otherwise, and z_N^(2m N/4) = (-1)^m; at odd a every real row cancels
-        def at(r):
-            a, b = divmod(r, p)
-            if a % 2:
-                return 0, 0
-            c = -1 if b else p - 1
-            return 2 + c, (-1) ** (a // 2) * c
+    def at(r):
+        a, b = divmod(r, p)
+        if a % 2:
+            return 0, 0
+        c = -1 if b else p - 1
+        return 2 + c, (-1) ** (a // 2) * c
 
-        return [at(r) for r in cd.representatives], p + 1
-
-    return rows, sums
+    return [at(r) for r in cd.representatives], p + 1

@@ -1,13 +1,13 @@
 """The binary polyhedral atoms Tstar, Ostar and Istar: their model,
-characters and class counts.
+characters (`character_rows`, `real_sums`) and class counts.
 
 They have no closed normal form.  Each is the rule of the coset action of
 its presentation <a,b | (ab)^2 = a^3 = b^k>, k = 3, 4, 5, which
 `group_core._enumerated` builds once per process: its elements are the
 cosets, and a product walks a word.  So its rows and sums are constants at a
 list of representative words in the generators a and b, one per class, used
-only once the words' class sizes and power maps agree with the class data;
-any failure of that alignment raises instead of guessing.
+only once the words' class sizes and power maps agree with the class data
+(`_word_of`); any failure of that alignment raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from .expr import Atom
 from .normal_form import NormalForm
 
-__all__ = ["class_count", "model", "rows_and_sums"]
+__all__ = ["class_count", "character_rows", "model", "real_sums"]
 
 
 def model(atom: Atom) -> NormalForm:
@@ -109,48 +109,46 @@ def _polyhedral_rows(kind: str) -> list[tuple[str, list]]:
     ]
 
 
-def rows_and_sums(atom: Atom, group: NormalForm):
-    # a coset action has no closed normal form: its classes are located by
-    # the words, and the layout is used only once every class agrees with it
-    kind = atom.kind
+def _word_of(kind: str, group: NormalForm, cd) -> list[int]:
+    """The index of each class's word, once sizes and power maps agree.
+
+    A coset action has no closed normal form, so its classes are located by
+    the words: a word's class is the one whose representative, its smallest
+    member, is the smallest conjugate of the word's element.
+    """
     data = _POLYHEDRAL[kind]
+    a, b = group.generators[0], group.generators[1]
+    mul, inv = group.mul, group.inv
+    class_at = {r: c for c, r in enumerate(cd.representatives)}
+    cols = []
+    for word in data["words"]:
+        el = 0
+        for ch in word:
+            el = mul(el, a if ch == "a" else b)
+        smallest = min(mul(mul(x, el), inv(x)) for x in range(group.order))
+        cols.append(class_at.get(smallest, -1))
+    if sorted(cols) != list(range(cd.num_classes)):
+        raise AssertionError(f"{kind}: class alignment is ambiguous")
+    for i, c in enumerate(cols):
+        if cd.sizes[c] != data["sizes"][i]:
+            raise AssertionError(f"{kind}: class sizes do not match the table layout")
+        for power in ("square", "cube", "inverse"):
+            if getattr(cd, f"{power}_class")[c] != cols[data[power][i]]:
+                raise AssertionError(f"{kind}: {power} classes do not match the table layout")
+    return sorted(range(len(cols)), key=cols.__getitem__)
 
-    def word_of(cd) -> list[int]:
-        """The index of each class's word, once sizes and power maps agree.
 
-        A word's class is the one whose representative, its smallest member,
-        is the smallest conjugate of the word's element.
-        """
-        a, b = group.generators[0], group.generators[1]
-        mul, inv = group.mul, group.inv
-        class_at = {r: c for c, r in enumerate(cd.representatives)}
-        cols = []
-        for word in data["words"]:
-            el = 0
-            for ch in word:
-                el = mul(el, a if ch == "a" else b)
-            smallest = min(mul(mul(x, el), inv(x)) for x in range(group.order))
-            cols.append(class_at.get(smallest, -1))
-        if sorted(cols) != list(range(cd.num_classes)):
-            raise AssertionError(f"{kind}: class alignment is ambiguous")
-        for i, c in enumerate(cols):
-            if cd.sizes[c] != data["sizes"][i]:
-                raise AssertionError(f"{kind}: class sizes do not match the table layout")
-            for power in ("square", "cube", "inverse"):
-                if getattr(cd, f"{power}_class")[c] != cols[data[power][i]]:
-                    raise AssertionError(f"{kind}: {power} classes do not match the table layout")
-        return sorted(range(len(cols)), key=cols.__getitem__)
+def character_rows(atom: Atom, group: NormalForm, cd):
+    from .cyclo import CycloNumber, from_int
 
-    def rows(cd):
-        from .cyclo import CycloNumber, from_int
+    words = _word_of(atom.kind, group, cd)
+    named = _polyhedral_rows(atom.kind)
+    cells = [[row[i] for i in words] for _, row in named]
+    values = [[v if isinstance(v, CycloNumber) else from_int(v) for v in row] for row in cells]
+    return [name for name, _ in named], values
 
-        words = word_of(cd)
-        named = _polyhedral_rows(kind)
-        cells = [[row[i] for i in words] for _, row in named]
-        values = [[v if isinstance(v, CycloNumber) else from_int(v) for v in row] for row in cells]
-        return [name for name, _ in named], values
 
-    def sums(cd):
-        return [(data["plus"][i], data["minus"][i]) for i in word_of(cd)], data["real"]
-
-    return rows, sums
+def real_sums(atom: Atom, group: NormalForm, cd):
+    data = _POLYHEDRAL[atom.kind]
+    words = _word_of(atom.kind, group, cd)
+    return [(data["plus"][i], data["minus"][i]) for i in words], data["real"]

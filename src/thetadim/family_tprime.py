@@ -1,6 +1,7 @@
 """The twisted quaternion tower Tprime(k) of order 8 * 3^k: its product rule
-(`model`, which checks the parameter), characters and class count, and the
-quaternion unit tables they share.
+(`model`, which checks the parameter), characters (`character_rows`,
+`real_sums`, both of which read each class's family off `_families`) and
+class count, and the quaternion unit tables they share.
 
 z of order 3^k acts on the quaternion units by the order-3 automorphism
 x -> y -> x*y; (unit w)*z^l has index w + 8*l, so the rule, the rows and the
@@ -14,7 +15,7 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm, power
 
-__all__ = ["class_count", "model", "rows_and_sums"]
+__all__ = ["class_count", "character_rows", "model", "real_sums"]
 
 # Unit group of the quaternions, indexed 0..7 in the order
 # e, x, y, x^2, x*y, y*x, x^3, y^3, which is 1, i, j, -1, k, -k, -i, -j.
@@ -94,43 +95,41 @@ _TPRIME_V2 = [2, -2, 0, -1, 1, -1, 1]
 _TPRIME_V3 = [3, 3, -1, 0, 0, 0, 0]
 
 
-def rows_and_sums(atom: Atom, group: NormalForm):
+def _families(k: int, cd) -> list[tuple[int, int]]:
+    """(l, family) at each class representative, once the class sizes agree."""
+    out = []
+    for r, size in zip(cd.representatives, cd.sizes):
+        l, w = divmod(r, 8)
+        f = _TPRIME_FAMILY.get((l % 3, w))
+        if f is None or size != _TPRIME_SIZES[f]:
+            raise AssertionError(f"Tprime({k}): class family sizes do not match")
+        out.append((l, f))
+    return out
+
+
+def character_rows(atom: Atom, group: NormalForm, cd):
+    from .cyclo import from_int, zeta
+
     (k,) = atom.params
     three_k = 3**k
+    zs = cache(partial(zeta, three_k))
+    scaled = cache(lambda coeff, e: coeff * zs(e))
+    zero = from_int(0)
+    lf = _families(k, cd)
+    names, values = [], []
+    kinds = [
+        ("V1", [1] * 7, three_k),
+        ("V2", _TPRIME_V2, three_k),
+        ("V3", _TPRIME_V3, three_k // 3),
+    ]
+    for prefix, coeffs, count in kinds:
+        for lam in range(count):
+            names.append(f"{prefix}_{lam}")
+            values.append(
+                [scaled(coeffs[f], l * lam % three_k) if coeffs[f] else zero for l, f in lf]
+            )
+    return names, values
 
-    def families(cd) -> list[tuple[int, int]]:
-        """(l, family) at each class representative, once the class sizes agree."""
-        out = []
-        for r, size in zip(cd.representatives, cd.sizes):
-            l, w = divmod(r, 8)
-            f = _TPRIME_FAMILY.get((l % 3, w))
-            if f is None or size != _TPRIME_SIZES[f]:
-                raise AssertionError(f"Tprime({k}): class family sizes do not match")
-            out.append((l, f))
-        return out
 
-    def rows(cd):
-        from .cyclo import from_int, zeta
-
-        zs = cache(partial(zeta, three_k))
-        scaled = cache(lambda coeff, e: coeff * zs(e))
-        zero = from_int(0)
-        lf = families(cd)
-        names, values = [], []
-        kinds = [
-            ("V1", [1] * 7, three_k),
-            ("V2", _TPRIME_V2, three_k),
-            ("V3", _TPRIME_V3, three_k // 3),
-        ]
-        for prefix, coeffs, count in kinds:
-            for lam in range(count):
-                names.append(f"{prefix}_{lam}")
-                values.append(
-                    [scaled(coeffs[f], l * lam % three_k) if coeffs[f] else zero for l, f in lf]
-                )
-        return names, values
-
-    def sums(cd):
-        return [(1 + _TPRIME_V3[f], _TPRIME_V2[f]) for _, f in families(cd)], 3
-
-    return rows, sums
+def real_sums(atom: Atom, group: NormalForm, cd):
+    return [(1 + _TPRIME_V3[f], _TPRIME_V2[f]) for _, f in _families(atom.params[0], cd)], 3

@@ -1,5 +1,5 @@
 """The cyclic family Z(n): its product rule (`model`, which checks the
-parameter), characters and class count.
+parameter), characters (`character_rows`, `real_sums`) and class count.
 
 g^k has index k, so the rule, the rows and the sums read the same coordinate.
 Z(n) is abelian: n classes, each a single element, and n linear characters.
@@ -12,7 +12,7 @@ from functools import cache, partial
 from .expr import Atom
 from .normal_form import NormalForm
 
-__all__ = ["class_count", "model", "rows_and_sums"]
+__all__ = ["class_count", "character_rows", "model", "real_sums"]
 
 
 def model(atom: Atom) -> NormalForm:
@@ -34,20 +34,19 @@ def class_count(atom: Atom) -> int:
     return atom.params[0]
 
 
-def rows_and_sums(atom: Atom, group: NormalForm):
-    # g^r has index r and V_lam(g^r) = z_n^(lam r); the real rows are V_0 = 1
-    # and, for even n, V_(n/2) = (-1)^r, both of indicator 1
+def character_rows(atom: Atom, group: NormalForm, cd):
+    # g^r has index r and V_lam(g^r) = z_n^(lam r)
+    from .cyclo import zeta
+
     (n,) = atom.params
+    zs = cache(partial(zeta, n))
+    reps = cd.representatives
+    values = [[zs(lam * r % n) for r in reps] for lam in range(n)]
+    return [f"V_{lam}" for lam in range(n)], values
 
-    def rows(cd):
-        from .cyclo import zeta
 
-        zs = cache(partial(zeta, n))
-        reps = cd.representatives
-        values = [[zs(lam * r % n) for r in reps] for lam in range(n)]
-        return [f"V_{lam}" for lam in range(n)], values
-
-    def sums(cd):
-        return [(1 + (n % 2 == 0) * (-1) ** r, 0) for r in cd.representatives], 2 - n % 2
-
-    return rows, sums
+def real_sums(atom: Atom, group: NormalForm, cd):
+    # the real rows are V_0 = 1 and, for even n, V_(n/2) = (-1)^r, both of
+    # indicator 1
+    (n,) = atom.params
+    return [(1 + (n % 2 == 0) * (-1) ** r, 0) for r in cd.representatives], 2 - n % 2

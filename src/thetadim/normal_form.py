@@ -14,9 +14,10 @@ anything.
 Everything specific to one family lives in that family's module, which its
 kind's row of `expr.ATOMS` names: `family_z`, `family_dstar`, `family_dprime`,
 `family_tprime` and `family_polyhedral`.  Each holds the family's model
-(`model(atom)`, its rule), its characters (`rows_and_sums(atom, group)`) and
-its closed-form class count (`class_count(atom)`), so the coordinates a rule
-gives its elements are read in the same module that writes them.
+(`model(atom)`, its rule), its characters (`character_rows(atom, group, cd)`
+and `real_sums(atom, group, cd)`) and its closed-form class count
+(`class_count(atom)`), so the coordinates a rule gives its elements are read
+in the same module that writes them.
 `family(kind)` imports a family's module when it is first used, through
 `load`, which the command line shares, so a process compiles only the
 families its expression names.
@@ -36,10 +37,6 @@ import sys
 from collections import namedtuple
 
 from .expr import ATOMS, Atom, GroupExpr, parse_group_expr
-
-TYPE_CHECKING = False
-if TYPE_CHECKING:
-    from .group_core import FiniteGroup
 
 __all__ = [
     "NormalForm",
@@ -159,17 +156,15 @@ def atom_group(atom: Atom) -> NormalForm:
     return family(atom.kind).model(atom)
 
 
-def group_order(group: NormalForm | FiniteGroup | GroupExpr | str) -> int:
-    """Order of a group, or of the group an expression names, without building it.
+def group_order(expr: GroupExpr | str) -> int:
+    """Order of the group an expression names, without building it.
 
     Invalid family parameters raise the same ValueError as construction.
     """
-    if isinstance(group, str):
-        group = parse_group_expr(group)
-    if not isinstance(group, GroupExpr):
-        return group.order
+    if isinstance(expr, str):
+        expr = parse_group_expr(expr)
     order = 1
-    for atom in group.atoms:
+    for atom in expr.atoms:
         if atom.kind in _POLYHEDRAL_ORDERS:
             order *= _POLYHEDRAL_ORDERS[atom.kind]
         else:

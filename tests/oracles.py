@@ -329,14 +329,17 @@ def exact_sum(values) -> CycloNumber:
     return CycloNumber._raw(m, _canonical(m, acc.items()))
 
 
-def real_char_sum(table: CharacterTable, class_index: int) -> int:
-    """Sum of the real-valued irreducible characters at one class, as an exact int."""
-    real = [row for row, is_real in zip(table.values, table.real_rows) if is_real]
-    return exact_sum(row[class_index] for row in real).as_int()
+def real_char_sums(table: CharacterTable) -> list[int]:
+    """Sum of the real-valued irreducible characters at each class, as exact
+    ints.  A row is real iff it takes the same value at inverse classes, since
+    chi(g^-1) is the complex conjugate of chi(g)."""
+    inverse = table.class_data.inverse_class
+    real = [row for row in table.values if all(row[ic] == v for v, ic in zip(row, inverse))]
+    return [exact_sum(row[c] for row in real).as_int() for c in range(len(inverse))]
 
 
 def check_degree_sum(table: CharacterTable) -> None:
-    if sum(d * d for d in table.degrees) != table.class_data.order:
+    if sum(row[0].as_int() ** 2 for row in table.values) != table.class_data.order:
         raise AssertionError(f"{table.group_name}: degree square sum mismatch")
 
 

@@ -300,7 +300,7 @@ def _verify_cyclic_table(tab: CharacterTable) -> None:
     assert cd.num_classes == n
     assert cd.sizes == [1] * n
     assert cd.representatives == list(range(n))
-    assert tab.degrees == [1] * n
+    assert [row[0].as_int() for row in tab.values] == [1] * n
 
     roots = [zeta(n, t) for t in range(n)]
     for r in range(n):

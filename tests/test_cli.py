@@ -690,15 +690,14 @@ def test_chars_route_builds_no_full_character_table(capsys, monkeypatch):
 
 
 def _doctored(monkeypatch, module: str, edit):
-    """Replace a family's characters so that its integer sums pass through `edit`."""
+    """Replace a family's real sums so that they pass through `edit`."""
     family = importlib.import_module(f"thetadim.{module}")
-    original = family.rows_and_sums
+    original = family.real_sums
 
-    def rows_and_sums(atom, group):
-        rows, sums = original(atom, group)
-        return rows, lambda cd: edit(*sums(cd))
+    def real_sums(atom, group, cd):
+        return edit(*original(atom, group, cd))
 
-    monkeypatch.setattr(family, "rows_and_sums", rows_and_sums)
+    monkeypatch.setattr(family, "real_sums", real_sums)
 
 
 def _drop_a_row(pairs, count):
@@ -743,6 +742,18 @@ def test_doctored_real_rows_fail_a_named_check(capsys, monkeypatch, module, edit
     assert check in lines[0]
     # only the integer sums are doctored, and chartab reads the rows
     assert run(capsys, "chartab", expr)[0] == 0
+
+
+def test_a_degree_that_is_not_an_integer_fails_a_named_check(capsys, monkeypatch):
+    # z_5^0 doctored to z_5 puts z_5 at the identity class of every row of Z(5)
+    real_zeta = cyclo.zeta
+    monkeypatch.setattr(cyclo, "zeta", lambda n, k=1: real_zeta(n, k or 1))
+    rc, out, err = run(capsys, "chartab", "Z(5)")
+    assert (rc, out, err) == (
+        cli.EXIT_INTERNAL,
+        "",
+        "internal check failed: Z(5): row V_0 has degree 1*z(5)^1, not an integer\n",
+    )
 
 
 def _doctor_tprime(monkeypatch):

@@ -632,6 +632,32 @@ def test_a_process_loads_only_the_modules_its_route_runs():
         }, argv
 
 
+# the calls whose loaded thetadim source README's Start-up section counts
+_START_UP_COUNTS = {
+    'classes "Tstar"': ("classes", "Tstar"),
+    'compute --method chars "Z(7) x Istar"': ("compute", "--method", "chars", "Z(7) x Istar"),
+    'verify "Istar"': ("verify", "Istar"),
+}
+
+
+def test_readme_start_up_line_counts_are_recounted():
+    """Each line count that README's Start-up section states is the sum of the
+    lines of the thetadim modules a fresh interpreter holds after that call."""
+    text = README.read_text()
+    start = text.index("### Start-up")
+    section = " ".join(text[start : text.index("\n## ", start)].split())
+    for label, argv in _START_UP_COUNTS.items():
+        stated = re.search(re.escape(f"`{label}`") + r"(?: loads)? ([\d,]+)", section)
+        assert stated, label
+        loaded = _loaded_after_start(_cli_call(*argv))
+        lines = sum(
+            len(Path(importlib.import_module(m).__file__).read_text().splitlines())
+            for m in loaded
+            if m.partition(".")[0] == "thetadim"
+        )
+        assert int(stated.group(1).replace(",", "")) == lines, label
+
+
 def test_lazy_exports_resolve_to_the_submodule_objects():
     import thetadim.burnside
     import thetadim.normal_form
@@ -700,7 +726,7 @@ def test_every_lazily_named_module_and_handler_resolves():
     for kind, (_, module) in expr.ATOMS.items():
         family = normal_form.family(kind)
         assert family is importlib.import_module(f"thetadim.{module}"), kind
-        for name in ("model", "class_count", "rows_and_sums"):
+        for name in ("model", "class_count", "character_rows", "real_sums"):
             assert callable(getattr(family, name, None)), (module, name)
     with pytest.raises(ValueError, match="unknown family 'Nope'"):
         normal_form.family("Nope")
